@@ -19,6 +19,7 @@ from fluorgen.dataset import (
     Task,
     curate_task,
     ingest_chemfluor,
+    record_fingerprints,
     write_rejection_report,
 )
 from fluorgen.filters import (
@@ -95,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads for batch scoring and similarity (default 1)",
+        help="worker threads for scoring in 'stats' and pairwise similarity in "
+        "'filter'; other commands ignore it (default 1)",
     )
     subparsers = parser.add_subparsers(dest="command")
     train = subparsers.add_parser(
@@ -160,18 +162,19 @@ def _load_scorers(config: RunConfig) -> dict:
     return scorers
 
 
-def _score_batch(graphs, scorer, solvent, workers: int):
+def _score_batch(graphs, fingerprints, scorer, solvent, workers: int):
     """Scores in input order; chunked across threads when workers > 1."""
+
+    def score(i):
+        return score_property(scorer, graphs[i], fingerprints[i], solvent)
+
     if workers <= 1 or len(graphs) < 2 * workers:
-        return [score_property(scorer, graph, solvent) for graph in graphs]
+        return [score(i) for i in range(len(graphs))]
     chunks = [list(range(start, len(graphs), workers)) for start in range(workers)]
     out = [0.0] * len(graphs)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(
-                lambda idxs: [(i, score_property(scorer, graphs[i], solvent)) for i in idxs],
-                chunk,
-            )
+            pool.submit(lambda idxs: [(i, score(i)) for i in idxs], chunk)
             for chunk in chunks
         ]
         for future in futures:
@@ -208,9 +211,10 @@ def cmd_train(config: RunConfig, column_map) -> int:
     write_rejection_report(
         result.rejected, os.path.join(config.paths.output_dir, "rejected_rows.txt")
     )
+    fingerprints = record_fingerprints(result.records)
     for task in TASKS:
         try:
-            dataset = curate_task(result.records, task)
+            dataset = curate_task(result.records, task, fingerprints)
             report, models = run_cv(
                 dataset,
                 config.train.config,
@@ -278,11 +282,11 @@ def cmd_filter(config: RunConfig, workers: int) -> int:
     if not smiles_list:
         # the stages never run, so no checkpoints are needed
         print("warning: no molecules to filter", file=sys.stderr)
-        _, report = run_filters([], {}, config.solvent, config.filters.thresholds)
+        _, report, _ = run_filters([], {}, config.solvent, config.filters.thresholds)
         write_filter_report(report, os.path.join(out, "filter_report.tsv"))
         return 0
     scorers = _load_scorers(config)
-    survivors, report = run_filters(
+    survivors, report, fingerprints = run_filters(
         smiles_list, scorers, config.solvent, config.filters.thresholds
     )
     write_filter_report(report, os.path.join(out, "filter_report.tsv"))
@@ -294,7 +298,6 @@ def cmd_filter(config: RunConfig, workers: int) -> int:
     if not survivors:
         return 0
 
-    fingerprints = [morgan_fingerprint(parse_smiles(s)) for s in survivors]
     k = min(config.filters.clusters, len(survivors))
     if k < config.filters.clusters:
         print(
@@ -342,11 +345,16 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 def _metric_values(smiles_list, scorers, solvent, workers):
     graphs = [parse_smiles(s) for s in smiles_list]
+    fps = [morgan_fingerprint(g) for g in graphs]
+
+    def scores(kind):
+        return _score_batch(graphs, fps, scorers[kind], solvent, workers)
+
     return {
-        "plqy_probability": _score_batch(graphs, scorers[ScorerKind.PLQY_PROB], solvent, workers),
+        "plqy_probability": scores(ScorerKind.PLQY_PROB),
         "sp2_size": [float(sp2_network_size(g)) for g in graphs],
-        "absorption_nm": _score_batch(graphs, scorers[ScorerKind.ABS_NM], solvent, workers),
-        "emission_nm": _score_batch(graphs, scorers[ScorerKind.EM_NM], solvent, workers),
+        "absorption_nm": scores(ScorerKind.ABS_NM),
+        "emission_nm": scores(ScorerKind.EM_NM),
     }
 
 

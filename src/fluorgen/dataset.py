@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import SolventFeatures, build_feature_vector, morgan_fingerprint
+from fluorgen.fingerprints import (
+    Fingerprint,
+    SolventFeatures,
+    build_feature_vector,
+    morgan_fingerprint,
+)
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
 
 
@@ -202,13 +207,30 @@ class TaskDataset:
         return len(self.smiles)
 
 
-def curate_task(records, task: Task) -> TaskDataset:
+def record_fingerprints(records) -> dict[str, Fingerprint]:
+    """Fingerprint of every distinct record SMILES, computed once so the
+    three tasks can share it."""
+    out: dict[str, Fingerprint] = {}
+    for record in records:
+        if record.smiles not in out:
+            out[record.smiles] = morgan_fingerprint(parse_smiles(record.smiles))
+    return out
+
+
+def curate_task(
+    records, task: Task, fingerprints: dict[str, Fingerprint] | None = None
+) -> TaskDataset:
     """Keep records complete for the task and build the training arrays.
 
     A record qualifies when the solvent features and the task's
     measurement are present. PLQY classification labels are 1 only for
     PLQY strictly above 0.5; the regression tasks use nm values as-is.
+
+    :param fingerprints: record SMILES to fingerprint, as made by
+        ``record_fingerprints``; made here when not given.
     """
+    if fingerprints is None:
+        fingerprints = record_fingerprints(records)
     value_of = {
         Task.PLQY_CLASS: lambda r: r.plqy,
         Task.ABS_REG: lambda r: r.absorption_nm,
@@ -222,8 +244,7 @@ def curate_task(records, task: Task) -> TaskDataset:
         value = value_of(record)
         if value is None or record.solvent is None:
             continue
-        fingerprint = morgan_fingerprint(parse_smiles(record.smiles))
-        rows.append(build_feature_vector(fingerprint, record.solvent))
+        rows.append(build_feature_vector(fingerprints[record.smiles], record.solvent))
         if task is Task.PLQY_CLASS:
             labels.append(1.0 if value > 0.5 else 0.0)
         else:

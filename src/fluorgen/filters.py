@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import Fingerprint, SolventFeatures, tanimoto
+from fluorgen.fingerprints import Fingerprint, SolventFeatures, morgan_fingerprint, tanimoto
 from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import ScorerKind, score_property
 from fluorgen.smiles import parse_smiles
@@ -54,23 +54,30 @@ FILTER_STAGES = ("sp2_network", "plqy_probability", "absorption_window", "emissi
 def run_filters(smiles_list, scorers, solvent: SolventFeatures,
                 thresholds: FilterThresholds = FilterThresholds()):
     """Apply the four stages in order; a molecule is charged to the first
-    stage it fails. Returns (surviving smiles, FilterReport)."""
+    stage it fails. Each molecule is parsed once and fingerprinted at most
+    once, when it first reaches a model stage. Returns (surviving smiles,
+    FilterReport, survivor fingerprints in survivor order)."""
     survivors = list(smiles_list)
     graphs = {s: parse_smiles(s) for s in survivors}
+    fingerprints: dict[str, Fingerprint] = {}
+
+    def score(kind, s):
+        if s not in fingerprints:
+            fingerprints[s] = morgan_fingerprint(graphs[s])
+        return score_property(scorers[kind], graphs[s], fingerprints[s], solvent)
 
     def sp2_ok(s):
         return sp2_network_size(graphs[s]) >= thresholds.sp2_min
 
     def plqy_ok(s):
-        prob = score_property(scorers[ScorerKind.PLQY_PROB], graphs[s], solvent)
-        return prob >= thresholds.plqy_min
+        return score(ScorerKind.PLQY_PROB, s) >= thresholds.plqy_min
 
     def absorption_ok(s):
-        nm = score_property(scorers[ScorerKind.ABS_NM], graphs[s], solvent)
+        nm = score(ScorerKind.ABS_NM, s)
         return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
 
     def emission_ok(s):
-        nm = score_property(scorers[ScorerKind.EM_NM], graphs[s], solvent)
+        nm = score(ScorerKind.EM_NM, s)
         return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
 
     checks = (sp2_ok, plqy_ok, absorption_ok, emission_ok)
@@ -88,7 +95,7 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
         remaining=tuple(remaining),
         rejected=tuple(rejected),
     )
-    return tuple(survivors), report
+    return tuple(survivors), report, tuple(fingerprints[s] for s in survivors)
 
 
 @dataclass(frozen=True)

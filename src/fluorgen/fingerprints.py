@@ -61,20 +61,10 @@ class Fingerprint:
     def count(self) -> int:
         return self.bits.bit_count()
 
-    def on_bits(self) -> list[int]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
-
     def to_array(self) -> np.ndarray:
-        arr = np.zeros(self.nbits, dtype=np.float64)
-        for k in self.on_bits():
-            arr[k] = 1.0
-        return arr
+        """Bits as a float 0/1 vector, bit k at index k."""
+        packed = np.frombuffer(self.bits.to_bytes((self.nbits + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=self.nbits, bitorder="little").astype(np.float64)
 
 
 def morgan_fingerprint(
@@ -196,9 +186,8 @@ def build_feature_vector(fingerprint: Fingerprint, solvent: SolventFeatures) -> 
     """Concatenate fingerprint bits and solvent descriptors, in that order."""
     if fingerprint.nbits != FP_BITS:
         raise ValueError(f"expected {FP_BITS}-bit fingerprint, got {fingerprint.nbits}")
-    vec = np.zeros(FEATURE_DIM, dtype=np.float64)
-    for k in fingerprint.on_bits():
-        vec[k] = 1.0
+    vec = np.empty(FEATURE_DIM, dtype=np.float64)
+    vec[:FP_BITS] = fingerprint.to_array()
     vec[FP_BITS:] = solvent.as_tuple()
     return vec
 
@@ -209,9 +198,8 @@ def feature_matrix(
     """Stack feature vectors row-wise into an (n, 2052) matrix."""
     if len(fingerprints) != len(solvents):
         raise ValueError("fingerprint and solvent counts differ")
-    out = np.zeros((len(fingerprints), FEATURE_DIM), dtype=np.float64)
+    out = np.empty((len(fingerprints), FEATURE_DIM), dtype=np.float64)
     for row, (fp, sol) in enumerate(zip(fingerprints, solvents)):
-        for k in fp.on_bits():
-            out[row, k] = 1.0
+        out[row, :FP_BITS] = fp.to_array()
         out[row, FP_BITS:] = sol.as_tuple()
     return out

@@ -45,7 +45,6 @@ from fluorgen.scorers import (
     loss_and_grads,
     score_property,
 )
-from fluorgen.smiles import write_canonical_smiles
 
 PROPERTY_ORDER = (
     ScorerKind.PLQY_PROB,
@@ -196,17 +195,8 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
     bits = 0
     for fp in fingerprints:
         bits |= fp.bits
-    return _features_from_bits(bits, solvent)
-
-
-def _features_from_bits(bits: int, solvent: SolventFeatures) -> np.ndarray:
-    out = np.zeros(FEATURE_DIM, dtype=np.float64)
-    index = 0
-    while bits:
-        if bits & 1:
-            out[index] = 1.0
-        bits >>= 1
-        index += 1
+    out = np.empty(FEATURE_DIM, dtype=np.float64)
+    out[:FP_BITS] = Fingerprint(bits).to_array()
     out[FP_BITS:] = solvent.as_tuple()
     return out
 
@@ -255,21 +245,28 @@ def sample_child(values, tau: float, rng: random.Random) -> int:
     )
 
 
-def reward(graph: MolecularGraph, scorers, weights, solvent: SolventFeatures):
+def reward(
+    graph: MolecularGraph,
+    fingerprint: Fingerprint,
+    scorers,
+    weights,
+    solvent: SolventFeatures,
+):
     """Per-property scores and their weighted combination.
 
     PLQY is the classifier probability; absorption and emission binarize
     to 1 when the predicted wavelength falls in the visible window; the
     sp2 score is the network size over the target 12, clamped to 1.
 
+    :param fingerprint: the molecule's Morgan fingerprint.
     :param scorers: mapping from ScorerKind to PropertyScorer.
     :param weights: property weights in PROPERTY_ORDER.
     :returns: (scores tuple, combined p(m)).
     """
-    plqy = score_property(scorers[ScorerKind.PLQY_PROB], graph, solvent)
-    absorption = score_property(scorers[ScorerKind.ABS_NM], graph, solvent)
-    emission = score_property(scorers[ScorerKind.EM_NM], graph, solvent)
-    sp2 = score_property(scorers[ScorerKind.SP2_SIZE], graph, solvent)
+    plqy = score_property(scorers[ScorerKind.PLQY_PROB], graph, fingerprint, solvent)
+    absorption = score_property(scorers[ScorerKind.ABS_NM], graph, fingerprint, solvent)
+    emission = score_property(scorers[ScorerKind.EM_NM], graph, fingerprint, solvent)
+    sp2 = score_property(scorers[ScorerKind.SP2_SIZE], graph, fingerprint, solvent)
     scores = (
         plqy,
         1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,
@@ -381,12 +378,16 @@ def train_value_model(model, features, targets, config, rng) -> None:
 
 
 class _Rollout:
-    """Outcome of one rollout attempt."""
+    """Outcome of one rollout attempt: the final product with its
+    canonical SMILES and fingerprint, or a dead end."""
 
-    __slots__ = ("graph", "route", "path_features", "dead")
+    __slots__ = ("graph", "smiles", "fingerprint", "route", "path_features", "dead")
 
-    def __init__(self, graph=None, route=(), path_features=(), dead=False):
+    def __init__(self, graph=None, smiles=None, fingerprint=None, route=(),
+                 path_features=(), dead=False):
         self.graph = graph
+        self.smiles = smiles
+        self.fingerprint = fingerprint
         self.route = route
         self.path_features = path_features
         self.dead = dead
@@ -499,14 +500,15 @@ class Generator:
             return _Rollout(dead=True)
         product_index = self.rng.randrange(len(result.products))
         product = result.products[product_index]
+        product_smiles = result.smiles[product_index]
+        product_fp = morgan_fingerprint(product)
         route = [RouteStep(template.id, tuple(chosen), product_index)]
-        path.append(node_features([morgan_fingerprint(product)], self.solvent))
+        path.append(node_features([product_fp], self.solvent))
 
         for _ in range(1, config.max_steps):
             continuations = self._continuations(product)
             if not continuations:
                 break
-            product_fp = morgan_fingerprint(product)
             stop_value = self._value_of_features(node_features([product_fp], self.solvent))
             cont_values = [stop_value]
             for _, _, block_id in continuations:
@@ -549,10 +551,18 @@ class Generator:
                 return _Rollout(dead=True)
             product_index = self.rng.randrange(len(result.products))
             product = result.products[product_index]
+            product_smiles = result.smiles[product_index]
+            product_fp = morgan_fingerprint(product)
             route.append(RouteStep(template.id, tuple(inputs), product_index))
-            path.append(node_features([morgan_fingerprint(product)], self.solvent))
+            path.append(node_features([product_fp], self.solvent))
 
-        return _Rollout(graph=product, route=tuple(route), path_features=tuple(path))
+        return _Rollout(
+            graph=product,
+            smiles=product_smiles,
+            fingerprint=product_fp,
+            route=tuple(route),
+            path_features=tuple(path),
+        )
 
     def _train_values(self):
         if len(self.buffer) == 0:
@@ -587,11 +597,11 @@ class Generator:
                 )
                 continue
 
-            smiles = write_canonical_smiles(outcome.graph)
+            smiles = outcome.smiles
+            fp = outcome.fingerprint
             scores, combined = reward(
-                outcome.graph, self.scorers, self.weights, self.solvent
+                outcome.graph, fp, self.scorers, self.weights, self.solvent
             )
-            fp = morgan_fingerprint(outcome.graph)
             similarity = None
             if emitted_fps:
                 similarity = max(tanimoto(fp, other) for other in emitted_fps)
@@ -710,10 +720,12 @@ def uniform_baseline(
             continue
         product_index = rng.randrange(len(result.products))
         product = result.products[product_index]
-        scores, combined = reward(product, scorers, uniform_weights, solvent)
+        scores, combined = reward(
+            product, morgan_fingerprint(product), scorers, uniform_weights, solvent
+        )
         out.append(
             GeneratedMolecule(
-                smiles=write_canonical_smiles(product),
+                smiles=result.smiles[product_index],
                 route=(RouteStep(template.id, tuple(chosen), product_index),),
                 scores=scores,
                 combined=combined,
@@ -729,6 +741,7 @@ def replay_route(route, library: BlockLibrary, templates) -> str:
     templates_by_id = {t.id: t for t in templates}
     blocks = {b.id: b for b in library.blocks}
     previous: MolecularGraph | None = None
+    previous_smiles = ""
     for step in route:
         template = templates_by_id.get(step.template_id)
         if template is None:
@@ -751,9 +764,10 @@ def replay_route(route, library: BlockLibrary, templates) -> str:
                 f"got {len(result.products)} products"
             )
         previous = result.products[step.product_index]
+        previous_smiles = result.smiles[step.product_index]
     if previous is None:
         raise GeneratorError("empty route")
-    return write_canonical_smiles(previous)
+    return previous_smiles
 
 
 # file output; all numbers use %.6g so reruns are byte-identical

@@ -80,6 +80,7 @@ class ReactionTemplate:
 @dataclass(frozen=True)
 class ReactionResult:
     products: tuple[MolecularGraph, ...]
+    smiles: tuple[str, ...]  # canonical SMILES of each product, same order
     skipped: int  # match combinations whose edits produced an invalid molecule
 
 
@@ -92,7 +93,7 @@ def apply_reaction(
     outcomes (valence violations, edit conflicts such as adding a bond
     that already exists) are skipped and counted. Products come back
     deduplicated and sorted by canonical SMILES, so the result does not
-    depend on reactant atom ordering.
+    depend on reactant atom ordering; ``smiles`` holds those strings.
     """
     if len(reactants) != template.arity:
         raise ValueError(
@@ -189,8 +190,10 @@ def apply_reaction(
             continue
         products.setdefault(smiles, product)
 
-    ordered = tuple(products[key] for key in sorted(products))
-    return ReactionResult(products=ordered, skipped=skipped)
+    keys = tuple(sorted(products))
+    return ReactionResult(
+        products=tuple(products[key] for key in keys), smiles=keys, skipped=skipped
+    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from fluorgen.fingerprints import SOLVENT_DIM, build_feature_vector, morgan_fingerprint
+from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
 _CHECKPOINT_VERSION = 1
@@ -312,16 +312,19 @@ class PropertyScorer:
             raise ScorerError(f"{self.kind.value} scorer needs a trained model")
 
 
-def score_property(scorer: PropertyScorer, graph: MolecularGraph, solvent) -> float:
-    """Score one molecule in one solvent.
+def score_property(
+    scorer: PropertyScorer, graph: MolecularGraph, fingerprint: Fingerprint, solvent
+) -> float:
+    """Score one molecule, given with its Morgan fingerprint, in one solvent.
 
     PLQY_PROB is a probability from the sigmoid head, ABS_NM and EM_NM
-    are regression outputs in nm, SP2_SIZE is the largest sp2 network
-    size and ignores the solvent.
+    are regression outputs in nm, both read from the fingerprint.
+    SP2_SIZE is the largest sp2 network size of the graph and ignores the
+    fingerprint and the solvent.
     """
     if scorer.kind is ScorerKind.SP2_SIZE:
         return float(sp2_network_size(graph))
-    fv = build_feature_vector(morgan_fingerprint(graph), solvent)
+    fv = build_feature_vector(fingerprint, solvent)
     return mlp_forward(scorer.model, fv)
 
 

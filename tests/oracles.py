@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from fluorgen.fingerprints import FP_BITS
 from fluorgen.molgraph import Hybridization, MolecularGraph, perceive_hybridization
 
 
@@ -47,6 +50,19 @@ def sp2_network_size_unionfind(graph: MolecularGraph) -> int:
         if sp2[i]:
             best = max(best, uf.size[uf.find(i)])
     return best
+
+
+def bits_to_array_loop(bits: int, nbits: int = FP_BITS) -> np.ndarray:
+    """Fingerprint decoder oracle: shift the integer right one bit at a
+    time and set index k when bit k is on."""
+    out = np.zeros(nbits, dtype=np.float64)
+    index = 0
+    while bits:
+        if bits & 1:
+            out[index] = 1.0
+        bits >>= 1
+        index += 1
+    return out
 
 
 def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:

@@ -489,24 +489,24 @@ INDOLE_ALDEHYDE = "O=Cc1cc2ccccc2[nH]1"   # sp2 network 11
 def test_09_filter_boundaries(report):
     thresholds = FilterThresholds()
 
-    survivors, sp2_report = run_filters(
+    survivors, sp2_report, _ = run_filters(
         [BIPHENYL, INDOLE_ALDEHYDE], const_scorers(), WATER, thresholds)
     sp2_ok = survivors == (BIPHENYL,)
 
     # Sigmoid of zero puts the probability exactly on the 0.5 boundary.
-    at_half, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=0.0),
+    at_half, _, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=0.0),
                              WATER, thresholds)
-    below_half, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=-0.1),
+    below_half, _, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=-0.1),
                                 WATER, thresholds)
     plqy_ok = at_half == (BIPHENYL,) and below_half == ()
 
-    at_419, _ = run_filters([BIPHENYL], const_scorers(absorption=419.0),
+    at_419, _, _ = run_filters([BIPHENYL], const_scorers(absorption=419.0),
                             WATER, thresholds)
-    at_420, _ = run_filters([BIPHENYL], const_scorers(absorption=420.0),
+    at_420, _, _ = run_filters([BIPHENYL], const_scorers(absorption=420.0),
                             WATER, thresholds)
     window_ok = at_419 == () and at_420 == (BIPHENYL,)
 
-    mixed, mixed_report = run_filters(
+    mixed, mixed_report, _ = run_filters(
         [BIPHENYL, INDOLE_ALDEHYDE, "CCCC", BIPHENYL],
         const_scorers(plqy_logit=-0.1), WATER, thresholds)
     counts = [mixed_report.total, *mixed_report.remaining]

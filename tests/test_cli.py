@@ -235,6 +235,19 @@ class TestGenerate:
             second = (tmp_path / "second" / name).read_bytes()
             assert first == second
 
+    def test_workers_do_not_change_output(self, pipeline, tmp_path, monkeypatch):
+        # --workers only affects filter and stats; generate stays serial
+        _, config_path = pipeline
+        written = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("FLUORGEN_OUTPUT_DIR", str(tmp_path / workers))
+            assert main(["--config", str(config_path), "--workers", workers, "generate"]) == 0
+            written[workers] = {
+                name: (tmp_path / workers / name).read_bytes()
+                for name in ("molecules.tsv", "run_log.tsv", "reaction_usage.tsv", "baseline.tsv")
+            }
+        assert written["1"] == written["2"]
+
 
 def constant_checkpoints(directory: Path, plqy_logit=0.0, absorption=500.0, emission=520.0):
     directory.mkdir(parents=True, exist_ok=True)

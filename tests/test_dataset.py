@@ -13,6 +13,7 @@ from fluorgen.dataset import (
     Task,
     curate_task,
     ingest_chemfluor,
+    record_fingerprints,
     split_cv,
     write_curated_cache,
     write_rejection_report,
@@ -187,6 +188,18 @@ class TestCuration:
             fp = morgan_fingerprint(parse_smiles(smiles))
             assert np.array_equal(dataset.features[i, :2048], fp.to_array())
             assert dataset.features[i, 2048:].tolist() == list(dataset.solvents[i].as_tuple())
+
+    def test_shared_fingerprints_give_the_same_arrays(self, tmp_path):
+        records = self.records(tmp_path)
+        fingerprints = record_fingerprints(records)
+        assert set(fingerprints) == {r.smiles for r in records}
+        for smiles, fp in fingerprints.items():
+            assert fp == morgan_fingerprint(parse_smiles(smiles))
+        for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
+            shared = curate_task(records, task, fingerprints)
+            alone = curate_task(records, task)
+            assert np.array_equal(shared.features, alone.features)
+            assert np.array_equal(shared.labels, alone.labels)
 
     def test_empty_curation_raises(self, tmp_path):
         lines = [HEADER, "CCO,0.6,0.7,0.8,0.9,,250,"]

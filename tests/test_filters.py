@@ -78,7 +78,7 @@ class TestStageOracles:
 
 class TestRunFilters:
     def test_sp2_boundary_keeps_12_rejects_11(self):
-        survivors, report = run_filters(
+        survivors, report, _ = run_filters(
             [BIPHENYL, INDOLE_ALDEHYDE], const_scorers(), WATER
         )
         assert survivors == (BIPHENYL,)
@@ -87,15 +87,15 @@ class TestRunFilters:
 
     def test_plqy_boundary_is_inclusive(self):
         # logit 0 gives probability exactly 0.5
-        survivors, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=0.0), WATER)
+        survivors, _, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=0.0), WATER)
         assert survivors == (BIPHENYL,)
-        survivors, report = run_filters([BIPHENYL], const_scorers(plqy_logit=-1.0), WATER)
+        survivors, report, _ = run_filters([BIPHENYL], const_scorers(plqy_logit=-1.0), WATER)
         assert survivors == ()
         assert report.rejected == (0, 1, 0, 0)
 
     @pytest.mark.parametrize("nm,kept", [(419.0, False), (420.0, True), (750.0, True), (751.0, False)])
     def test_absorption_window_boundaries(self, nm, kept):
-        survivors, report = run_filters(
+        survivors, report, _ = run_filters(
             [BIPHENYL], const_scorers(absorption=nm), WATER
         )
         assert (len(survivors) == 1) is kept
@@ -103,7 +103,7 @@ class TestRunFilters:
             assert report.rejected == (0, 0, 1, 0)
 
     def test_emission_stage_is_last(self):
-        survivors, report = run_filters(
+        survivors, report, _ = run_filters(
             [BIPHENYL], const_scorers(emission=900.0), WATER
         )
         assert survivors == ()
@@ -111,31 +111,37 @@ class TestRunFilters:
 
     def test_rejection_charged_to_first_failing_stage(self):
         # butane fails every stage; only sp2 should record it
-        _, report = run_filters(
+        _, report, _ = run_filters(
             [BUTANE], const_scorers(plqy_logit=-50.0, absorption=0.0), WATER
         )
         assert report.rejected == (1, 0, 0, 0)
 
     def test_empty_input(self):
-        survivors, report = run_filters([], const_scorers(), WATER)
+        survivors, report, _ = run_filters([], const_scorers(), WATER)
         assert survivors == ()
         assert report.total == 0
         assert report.remaining == (0, 0, 0, 0)
 
     def test_survivor_set_invariant_under_permutation(self):
         molecules = [BIPHENYL, INDOLE_ALDEHYDE, ANTHRACENE, BUTANE]
-        base, _ = run_filters(molecules, const_scorers(), WATER)
+        base, _, _ = run_filters(molecules, const_scorers(), WATER)
         shuffled = list(molecules)
         random.Random(3).shuffle(shuffled)
-        permuted, _ = run_filters(shuffled, const_scorers(), WATER)
+        permuted, _, _ = run_filters(shuffled, const_scorers(), WATER)
         assert set(base) == set(permuted)
 
     def test_custom_thresholds(self):
         thresholds = FilterThresholds(sp2_min=14)
-        survivors, _ = run_filters(
+        survivors, _, _ = run_filters(
             [BIPHENYL, ANTHRACENE], const_scorers(), WATER, thresholds
         )
         assert survivors == (ANTHRACENE,)
+
+    def test_survivor_fingerprints_follow_survivors(self):
+        molecules = [ANTHRACENE, BUTANE, BIPHENYL, INDOLE_ALDEHYDE]
+        survivors, _, fingerprints = run_filters(molecules, const_scorers(), WATER)
+        assert survivors == (ANTHRACENE, BIPHENYL)
+        assert fingerprints == tuple(morgan_fingerprint(parse_smiles(s)) for s in survivors)
 
     def test_report_rejects_inconsistent_counts(self):
         with pytest.raises(FilterError):
@@ -307,7 +313,7 @@ class TestNovelty:
 
 class TestWriters:
     def test_filter_report_file(self, tmp_path):
-        _, report = run_filters(
+        _, report, _ = run_filters(
             [BIPHENYL, INDOLE_ALDEHYDE, BUTANE], const_scorers(), WATER
         )
         path = tmp_path / "report.tsv"

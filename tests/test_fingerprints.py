@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluorgen.fingerprints import (
     FEATURE_DIM,
@@ -12,9 +14,11 @@ from fluorgen.fingerprints import (
     stable_hash,
     tanimoto,
 )
+from fluorgen.generator import node_features
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
+from oracles import bits_to_array_loop
 from randmol import permute_graph, random_molecule
 
 
@@ -148,3 +152,50 @@ class TestFeatureVector:
         assert mat.shape == (2, FEATURE_DIM)
         for row in range(2):
             np.testing.assert_array_equal(mat[row], build_feature_vector(fps[row], sols[row]))
+
+
+ALL_BITS = (1 << FP_BITS) - 1
+
+# dense random integers, sparse random bit sets, and the edge cases
+bit_sets = st.one_of(
+    st.integers(min_value=0, max_value=ALL_BITS),
+    st.sets(st.integers(min_value=0, max_value=FP_BITS - 1), max_size=120).map(
+        lambda on: sum(1 << k for k in on)
+    ),
+)
+
+
+class TestDecoder:
+    WATER = SolventFeatures(sp=0.681, sdp=0.997, sa=1.062, sb=0.025)
+
+    @settings(deadline=None)
+    @given(bits=bit_sets)
+    @example(bits=0)
+    @example(bits=1)
+    @example(bits=1 << (FP_BITS - 1))
+    @example(bits=ALL_BITS)
+    def test_to_array_equals_bit_loop(self, bits):
+        got = Fingerprint(bits).to_array()
+        assert got.dtype == np.float64
+        assert got.shape == (FP_BITS,)
+        assert got.tobytes() == bits_to_array_loop(bits).tobytes()
+
+    @settings(deadline=None)
+    @given(bits=bit_sets)
+    @example(bits=0)
+    @example(bits=ALL_BITS)
+    def test_feature_builders_equal_bit_loop(self, bits):
+        want = np.concatenate([bits_to_array_loop(bits), self.WATER.as_tuple()])
+        fingerprint = Fingerprint(bits)
+        assert build_feature_vector(fingerprint, self.WATER).tobytes() == want.tobytes()
+        assert feature_matrix([fingerprint], [self.WATER])[0].tobytes() == want.tobytes()
+        mask = 0x5555 << 1000
+        parts = [Fingerprint(bits & mask), Fingerprint(bits & ~mask), Fingerprint(bits & mask)]
+        assert node_features(parts, self.WATER).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 64])
+    def test_short_fingerprints_decode_every_bit(self, nbits):
+        bits = (1 << nbits) - 1
+        assert Fingerprint(bits, nbits).to_array().tobytes() == (
+            bits_to_array_loop(bits, nbits).tobytes()
+        )

@@ -14,6 +14,7 @@ from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
     build_feature_vector,
+    morgan_fingerprint,
 )
 from fluorgen.generator import (
     GeneratedMolecule,
@@ -193,7 +194,9 @@ class TestReward:
     def test_wavelengths_binarize_inside_window(self):
         benzene = parse_smiles("c1ccccc1")
         weights = (0.25, 0.25, 0.25, 0.25)
-        scores, combined = reward(benzene, const_scorers(), weights, WATER)
+        scores, combined = reward(
+            benzene, morgan_fingerprint(benzene), const_scorers(), weights, WATER
+        )
         assert scores[0] == pytest.approx(0.5)
         assert scores[1] == 1.0 and scores[2] == 1.0
         assert scores[3] == pytest.approx(0.5)  # 6 sp2 atoms over target 12
@@ -207,6 +210,7 @@ class TestReward:
         benzene = parse_smiles("c1ccccc1")
         scores, _ = reward(
             benzene,
+            morgan_fingerprint(benzene),
             const_scorers(absorption=nm, emission=nm),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
@@ -216,7 +220,11 @@ class TestReward:
     def test_large_sp2_network_clamps_to_one(self):
         anthracene = parse_smiles("c1ccc2cc3ccccc3cc2c1")
         scores, _ = reward(
-            anthracene, const_scorers(), (0.25, 0.25, 0.25, 0.25), WATER
+            anthracene,
+            morgan_fingerprint(anthracene),
+            const_scorers(),
+            (0.25, 0.25, 0.25, 0.25),
+            WATER,
         )
         assert scores[3] == 1.0
 
@@ -224,6 +232,7 @@ class TestReward:
         biphenyl = parse_smiles("c1ccc(-c2ccccc2)cc1")
         scores, combined = reward(
             biphenyl,
+            morgan_fingerprint(biphenyl),
             const_scorers(plqy_logit=50.0),
             (0.25, 0.25, 0.25, 0.25),
             WATER,

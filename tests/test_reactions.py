@@ -191,6 +191,27 @@ class TestWorkedProducts:
 
 
 class TestApplySemantics:
+    def test_returned_smiles_are_canonical_smiles_of_products(self, templates, library):
+        import random
+
+        rng = random.Random(11)
+        index = CompatibilityIndex(library, tuple(templates.values()))
+        checked = 0
+        for template in templates.values():
+            for _ in range(4):
+                reactants = [
+                    library.by_id(rng.choice(index.compatible_blocks(template.id, role))).graph
+                    for role in range(template.arity)
+                ]
+                result = apply_reaction(template, reactants)
+                assert len(result.smiles) == len(result.products)
+                assert result.smiles == tuple(
+                    write_canonical_smiles(p) for p in result.products
+                )
+                assert list(result.smiles) == sorted(set(result.smiles))
+                checked += len(result.products)
+        assert checked > 0
+
     def test_product_independent_of_atom_order(self, templates):
         import random
 

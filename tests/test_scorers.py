@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from fluorgen.dataset import Task, TaskDataset
-from fluorgen.fingerprints import FEATURE_DIM, SOLVENT_DIM, SolventFeatures
+from fluorgen.fingerprints import FEATURE_DIM, SOLVENT_DIM, SolventFeatures, morgan_fingerprint
 from fluorgen.scorers import (
     Head,
     MlpModel,
@@ -288,12 +288,13 @@ class TestPropertyScorers:
     def test_sp2_size_scorer(self):
         scorer = PropertyScorer(kind=ScorerKind.SP2_SIZE)
         benzene = parse_smiles("c1ccccc1")
-        assert score_property(scorer, benzene, WATER) == 6.0
+        assert score_property(scorer, benzene, morgan_fingerprint(benzene), WATER) == 6.0
 
     def test_model_backed_scorer(self):
         model = zero_model(input_dim=FEATURE_DIM, hidden=2)
         scorer = PropertyScorer(kind=ScorerKind.PLQY_PROB, model=model)
-        value = score_property(scorer, parse_smiles("CCO"), WATER)
+        ethanol = parse_smiles("CCO")
+        value = score_property(scorer, ethanol, morgan_fingerprint(ethanol), WATER)
         assert value == pytest.approx(0.5)
 
     def test_missing_model_rejected(self):
@@ -304,7 +305,8 @@ class TestPropertyScorers:
         model = make_model(input_dim=FEATURE_DIM, hidden=5, head=Head.SIGMOID, seed=11, scale=2.0)
         scorer = PropertyScorer(kind=ScorerKind.PLQY_PROB, model=model)
         for smiles in ("c1ccccc1", "CC(=O)O", "c1ccc2ccccc2c1"):
-            value = score_property(scorer, parse_smiles(smiles), WATER)
+            graph = parse_smiles(smiles)
+            value = score_property(scorer, graph, morgan_fingerprint(graph), WATER)
             assert 0.0 < value < 1.0
 
 
