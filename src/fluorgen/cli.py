@@ -4,7 +4,6 @@ compare them. All outputs are plain delimited text."""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import sys
@@ -96,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads for scoring in 'stats' and pairwise similarity in "
-        "'filter'; other commands ignore it (default 1)",
+        help="accepted for compatibility and has no effect; every command runs "
+        "in one thread (must be at least 1)",
     )
     subparsers = parser.add_subparsers(dest="command")
     train = subparsers.add_parser(
@@ -160,27 +159,6 @@ def _load_scorers(config: RunConfig) -> dict:
             raise ConfigError(f"missing checkpoint {path}; run 'fluorgen train' first")
         scorers[kind] = PropertyScorer(kind, load_model(path))
     return scorers
-
-
-def _score_batch(graphs, fingerprints, scorer, solvent, workers: int):
-    """Scores in input order; chunked across threads when workers > 1."""
-
-    def score(i):
-        return score_property(scorer, graphs[i], fingerprints[i], solvent)
-
-    if workers <= 1 or len(graphs) < 2 * workers:
-        return [score(i) for i in range(len(graphs))]
-    chunks = [list(range(start, len(graphs), workers)) for start in range(workers)]
-    out = [0.0] * len(graphs)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(lambda idxs: [(i, score(i)) for i in idxs], chunk)
-            for chunk in chunks
-        ]
-        for future in futures:
-            for index, value in future.result():
-                out[index] = value
-    return out
 
 
 def _read_molecule_smiles(path: str) -> list[str]:
@@ -274,7 +252,7 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_filter(config: RunConfig, workers: int) -> int:
+def cmd_filter(config: RunConfig) -> int:
     out = config.paths.output_dir
     molecules_path = os.path.join(out, "molecules.tsv")
     smiles_list = _read_molecule_smiles(molecules_path)
@@ -303,15 +281,14 @@ def cmd_filter(config: RunConfig, workers: int) -> int:
         print(
             f"warning: clamping cluster count to {k} survivors", file=sys.stderr
         )
-    assignment = cluster_tanimoto(
-        fingerprints, k=k, seed=config.filters.cluster_seed, workers=workers
-    )
+    assignment = cluster_tanimoto(fingerprints, k=k, seed=config.filters.cluster_seed)
     write_cluster_assignment(
         assignment, survivors, os.path.join(out, "clusters.tsv")
     )
-    intra, inter = cluster_similarity_histogram(assignment, fingerprints)
+    # the pair similarities are written and dropped before the next stage
     write_similarity_histogram(
-        intra, inter, os.path.join(out, "similarity_histogram.tsv")
+        *cluster_similarity_histogram(assignment, fingerprints),
+        os.path.join(out, "similarity_histogram.tsv"),
     )
     ranked = select_representatives(assignment, fingerprints)
     with open(os.path.join(out, "representatives.tsv"), "w", encoding="utf-8") as handle:
@@ -343,12 +320,12 @@ def cmd_filter(config: RunConfig, workers: int) -> int:
 STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 
-def _metric_values(smiles_list, scorers, solvent, workers):
+def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_smiles(s) for s in smiles_list]
     fps = [morgan_fingerprint(g) for g in graphs]
 
     def scores(kind):
-        return _score_batch(graphs, fps, scorers[kind], solvent, workers)
+        return [score_property(scorers[kind], g, fp, solvent) for g, fp in zip(graphs, fps)]
 
     return {
         "plqy_probability": scores(ScorerKind.PLQY_PROB),
@@ -358,15 +335,15 @@ def _metric_values(smiles_list, scorers, solvent, workers):
     }
 
 
-def cmd_stats(config: RunConfig, workers: int) -> int:
+def cmd_stats(config: RunConfig) -> int:
     out = config.paths.output_dir
     generated = _read_molecule_smiles(os.path.join(out, "molecules.tsv"))
     baseline = _read_molecule_smiles(os.path.join(out, "baseline.tsv"))
     if not generated or not baseline:
         raise ConfigError("stats needs non-empty molecules.tsv and baseline.tsv")
     scorers = _load_scorers(config)
-    generated_values = _metric_values(generated, scorers, config.solvent, workers)
-    baseline_values = _metric_values(baseline, scorers, config.solvent, workers)
+    generated_values = _metric_values(generated, scorers, config.solvent)
+    baseline_values = _metric_values(baseline, scorers, config.solvent)
     with open(os.path.join(out, "stats_histogram.tsv"), "w", encoding="utf-8") as handle:
         handle.write("set\tmetric\tvalue\n")
         for name in STAT_METRICS:
@@ -409,9 +386,9 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "filter":
-            return cmd_filter(config, args.workers)
+            return cmd_filter(config)
         if args.command == "stats":
-            return cmd_stats(config, args.workers)
+            return cmd_stats(config)
         parser.print_usage(sys.stderr)
         print("error: a command is required (or --print-config)", file=sys.stderr)
         return 2

@@ -3,13 +3,18 @@ clustering, and novelty against a reference set."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import Fingerprint, SolventFeatures, morgan_fingerprint, tanimoto
+from fluorgen.fingerprints import (
+    Fingerprint,
+    SolventFeatures,
+    morgan_fingerprint,
+    pack,
+    tanimoto_matrix,
+)
 from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import ScorerKind, score_property
 from fluorgen.smiles import parse_smiles
@@ -115,30 +120,11 @@ class ClusterAssignment:
                 raise FilterError("medoid must belong to its own cluster")
 
 
-def _distance_rows(fingerprints, rows):
-    n = len(fingerprints)
-    out = np.zeros((len(rows), n))
-    for row_pos, i in enumerate(rows):
-        for j in range(n):
-            if i != j:
-                out[row_pos, j] = 1.0 - tanimoto(fingerprints[i], fingerprints[j])
-    return out
-
-
-def distance_matrix(fingerprints, workers: int = 1) -> np.ndarray:
-    """Pairwise Jaccard distances 1 - tanimoto. Row blocks may be computed
-    on worker threads; assembly by row index keeps the result identical
-    for any worker count."""
-    n = len(fingerprints)
-    if workers <= 1 or n < 2 * workers:
-        return _distance_rows(fingerprints, range(n))
-    chunks = [list(range(start, n, workers)) for start in range(workers)]
-    out = np.zeros((n, n))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_distance_rows, fingerprints, chunk) for chunk in chunks]
-        for chunk, future in zip(chunks, futures):
-            out[chunk, :] = future.result()
-    return out
+def distance_matrix(fingerprints) -> np.ndarray:
+    """Pairwise Jaccard distances 1 - tanimoto; the diagonal is zero."""
+    words = pack(fingerprints)
+    out = tanimoto_matrix(words, words)
+    return np.subtract(1.0, out, out=out)
 
 
 def _farthest_point_seeds(distances: np.ndarray, k: int, seed: int) -> list[int]:
@@ -153,7 +139,7 @@ def _farthest_point_seeds(distances: np.ndarray, k: int, seed: int) -> list[int]
 
 
 def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
-                     workers: int = 1, max_iterations: int = 100) -> ClusterAssignment:
+                     max_iterations: int = 100) -> ClusterAssignment:
     """K-medoids in Tanimoto space: assign to the nearest medoid, then
     move each medoid to the member minimizing summed intra-cluster
     distance, until assignments stop changing."""
@@ -162,7 +148,7 @@ def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
         raise FilterError(f"cannot form {k} clusters from {n} molecules")
     if k < 1:
         raise FilterError("k must be positive")
-    distances = distance_matrix(fingerprints, workers=workers)
+    distances = distance_matrix(fingerprints)
     medoids = _farthest_point_seeds(distances, k, seed)
     labels = None
     trace = []
@@ -188,31 +174,40 @@ def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
 
 def cluster_similarity_histogram(assignment: ClusterAssignment, fingerprints):
     """All pairwise similarities split into within-cluster and
-    across-cluster sets."""
+    across-cluster sets, each in (i, j) order with i < j. Computed a few
+    rows at a time against the columns right of them, so no n x n matrix
+    is held."""
     n = len(fingerprints)
     if len(assignment.labels) != n:
         raise FilterError("assignment does not match the fingerprint list")
+    labels = np.asarray(assignment.labels)
+    words = pack(fingerprints)
     intra = []
     inter = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            similarity = tanimoto(fingerprints[i], fingerprints[j])
-            if assignment.labels[i] == assignment.labels[j]:
-                intra.append(similarity)
-            else:
-                inter.append(similarity)
+    block = 8
+    for start in range(0, n, block):
+        similarities = tanimoto_matrix(words[start:start + block], words[start + 1:])
+        for offset, row in enumerate(similarities):
+            i = start + offset
+            row = row[offset:]  # columns j > i
+            same = labels[i + 1:] == labels[i]
+            intra.extend(row[same].tolist())
+            inter.extend(row[~same].tolist())
     return tuple(intra), tuple(inter)
 
 
 def select_representatives(assignment: ClusterAssignment, fingerprints):
     """Per cluster: members ranked by distance to the medoid, medoid
     first. Input for the human picking one molecule per cluster."""
+    words = pack(fingerprints)
+    labels = np.asarray(assignment.labels)
+    distances = 1.0 - tanimoto_matrix(words[list(assignment.medoids)], words)
     ranked = []
-    for cluster in range(assignment.k):
-        medoid = assignment.medoids[cluster]
-        members = [i for i, label in enumerate(assignment.labels) if label == cluster]
-        members.sort(key=lambda i: (1.0 - tanimoto(fingerprints[medoid], fingerprints[i]), i))
-        ranked.append((medoid, tuple(members)))
+    for cluster, medoid in enumerate(assignment.medoids):
+        # members ascend, so the stable sort breaks distance ties by index
+        members = np.flatnonzero(labels == cluster)
+        order = np.argsort(distances[cluster, members], kind="stable")
+        ranked.append((medoid, tuple(members[order].tolist())))
     return tuple(ranked)
 
 
@@ -221,9 +216,8 @@ def novelty(fingerprints, references) -> tuple[float, ...]:
     references = list(references)
     if not references:
         raise FilterError("reference set is empty")
-    return tuple(
-        max(tanimoto(fp, ref) for ref in references) for fp in fingerprints
-    )
+    best = tanimoto_matrix(pack(fingerprints), pack(references)).max(axis=1)
+    return tuple(best.tolist())
 
 
 def is_novel(score: float) -> bool:

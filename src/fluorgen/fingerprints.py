@@ -163,6 +163,41 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return (a.bits & b.bits).bit_count() / union
 
 
+def pack(fingerprints) -> np.ndarray:
+    """Fingerprints as an (n, ceil(nbits / 64)) array of little-endian
+    uint64 words, bit k in bit k % 64 of word k // 64. An empty input
+    gives (0, FP_BITS / 64)."""
+    fingerprints = list(fingerprints)
+    lengths = {fp.nbits for fp in fingerprints}
+    if len(lengths) > 1:
+        raise ValueError("fingerprint lengths differ")
+    words = ((lengths.pop() if lengths else FP_BITS) + 63) // 64
+    raw = b"".join(fp.bits.to_bytes(8 * words, "little") for fp in fingerprints)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(fingerprints), words)
+
+
+def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tanimoto similarity of every packed row of a against every packed
+    row of b, as a (len(a), len(b)) matrix; 1.0 where both rows are empty.
+
+    Works on 8 rows of a at a time, which keeps the temporaries small.
+    Intersection and union are exact popcounts, so each value is the same
+    division as tanimoto() makes.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("fingerprint lengths differ")
+    counts_a = np.bitwise_count(a).sum(axis=1)
+    counts_b = np.bitwise_count(b).sum(axis=1)
+    out = np.ones((len(a), len(b)))
+    block = 8
+    for start in range(0, len(a), block):
+        stop = start + block
+        inter = np.bitwise_count(a[start:stop, None, :] & b).sum(axis=2)
+        union = counts_a[start:stop, None] + counts_b - inter
+        np.divide(inter, union, out=out[start:stop], where=union != 0)
+    return out
+
+
 @dataclass(frozen=True)
 class SolventFeatures:
     """Catalan solvatochromic descriptors of the measurement solvent."""

@@ -27,7 +27,8 @@ from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
     morgan_fingerprint,
-    tanimoto,
+    pack,
+    tanimoto_matrix,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 from fluorgen.patterns import has_match
@@ -575,7 +576,10 @@ class Generator:
     def run(self, progress=None) -> GenerationResult:
         config = self.config
         emitted: dict[str, GeneratedMolecule] = {}
-        emitted_fps: list[Fingerprint] = []
+        # packed fingerprints of the emitted molecules in rows [:n_emitted];
+        # the array doubles when full
+        emitted_words = np.empty((16, FP_BITS // 64), dtype=np.uint64)
+        n_emitted = 0
         log: list[RolloutLog] = []
         dead_ends = 0
         duplicates = 0
@@ -602,9 +606,10 @@ class Generator:
             scores, combined = reward(
                 outcome.graph, fp, self.scorers, self.weights, self.solvent
             )
+            fp_words = pack([fp])
             similarity = None
-            if emitted_fps:
-                similarity = max(tanimoto(fp, other) for other in emitted_fps)
+            if n_emitted:
+                similarity = float(tanimoto_matrix(fp_words, emitted_words[:n_emitted]).max())
             if smiles in emitted:
                 duplicates += 1
                 status = "duplicate"
@@ -618,7 +623,10 @@ class Generator:
                     weights=self.weights,
                     rollout=rollout_idx,
                 )
-                emitted_fps.append(fp)
+                if n_emitted == len(emitted_words):
+                    emitted_words = np.concatenate([emitted_words, np.empty_like(emitted_words)])
+                emitted_words[n_emitted] = fp_words[0]
+                n_emitted += 1
 
             self.success_window.append(_successes(scores))
             if similarity is not None:

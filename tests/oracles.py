@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from fluorgen.fingerprints import FP_BITS
+from fluorgen.fingerprints import FP_BITS, tanimoto
 from fluorgen.molgraph import Hybridization, MolecularGraph, perceive_hybridization
 
 
@@ -63,6 +63,46 @@ def bits_to_array_loop(bits: int, nbits: int = FP_BITS) -> np.ndarray:
         bits >>= 1
         index += 1
     return out
+
+
+def distance_matrix_loop(fingerprints) -> np.ndarray:
+    """Pairwise distance oracle: one scalar big-integer tanimoto per
+    ordered pair, zero on the diagonal."""
+    n = len(fingerprints)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                out[i, j] = 1.0 - tanimoto(fingerprints[i], fingerprints[j])
+    return out
+
+
+def similarity_histogram_loop(labels, fingerprints):
+    """Similarity histogram oracle: every pair i < j in row-major order,
+    split by whether the two labels agree."""
+    intra = []
+    inter = []
+    for i in range(len(fingerprints)):
+        for j in range(i + 1, len(fingerprints)):
+            similarity = tanimoto(fingerprints[i], fingerprints[j])
+            (intra if labels[i] == labels[j] else inter).append(similarity)
+    return tuple(intra), tuple(inter)
+
+
+def representatives_loop(labels, medoids, fingerprints):
+    """Representative ranking oracle: members of each cluster sorted by
+    (distance to the medoid, index)."""
+    ranked = []
+    for cluster, medoid in enumerate(medoids):
+        members = [i for i, label in enumerate(labels) if label == cluster]
+        members.sort(key=lambda i: (1.0 - tanimoto(fingerprints[medoid], fingerprints[i]), i))
+        ranked.append((medoid, tuple(members)))
+    return tuple(ranked)
+
+
+def novelty_loop(fingerprints, references):
+    """Novelty oracle: the largest scalar tanimoto against any reference."""
+    return tuple(max(tanimoto(fp, ref) for ref in references) for fp in fingerprints)
 
 
 def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:

@@ -33,6 +33,13 @@ from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import Head, MlpModel, PropertyScorer, ScorerKind
 from fluorgen.smiles import parse_smiles
 
+from oracles import (
+    distance_matrix_loop,
+    novelty_loop,
+    representatives_loop,
+    similarity_histogram_loop,
+)
+
 WATER = SolventFeatures(0.681, 0.997, 1.062, 0.025)
 
 BIPHENYL = "c1ccc(-c2ccccc2)cc1"  # sp2 network of exactly 12
@@ -203,16 +210,26 @@ class TestClustering:
         second = cluster_tanimoto(fingerprints, k=3, seed=5)
         assert first == second
 
-    def test_worker_count_does_not_change_result(self):
+    def test_packed_paths_equal_scalar_oracles(self):
+        # dense and sparse rows, an empty row and repeats, so distance
+        # ties and both-empty pairs occur; sizes straddle the row block
         rng = random.Random(11)
-        fingerprints = [Fingerprint(bits=rng.getrandbits(2048)) for _ in range(30)]
-        serial = cluster_tanimoto(fingerprints, k=4, seed=0, workers=1)
-        threaded = cluster_tanimoto(fingerprints, k=4, seed=0, workers=4)
-        assert serial == threaded
-        assert np.array_equal(
-            distance_matrix(fingerprints, workers=1),
-            distance_matrix(fingerprints, workers=3),
-        )
+        pool = [0, 1 << 2047] + [rng.getrandbits(2048) for _ in range(3)]
+        pool += [sum(1 << rng.randrange(2048) for _ in range(12)) for _ in range(3)]
+        references = [Fingerprint(bits=rng.choice(pool)) for _ in range(5)]
+        for n in (1, 2, 8, 9, 17, 30):
+            fingerprints = [Fingerprint(bits=rng.choice(pool)) for _ in range(n)]
+            assert distance_matrix(fingerprints).tobytes() == (
+                distance_matrix_loop(fingerprints).tobytes()
+            )
+            assignment = cluster_tanimoto(fingerprints, k=min(4, n), seed=0)
+            assert cluster_similarity_histogram(assignment, fingerprints) == (
+                similarity_histogram_loop(assignment.labels, fingerprints)
+            )
+            assert select_representatives(assignment, fingerprints) == representatives_loop(
+                assignment.labels, assignment.medoids, fingerprints
+            )
+            assert novelty(fingerprints, references) == novelty_loop(fingerprints, references)
 
     def test_too_few_molecules_rejected(self):
         fingerprints = two_group_fingerprints(per_group=1)

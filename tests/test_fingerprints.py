@@ -11,8 +11,10 @@ from fluorgen.fingerprints import (
     build_feature_vector,
     feature_matrix,
     morgan_fingerprint,
+    pack,
     stable_hash,
     tanimoto,
+    tanimoto_matrix,
 )
 from fluorgen.generator import node_features
 from fluorgen.smiles import parse_smiles
@@ -199,3 +201,71 @@ class TestDecoder:
         assert Fingerprint(bits, nbits).to_array().tobytes() == (
             bits_to_array_loop(bits, nbits).tobytes()
         )
+
+
+def _bit_sets_of(nbits):
+    """Dense random integers and sparse random bit sets of one length."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=(1 << nbits) - 1),
+        st.sets(st.integers(min_value=0, max_value=nbits - 1), max_size=40).map(
+            lambda on: sum(1 << k for k in on)
+        ),
+    )
+
+
+@st.composite
+def packed_cases(draw):
+    """(nbits, row bits of A, row bits of B); 8, 16 and 100 are not
+    multiples of 64, and A may span more than one 8-row block."""
+    nbits = draw(st.sampled_from([8, 16, 64, 100, FP_BITS]))
+    # an empty list carries no length, so pack([]) has the FP_BITS width
+    min_size = 0 if nbits == FP_BITS else 1
+    a_rows = draw(st.lists(_bit_sets_of(nbits), min_size=min_size, max_size=20))
+    b_rows = draw(st.lists(_bit_sets_of(nbits), min_size=min_size, max_size=7))
+    return nbits, a_rows, b_rows
+
+
+EDGE_ROWS = [0, ALL_BITS, 1, 1 << (FP_BITS - 1), 1 | 1 << (FP_BITS - 1)]
+
+
+class TestPackedTanimoto:
+    @settings(deadline=None)
+    @given(case=packed_cases())
+    @example(case=(FP_BITS, EDGE_ROWS * 4, EDGE_ROWS))
+    @example(case=(FP_BITS, [0], [0]))
+    @example(case=(FP_BITS, [0], [ALL_BITS]))
+    @example(case=(8, [0, 0xFF, 0x81], [0x80, 0x01, 0]))
+    @example(case=(100, [1 << 99, 1 << 63 | 1 << 64], [(1 << 100) - 1, 1 << 64]))
+    @example(case=(FP_BITS, [], [1, 2]))
+    def test_matrix_equals_scalar_tanimoto(self, case):
+        nbits, a_bits, b_bits = case
+        a = [Fingerprint(bits, nbits) for bits in a_bits]
+        b = [Fingerprint(bits, nbits) for bits in b_bits]
+        got = tanimoto_matrix(pack(a), pack(b))
+        assert got.dtype == np.float64
+        assert got.shape == (len(a), len(b))
+        for i, fa in enumerate(a):
+            for j, fb in enumerate(b):
+                assert got[i, j] == tanimoto(fa, fb)
+
+    @pytest.mark.parametrize(
+        "nbits, words", [(8, 1), (16, 1), (64, 1), (65, 2), (100, 2), (FP_BITS, 32)]
+    )
+    def test_pack_layout(self, nbits, words):
+        top = 1 << (nbits - 1)
+        packed = pack([Fingerprint(1, nbits), Fingerprint(top, nbits)])
+        assert packed.shape == (2, words)
+        want = np.zeros((2, words), dtype=np.uint64)
+        want[0, 0] = 1
+        want[1, (nbits - 1) // 64] = 1 << ((nbits - 1) % 64)
+        np.testing.assert_array_equal(packed, want)
+
+    def test_empty_input_packs_to_zero_rows(self):
+        assert pack([]).shape == (0, FP_BITS // 64)
+        assert tanimoto_matrix(pack([]), pack([Fingerprint(1)])).shape == (0, 1)
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            pack([Fingerprint(bits=1, nbits=8), Fingerprint(bits=1, nbits=16)])
+        with pytest.raises(ValueError):
+            tanimoto_matrix(pack([Fingerprint(1, 8)]), pack([Fingerprint(1, 100)]))

@@ -15,6 +15,7 @@ from fluorgen.fingerprints import (
     SolventFeatures,
     build_feature_vector,
     morgan_fingerprint,
+    tanimoto,
 )
 from fluorgen.generator import (
     GeneratedMolecule,
@@ -513,6 +514,22 @@ class TestGenerationRun:
             else:
                 assert entry.similarity is None
                 seen_molecule = True
+
+    def test_similarity_is_scalar_max_over_emitted(self, small_run):
+        # the nearest-neighbour similarity of each new molecule against
+        # every molecule emitted before it, by the scalar tanimoto
+        fingerprints = {
+            m.rollout: morgan_fingerprint(parse_smiles(m.smiles)) for m in small_run.molecules
+        }
+        earlier = []
+        for entry in small_run.log:
+            if entry.status != "ok":
+                continue
+            fp = fingerprints[entry.rollout]
+            if earlier:
+                assert entry.similarity == max(tanimoto(fp, other) for other in earlier)
+            earlier.append(fp)
+        assert len(earlier) > 32  # the packed store grew past its first sizes
 
     def test_usage_histogram_counts_route_steps(self, small_run):
         total_steps = sum(len(m.route) for m in small_run.molecules)
