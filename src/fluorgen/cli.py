@@ -91,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the effective configuration and exit",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and has no effect; every command runs "
-        "in one thread (must be at least 1)",
-    )
     subparsers = parser.add_subparsers(dest="command")
     train = subparsers.add_parser(
         "train", help="cross-validate and checkpoint the property scorers"
@@ -195,9 +188,9 @@ def cmd_train(config: RunConfig, column_map) -> int:
             dataset = curate_task(result.records, task, fingerprints)
             report, models = run_cv(
                 dataset,
-                config.train.config,
-                folds=config.train.folds,
-                split_seed=config.train.split_seed,
+                config.train,
+                folds=config.cv.folds,
+                split_seed=config.cv.split_seed,
                 collect_models=True,
             )
         except (DatasetError, ScorerError) as exc:
@@ -238,12 +231,12 @@ def cmd_generate(config: RunConfig) -> int:
         f"({result.duplicates} duplicates, {result.dead_ends} dead ends)",
         file=sys.stderr,
     )
-    if config.baseline_samples > 0:
+    if config.baseline.samples > 0:
         baseline = uniform_baseline(
             library,
             templates,
-            config.baseline_samples,
-            config.baseline_seed,
+            config.baseline.samples,
+            config.baseline.seed,
             scorers,
             config.solvent,
         )
@@ -260,12 +253,12 @@ def cmd_filter(config: RunConfig) -> int:
     if not smiles_list:
         # the stages never run, so no checkpoints are needed
         print("warning: no molecules to filter", file=sys.stderr)
-        _, report, _ = run_filters([], {}, config.solvent, config.filters.thresholds)
+        _, report, _ = run_filters([], {}, config.solvent, config.thresholds)
         write_filter_report(report, os.path.join(out, "filter_report.tsv"))
         return 0
     scorers = _load_scorers(config)
     survivors, report, fingerprints = run_filters(
-        smiles_list, scorers, config.solvent, config.filters.thresholds
+        smiles_list, scorers, config.solvent, config.thresholds
     )
     write_filter_report(report, os.path.join(out, "filter_report.tsv"))
     with open(os.path.join(out, "survivors.tsv"), "w", encoding="utf-8") as handle:
@@ -276,12 +269,12 @@ def cmd_filter(config: RunConfig) -> int:
     if not survivors:
         return 0
 
-    k = min(config.filters.clusters, len(survivors))
-    if k < config.filters.clusters:
+    k = min(config.clustering.clusters, len(survivors))
+    if k < config.clustering.clusters:
         print(
             f"warning: clamping cluster count to {k} survivors", file=sys.stderr
         )
-    assignment = cluster_tanimoto(fingerprints, k=k, seed=config.filters.cluster_seed)
+    assignment = cluster_tanimoto(fingerprints, k=k, seed=config.clustering.cluster_seed)
     write_cluster_assignment(
         assignment, survivors, os.path.join(out, "clusters.tsv")
     )
@@ -298,11 +291,11 @@ def cmd_filter(config: RunConfig) -> int:
                 flag = 1 if index == medoid else 0
                 handle.write(f"{cluster}\t{rank}\t{survivors[index]}\t{flag}\n")
 
-    if config.filters.novelty_references:
-        references = _read_reference_smiles(config.filters.novelty_references)
+    if config.clustering.novelty_references:
+        references = _read_reference_smiles(config.clustering.novelty_references)
         if not references:
             raise ConfigError(
-                f"novelty reference file {config.filters.novelty_references} is empty"
+                f"novelty reference file {config.clustering.novelty_references} is empty"
             )
         reference_fps = [morgan_fingerprint(parse_smiles(s)) for s in references]
         scores = novelty(fingerprints, reference_fps)
@@ -379,8 +372,6 @@ def main(argv=None) -> int:
         if args.print_config:
             print(render_config(config), end="")
             return 0
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
         if args.command == "train":
             return cmd_train(config, _parse_column_map(args.column))
         if args.command == "generate":

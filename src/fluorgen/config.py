@@ -1,13 +1,20 @@
-"""Run configuration: INI file with typed sections, strict key checking."""
+"""Run configuration: INI file with typed sections, strict key checking.
+
+Every key is a field of the dataclass that consumes it: the field's name,
+annotation and default are the key's name, type and default. LAYOUT puts
+those dataclasses into INI sections, in file order, and both load_config
+and render_config walk it.
+"""
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from fluorgen.fingerprints import SolventFeatures
 from fluorgen.filters import FilterThresholds
+from fluorgen.fingerprints import WATER, SolventFeatures
 from fluorgen.generator import GenerationConfig
 from fluorgen.scorers import TrainConfig
 
@@ -18,278 +25,133 @@ class ConfigError(ValueError):
     pass
 
 
-# Every known key with its default, in file order. Anything else in a
-# config file is a typo and gets rejected.
-DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {
-        "dataset": "data/chemfluor.csv",
-        "blocks": "data/building_blocks.tsv",
-        "reactions": "data/reactions.txt",
-        "checkpoint_dir": "out/checkpoints",
-        "output_dir": "out",
-    },
-    "train": {
-        "folds": "10",
-        "split_seed": "0",
-        "epochs": "60",
-        "learning_rate": "0.05",
-        "batch_size": "32",
-        "hidden_dim": "300",
-        "patience": "10",
-        "momentum": "0.9",
-        "weight_init_scale": "0.01",
-        "seed": "0",
-    },
-    "generate": {
-        "n_rollouts": "10000",
-        "tau_init": "0.1",
-        "tau_min": "0.005",
-        "tau_max": "10.0",
-        "target_similarity": "0.6",
-        "eta": "0.01",
-        "window": "100",
-        "train_interval": "10",
-        "max_steps": "2",
-        "buffer_capacity": "2000",
-        "value_hidden": "32",
-        "value_epochs": "4",
-        "value_lr": "0.05",
-        "value_batch": "32",
-        "weight_floor": "0.05",
-        "seed": "0",
-        "baseline_samples": "0",
-        "baseline_seed": "1",
-        # Catalan descriptors for water; generation scores in-solvent
-        "solvent_sp": "0.681",
-        "solvent_sdp": "0.997",
-        "solvent_sa": "1.062",
-        "solvent_sb": "0.025",
-    },
-    "filters": {
-        "sp2_min": "12",
-        "plqy_min": "0.5",
-        "window_min_nm": "420",
-        "window_max_nm": "750",
-        "clusters": "100",
-        "cluster_seed": "0",
-        "novelty_references": "",
-    },
-}
-
-
 @dataclass(frozen=True)
 class PathsConfig:
-    dataset: str
-    blocks: str
-    reactions: str
-    checkpoint_dir: str
-    output_dir: str
+    dataset: str = "data/chemfluor.csv"
+    blocks: str = "data/building_blocks.tsv"
+    reactions: str = "data/reactions.txt"
+    checkpoint_dir: str = "out/checkpoints"
+    output_dir: str = "out"
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    folds: int
-    split_seed: int
-    config: TrainConfig
+class CrossValidation:
+    folds: int = 10
+    split_seed: int = 0
 
 
 @dataclass(frozen=True)
-class FilterSection:
-    thresholds: FilterThresholds
-    clusters: int
-    cluster_seed: int
-    novelty_references: str  # empty means skip the novelty stage
+class BaselineConfig:
+    """The uniform comparison sample that `generate` writes; 0 skips it."""
+
+    samples: int = 0
+    seed: int = 1
+
+
+@dataclass(frozen=True)
+class ClusteringConfig:
+    clusters: int = 100
+    cluster_seed: int = 0
+    novelty_references: str = ""  # empty means skip the novelty stage
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    paths: PathsConfig
-    train: TrainSection
-    generation: GenerationConfig
-    baseline_samples: int
-    baseline_seed: int
-    solvent: SolventFeatures
-    filters: FilterSection
+    paths: PathsConfig = PathsConfig()
+    cv: CrossValidation = CrossValidation()
+    train: TrainConfig = TrainConfig()
+    generation: GenerationConfig = GenerationConfig()
+    baseline: BaselineConfig = BaselineConfig()
+    solvent: SolventFeatures = WATER
+    thresholds: FilterThresholds = FilterThresholds()
+    clustering: ClusteringConfig = ClusteringConfig()
 
 
-def _merge(path: str | None) -> dict[str, dict[str, str]]:
-    merged = {section: dict(keys) for section, keys in DEFAULTS.items()}
-    if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in merged:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in merged[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                merged[section][key] = value
-    env_output = os.environ.get(OUTPUT_DIR_ENV)
-    if env_output:
-        merged["paths"]["output_dir"] = env_output
-    return merged
+# INI section -> (RunConfig field, key prefix) for each dataclass it fills,
+# in file order
+LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
+    "paths": (("paths", ""),),
+    "train": (("cv", ""), ("train", "")),
+    "generate": (("generation", ""), ("baseline", "baseline_"), ("solvent", "solvent_")),
+    "filters": (("thresholds", ""), ("clustering", "")),
+}
+
+_DEFAULTS = RunConfig()
+
+# section -> key -> (RunConfig field, dataclass field); anything else in a
+# config file is a typo and gets rejected
+_KEYS = {
+    section: {
+        prefix + field.name: (part, field)
+        for part, prefix in parts
+        for field in fields(getattr(_DEFAULTS, part))
+    }
+    for section, parts in LAYOUT.items()
+}
 
 
-def _get_int(merged, section, key) -> int:
-    raw = merged[section][key]
+def _read(path: str | None) -> dict[str, dict[str, str]]:
+    if path is None:
+        return {}
+    # no section is special, so a [DEFAULT] section is rejected as unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from exc
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _get_float(merged, section, key) -> float:
-    raw = merged[section][key]
+def _parse(section: str, key: str, kind, raw: str):
+    kind = kind if isinstance(kind, str) else kind.__name__
+    if kind == "str":
+        return raw
     try:
-        return float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path: str | None = None) -> RunConfig:
-    """Build a RunConfig from defaults overlaid with an optional INI file
-    and the output-dir environment override."""
-    merged = _merge(path)
-    paths = PathsConfig(
-        dataset=merged["paths"]["dataset"],
-        blocks=merged["paths"]["blocks"],
-        reactions=merged["paths"]["reactions"],
-        checkpoint_dir=merged["paths"]["checkpoint_dir"],
-        output_dir=merged["paths"]["output_dir"],
-    )
+    """Build a RunConfig from the field defaults overlaid with an optional
+    INI file and the output-dir environment override."""
+    changes: dict[str, dict] = {part.name: {} for part in fields(RunConfig)}
+    for section, values in _read(path).items():
+        for key, text in values.items():
+            part, field = _KEYS[section][key]
+            changes[part][field.name] = _parse(section, key, field.type, text)
+    env_output = os.environ.get(OUTPUT_DIR_ENV)
+    if env_output:
+        changes["paths"]["output_dir"] = env_output
     try:
-        train = TrainSection(
-            folds=_get_int(merged, "train", "folds"),
-            split_seed=_get_int(merged, "train", "split_seed"),
-            config=TrainConfig(
-                learning_rate=_get_float(merged, "train", "learning_rate"),
-                epochs=_get_int(merged, "train", "epochs"),
-                batch_size=_get_int(merged, "train", "batch_size"),
-                seed=_get_int(merged, "train", "seed"),
-                weight_init_scale=_get_float(merged, "train", "weight_init_scale"),
-                patience=_get_int(merged, "train", "patience"),
-                hidden_dim=_get_int(merged, "train", "hidden_dim"),
-                momentum=_get_float(merged, "train", "momentum"),
-            ),
+        return RunConfig(
+            **{part: replace(getattr(_DEFAULTS, part), **c) for part, c in changes.items()}
         )
-        generation = GenerationConfig(
-            n_rollouts=_get_int(merged, "generate", "n_rollouts"),
-            tau_init=_get_float(merged, "generate", "tau_init"),
-            tau_min=_get_float(merged, "generate", "tau_min"),
-            tau_max=_get_float(merged, "generate", "tau_max"),
-            target_similarity=_get_float(merged, "generate", "target_similarity"),
-            eta=_get_float(merged, "generate", "eta"),
-            window=_get_int(merged, "generate", "window"),
-            train_interval=_get_int(merged, "generate", "train_interval"),
-            max_steps=_get_int(merged, "generate", "max_steps"),
-            buffer_capacity=_get_int(merged, "generate", "buffer_capacity"),
-            value_hidden=_get_int(merged, "generate", "value_hidden"),
-            value_epochs=_get_int(merged, "generate", "value_epochs"),
-            value_lr=_get_float(merged, "generate", "value_lr"),
-            value_batch=_get_int(merged, "generate", "value_batch"),
-            weight_floor=_get_float(merged, "generate", "weight_floor"),
-            seed=_get_int(merged, "generate", "seed"),
-        )
-        solvent = SolventFeatures(
-            sp=_get_float(merged, "generate", "solvent_sp"),
-            sdp=_get_float(merged, "generate", "solvent_sdp"),
-            sa=_get_float(merged, "generate", "solvent_sa"),
-            sb=_get_float(merged, "generate", "solvent_sb"),
-        )
-        filters = FilterSection(
-            thresholds=FilterThresholds(
-                sp2_min=_get_int(merged, "filters", "sp2_min"),
-                plqy_min=_get_float(merged, "filters", "plqy_min"),
-                window_min_nm=_get_float(merged, "filters", "window_min_nm"),
-                window_max_nm=_get_float(merged, "filters", "window_max_nm"),
-            ),
-            clusters=_get_int(merged, "filters", "clusters"),
-            cluster_seed=_get_int(merged, "filters", "cluster_seed"),
-            novelty_references=merged["filters"]["novelty_references"],
-        )
-    except ConfigError:
-        raise
     except ValueError as exc:
         # dataclass validation, e.g. tau ordering
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        paths=paths,
-        train=train,
-        generation=generation,
-        baseline_samples=_get_int(merged, "generate", "baseline_samples"),
-        baseline_seed=_get_int(merged, "generate", "baseline_seed"),
-        solvent=solvent,
-        filters=filters,
-    )
 
 
 def render_config(config: RunConfig) -> str:
     """The effective configuration as INI text; load_config on the output
     reproduces the input."""
-    values: dict[str, dict[str, str]] = {
-        "paths": {
-            "dataset": config.paths.dataset,
-            "blocks": config.paths.blocks,
-            "reactions": config.paths.reactions,
-            "checkpoint_dir": config.paths.checkpoint_dir,
-            "output_dir": config.paths.output_dir,
-        },
-        "train": {
-            "folds": str(config.train.folds),
-            "split_seed": str(config.train.split_seed),
-            "epochs": str(config.train.config.epochs),
-            "learning_rate": repr(config.train.config.learning_rate),
-            "batch_size": str(config.train.config.batch_size),
-            "hidden_dim": str(config.train.config.hidden_dim),
-            "patience": str(config.train.config.patience),
-            "momentum": repr(config.train.config.momentum),
-            "weight_init_scale": repr(config.train.config.weight_init_scale),
-            "seed": str(config.train.config.seed),
-        },
-        "generate": {
-            "n_rollouts": str(config.generation.n_rollouts),
-            "tau_init": repr(config.generation.tau_init),
-            "tau_min": repr(config.generation.tau_min),
-            "tau_max": repr(config.generation.tau_max),
-            "target_similarity": repr(config.generation.target_similarity),
-            "eta": repr(config.generation.eta),
-            "window": str(config.generation.window),
-            "train_interval": str(config.generation.train_interval),
-            "max_steps": str(config.generation.max_steps),
-            "buffer_capacity": str(config.generation.buffer_capacity),
-            "value_hidden": str(config.generation.value_hidden),
-            "value_epochs": str(config.generation.value_epochs),
-            "value_lr": repr(config.generation.value_lr),
-            "value_batch": str(config.generation.value_batch),
-            "weight_floor": repr(config.generation.weight_floor),
-            "seed": str(config.generation.seed),
-            "baseline_samples": str(config.baseline_samples),
-            "baseline_seed": str(config.baseline_seed),
-            "solvent_sp": repr(config.solvent.sp),
-            "solvent_sdp": repr(config.solvent.sdp),
-            "solvent_sa": repr(config.solvent.sa),
-            "solvent_sb": repr(config.solvent.sb),
-        },
-        "filters": {
-            "sp2_min": str(config.filters.thresholds.sp2_min),
-            "plqy_min": repr(config.filters.thresholds.plqy_min),
-            "window_min_nm": repr(config.filters.thresholds.window_min_nm),
-            "window_max_nm": repr(config.filters.thresholds.window_max_nm),
-            "clusters": str(config.filters.clusters),
-            "cluster_seed": str(config.filters.cluster_seed),
-            "novelty_references": config.filters.novelty_references,
-        },
-    }
     lines = []
-    for section, keys in values.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {value}")
+        for key, (part, field) in keys.items():
+            lines.append(f"{key} = {getattr(getattr(config, part), field.name)}")
         lines.append("")
     return "\n".join(lines)

@@ -217,6 +217,10 @@ class SolventFeatures:
         return (self.sp, self.sdp, self.sa, self.sb)
 
 
+# Catalan descriptors for water, the solvent generation scores in by default
+WATER = SolventFeatures(sp=0.681, sdp=0.997, sa=1.062, sb=0.025)
+
+
 def build_feature_vector(fingerprint: Fingerprint, solvent: SolventFeatures) -> np.ndarray:
     """Concatenate fingerprint bits and solvent descriptors, in that order."""
     if fingerprint.nbits != FP_BITS:

@@ -67,14 +67,14 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
     epochs: int = 60
+    learning_rate: float = 0.05
     batch_size: int = 32
-    seed: int = 0
-    weight_init_scale: float = 0.01
-    patience: int = 10
     hidden_dim: int = 300
+    patience: int = 10
     momentum: float = 0.9
+    weight_init_scale: float = 0.01
+    seed: int = 0
 
     def __post_init__(self):
         positive = {

@@ -20,7 +20,7 @@ from scipy.stats import mannwhitneyu
 
 from fluorgen.dataset import Task, curate_task, ingest_chemfluor
 from fluorgen.fingerprints import (
-    SolventFeatures,
+    WATER,
     feature_matrix,
     morgan_fingerprint,
     tanimoto,
@@ -58,7 +58,6 @@ from randmol import permute_graph, random_molecule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FEATURE_DIM = 2052
-WATER = SolventFeatures(0.681, 0.997, 1.062, 0.025)
 
 
 @pytest.fixture

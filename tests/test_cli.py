@@ -2,6 +2,7 @@
 
 import os
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from fluorgen.cli import main
 from fluorgen.config import (
+    LAYOUT,
     ConfigError,
-    DEFAULTS,
+    RunConfig,
     load_config,
     render_config,
 )
@@ -88,6 +90,87 @@ novelty_references = {values['novelty_references']}
     return config_path
 
 
+def layout_keys():
+    """(section, key, RunConfig field, dataclass field) for every config key."""
+    return [
+        (section, prefix + field.name, part, field.name)
+        for section, parts in LAYOUT.items()
+        for part, prefix in parts
+        for field in fields(getattr(RunConfig(), part))
+    ]
+
+
+def flatten(config):
+    return {
+        (part.name, field.name): getattr(getattr(config, part.name), field.name)
+        for part in fields(config)
+        for field in fields(getattr(config, part.name))
+    }
+
+
+def other_value(default):
+    """INI text for a valid value that differs from the default."""
+    if isinstance(default, str):
+        return f"other/{default}"
+    if isinstance(default, int):
+        return str(default + 1)
+    return repr(default / 2)
+
+
+# `fluorgen --print-config` without a config file, byte for byte
+DEFAULT_RENDER = """[paths]
+dataset = data/chemfluor.csv
+blocks = data/building_blocks.tsv
+reactions = data/reactions.txt
+checkpoint_dir = out/checkpoints
+output_dir = out
+
+[train]
+folds = 10
+split_seed = 0
+epochs = 60
+learning_rate = 0.05
+batch_size = 32
+hidden_dim = 300
+patience = 10
+momentum = 0.9
+weight_init_scale = 0.01
+seed = 0
+
+[generate]
+n_rollouts = 10000
+tau_init = 0.1
+tau_min = 0.005
+tau_max = 10.0
+target_similarity = 0.6
+eta = 0.01
+window = 100
+train_interval = 10
+max_steps = 2
+buffer_capacity = 2000
+value_hidden = 32
+value_epochs = 4
+value_lr = 0.05
+value_batch = 32
+weight_floor = 0.05
+seed = 0
+baseline_samples = 0
+baseline_seed = 1
+solvent_sp = 0.681
+solvent_sdp = 0.997
+solvent_sa = 1.062
+solvent_sb = 0.025
+
+[filters]
+sp2_min = 12
+plqy_min = 0.5
+window_min_nm = 420.0
+window_max_nm = 750.0
+clusters = 100
+cluster_seed = 0
+""" + "novelty_references = \n"
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """train + generate once; downstream command tests reuse the artifacts."""
@@ -103,7 +186,7 @@ class TestConfigLoading:
     def test_defaults_load_without_file(self):
         config = load_config(None)
         assert config.generation.n_rollouts == 10_000
-        assert config.filters.thresholds.sp2_min == 12
+        assert config.thresholds.sp2_min == 12
         assert config.paths.output_dir == "out"
         assert config.solvent.sp == pytest.approx(0.681)
 
@@ -131,6 +214,10 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=r"tau"):
             load_config(path)
 
+    def test_default_render_is_pinned(self, monkeypatch):
+        monkeypatch.delenv("FLUORGEN_OUTPUT_DIR", raising=False)
+        assert render_config(load_config(None)) == DEFAULT_RENDER
+
     def test_render_round_trips(self, tmp_path):
         original = load_config(None)
         path = tmp_path / "c.ini"
@@ -142,12 +229,56 @@ class TestConfigLoading:
         config = load_config(None)
         assert config.paths.output_dir == str(tmp_path / "elsewhere")
 
-    def test_every_default_key_renders(self):
-        text = render_config(load_config(None))
-        for section, keys in DEFAULTS.items():
-            assert f"[{section}]" in text
-            for key in keys:
-                assert f"{key} = " in text or f"{key} =" in text
+    def test_layout_declares_every_field_once(self):
+        keys = [(section, key) for section, key, _, _ in layout_keys()]
+        assert len(set(keys)) == len(keys) == 44
+        assert len(keys) == sum(
+            len(fields(getattr(RunConfig(), part.name))) for part in fields(RunConfig)
+        )
+
+    def test_every_default_key_renders(self, tmp_path, monkeypatch):
+        # each key, set away from its default, changes exactly its own field,
+        # renders back in its own section and loads again unchanged
+        monkeypatch.delenv("FLUORGEN_OUTPUT_DIR", raising=False)
+        defaults = flatten(RunConfig())
+        path = tmp_path / "c.ini"
+        for section, key, part, name in layout_keys():
+            text = other_value(defaults[(part, name)])
+            path.write_text(f"[{section}]\n{key} = {text}\n")
+            config = load_config(path)
+            changed = flatten(config)
+            assert {k for k in defaults if defaults[k] != changed[k]} == {(part, name)}, key
+            rendered = render_config(config)
+            block = rendered.split(f"[{section}]\n", 1)[1].split("\n\n", 1)[0]
+            assert f"{key} = {text}" in block.splitlines(), key
+            path.write_text(rendered)
+            assert load_config(path) == config, key
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "section,key",
+        [("train", "learning_rate"), ("generate", "eta"), ("generate", "weight_floor"),
+         ("generate", "value_lr"), ("generate", "solvent_sp"), ("filters", "plqy_min")],
+    )
+    def test_non_finite_number_rejected(self, section, key, value, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nn_rolouts = 3\n",
+            "[DEFAULT]\nseed = 5\n\n[generate]\nn_rollouts = 3\n",
+            "[generate]\nn_rollouts = 3\n\n[DEFAULT]\n",
+        ],
+    )
+    def test_default_section_rejected(self, text, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(path)
 
 
 class TestTopLevel:
@@ -165,8 +296,11 @@ class TestTopLevel:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
-    def test_bad_worker_count(self, capsys):
-        assert main(["--workers", "0", "stats"]) == 2
+    def test_bad_worker_count(self):
+        # --workers is not an option, so argparse rejects it
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workers", "0", "stats"])
+        assert excinfo.value.code == 2
 
     def test_bad_config_path(self, capsys):
         assert main(["--config", "/no/such/file.ini", "train"]) == 2
@@ -236,14 +370,14 @@ class TestGenerate:
             assert first == second
 
     def test_workers_do_not_change_output(self, pipeline, tmp_path, monkeypatch):
-        # --workers only affects filter and stats; generate stays serial
+        # generate is serial: two runs write the same bytes
         _, config_path = pipeline
         written = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("FLUORGEN_OUTPUT_DIR", str(tmp_path / workers))
-            assert main(["--config", str(config_path), "--workers", workers, "generate"]) == 0
-            written[workers] = {
-                name: (tmp_path / workers / name).read_bytes()
+        for run in ("1", "2"):
+            monkeypatch.setenv("FLUORGEN_OUTPUT_DIR", str(tmp_path / run))
+            assert main(["--config", str(config_path), "generate"]) == 0
+            written[run] = {
+                name: (tmp_path / run / name).read_bytes()
                 for name in ("molecules.tsv", "run_log.tsv", "reaction_usage.tsv", "baseline.tsv")
             }
         assert written["1"] == written["2"]
@@ -364,10 +498,10 @@ class TestStats:
         molecules_file(tmp_path / "out" / "baseline.tsv", list(reversed(smiles)))
         config_path = write_config(tmp_path)
         assert main(["--config", str(config_path), "stats"]) == 0
-        serial = (tmp_path / "out" / "stats_histogram.tsv").read_bytes()
-        assert main(["--config", str(config_path), "--workers", "4", "stats"]) == 0
-        threaded = (tmp_path / "out" / "stats_histogram.tsv").read_bytes()
-        assert serial == threaded
+        first = (tmp_path / "out" / "stats_histogram.tsv").read_bytes()
+        assert main(["--config", str(config_path), "stats"]) == 0
+        second = (tmp_path / "out" / "stats_histogram.tsv").read_bytes()
+        assert first == second
 
     def test_missing_baseline_is_code_two(self, tmp_path, capsys):
         constant_checkpoints(tmp_path / "ckpt")

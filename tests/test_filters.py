@@ -9,7 +9,7 @@ import pytest
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     Fingerprint,
-    SolventFeatures,
+    WATER,
     morgan_fingerprint,
     tanimoto,
 )
@@ -40,7 +40,6 @@ from oracles import (
     similarity_histogram_loop,
 )
 
-WATER = SolventFeatures(0.681, 0.997, 1.062, 0.025)
 
 BIPHENYL = "c1ccc(-c2ccccc2)cc1"  # sp2 network of exactly 12
 INDOLE_ALDEHYDE = "O=Cc1cc2ccccc2[nH]1"  # 9 ring atoms + C + O = 11

@@ -7,6 +7,7 @@ from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
     Fingerprint,
+    WATER,
     SolventFeatures,
     build_feature_vector,
     feature_matrix,
@@ -131,16 +132,14 @@ class TestTanimoto:
 
 
 class TestFeatureVector:
-    WATER = SolventFeatures(sp=0.681, sdp=0.997, sa=1.062, sb=0.025)
-
     def test_dimensions_and_order(self):
-        vec = build_feature_vector(fp("c1ccccc1"), self.WATER)
+        vec = build_feature_vector(fp("c1ccccc1"), WATER)
         assert vec.shape == (FEATURE_DIM,)
         assert vec[FP_BITS:].tolist() == [0.681, 0.997, 1.062, 0.025]
         assert set(np.unique(vec[:FP_BITS])) <= {0.0, 1.0}
 
     def test_all_finite(self):
-        vec = build_feature_vector(fp("CCO"), self.WATER)
+        vec = build_feature_vector(fp("CCO"), WATER)
         assert np.isfinite(vec).all()
 
     def test_nonfinite_solvent_rejected(self):
@@ -149,7 +148,7 @@ class TestFeatureVector:
 
     def test_matrix_matches_vectors(self):
         fps = [fp("CCO"), fp("c1ccccc1")]
-        sols = [self.WATER, SolventFeatures(0.1, 0.2, 0.3, 0.4)]
+        sols = [WATER, SolventFeatures(0.1, 0.2, 0.3, 0.4)]
         mat = feature_matrix(fps, sols)
         assert mat.shape == (2, FEATURE_DIM)
         for row in range(2):
@@ -168,8 +167,6 @@ bit_sets = st.one_of(
 
 
 class TestDecoder:
-    WATER = SolventFeatures(sp=0.681, sdp=0.997, sa=1.062, sb=0.025)
-
     @settings(deadline=None)
     @given(bits=bit_sets)
     @example(bits=0)
@@ -187,13 +184,13 @@ class TestDecoder:
     @example(bits=0)
     @example(bits=ALL_BITS)
     def test_feature_builders_equal_bit_loop(self, bits):
-        want = np.concatenate([bits_to_array_loop(bits), self.WATER.as_tuple()])
+        want = np.concatenate([bits_to_array_loop(bits), WATER.as_tuple()])
         fingerprint = Fingerprint(bits)
-        assert build_feature_vector(fingerprint, self.WATER).tobytes() == want.tobytes()
-        assert feature_matrix([fingerprint], [self.WATER])[0].tobytes() == want.tobytes()
+        assert build_feature_vector(fingerprint, WATER).tobytes() == want.tobytes()
+        assert feature_matrix([fingerprint], [WATER])[0].tobytes() == want.tobytes()
         mask = 0x5555 << 1000
         parts = [Fingerprint(bits & mask), Fingerprint(bits & ~mask), Fingerprint(bits & mask)]
-        assert node_features(parts, self.WATER).tobytes() == want.tobytes()
+        assert node_features(parts, WATER).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 64])
     def test_short_fingerprints_decode_every_bit(self, nbits):

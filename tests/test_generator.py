@@ -12,7 +12,7 @@ from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
     Fingerprint,
-    SolventFeatures,
+    WATER,
     build_feature_vector,
     morgan_fingerprint,
     tanimoto,
@@ -52,7 +52,6 @@ from fluorgen.scorers import (
 from fluorgen.smiles import parse_smiles
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-WATER = SolventFeatures(0.681, 0.997, 1.062, 0.025)
 
 
 def const_model(value: float, head: Head) -> MlpModel:

@@ -7,7 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from fluorgen.dataset import Task, TaskDataset
-from fluorgen.fingerprints import FEATURE_DIM, SOLVENT_DIM, SolventFeatures, morgan_fingerprint
+from fluorgen.fingerprints import (
+    FEATURE_DIM,
+    SOLVENT_DIM,
+    WATER,
+    SolventFeatures,
+    morgan_fingerprint,
+)
 from fluorgen.scorers import (
     Head,
     MlpModel,
@@ -28,7 +34,6 @@ from fluorgen.scorers import (
 )
 from fluorgen.smiles import parse_smiles
 
-WATER = SolventFeatures(0.681, 0.997, 1.062, 0.025)
 
 
 def make_model(input_dim=6, hidden=4, head=Head.LINEAR, seed=0, scale=0.5):
