@@ -39,6 +39,10 @@ class CrossValidation:
     folds: int = 10
     split_seed: int = 0
 
+    def __post_init__(self):
+        if self.folds < 3:
+            raise ConfigError("train.folds must be at least 3")
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -53,6 +57,10 @@ class ClusteringConfig:
     clusters: int = 100
     cluster_seed: int = 0
     novelty_references: str = ""  # empty means skip the novelty stage
+
+    def __post_init__(self):
+        if self.clusters < 1:
+            raise ConfigError("filters.clusters must be at least 1")
 
 
 @dataclass(frozen=True)

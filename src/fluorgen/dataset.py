@@ -305,18 +305,6 @@ def split_cv(n_examples: int, folds: int = 10, seed: int = 0) -> tuple[CvSplit, 
     return tuple(splits)
 
 
-def write_curated_cache(records, path: str):
-    """Write records back out as tab-delimited text with canonical SMILES."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("SMILES\tSP\tSdP\tSA\tSB\tPLQY\tAbsorption\tEmission\n")
-        for record in records:
-            solvent = record.solvent.as_tuple() if record.solvent else (None,) * 4
-            fields = [record.smiles]
-            for value in (*solvent, record.plqy, record.absorption_nm, record.emission_nm):
-                fields.append("" if value is None else repr(value))
-            handle.write("\t".join(fields) + "\n")
-
-
 def write_rejection_report(rejected, path: str):
     with open(path, "w", encoding="utf-8") as handle:
         for line in rejected:

@@ -61,6 +61,12 @@ SP2_TARGET = 12
 
 PREV_MARKER = "@prev"
 
+# Candidate rows are scored at most this many per forward_batch call.
+# Scoring the whole block library in one call raised the peak memory of
+# perfbench's generate workload from 115 to 119 MB at the same speed;
+# 64-row blocks keep it at 115 MB.
+SCORE_BLOCK_ROWS = 64
+
 
 class GeneratorError(ValueError):
     pass
@@ -202,13 +208,29 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
     return out
 
 
-def node_value(features: np.ndarray, models, weights) -> float:
-    """V(N) = sum_k w_k * Z_k(features)."""
-    if len(models) != len(weights):
+def node_outputs(nodes, models, solvent: SolventFeatures) -> np.ndarray:
+    """(len(nodes), len(models)) value-net outputs. Each node is a list of
+    Fingerprints; its node_features row is scored with the rows next to it,
+    SCORE_BLOCK_ROWS rows per forward_batch call."""
+    out = np.empty((len(nodes), len(models)))
+    rows = np.empty((min(len(nodes), SCORE_BLOCK_ROWS), FEATURE_DIM))
+    for start in range(0, len(nodes), SCORE_BLOCK_ROWS):
+        block = nodes[start : start + SCORE_BLOCK_ROWS]
+        for i, fps in enumerate(block):
+            rows[i] = node_features(fps, solvent)
+        for k, model in enumerate(models):
+            out[start : start + len(block), k] = forward_batch(model, rows[: len(block)])
+    return out
+
+
+def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
+    """V(N) = sum_k w_k * Z_k(N) for each row of node_outputs, summed one
+    property at a time in PROPERTY_ORDER."""
+    if outputs.shape[1] != len(weights):
         raise GeneratorError("one value model per weight required")
-    total = 0.0
-    for model, weight in zip(models, weights):
-        total += weight * float(forward_batch(model, features[np.newaxis, :])[0])
+    total = np.zeros(len(outputs))
+    for k, weight in enumerate(weights):
+        total += weight * outputs[:, k]
     return total
 
 
@@ -408,7 +430,6 @@ class Generator:
         self.config = config
         self.library = library
         self.templates = tuple(templates)
-        self.templates_by_id = {t.id: t for t in self.templates}
         self.blocks = {b.id: b for b in library.blocks}
         self.scorers = dict(scorers)
         self.solvent = solvent
@@ -424,36 +445,33 @@ class Generator:
         self.weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
         self.similarity_window = collections.deque(maxlen=config.window)
         self.success_window = collections.deque(maxlen=config.window)
-        self._block_value_cache: dict[str, np.ndarray] = {}
+        # the first decision's (template, block) candidates, with each
+        # block's row in block_outputs
+        self._first_candidates = [
+            (template, block_id)
+            for template in self.templates
+            if template.id in self.viable
+            for block_id in self.index.compatible_blocks(template.id, 0)
+        ]
+        position = {b.id: k for k, b in enumerate(library.blocks)}
+        self._first_rows = np.array([position[b] for _, b in self._first_candidates])
+        self._refresh_block_outputs()
 
     # value estimation
 
-    def _block_outputs(self, block_id: str) -> np.ndarray:
-        cached = self._block_value_cache.get(block_id)
-        if cached is not None:
-            return cached
-        features = node_features([self.blocks[block_id].fingerprint], self.solvent)
-        outputs = np.array(
-            [float(forward_batch(m, features[np.newaxis, :])[0]) for m in self.value_models]
-        )
-        self._block_value_cache[block_id] = outputs
-        return outputs
+    def _refresh_block_outputs(self):
+        """Value-net outputs of each library block alone, in library order;
+        the first decision's candidates index into this array."""
+        nodes = [[block.fingerprint] for block in self.library.blocks]
+        self.block_outputs = node_outputs(nodes, self.value_models, self.solvent)
 
-    def _value_of_features(self, features: np.ndarray) -> float:
-        return node_value(features, self.value_models, self.weights)
+    def _sample(self, outputs: np.ndarray) -> int:
+        return sample_child(weighted_values(outputs, self.weights), self.tau, self.rng)
+
+    def _choose(self, nodes) -> int:
+        return self._sample(node_outputs(nodes, self.value_models, self.solvent))
 
     # rollout phases
-
-    def _first_choice(self):
-        candidates = []
-        values = []
-        for template in self.templates:
-            if template.id not in self.viable:
-                continue
-            for block_id in self.index.compatible_blocks(template.id, 0):
-                candidates.append((template, block_id))
-                values.append(float(np.dot(self.weights, self._block_outputs(block_id))))
-        return candidates, values
 
     def _continuations(self, product: MolecularGraph):
         """(template, product role, block for the lowest other role)
@@ -476,73 +494,50 @@ class Generator:
         return out
 
     def _run_rollout(self) -> _Rollout:
-        config = self.config
-        candidates, values = self._first_choice()
-        template, first_block = candidates[sample_child(values, self.tau, self.rng)]
+        """The first step starts from a sampled (template, first block)
+        pair, each later one from a sampled continuation of the product or
+        a stop; the open roles are then filled one sampled block at a time."""
+        template, first_block = self._first_candidates[
+            self._sample(self.block_outputs[self._first_rows])
+        ]
+        inputs: list[str | None] = [first_block] + [None] * (template.arity - 1)
         member_fps = [self.blocks[first_block].fingerprint]
         path = [node_features(member_fps, self.solvent)]
-        chosen: list[str] = [first_block]
-        for role in range(1, template.arity):
-            options = self.index.compatible_blocks(template.id, role)
-            if not options:
-                return _Rollout(dead=True)
-            option_values = []
-            for block_id in options:
-                fv = node_features(member_fps + [self.blocks[block_id].fingerprint], self.solvent)
-                option_values.append(self._value_of_features(fv))
-            block_id = options[sample_child(option_values, self.tau, self.rng)]
-            chosen.append(block_id)
-            member_fps.append(self.blocks[block_id].fingerprint)
-            path.append(node_features(member_fps, self.solvent))
-
-        reactants = [self.blocks[b].graph for b in chosen]
-        result = apply_reaction(template, reactants)
-        if not result.products:
-            return _Rollout(dead=True)
-        product_index = self.rng.randrange(len(result.products))
-        product = result.products[product_index]
-        product_smiles = result.smiles[product_index]
-        product_fp = morgan_fingerprint(product)
-        route = [RouteStep(template.id, tuple(chosen), product_index)]
-        path.append(node_features([product_fp], self.solvent))
-
-        for _ in range(1, config.max_steps):
-            continuations = self._continuations(product)
-            if not continuations:
-                break
-            stop_value = self._value_of_features(node_features([product_fp], self.solvent))
-            cont_values = [stop_value]
-            for _, _, block_id in continuations:
-                fps = [product_fp]
-                if block_id is not None:
-                    fps.append(self.blocks[block_id].fingerprint)
-                cont_values.append(self._value_of_features(node_features(fps, self.solvent)))
-            pick = sample_child(cont_values, self.tau, self.rng)
-            if pick == 0:
-                break
-            template, product_role, partner = continuations[pick - 1]
-            member_fps = [product_fp]
-            inputs: list[str | None] = [None] * template.arity
-            inputs[product_role] = PREV_MARKER
-            others = [k for k in range(template.arity) if k != product_role]
-            if partner is not None:
-                inputs[others[0]] = partner
-                member_fps.append(self.blocks[partner].fingerprint)
-                path.append(node_features(member_fps, self.solvent))
-            for role in others[1:]:
+        open_roles = range(1, template.arity)
+        product = product_smiles = product_fp = None
+        route = []
+        for step in range(self.config.max_steps):
+            if step:
+                continuations = self._continuations(product)
+                if not continuations:
+                    break
+                nodes = [[product_fp]] + [
+                    [product_fp] if block_id is None
+                    else [product_fp, self.blocks[block_id].fingerprint]
+                    for _, _, block_id in continuations
+                ]
+                pick = self._choose(nodes)
+                if pick == 0:
+                    break
+                template, product_role, partner = continuations[pick - 1]
+                member_fps = [product_fp]
+                inputs = [None] * template.arity
+                inputs[product_role] = PREV_MARKER
+                others = [k for k in range(template.arity) if k != product_role]
+                if partner is not None:
+                    inputs[others[0]] = partner
+                    member_fps.append(self.blocks[partner].fingerprint)
+                    path.append(node_features(member_fps, self.solvent))
+                open_roles = others[1:]
+            for role in open_roles:
                 options = self.index.compatible_blocks(template.id, role)
-                if not options:
-                    return _Rollout(dead=True)
-                option_values = []
-                for block_id in options:
-                    fv = node_features(
-                        member_fps + [self.blocks[block_id].fingerprint], self.solvent
-                    )
-                    option_values.append(self._value_of_features(fv))
-                block_id = options[sample_child(option_values, self.tau, self.rng)]
+                block_id = options[
+                    self._choose([member_fps + [self.blocks[b].fingerprint] for b in options])
+                ]
                 inputs[role] = block_id
                 member_fps.append(self.blocks[block_id].fingerprint)
                 path.append(node_features(member_fps, self.solvent))
+
             reactants = [
                 product if name == PREV_MARKER else self.blocks[name].graph
                 for name in inputs
@@ -571,7 +566,7 @@ class Generator:
         features, targets = self.buffer.arrays()
         for k, model in enumerate(self.value_models):
             train_value_model(model, features, targets[:, k], self.config, self.np_rng)
-        self._block_value_cache.clear()
+        self._refresh_block_outputs()
 
     def run(self, progress=None) -> GenerationResult:
         config = self.config

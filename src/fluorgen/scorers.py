@@ -112,14 +112,6 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return logits
 
 
-def mlp_forward(model: MlpModel, feature_vector: np.ndarray) -> float:
-    """Prediction for a single feature vector."""
-    fv = np.asarray(feature_vector, dtype=np.float64)
-    if fv.shape != (model.input_dim,):
-        raise ScorerError(f"expected {model.input_dim} features, got {fv.shape}")
-    return float(forward_batch(model, fv[np.newaxis, :])[0])
-
-
 def loss_and_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray):
     """Batch loss plus gradients for every parameter.
 
@@ -325,7 +317,7 @@ def score_property(
     if scorer.kind is ScorerKind.SP2_SIZE:
         return float(sp2_network_size(graph))
     fv = build_feature_vector(fingerprint, solvent)
-    return mlp_forward(scorer.model, fv)
+    return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
 
 
 def save_model(model: MlpModel, path: str):

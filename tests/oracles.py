@@ -14,6 +14,7 @@ import numpy as np
 
 from fluorgen.fingerprints import FP_BITS, tanimoto
 from fluorgen.molgraph import Hybridization, MolecularGraph, perceive_hybridization
+from fluorgen.scorers import forward_batch
 
 
 class UnionFind:
@@ -103,6 +104,15 @@ def representatives_loop(labels, medoids, fingerprints):
 def novelty_loop(fingerprints, references):
     """Novelty oracle: the largest scalar tanimoto against any reference."""
     return tuple(max(tanimoto(fp, ref) for ref in references) for fp in fingerprints)
+
+
+def node_value_loop(features: np.ndarray, models, weights) -> float:
+    """Node value oracle: V(N) = sum_k w_k * Z_k(features), one single-row
+    forward pass per model, accumulated in model order."""
+    total = 0.0
+    for model, weight in zip(models, weights):
+        total += weight * float(forward_batch(model, features[np.newaxis, :])[0])
+    return total
 
 
 def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:

@@ -59,6 +59,7 @@ def write_config(directory: Path, **overrides) -> Path:
         "baseline_samples": 20,
         "clusters": 4,
         "novelty_references": "",
+        "folds": 3,
     }
     values.update(overrides)
     text = f"""[paths]
@@ -69,7 +70,7 @@ checkpoint_dir = {values['checkpoint_dir']}
 output_dir = {values['output_dir']}
 
 [train]
-folds = 3
+folds = {values['folds']}
 epochs = 3
 hidden_dim = 8
 batch_size = 16
@@ -467,6 +468,19 @@ class TestFilter:
         assert "no molecules to filter" in capsys.readouterr().err
         report = (tmp_path / "out" / "filter_report.tsv").read_text().splitlines()
         assert report[1] == "input\t0\t0"
+
+    @pytest.mark.parametrize(
+        "key,value", [("clusters", 0), ("clusters", -1), ("folds", 1), ("folds", 2)]
+    )
+    def test_bad_section_only_key_exits_before_writing(self, key, value, tmp_path, capsys):
+        constant_checkpoints(tmp_path / "ckpt")
+        molecules_file(tmp_path / "out" / "molecules.tsv", ["c1ccc(-c2ccccc2)cc1"])
+        config_path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(config_path)
+        assert main(["--config", str(config_path), "filter"]) == 2
+        assert f"{key} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "filter_report.tsv").exists()
 
     def test_missing_molecules_file(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

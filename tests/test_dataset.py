@@ -15,7 +15,6 @@ from fluorgen.dataset import (
     ingest_chemfluor,
     record_fingerprints,
     split_cv,
-    write_curated_cache,
     write_rejection_report,
 )
 from fluorgen.fingerprints import SolventFeatures, morgan_fingerprint
@@ -244,14 +243,6 @@ class TestSplits:
 
 
 class TestRoundTrip:
-    def test_cache_reingests_identically(self, tmp_path):
-        result = ingest_chemfluor(write_file(tmp_path, [HEADER] + ROWS))
-        cache = tmp_path / "curated.tsv"
-        write_curated_cache(result.records, str(cache))
-        again = ingest_chemfluor(str(cache))
-        assert again.records == result.records
-        assert again.rejected == ()
-
     def test_rejection_report(self, tmp_path):
         report = tmp_path / "rejected.txt"
         write_rejection_report(("line 2: bad SMILES", "line 9: no measurement"), str(report))

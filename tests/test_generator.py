@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fluorgen import generator
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
@@ -24,10 +27,11 @@ from fluorgen.generator import (
     GeneratorError,
     ReplayBuffer,
     RouteStep,
+    SCORE_BLOCK_ROWS,
     format_route,
     generate,
     node_features,
-    node_value,
+    node_outputs,
     parse_route,
     replay_route,
     reward,
@@ -37,6 +41,7 @@ from fluorgen.generator import (
     tune_temperature,
     tune_weights,
     uniform_baseline,
+    weighted_values,
     write_molecules,
     write_reaction_usage,
     write_run_log,
@@ -50,6 +55,8 @@ from fluorgen.scorers import (
     loss_and_grads,
 )
 from fluorgen.smiles import parse_smiles
+
+from oracles import node_value_loop
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -133,17 +140,72 @@ class TestNodeFeatures:
             node_features([], WATER)
 
 
+def random_value_models(rng, count=4, hidden=8):
+    return [
+        MlpModel(
+            w1=rng.normal(0.0, 0.1, (hidden, FEATURE_DIM)),
+            b1=rng.normal(0.0, 0.1, hidden),
+            w2=rng.normal(0.0, 1.0, hidden),
+            b2=float(rng.normal()),
+            head=Head.SIGMOID if k == 0 else Head.LINEAR,
+            norm_mean=rng.normal(0.5, 0.1, 4),
+            norm_std=rng.uniform(0.5, 2.0, 4),
+        )
+        for k in range(count)
+    ]
+
+
+def random_fingerprint(rng):
+    on = rng.choice(FP_BITS, size=int(rng.integers(0, 80)), replace=False)
+    return Fingerprint(bits=sum(1 << int(bit) for bit in on))
+
+
 class TestNodeValue:
     def test_weighted_sum_of_heads(self):
         models = [const_model(z, Head.LINEAR) for z in (0.5, 1.0, 0.0, 0.5)]
-        features = np.zeros(FEATURE_DIM)
-        value = node_value(features, models, (0.4, 0.2, 0.2, 0.2))
-        assert value == pytest.approx(0.5, abs=1e-12)
+        outputs = node_outputs([[Fingerprint(bits=0)]], models, WATER)
+        values = weighted_values(outputs, (0.4, 0.2, 0.2, 0.2))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         models = [const_model(0.0, Head.LINEAR)] * 3
+        outputs = node_outputs([[Fingerprint(bits=0)]], models, WATER)
         with pytest.raises(GeneratorError):
-            node_value(np.zeros(FEATURE_DIM), models, (0.25, 0.25, 0.25, 0.25))
+            weighted_values(outputs, (0.25, 0.25, 0.25, 0.25))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_members=st.integers(1, 3),
+        n_options=st.integers(1, 200),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_batched_values_equal_per_row_oracle(self, seed, n_members, n_options, weights):
+        rng = np.random.default_rng(seed)
+        models = random_value_models(rng)
+        members = [random_fingerprint(rng) for _ in range(n_members)]
+        nodes = [members + [random_fingerprint(rng)] for _ in range(n_options)]
+        values = weighted_values(node_outputs(nodes, models, WATER), weights)
+        expected = [node_value_loop(node_features(n, WATER), models, weights) for n in nodes]
+        assert values.shape == (n_options,)
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 200])
+    def test_scored_in_blocks(self, n_nodes, monkeypatch):
+        rows = []
+        original = generator.forward_batch
+
+        def counting(model, features):
+            rows.append(len(features))
+            return original(model, features)
+
+        monkeypatch.setattr(generator, "forward_batch", counting)
+        models = random_value_models(np.random.default_rng(n_nodes))
+        node_outputs([[Fingerprint(bits=1 << k)] for k in range(n_nodes)], models, WATER)
+        blocks = -(-n_nodes // SCORE_BLOCK_ROWS)
+        assert len(rows) == blocks * len(models)
+        assert max(rows) <= SCORE_BLOCK_ROWS and sum(rows) == n_nodes * len(models)
 
 
 class TestSampling:
@@ -349,6 +411,26 @@ class TestValueTraining:
         after, _ = loss_and_grads(model, features, targets)
         assert after <= before
         assert np.array_equal(model.w2, saved_w2)
+
+    def test_block_outputs_follow_kept_update(self, library, templates):
+        engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
+        stale = engine.block_outputs.copy()
+        saved_w2 = [model.w2.copy() for model in engine.value_models]
+        for block in library.blocks:
+            engine.buffer.append(node_features([block.fingerprint], WATER), (0.9, 0.1, 0.5, 0.3))
+        engine._train_values()
+        assert all(
+            not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
+        )
+        fresh = np.array([
+            [
+                node_value_loop(node_features([block.fingerprint], WATER), [model], [1.0])
+                for model in engine.value_models
+            ]
+            for block in library.blocks
+        ])
+        assert np.max(np.abs(fresh - stale)) > 1e-3
+        np.testing.assert_allclose(engine.block_outputs, fresh, rtol=0.0, atol=1e-12)
 
 
 class TestConfigValidation:

@@ -25,7 +25,6 @@ from fluorgen.scorers import (
     load_model,
     loss_and_grads,
     mae,
-    mlp_forward,
     mlp_train,
     roc_auc,
     run_cv,
@@ -72,11 +71,11 @@ class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         model = zero_model()
         fv = np.ones(6)
-        assert mlp_forward(model, fv) == pytest.approx(0.5)
+        assert forward_batch(model, fv[np.newaxis, :])[0] == pytest.approx(0.5)
 
     def test_zero_weights_linear_gives_bias(self):
         model = zero_model(head=Head.LINEAR, b2=450.0)
-        assert mlp_forward(model, np.ones(6)) == pytest.approx(450.0)
+        assert forward_batch(model, np.ones((1, 6)))[0] == pytest.approx(450.0)
 
     def test_single_path_arithmetic(self):
         model = zero_model(head=Head.LINEAR)
@@ -84,7 +83,7 @@ class TestForward:
         model.w2[0] = 1.0
         fv = np.zeros(6)
         fv[0] = 1.0
-        assert mlp_forward(model, fv) == pytest.approx(1.0)
+        assert forward_batch(model, fv[np.newaxis, :])[0] == pytest.approx(1.0)
 
     def test_relu_blocks_negative_path(self):
         model = zero_model(head=Head.LINEAR)
@@ -92,7 +91,7 @@ class TestForward:
         model.w2[0] = 1.0
         fv = np.zeros(6)
         fv[0] = 1.0
-        assert mlp_forward(model, fv) == pytest.approx(0.0)
+        assert forward_batch(model, fv[np.newaxis, :])[0] == pytest.approx(0.0)
 
     def test_sigmoid_output_in_unit_interval(self):
         model = make_model(head=Head.SIGMOID, scale=3.0)
@@ -103,7 +102,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = make_model(input_dim=6)
         with pytest.raises(ScorerError, match="features"):
-            mlp_forward(model, np.ones(7))
+            forward_batch(model, np.ones((1, 7)))
 
     def test_solvent_normalization_applied(self):
         model = zero_model(head=Head.LINEAR, hidden=1)
@@ -113,7 +112,7 @@ class TestForward:
         model.norm_std[:] = [1, 1, 1, 4.0]
         fv = np.zeros(6)
         fv[-1] = 10.0
-        assert mlp_forward(model, fv) == pytest.approx((10.0 - 2.0) / 4.0)
+        assert forward_batch(model, fv[np.newaxis, :])[0] == pytest.approx((10.0 - 2.0) / 4.0)
 
 
 class TestGradients:
