@@ -455,15 +455,20 @@ class Generator:
         ]
         position = {b.id: k for k, b in enumerate(library.blocks)}
         self._first_rows = np.array([position[b] for _, b in self._first_candidates])
-        self._refresh_block_outputs()
+        self._block_outputs = None
 
     # value estimation
 
-    def _refresh_block_outputs(self):
+    @property
+    def block_outputs(self) -> np.ndarray:
         """Value-net outputs of each library block alone, in library order;
-        the first decision's candidates index into this array."""
-        nodes = [[block.fingerprint] for block in self.library.blocks]
-        self.block_outputs = node_outputs(nodes, self.value_models, self.solvent)
+        the first decision's candidates index into this array. Scored on
+        the first read after start-up or a retrain, so a retrain that no
+        rollout follows scores nothing."""
+        if self._block_outputs is None:
+            nodes = [[block.fingerprint] for block in self.library.blocks]
+            self._block_outputs = node_outputs(nodes, self.value_models, self.solvent)
+        return self._block_outputs
 
     def _sample(self, outputs: np.ndarray) -> int:
         return sample_child(weighted_values(outputs, self.weights), self.tau, self.rng)
@@ -566,7 +571,7 @@ class Generator:
         features, targets = self.buffer.arrays()
         for k, model in enumerate(self.value_models):
             train_value_model(model, features, targets[:, k], self.config, self.np_rng)
-        self._refresh_block_outputs()
+        self._block_outputs = None
 
     def run(self, progress=None) -> GenerationResult:
         config = self.config

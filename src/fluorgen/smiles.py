@@ -272,17 +272,18 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
 
 # --- canonical writing -----------------------------------------------------
 
-_CANONICAL_BRANCH_LIMIT = 256
-
 
 def write_canonical_smiles(graph: MolecularGraph) -> str:
     """Serialize a graph to a canonical SMILES string.
 
     Atom output order comes from iterative neighborhood refinement over
     (element, charge, degree, hydrogen count, aromaticity); remaining ties
-    are broken by exploring each symmetric choice and keeping the
-    lexicographically smallest string, so isomorphic graphs serialize
-    identically. Fragments are sorted and joined with dots.
+    are broken by individualizing each symmetric choice, and the
+    lexicographically smallest string over every leaf of that search is
+    kept, so isomorphic graphs serialize identically. The search is exact
+    and has no leaf budget: branches that graph automorphisms prove
+    equivalent are skipped, never cut off. Fragments are sorted and joined
+    with dots.
     """
     if len(graph) == 0:
         raise ValueError("cannot write SMILES for an empty graph")
@@ -311,141 +312,219 @@ def connected_components(graph: MolecularGraph) -> list[list[int]]:
     return comps
 
 
-def _initial_keys(graph: MolecularGraph, subset: list[int]) -> dict[int, tuple]:
-    keys = {}
-    for i in subset:
-        atom = graph.atoms[i]
-        keys[i] = (
-            ATOMIC_NUMBER[atom.element],
-            atom.formal_charge,
-            graph.degree(i),
-            graph.total_h(i),
-            atom.aromatic,
-        )
-    return keys
+def _dense_ranks(keys: list) -> list[int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
 
 
-def _dense_ranks(keys: dict[int, tuple]) -> dict[int, int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
-    return {i: order[key] for i, key in keys.items()}
-
-
-def _refine(graph: MolecularGraph, ranks: dict[int, int]) -> dict[int, int]:
+def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Dense-rank (rank, sorted (bond order, neighbour rank) pairs) until
+    the number of classes stops growing. ``adj[i]`` holds (order value
+    times atom count, neighbour) pairs, so each pair sorts as one integer
+    in the order of the tuple. An atom alone in its class gets the key
+    (rank,): no other key shares its rank, so the dense ranks come out as
+    with the full key."""
+    n_classes = max(ranks) + 1
     while True:
-        n_classes = len(set(ranks.values()))
-        keys = {}
-        for i in ranks:
-            nbr_part = sorted(
-                (bond.order.value, ranks[j]) for j, bond in graph.neighbors(i)
-            )
-            keys[i] = (ranks[i], tuple(nbr_part))
-        new_ranks = _dense_ranks(keys)
-        if len(set(new_ranks.values())) == n_classes:
-            return new_ranks
-        ranks = new_ranks
+        counts = [0] * n_classes
+        for r in ranks:
+            counts[r] += 1
+        keys = [
+            (r, tuple(sorted([code + ranks[j] for code, j in nbrs]))) if counts[r] > 1 else (r,)
+            for r, nbrs in zip(ranks, adj)
+        ]
+        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        if len(order) == n_classes:
+            return ranks
+        ranks = [order[key] for key in keys]
+        n_classes = len(order)
 
 
 def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
-    ranks = _refine(graph, _dense_ranks(_initial_keys(graph, subset)))
-    best: list[str | None] = [None]
-    leaves = [0]
+    """Exact canonical SMILES of one connected component.
 
-    def explore(current: dict[int, int]) -> None:
-        by_rank: dict[int, list[int]] = {}
-        for i, r in current.items():
-            by_rank.setdefault(r, []).append(i)
-        tied = sorted(r for r, members in by_rank.items() if len(members) > 1)
-        if not tied:
-            leaves[0] += 1
-            s = _emit(graph, current)
-            if best[0] is None or s < best[0]:
-                best[0] = s
-            return
-        members = sorted(by_rank[tied[0]])
+    Individualization-refinement: refine the atom ranks, individualize
+    each member of the first tied class in turn, and emit a string at
+    every discrete leaf; the smallest wins. There is no leaf budget. Two
+    prunings keep the tree small without changing the minimum (McKay &
+    Piperno 2014):
+
+    - A leaf whose rank-for-rank map onto an earlier emitted leaf keeps
+      every bond and its order is that leaf under an automorphism and
+      emits the same string. It is recorded, not emitted, and the search
+      returns to the node where the two leaves' paths part, because the
+      rest of that branch is the image of one already explored.
+    - At a node with individualized path P, a tied-class member in the
+      orbit of an explored member, under the recorded automorphisms that
+      fix every atom of P, roots an image of an explored subtree and is
+      skipped.
+
+    Atoms, bonds and tokens are read once into per-call tables indexed by
+    position in ``subset``.
+    """
+    n = len(subset)
+    position = {atom: k for k, atom in enumerate(subset)}
+    bonds = [bond for bond in graph.bonds if bond.a1 in position]
+    ends = [(position[bond.a1], position[bond.a2]) for bond in bonds]
+    orders = [bond.order.value for bond in bonds]
+    symbols = [_bond_symbol(graph, bond) for bond in bonds]
+    tokens = [_atom_token(graph, atom) for atom in subset]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (order * n, neighbour)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge)
+    order_at: dict[int, int] = {}  # i * n + j -> order value
+    for edge, ((a, b), order) in enumerate(zip(ends, orders)):
+        adj[a].append((order * n, b))
+        adj[b].append((order * n, a))
+        links[a].append((b, edge))
+        links[b].append((a, edge))
+        order_at[a * n + b] = order_at[b * n + a] = order
+    initial = [
+        (ATOMIC_NUMBER[graph.atoms[atom].element], graph.atoms[atom].formal_charge,
+         graph.degree(atom), graph.total_h(atom), graph.atoms[atom].aromatic)
+        for atom in subset
+    ]
+
+    best: str | None = None
+    emitted: list[tuple[list[int], list[int]]] = []  # (atom at each rank, path)
+    automorphisms: list[list[int]] = []
+
+    def leaf(ranks: list[int], path: list[int]) -> int | None:
+        """Emit a discrete leaf, or return the depth to resume at when it
+        is the image of an emitted leaf."""
+        nonlocal best
+        at_rank = [0] * n
+        for i, r in enumerate(ranks):
+            at_rank[r] = i
+        # equal ranks lie in the same initial class, so the map keeps atom
+        # kinds; it is an automorphism when it also keeps every bond order
+        for earlier, earlier_path in emitted:
+            image = [0] * n
+            for r in range(n):
+                image[earlier[r]] = at_rank[r]
+            if all(
+                order_at.get(image[a] * n + image[b]) == order
+                for (a, b), order in zip(ends, orders)
+            ):
+                automorphisms.append(image)
+                depth = 0
+                while path[depth] == earlier_path[depth]:
+                    depth += 1
+                return depth
+        text = _emit(ranks, links, ends, tokens, symbols)
+        if best is None or text < best:
+            best = text
+        emitted.append((at_rank, path))
+        return None
+
+    def explore(ranks: list[int], path: list[int]) -> int | None:
+        counts = [0] * n
+        for r in ranks:
+            counts[r] += 1
+        target = next((r for r, c in enumerate(counts) if c > 1), None)
+        if target is None:
+            return leaf(ranks, path)
+        depth = len(path)
+        members = [i for i, r in enumerate(ranks) if r == target]
+        explored: list[int] = []
         for chosen in members:
-            if leaves[0] >= _CANONICAL_BRANCH_LIMIT and best[0] is not None:
-                break
-            keys = {i: (r, 0 if i == chosen else 1) for i, r in current.items()}
-            explore(_refine(graph, _dense_ranks(keys)))
+            if explored and chosen in _orbit(explored, automorphisms, path):
+                continue
+            explored.append(chosen)
+            individualized = [
+                r if r < target or i == chosen else r + 1 for i, r in enumerate(ranks)
+            ]
+            resume = explore(_refine(adj, individualized), path + [chosen])
+            if resume is not None and resume < depth:
+                return resume
+        return None
 
-    explore(ranks)
-    assert best[0] is not None
-    return best[0]
+    explore(_refine(adj, _dense_ranks(initial)), [])
+    assert best is not None
+    return best
 
 
-def _emit(graph: MolecularGraph, ranks: dict[int, int]) -> str:
-    start = min(ranks, key=lambda i: ranks[i])
-    parent: dict[int, int | None] = {start: None}
-    children: dict[int, list[int]] = {i: [] for i in ranks}
-    visit_order: dict[int, int] = {}
-    back_bonds: list[Bond] = []
-    back_seen: set[int] = set()
+def _orbit(seeds: list[int], automorphisms: list[list[int]], path: list[int]) -> set[int]:
+    """Atoms that the recorded automorphisms fixing every atom of ``path``
+    reach from ``seeds``."""
+    group = [image for image in automorphisms if all(image[v] == v for v in path)]
+    orbit = set(seeds)
+    stack = list(seeds)
+    while stack:
+        i = stack.pop()
+        for image in group:
+            if image[i] not in orbit:
+                orbit.add(image[i])
+                stack.append(image[i])
+    return orbit
+
+
+def _emit(ranks: list[int], links, ends, tokens: list[str], symbols: list[str]) -> str:
+    """SMILES of a discrete leaf: depth-first from rank 0, neighbours in
+    rank order, ring-closure digits reused lowest first."""
+    n = len(ranks)
+    start = ranks.index(0)
+    parent = [-1] * n
+    children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    visit_order = [0] * n
+    back_edges: set[int] = set()
     counter = 0
     stack = [start]
-    claimed = {start}
+    claimed = [False] * n
+    claimed[start] = True
     while stack:
         node = stack.pop()
         visit_order[node] = counter
         counter += 1
-        nbrs = sorted(
-            ((j, bond) for j, bond in graph.neighbors(node)), key=lambda t: ranks[t[0]]
-        )
         fresh = []
-        for j, bond in nbrs:
+        for j, edge in sorted(links[node], key=lambda t: ranks[t[0]]):
             if j == parent[node]:
                 continue
-            if j in claimed:
-                if id(bond) not in back_seen:
-                    back_seen.add(id(bond))
-                    back_bonds.append(bond)
+            if claimed[j]:
+                back_edges.add(edge)
             else:
-                claimed.add(j)
+                claimed[j] = True
                 parent[j] = node
-                children[node].append(j)
+                children[node].append((j, edge))
                 fresh.append(j)
-        for j in reversed(fresh):
-            stack.append(j)
+        stack.extend(reversed(fresh))
 
-    ring_at: dict[int, list[Bond]] = {i: [] for i in ranks}
-    for bond in back_bonds:
-        ring_at[bond.a1].append(bond)
-        ring_at[bond.a2].append(bond)
-    for i in ring_at:
-        ring_at[i].sort(key=lambda b: visit_order[b.a2 if b.a1 == i else b.a1])
+    ring_at: list[list[int]] = [[] for _ in range(n)]
+    for edge in back_edges:
+        a, b = ends[edge]
+        ring_at[a].append(edge)
+        ring_at[b].append(edge)
+    for i, edges in enumerate(ring_at):
+        # in the visit order of each ring bond's other end
+        edges.sort(key=lambda e: visit_order[ends[e][0] + ends[e][1] - i])
 
     free_digits = list(range(1, 100))
-    heapq.heapify(free_digits)
     open_digit: dict[int, int] = {}
-
-    def ring_tokens(node: int) -> str:
-        out = []
-        for bond in ring_at[node]:
-            bid = id(bond)
-            if bid in open_digit:
-                digit = open_digit.pop(bid)
-                out.append(_digit_token(digit))
+    # pre-order over the tree, iterative so long chains cannot overflow the
+    # interpreter stack; the stack holds atoms and the text around branches
+    parts: list[str] = []
+    todo: list[int | str] = [start]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        parts.append(tokens[node])
+        for edge in ring_at[node]:
+            if edge in open_digit:
+                digit = open_digit.pop(edge)
+                parts.append(_digit_token(digit))
                 heapq.heappush(free_digits, digit)
             else:
                 digit = heapq.heappop(free_digits)
-                open_digit[bid] = digit
-                out.append(_bond_symbol(graph, bond) + _digit_token(digit))
-        return "".join(out)
-
-    def build(node: int) -> str:
-        parts = [_atom_token(graph, node), ring_tokens(node)]
+                open_digit[edge] = digit
+                parts.append(symbols[edge] + _digit_token(digit))
         kids = children[node]
-        for pos, child in enumerate(kids):
-            bond = graph.bond_between(node, child)
-            assert bond is not None
-            sym = _bond_symbol(graph, bond)
-            sub = build(child)
-            if pos < len(kids) - 1:
-                parts.append("(" + sym + sub + ")")
-            else:
-                parts.append(sym + sub)
-        return "".join(parts)
-
-    return build(start)
+        if kids:
+            child, edge = kids[-1]
+            todo += [child, symbols[edge]]
+            for child, edge in reversed(kids[:-1]):
+                todo += [")", child, "(" + symbols[edge]]
+    return "".join(parts)
 
 
 def _digit_token(digit: int) -> str:

@@ -8,13 +8,20 @@ of backprop. Slow is fine; these only run in tests.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
 
 from fluorgen.fingerprints import FP_BITS, tanimoto
-from fluorgen.molgraph import Hybridization, MolecularGraph, perceive_hybridization
+from fluorgen.molgraph import (
+    ATOMIC_NUMBER,
+    Hybridization,
+    MolecularGraph,
+    perceive_hybridization,
+)
 from fluorgen.scorers import forward_batch
+from fluorgen.smiles import _atom_token, _bond_symbol, connected_components
 
 
 class UnionFind:
@@ -198,3 +205,131 @@ def all_injections_matching(predicate_ok, query_edges, n_query: int, graph: Mole
         if good:
             results.append(tuple(combo))
     return sorted(results)
+
+
+def canonical_smiles_exhaustive(graph: MolecularGraph) -> str:
+    """Canonical SMILES oracle: the individualization-refinement tree
+    explored in full, one emitted string per leaf, no pruning and no leaf
+    budget; the smallest string wins. Reads the graph through its public
+    accessors at every step and keys atoms by graph index in dicts."""
+    if len(graph) == 0:
+        raise ValueError("cannot write SMILES for an empty graph")
+    pieces = [_fragment_exhaustive(graph, comp) for comp in connected_components(graph)]
+    return ".".join(sorted(pieces))
+
+
+def _dense_ranks(keys: dict[int, tuple]) -> dict[int, int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
+    return {i: order[key] for i, key in keys.items()}
+
+
+def _refine(graph: MolecularGraph, ranks: dict[int, int]) -> dict[int, int]:
+    while True:
+        n_classes = len(set(ranks.values()))
+        keys = {}
+        for i in ranks:
+            nbr_part = sorted((bond.order.value, ranks[j]) for j, bond in graph.neighbors(i))
+            keys[i] = (ranks[i], tuple(nbr_part))
+        new_ranks = _dense_ranks(keys)
+        if len(set(new_ranks.values())) == n_classes:
+            return new_ranks
+        ranks = new_ranks
+
+
+def _fragment_exhaustive(graph: MolecularGraph, subset: list[int]) -> str:
+    keys = {}
+    for i in subset:
+        atom = graph.atoms[i]
+        keys[i] = (
+            ATOMIC_NUMBER[atom.element],
+            atom.formal_charge,
+            graph.degree(i),
+            graph.total_h(i),
+            atom.aromatic,
+        )
+    best: list[str | None] = [None]
+
+    def explore(current: dict[int, int]) -> None:
+        by_rank: dict[int, list[int]] = {}
+        for i, r in current.items():
+            by_rank.setdefault(r, []).append(i)
+        tied = sorted(r for r, members in by_rank.items() if len(members) > 1)
+        if not tied:
+            s = _emit_exhaustive(graph, current)
+            if best[0] is None or s < best[0]:
+                best[0] = s
+            return
+        for chosen in sorted(by_rank[tied[0]]):
+            individualized = {i: (r, 0 if i == chosen else 1) for i, r in current.items()}
+            explore(_refine(graph, _dense_ranks(individualized)))
+
+    explore(_refine(graph, _dense_ranks(keys)))
+    assert best[0] is not None
+    return best[0]
+
+
+def _emit_exhaustive(graph: MolecularGraph, ranks: dict[int, int]) -> str:
+    start = min(ranks, key=lambda i: ranks[i])
+    parent: dict[int, int | None] = {start: None}
+    children: dict[int, list[int]] = {i: [] for i in ranks}
+    visit_order: dict[int, int] = {}
+    back_bonds = []
+    back_seen: set[int] = set()
+    counter = 0
+    stack = [start]
+    claimed = {start}
+    while stack:
+        node = stack.pop()
+        visit_order[node] = counter
+        counter += 1
+        nbrs = sorted(graph.neighbors(node), key=lambda t: ranks[t[0]])
+        fresh = []
+        for j, bond in nbrs:
+            if j == parent[node]:
+                continue
+            if j in claimed:
+                if id(bond) not in back_seen:
+                    back_seen.add(id(bond))
+                    back_bonds.append(bond)
+            else:
+                claimed.add(j)
+                parent[j] = node
+                children[node].append(j)
+                fresh.append(j)
+        stack.extend(reversed(fresh))
+
+    ring_at: dict[int, list] = {i: [] for i in ranks}
+    for bond in back_bonds:
+        ring_at[bond.a1].append(bond)
+        ring_at[bond.a2].append(bond)
+    for i in ring_at:
+        ring_at[i].sort(key=lambda b: visit_order[b.a2 if b.a1 == i else b.a1])
+
+    free_digits = list(range(1, 100))
+    heapq.heapify(free_digits)
+    open_digit: dict[int, int] = {}
+
+    def ring_tokens(node: int) -> str:
+        out = []
+        for bond in ring_at[node]:
+            bid = id(bond)
+            if bid in open_digit:
+                digit = open_digit.pop(bid)
+                out.append(str(digit) if digit <= 9 else f"%{digit:02d}")
+                heapq.heappush(free_digits, digit)
+            else:
+                digit = heapq.heappop(free_digits)
+                open_digit[bid] = digit
+                out.append(_bond_symbol(graph, bond) + (str(digit) if digit <= 9 else f"%{digit:02d}"))
+        return "".join(out)
+
+    def build(node: int) -> str:
+        parts = [_atom_token(graph, node), ring_tokens(node)]
+        kids = children[node]
+        for pos, child in enumerate(kids):
+            bond = graph.bond_between(node, child)
+            sub = _bond_symbol(graph, bond) + build(child)
+            parts.append("(" + sub + ")" if pos < len(kids) - 1 else sub)
+        return "".join(parts)
+
+    return build(start)

@@ -432,6 +432,24 @@ class TestValueTraining:
         assert np.max(np.abs(fresh - stale)) > 1e-3
         np.testing.assert_allclose(engine.block_outputs, fresh, rtol=0.0, atol=1e-12)
 
+    def test_block_outputs_scored_on_read_only(self, library, templates, monkeypatch):
+        engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
+        scored = []
+
+        def counting(nodes, models, solvent):
+            scored.append(len(nodes))
+            return node_outputs(nodes, models, solvent)
+
+        monkeypatch.setattr(generator, "node_outputs", counting)
+        for block in library.blocks:
+            engine.buffer.append(node_features([block.fingerprint], WATER), (0.9, 0.1, 0.5, 0.3))
+        engine._train_values()
+        engine._train_values()
+        assert scored == []
+        first = engine.block_outputs
+        assert engine.block_outputs is first
+        assert scored == [len(library.blocks)]
+
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):

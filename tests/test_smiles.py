@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fluorgen.molgraph import BondOrder
 from fluorgen.smiles import (
@@ -10,8 +12,8 @@ from fluorgen.smiles import (
 )
 
 from corpus import CORPUS
-from oracles import graphs_isomorphic
-from randmol import permute_graph, random_molecule
+from oracles import canonical_smiles_exhaustive, graphs_isomorphic
+from randmol import permute_graph, random_cubic_molecule, random_molecule, substitute
 
 
 class TestParsing:
@@ -189,8 +191,91 @@ class TestCanonicalWriting:
         text = write_canonical_smiles(parse_smiles("c1cc[nH]c1"))
         assert "[nH]" in text
 
+    def test_long_chain_written_without_recursion_limit(self):
+        rng = np.random.default_rng(0)
+        graph = parse_smiles("".join(rng.choice(["C", "N", "O", "S"], size=3000)))
+        text = write_canonical_smiles(graph)
+        assert write_canonical_smiles(parse_smiles(text)) == text
+
     def test_empty_graph_rejected(self):
         from fluorgen.molgraph import MolecularGraph
 
         with pytest.raises(ValueError):
             write_canonical_smiles(MolecularGraph((), ()))
+
+
+class TestCanonicalSearchIsExact:
+    """The pruned search returns what exploring every leaf returns, and
+    highly symmetric graphs, far past any leaf budget, still get one
+    string whatever their atom order."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_match_exhaustive_oracle(self, seed):
+        graph = random_molecule(np.random.default_rng(seed))
+        assert write_canonical_smiles(graph) == canonical_smiles_exhaustive(graph)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cubic_graphs_match_exhaustive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_cubic_molecule(rng)
+        want = canonical_smiles_exhaustive(graph)
+        assert write_canonical_smiles(graph) == want
+        shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
+        assert write_canonical_smiles(shuffled) == want
+
+    def test_corpus_matches_exhaustive_oracle(self):
+        for smi in CORPUS:
+            graph = parse_smiles(smi)
+            assert write_canonical_smiles(graph) == canonical_smiles_exhaustive(graph), smi
+
+    # (core SMILES, arm sites): repeated indices carry several arms
+    CORES = [
+        ("C", [0, 0, 0, 0]),
+        ("[Si]", [0, 0, 0, 0]),
+        ("N", [0, 0, 0]),
+        ("c1ccccc1", [0, 1, 2, 3, 4, 5]),
+        ("c1ccccc1", [0, 2, 4]),
+    ]
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        core=st.sampled_from(range(len(CORES))),
+        dendrimer=st.booleans(),
+    )
+    def test_star_and_dendrimer_substitutions_one_string(self, seed, core, dendrimer):
+        rng = np.random.default_rng(seed)
+        arm = random_molecule(rng)
+        if dendrimer:
+            arm = substitute(parse_smiles("C"), [0, 0], arm, self._site(arm, rng))
+            attach = 0
+        else:
+            attach = self._site(arm, rng)
+        smiles, sites = self.CORES[core]
+        graph = substitute(parse_smiles(smiles), sites, arm, attach)
+        self._assert_one_string(graph, rng)
+
+    @pytest.mark.parametrize("smi", [
+        "C(c1ccccc1)(c1ccccc1)(c1ccccc1)c1ccccc1",
+        "c1ccc(-c2c(-c3ccccc3)c(-c3ccccc3)c(-c3ccccc3)c(-c3ccccc3)c2-c2ccccc2)cc1",
+        "C(c1ccc(-c2ccccc2)cc1)(c1ccc(-c2ccccc2)cc1)(c1ccc(-c2ccccc2)cc1)c1ccc(-c2ccccc2)cc1",
+        "CC(C)(C)[Si](C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+    ])
+    def test_named_symmetric_molecules_one_string(self, smi):
+        self._assert_one_string(parse_smiles(smi), np.random.default_rng(3))
+
+    @staticmethod
+    def _site(arm, rng) -> int:
+        sites = [i for i in range(len(arm)) if arm.implicit_h(i) > 0]
+        assume(sites)
+        return int(sites[rng.integers(len(sites))])
+
+    @staticmethod
+    def _assert_one_string(graph, rng):
+        want = write_canonical_smiles(graph)
+        for _ in range(3):
+            shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
+            assert write_canonical_smiles(shuffled) == want
+        assert write_canonical_smiles(parse_smiles(want)) == want
