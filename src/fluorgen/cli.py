@@ -33,7 +33,7 @@ from fluorgen.filters import (
     write_filter_report,
     write_similarity_histogram,
 )
-from fluorgen.fingerprints import morgan_fingerprint
+from fluorgen.fingerprints import morgan_fingerprints
 from fluorgen.generator import (
     GeneratorError,
     generate,
@@ -297,7 +297,7 @@ def cmd_filter(config: RunConfig) -> int:
             raise ConfigError(
                 f"novelty reference file {config.clustering.novelty_references} is empty"
             )
-        reference_fps = [morgan_fingerprint(parse_smiles(s)) for s in references]
+        reference_fps = morgan_fingerprints(parse_smiles(s) for s in references)
         scores = novelty(fingerprints, reference_fps)
         with open(os.path.join(out, "novelty.tsv"), "w", encoding="utf-8") as handle:
             handle.write("smiles\tmax_similarity\tnovel\n")
@@ -315,7 +315,7 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_smiles(s) for s in smiles_list]
-    fps = [morgan_fingerprint(g) for g in graphs]
+    fps = morgan_fingerprints(graphs)
 
     def scores(kind):
         return [score_property(scorers[kind], g, fp, solvent) for g, fp in zip(graphs, fps)]

@@ -20,7 +20,7 @@ from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
     build_feature_vector,
-    morgan_fingerprint,
+    morgan_fingerprints,
 )
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
 
@@ -210,11 +210,8 @@ class TaskDataset:
 def record_fingerprints(records) -> dict[str, Fingerprint]:
     """Fingerprint of every distinct record SMILES, computed once so the
     three tasks can share it."""
-    out: dict[str, Fingerprint] = {}
-    for record in records:
-        if record.smiles not in out:
-            out[record.smiles] = morgan_fingerprint(parse_smiles(record.smiles))
-    return out
+    distinct = list(dict.fromkeys(record.smiles for record in records))
+    return dict(zip(distinct, morgan_fingerprints(parse_smiles(s) for s in distinct)))
 
 
 def curate_task(

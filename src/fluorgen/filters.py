@@ -11,7 +11,7 @@ import numpy as np
 from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
-    morgan_fingerprint,
+    morgan_fingerprints,
     pack,
     tanimoto_matrix,
 )
@@ -59,16 +59,15 @@ FILTER_STAGES = ("sp2_network", "plqy_probability", "absorption_window", "emissi
 def run_filters(smiles_list, scorers, solvent: SolventFeatures,
                 thresholds: FilterThresholds = FilterThresholds()):
     """Apply the four stages in order; a molecule is charged to the first
-    stage it fails. Each molecule is parsed once and fingerprinted at most
-    once, when it first reaches a model stage. Returns (surviving smiles,
-    FilterReport, survivor fingerprints in survivor order)."""
+    stage it fails. Each molecule is parsed once; the sp2 stage's survivors,
+    exactly the molecules that reach a model stage, are fingerprinted in one
+    batch. Returns (surviving smiles, FilterReport, survivor fingerprints in
+    survivor order)."""
     survivors = list(smiles_list)
     graphs = {s: parse_smiles(s) for s in survivors}
     fingerprints: dict[str, Fingerprint] = {}
 
     def score(kind, s):
-        if s not in fingerprints:
-            fingerprints[s] = morgan_fingerprint(graphs[s])
         return score_property(scorers[kind], graphs[s], fingerprints[s], solvent)
 
     def sp2_ok(s):
@@ -94,6 +93,9 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
         rejected.append(len(survivors) - len(kept))
         remaining.append(len(kept))
         survivors = kept
+        if check is sp2_ok:
+            distinct = list(dict.fromkeys(survivors))
+            fingerprints.update(zip(distinct, morgan_fingerprints(graphs[s] for s in distinct)))
     report = FilterReport(
         stages=FILTER_STAGES,
         total=total,
@@ -244,9 +246,15 @@ def write_cluster_assignment(assignment: ClusterAssignment, names, path):
 
 
 def write_similarity_histogram(intra, inter, path):
+    """One `kind similarity` row per pair, the value written with '.6g'.
+
+    The pairs of a clustering take few distinct values, so each distinct
+    value is formatted once. Keying by float is exact here: the one pair
+    of unequal strings a float key merges, 0 and -0, cannot occur, since
+    no similarity is negative zero.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("kind\tsimilarity\n")
-        for value in intra:
-            handle.write(f"intra\t{format(value, '.6g')}\n")
-        for value in inter:
-            handle.write(f"inter\t{format(value, '.6g')}\n")
+        for kind, values in (("intra", intra), ("inter", inter)):
+            lines = {value: f"{kind}\t{format(value, '.6g')}\n" for value in set(values)}
+            handle.writelines(map(lines.__getitem__, values))

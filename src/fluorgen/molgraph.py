@@ -271,6 +271,27 @@ class MolecularGraph:
         return MolecularGraph(atoms, self.bonds)
 
 
+def _perceived_hybridization(graph: MolecularGraph, index: int) -> Hybridization:
+    # The rules of perceive_hybridization, for one atom.
+    atom = graph.atoms[index]
+    if atom.aromatic:
+        return Hybridization.SP2
+    doubles = 0
+    triples = 0
+    for _, bond in graph.neighbors(index):
+        if bond.order is BondOrder.DOUBLE:
+            doubles += 1
+        elif bond.order is BondOrder.TRIPLE:
+            triples += 1
+    if triples >= 1 or doubles >= 2:
+        return Hybridization.SP
+    if doubles == 1:
+        return Hybridization.SP2
+    if atom.element in ("F", "Cl", "Br", "I"):
+        return Hybridization.OTHER
+    return Hybridization.SP3
+
+
 def perceive_hybridization(graph: MolecularGraph) -> MolecularGraph:
     """Assign a hybridization state to every atom, returning a new graph.
 
@@ -281,23 +302,7 @@ def perceive_hybridization(graph: MolecularGraph) -> MolecularGraph:
     """
     new_atoms = []
     for atom in graph.atoms:
-        doubles = 0
-        triples = 0
-        for _, bond in graph.neighbors(atom.index):
-            if bond.order is BondOrder.DOUBLE:
-                doubles += 1
-            elif bond.order is BondOrder.TRIPLE:
-                triples += 1
-        if atom.aromatic:
-            hyb = Hybridization.SP2
-        elif triples >= 1 or doubles >= 2:
-            hyb = Hybridization.SP
-        elif doubles == 1:
-            hyb = Hybridization.SP2
-        elif atom.element in ("F", "Cl", "Br", "I"):
-            hyb = Hybridization.OTHER
-        else:
-            hyb = Hybridization.SP3
+        hyb = _perceived_hybridization(graph, atom.index)
         new_atoms.append(atom if atom.hybridization is hyb else replace(atom, hybridization=hyb))
     return graph.with_atoms(tuple(new_atoms))
 
@@ -308,11 +313,14 @@ def sp2_network_size(graph: MolecularGraph) -> int:
     Walks the subgraph induced by sp2-hybridized atoms (any bond order
     connects two sp2 atoms) and reports the biggest component, a proxy for
     the extent of the conjugated system. Perceives hybridization first if
-    the graph has none. Returns 0 for molecules without sp2 atoms.
+    the graph has none, reading the perceived states without building the
+    perceived graph. Returns 0 for molecules without sp2 atoms.
     """
     if any(atom.hybridization is None for atom in graph.atoms):
-        graph = perceive_hybridization(graph)
-    is_sp2 = [atom.hybridization is Hybridization.SP2 for atom in graph.atoms]
+        states = [_perceived_hybridization(graph, i) for i in range(len(graph))]
+    else:
+        states = [atom.hybridization for atom in graph.atoms]
+    is_sp2 = [state is Hybridization.SP2 for state in states]
     best = 0
     seen = [False] * len(graph.atoms)
     for start in range(len(graph.atoms)):

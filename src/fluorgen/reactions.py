@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from fluorgen.fingerprints import Fingerprint, morgan_fingerprint
+from fluorgen.fingerprints import Fingerprint, morgan_fingerprints
 from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph, MoleculeError
 from fluorgen.patterns import PatternError, PatternQuery, has_match, match_pattern, parse_pattern
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
@@ -226,7 +226,7 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
     SMILES are skipped and reported; duplicate ids or an empty result
     raise ReactionFormatError.
     """
-    blocks: list[BuildingBlock] = []
+    parsed: list[tuple[str, MolecularGraph]] = []
     rejected: list[str] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as handle:
@@ -247,17 +247,17 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
                 rejected.append(f"line {lineno}: {block_id}: {exc}")
                 continue
             seen_ids.add(block_id)
-            blocks.append(
-                BuildingBlock(
-                    id=block_id,
-                    smiles=write_canonical_smiles(graph),
-                    graph=graph,
-                    fingerprint=morgan_fingerprint(graph),
-                )
-            )
-    if not blocks:
+            parsed.append((block_id, graph))
+    if not parsed:
         raise ReactionFormatError(f"{path}: no valid building blocks")
-    return BlockLibrary(blocks=tuple(blocks), rejected=tuple(rejected))
+    fingerprints = morgan_fingerprints(graph for _, graph in parsed)
+    blocks = tuple(
+        BuildingBlock(
+            id=block_id, smiles=write_canonical_smiles(graph), graph=graph, fingerprint=fp
+        )
+        for (block_id, graph), fp in zip(parsed, fingerprints)
+    )
+    return BlockLibrary(blocks=blocks, rejected=tuple(rejected))
 
 
 def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:

@@ -13,7 +13,14 @@ import itertools
 
 import numpy as np
 
-from fluorgen.fingerprints import FP_BITS, tanimoto
+from fluorgen.fingerprints import (
+    _BOND_CODE,
+    _HASH_SEED,
+    FP_BITS,
+    FP_RADIUS,
+    Fingerprint,
+    tanimoto,
+)
 from fluorgen.molgraph import (
     ATOMIC_NUMBER,
     Hybridization,
@@ -58,6 +65,107 @@ def sp2_network_size_unionfind(graph: MolecularGraph) -> int:
         if sp2[i]:
             best = max(best, uf.size[uf.find(i)])
     return best
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    # splitmix64 finalizer; the whole pipeline stays in unsigned 64-bit space.
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def stable_hash(values: tuple[int, ...], seed: int = _HASH_SEED) -> int:
+    """Order-sensitive 64-bit hash of an integer tuple, one Python-integer
+    splitmix64 step per value: the pinned hash the fingerprint kernel
+    vectorizes."""
+    h = seed
+    for v in values:
+        h = _mix64(h ^ (v & _MASK64))
+    return h
+
+
+def morgan_fingerprint_loop(
+    graph: MolecularGraph, radius: int = FP_RADIUS, nbits: int = FP_BITS
+) -> Fingerprint:
+    """Morgan fingerprint oracle: one atom at a time, environments held as
+    frozensets of bond indices grown from an atom frontier, and a per-round
+    dict that keeps the smallest hash per bond set."""
+    n = len(graph)
+    inv = []
+    for i in range(n):
+        atom = graph.atoms[i]
+        inv.append(
+            stable_hash(
+                (
+                    1,
+                    ATOMIC_NUMBER[atom.element],
+                    graph.degree(i),
+                    atom.formal_charge,
+                    graph.total_h(i),
+                    int(atom.aromatic),
+                )
+            )
+        )
+    emitted: set[int] = set(inv)
+
+    bond_index = {}
+    for b_idx, bond in enumerate(graph.bonds):
+        bond_index.setdefault(bond.a1, []).append((bond.a2, b_idx, bond))
+        bond_index.setdefault(bond.a2, []).append((bond.a1, b_idx, bond))
+
+    # env_bonds[i]: indices of bonds inside atom i's current environment.
+    env_bonds: list[frozenset[int]] = [frozenset() for _ in range(n)]
+    frontier: list[set[int]] = [{i} for i in range(n)]  # atoms within current radius
+    seen_sets: set[frozenset[int]] = {frozenset()}
+
+    for r in range(1, radius + 1):
+        new_inv = list(inv)
+        candidates: dict[frozenset[int], int] = {}
+        new_env = list(env_bonds)
+        new_frontier = list(frontier)
+        for i in range(n):
+            pairs = []
+            for j, bond in graph.neighbors(i):
+                pairs.append((_BOND_CODE[bond.order], inv[j]))
+            if not pairs:
+                continue
+            pairs.sort()
+            flat = [2, r, inv[i]]
+            for code, nbr_inv in pairs:
+                flat.extend((code, nbr_inv))
+            new_inv[i] = stable_hash(tuple(flat))
+            grown_atoms = set(frontier[i])
+            grown_bonds = set(env_bonds[i])
+            for atom_in in frontier[i]:
+                for _, b_idx, _ in bond_index.get(atom_in, []):
+                    grown_bonds.add(b_idx)
+            for b_idx in grown_bonds:
+                bond = graph.bonds[b_idx]
+                grown_atoms.add(bond.a1)
+                grown_atoms.add(bond.a2)
+            new_env[i] = frozenset(grown_bonds)
+            new_frontier[i] = grown_atoms
+            key = new_env[i]
+            if key in candidates:
+                candidates[key] = min(candidates[key], new_inv[i])
+            else:
+                candidates[key] = new_inv[i]
+        for key in sorted(candidates, key=lambda k: candidates[k]):
+            if key not in seen_sets:
+                seen_sets.add(key)
+                emitted.add(candidates[key])
+        inv = new_inv
+        env_bonds = new_env
+        frontier = new_frontier
+
+    bits = 0
+    for h in emitted:
+        bits |= 1 << (h % nbits)
+    return Fingerprint(bits=bits, nbits=nbits)
 
 
 def bits_to_array_loop(bits: int, nbits: int = FP_BITS) -> np.ndarray:

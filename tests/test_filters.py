@@ -364,3 +364,24 @@ class TestWriters:
             "intra\t0.5",
             "inter\t0.125",
         ]
+
+    def test_histogram_file_equals_per_value_format(self, tmp_path):
+        # repeated values, 1 and 0, values that '.6g' writes with an
+        # exponent, and values that round to the same six digits
+        special = [1.0, 0.0, 1e-05, 2.5e-07, 1 / 3, 2 / 3, 0.1234565, 0.1234575, 123456789.0]
+        rng = random.Random(8)
+        intra = tuple(rng.choice(special + [i / 97 for i in range(97)]) for _ in range(2000))
+        inter = tuple(special) + tuple(rng.random() for _ in range(300)) + intra[:500]
+        path = tmp_path / "hist.tsv"
+        write_similarity_histogram(intra, inter, path)
+        want = ["kind\tsimilarity\n"]
+        want += [f"intra\t{format(value, '.6g')}\n" for value in intra]
+        want += [f"inter\t{format(value, '.6g')}\n" for value in inter]
+        assert path.read_text(encoding="utf-8") == "".join(want)
+        exponents = {"inter\t1e-05\n", "inter\t2.5e-07\n", "inter\t1.23457e+08\n"}
+        assert exponents | {"inter\t1\n", "inter\t0\n"} <= set(want)
+
+    def test_empty_histogram_file(self, tmp_path):
+        path = tmp_path / "hist.tsv"
+        write_similarity_histogram((), (), path)
+        assert path.read_text(encoding="utf-8") == "kind\tsimilarity\n"

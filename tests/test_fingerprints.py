@@ -4,24 +4,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluorgen.fingerprints import (
+    _HASH_SEED,
     FEATURE_DIM,
     FP_BITS,
+    MORGAN_CHUNK,
     Fingerprint,
     WATER,
     SolventFeatures,
+    _hash_columns,
+    _mix64_array,
     build_feature_vector,
     feature_matrix,
     morgan_fingerprint,
+    morgan_fingerprints,
     pack,
-    stable_hash,
     tanimoto,
     tanimoto_matrix,
 )
 from fluorgen.generator import node_features
+from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
-from oracles import bits_to_array_loop
+from oracles import _mix64, bits_to_array_loop, morgan_fingerprint_loop, stable_hash
 from randmol import permute_graph, random_molecule
 
 
@@ -38,6 +43,136 @@ class TestStableHash:
 
     def test_negative_values_deterministic(self):
         assert stable_hash((-1,)) == stable_hash(((1 << 64) - 1,))
+
+
+MASK64 = (1 << 64) - 1
+U64_EDGES = [0, 1, MASK64, MASK64 - 1, 1 << 63, (1 << 63) - 1, 0x9E3779B97F4A7C15]
+u64_lists = st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=40)
+i64_lists = st.lists(st.integers(min_value=-(1 << 63), max_value=-1), min_size=1, max_size=40)
+
+
+class TestVectorizedHash:
+    @settings(deadline=None)
+    @given(values=u64_lists)
+    @example(values=U64_EDGES)
+    def test_mix_equals_scalar_mix(self, values):
+        got = _mix64_array(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_mix64(v) for v in values]
+
+    @settings(deadline=None)
+    @given(values=i64_lists)
+    @example(values=[-1, -(1 << 63), -2])
+    def test_twos_complement_negatives(self, values):
+        column = np.array(values, dtype=np.int64).view(np.uint64)
+        assert _mix64_array(column).tolist() == [_mix64(v & MASK64) for v in values]
+
+    def test_input_left_unchanged(self):
+        values = np.array(U64_EDGES, dtype=np.uint64)
+        before = values.copy()
+        _mix64_array(values)
+        np.testing.assert_array_equal(values, before)
+
+    @settings(deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(min_value=-(1 << 63), max_value=MASK64), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_columns_equal_stable_hash_of_rows(self, rows):
+        columns = [
+            np.array([row[k] & MASK64 for row in rows], dtype=np.uint64) for k in range(3)
+        ]
+        start = np.full(len(rows), _HASH_SEED, dtype=np.uint64)
+        got = _hash_columns(start, columns).tolist()
+        assert got == [stable_hash(tuple(row)) for row in rows]
+
+
+def _graph(n_atoms: int, bonds) -> MolecularGraph:
+    return MolecularGraph(
+        tuple(Atom(index=i, element="C") for i in range(n_atoms)),
+        tuple(Bond(a, b, BondOrder.SINGLE) for a, b in bonds),
+    )
+
+
+def _assert_equal_to_loop(graphs, **kwargs):
+    got = morgan_fingerprints(graphs, **kwargs)
+    assert len(got) == len(graphs)
+    for graph, fingerprint in zip(graphs, got):
+        assert fingerprint == morgan_fingerprint_loop(graph, **kwargs)
+
+
+CORPUS_GRAPHS = [parse_smiles(s) for s in CORPUS]
+
+# single atoms, charged ones included, and fragments with no bond at all
+BONDLESS = ["C", "[O-]", "[NH4+]", "Cl", "C.C", "C.O.N.[Br-]", "CC.[O-].C"]
+
+
+class TestMorganKernel:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+    def test_random_batches_equal_loop_oracle(self, seed, size):
+        rng = np.random.default_rng(seed)
+        _assert_equal_to_loop([random_molecule(rng) for _ in range(size)])
+
+    def test_corpus_equals_loop_oracle(self):
+        _assert_equal_to_loop(CORPUS_GRAPHS)
+
+    @pytest.mark.parametrize("radius, nbits", [(0, FP_BITS), (1, 64), (3, 100), (2, 8)])
+    def test_other_radii_and_lengths(self, radius, nbits):
+        _assert_equal_to_loop(CORPUS_GRAPHS[::5], radius=radius, nbits=nbits)
+
+    def test_empty_list(self):
+        assert morgan_fingerprints([]) == []
+
+    def test_empty_graph(self):
+        assert morgan_fingerprints([_graph(0, [])]) == [Fingerprint(0)]
+
+    @pytest.mark.parametrize("smiles", BONDLESS)
+    def test_single_atoms_and_bondless_fragments(self, smiles):
+        _assert_equal_to_loop([parse_smiles(smiles)])
+
+    def test_bondless_graphs_in_a_batch(self):
+        graphs = [parse_smiles(s) for s in BONDLESS] + CORPUS_GRAPHS[:5]
+        _assert_equal_to_loop(graphs)
+
+    @pytest.mark.parametrize("n_bonds", [63, 64, 65, 130])
+    def test_environments_wider_than_one_word(self, n_bonds):
+        # a ring of rings: n_bonds bonds in one graph, so the environment
+        # bitset spans ceil(n_bonds / 64) words
+        chain = _graph(n_bonds + 1, [(i, i + 1) for i in range(n_bonds)])
+        ring = _graph(n_bonds, [(i, (i + 1) % n_bonds) for i in range(n_bonds)])
+        _assert_equal_to_loop([chain, ring, parse_smiles("c1ccccc1")])
+
+    def test_large_fused_system(self):
+        # a linear acene of 14 rings: 58 atoms and 71 aromatic bonds, with
+        # many atoms sharing an environment in each round
+        acene = (
+            "c1ccc2cc3cc4cc5cc6cc7cc8cc9cc%10cc%11cc%12cc%13cc%14ccccc%14"
+            "cc%13cc%12cc%11cc%10cc9cc8cc7cc6cc5cc4cc3cc2c1"
+        )
+        graph = parse_smiles(acene)
+        assert len(graph.bonds) > 64
+        _assert_equal_to_loop([graph])
+
+    def test_batch_crosses_chunk_boundaries(self):
+        rng = np.random.default_rng(2024)
+        graphs = [random_molecule(rng) for _ in range(4 * MORGAN_CHUNK + 1)]
+        _assert_equal_to_loop(graphs)
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 30))
+    def test_batch_independence(self, seed, size):
+        rng = np.random.default_rng(seed)
+        graphs = [random_molecule(rng) for _ in range(size)]
+        graphs += [CORPUS_GRAPHS[int(i)] for i in rng.choice(len(CORPUS_GRAPHS), size=3)]
+        alone = [morgan_fingerprint(g) for g in graphs]
+        assert morgan_fingerprints(graphs) == alone
+        order = rng.permutation(len(graphs))
+        shuffled = morgan_fingerprints([graphs[i] for i in order])
+        assert shuffled == [alone[i] for i in order]
 
 
 class TestMorganEnvironments:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluorgen.molgraph import (
     Atom,
@@ -167,6 +171,29 @@ class TestSp2Network:
         for smi in CORPUS:
             graph = parse_smiles(smi)
             assert sp2_network_size(graph) == sp2_network_size_unionfind(graph)
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unperceived_equals_perceived_graph(self, seed):
+        graph = random_molecule(np.random.default_rng(seed))
+        assert all(atom.hybridization is None for atom in graph.atoms)
+        assert sp2_network_size(graph) == sp2_network_size(perceive_hybridization(graph))
+
+    def test_corpus_unperceived_equals_perceived_graph(self):
+        from corpus import CORPUS
+
+        for smi in CORPUS:
+            graph = parse_smiles(smi)
+            assert sp2_network_size(graph) == sp2_network_size(perceive_hybridization(graph))
+
+    def test_stated_hybridization_is_read_as_given(self):
+        # a graph whose atoms all carry a state is not perceived again
+        graph = parse_smiles("C=CC=C")
+        stated = graph.with_atoms(
+            tuple(replace(atom, hybridization=Hybridization.SP3) for atom in graph.atoms)
+        )
+        assert sp2_network_size(graph) == 4
+        assert sp2_network_size(stated) == 0
 
 
 class TestRingMembership:
