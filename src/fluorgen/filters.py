@@ -16,10 +16,13 @@ from fluorgen.fingerprints import (
     tanimoto_matrix,
 )
 from fluorgen.molgraph import sp2_network_size
-from fluorgen.scorers import ScorerKind, score_property
+from fluorgen.scorers import ScorerKind, score_fingerprints
 from fluorgen.smiles import parse_smiles
 
 NOVELTY_THRESHOLD = 0.5
+
+# pair similarities converted to Python floats at a time when writing
+HISTOGRAM_CHUNK = 1 << 16
 
 
 class FilterError(ValueError):
@@ -61,39 +64,42 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     """Apply the four stages in order; a molecule is charged to the first
     stage it fails. Each molecule is parsed once; the sp2 stage's survivors,
     exactly the molecules that reach a model stage, are fingerprinted in one
-    batch. Returns (surviving smiles, FilterReport, survivor fingerprints in
-    survivor order)."""
+    batch, and each model stage scores its distinct survivors with
+    score_fingerprints, a block of rows per forward_batch call. Returns
+    (surviving smiles, FilterReport, survivor fingerprints in survivor
+    order)."""
     survivors = list(smiles_list)
     graphs = {s: parse_smiles(s) for s in survivors}
     fingerprints: dict[str, Fingerprint] = {}
 
-    def score(kind, s):
-        return score_property(scorers[kind], graphs[s], fingerprints[s], solvent)
-
-    def sp2_ok(s):
-        return sp2_network_size(graphs[s]) >= thresholds.sp2_min
-
-    def plqy_ok(s):
-        return score(ScorerKind.PLQY_PROB, s) >= thresholds.plqy_min
-
-    def absorption_ok(s):
-        nm = score(ScorerKind.ABS_NM, s)
+    def in_window(nm):
         return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
 
-    def emission_ok(s):
-        nm = score(ScorerKind.EM_NM, s)
-        return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
-
-    checks = (sp2_ok, plqy_ok, absorption_ok, emission_ok)
+    # (scorer kind, or None for the sp2 stage; test on the stage's value)
+    stages = (
+        (None, lambda size: size >= thresholds.sp2_min),
+        (ScorerKind.PLQY_PROB, lambda probability: probability >= thresholds.plqy_min),
+        (ScorerKind.ABS_NM, in_window),
+        (ScorerKind.EM_NM, in_window),
+    )
     total = len(survivors)
     remaining = []
     rejected = []
-    for check in checks:
-        kept = [s for s in survivors if check(s)]
+    for kind, ok in stages:
+        distinct = list(dict.fromkeys(survivors))
+        if kind is None:
+            values = [sp2_network_size(graphs[s]) for s in distinct]
+        elif distinct:  # with nothing left, no scorer is needed
+            fps = [fingerprints[s] for s in distinct]
+            values = score_fingerprints(scorers[kind], fps, solvent).tolist()
+        else:
+            values = []
+        passed = {s for s, value in zip(distinct, values) if ok(value)}
+        kept = [s for s in survivors if s in passed]
         rejected.append(len(survivors) - len(kept))
         remaining.append(len(kept))
         survivors = kept
-        if check is sp2_ok:
+        if kind is None:
             distinct = list(dict.fromkeys(survivors))
             fingerprints.update(zip(distinct, morgan_fingerprints(graphs[s] for s in distinct)))
     report = FilterReport(
@@ -176,16 +182,20 @@ def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
 
 def cluster_similarity_histogram(assignment: ClusterAssignment, fingerprints):
     """All pairwise similarities split into within-cluster and
-    across-cluster sets, each in (i, j) order with i < j. Computed a few
-    rows at a time against the columns right of them, so no n x n matrix
-    is held."""
+    across-cluster float64 arrays, each in (i, j) order with i < j. Both
+    are allocated at their exact sizes (within: the sum of C(size, 2) over
+    the clusters) and filled a few rows at a time against the columns
+    right of them, so no n x n matrix is held."""
     n = len(fingerprints)
     if len(assignment.labels) != n:
         raise FilterError("assignment does not match the fingerprint list")
-    labels = np.asarray(assignment.labels)
+    labels = np.asarray(assignment.labels, dtype=np.intp)
+    sizes = np.bincount(labels, minlength=assignment.k)
+    n_intra = int((sizes * (sizes - 1) // 2).sum())
+    intra = np.empty(n_intra)
+    inter = np.empty(n * (n - 1) // 2 - n_intra)
+    n_intra = n_inter = 0
     words = pack(fingerprints)
-    intra = []
-    inter = []
     block = 8
     for start in range(0, n, block):
         similarities = tanimoto_matrix(words[start:start + block], words[start + 1:])
@@ -193,9 +203,13 @@ def cluster_similarity_histogram(assignment: ClusterAssignment, fingerprints):
             i = start + offset
             row = row[offset:]  # columns j > i
             same = labels[i + 1:] == labels[i]
-            intra.extend(row[same].tolist())
-            inter.extend(row[~same].tolist())
-    return tuple(intra), tuple(inter)
+            within = row[same]
+            across = row[~same]
+            intra[n_intra : n_intra + len(within)] = within
+            inter[n_inter : n_inter + len(across)] = across
+            n_intra += len(within)
+            n_inter += len(across)
+    return intra, inter
 
 
 def select_representatives(assignment: ClusterAssignment, fingerprints):
@@ -249,12 +263,18 @@ def write_similarity_histogram(intra, inter, path):
     """One `kind similarity` row per pair, the value written with '.6g'.
 
     The pairs of a clustering take few distinct values, so each distinct
-    value is formatted once. Keying by float is exact here: the one pair
-    of unequal strings a float key merges, 0 and -0, cannot occur, since
-    no similarity is negative zero.
+    value is formatted once. Values are read HISTOGRAM_CHUNK at a time,
+    so only one chunk is ever held as Python floats. Keying by float is
+    exact here: the one pair of unequal strings a float key merges, 0 and
+    -0, cannot occur, since no similarity is negative zero.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("kind\tsimilarity\n")
         for kind, values in (("intra", intra), ("inter", inter)):
-            lines = {value: f"{kind}\t{format(value, '.6g')}\n" for value in set(values)}
-            handle.writelines(map(lines.__getitem__, values))
+            values = np.asarray(values, dtype=np.float64)
+            lines: dict[float, str] = {}
+            for start in range(0, len(values), HISTOGRAM_CHUNK):
+                chunk = values[start : start + HISTOGRAM_CHUNK].tolist()
+                for value in set(chunk).difference(lines):
+                    lines[value] = f"{kind}\t{format(value, '.6g')}\n"
+                handle.writelines(map(lines.__getitem__, chunk))

@@ -24,6 +24,7 @@ import numpy as np
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
+    SOLVENT_DIM,
     Fingerprint,
     SolventFeatures,
     morgan_fingerprint,
@@ -38,10 +39,13 @@ from fluorgen.reactions import (
     apply_reaction,
 )
 from fluorgen.scorers import (
+    SCORE_BLOCK_ROWS,
     Head,
     MlpModel,
     PropertyScorer,
     ScorerKind,
+    SparseRows,
+    as_sparse_rows,
     forward_batch,
     loss_and_grads,
     score_property,
@@ -60,13 +64,6 @@ VISIBLE_MAX_NM = 750.0
 SP2_TARGET = 12
 
 PREV_MARKER = "@prev"
-
-# Candidate rows are scored at most this many per forward_batch call.
-# Scoring the whole block library in one call raised the peak memory of
-# perfbench's generate workload from 115 to 119 MB at the same speed;
-# 64-row blocks keep it at 115 MB.
-SCORE_BLOCK_ROWS = 64
-
 
 class GeneratorError(ValueError):
     pass
@@ -168,25 +165,48 @@ class GenerationResult:
 
 
 class ReplayBuffer:
-    """FIFO store of (node features, reward targets) pairs."""
+    """FIFO store of visited nodes and their reward targets.
+
+    A node is kept as the on-bit columns of its node_features row (see
+    node_bits: int16, ascending, about 35-60 of them) plus its solvent
+    values, not as a dense 2,052-float row: a full 2,000-row buffer holds
+    well under 1 MB where dense rows took 33 MB. ``rows`` rebuilds the
+    whole buffer as SparseRows for training.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise GeneratorError("buffer capacity must be positive")
         self._items = collections.deque(maxlen=capacity)
 
-    def append(self, features: np.ndarray, targets: tuple[float, ...]):
+    def append(self, bits: np.ndarray, solvent: SolventFeatures, targets: tuple[float, ...]):
         if len(targets) != N_PROPERTIES:
             raise GeneratorError(f"expected {N_PROPERTIES} targets")
-        self._items.append((np.asarray(features, dtype=np.float64), tuple(targets)))
+        self._items.append((np.asarray(bits, dtype=np.int16), solvent.as_tuple(), tuple(targets)))
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        features = np.stack([item[0] for item in self._items])
-        targets = np.array([item[1] for item in self._items], dtype=np.float64)
-        return features, targets
+    def rows(self) -> tuple[SparseRows, np.ndarray]:
+        """(SparseRows of every stored node, (n, N_PROPERTIES) targets), oldest first."""
+        bits, solvents, targets = zip(*self._items) if self._items else ((), (), ())
+        indptr = np.zeros(len(bits) + 1, dtype=np.int32)
+        np.cumsum([len(b) for b in bits], out=indptr[1:])
+        indices = np.concatenate(bits, dtype=np.int32) if bits else np.empty(0, np.int32)
+        solvent = np.array(solvents, dtype=np.float64).reshape(-1, SOLVENT_DIM)
+        rows = SparseRows(indptr, indices, np.ones(len(indices)), solvent, FEATURE_DIM)
+        return rows, np.array(targets, dtype=np.float64).reshape(-1, N_PROPERTIES)
+
+
+def _node_fingerprint(fingerprints) -> Fingerprint:
+    """Bit-OR of a node's fingerprints."""
+    fingerprints = list(fingerprints)
+    if not fingerprints:
+        raise GeneratorError("node has no molecules")
+    bits = 0
+    for fp in fingerprints:
+        bits |= fp.bits
+    return Fingerprint(bits)
 
 
 def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
@@ -196,16 +216,16 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
     :param fingerprints: one or more Fingerprint values.
     :param solvent: solvent descriptors appended as the last four entries.
     """
-    fingerprints = list(fingerprints)
-    if not fingerprints:
-        raise GeneratorError("node has no molecules")
-    bits = 0
-    for fp in fingerprints:
-        bits |= fp.bits
     out = np.empty(FEATURE_DIM, dtype=np.float64)
-    out[:FP_BITS] = Fingerprint(bits).to_array()
+    out[:FP_BITS] = _node_fingerprint(fingerprints).to_array()
     out[FP_BITS:] = solvent.as_tuple()
     return out
+
+
+def node_bits(fingerprints) -> np.ndarray:
+    """The on-bit columns of node_features' fingerprint block, ascending,
+    as int16: what the replay buffer stores for a node."""
+    return np.flatnonzero(_node_fingerprint(fingerprints).to_array()).astype(np.int16)
 
 
 def node_outputs(nodes, models, solvent: SolventFeatures) -> np.ndarray:
@@ -382,37 +402,54 @@ def _init_value_models(config: GenerationConfig) -> list[MlpModel]:
 
 def train_value_model(model, features, targets, config, rng) -> None:
     """A few epochs of SGD on the buffer; the update is kept only when it
-    does not worsen the full-buffer loss."""
-    before, _ = loss_and_grads(model, features, targets)
-    saved = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2)
-    n = len(features)
+    does not worsen the full-buffer loss.
+
+    ``features`` are SparseRows (or a dense matrix). Each mini-batch
+    updates only the w1 columns it touches, in a transposed working copy
+    that replaces ``model.w1`` when the update is kept; the model's
+    other weights are updated in place.
+    """
+    rows = as_sparse_rows(features)
+    targets = np.asarray(targets, dtype=np.float64)
+    before, _ = loss_and_grads(model, rows, targets, grads=False)
+    # the original w1 array is never written, so it is its own saved copy
+    saved = (model.w1, model.b1.copy(), model.w2.copy(), model.b2)
+    w1t = np.ascontiguousarray(model.w1.T)
+    model.w1 = w1t.T
+    n = len(rows)
     for _ in range(config.value_epochs):
         order = rng.permutation(n)
+        epoch_rows, epoch_targets = rows.take(order), targets[order]
         for start in range(0, n, config.value_batch):
-            batch = order[start : start + config.value_batch]
-            _, grads = loss_and_grads(model, features[batch], targets[batch])
-            model.w1 -= config.value_lr * grads["w1"]
+            stop = start + config.value_batch
+            _, grads = loss_and_grads(
+                model, epoch_rows.slice(start, stop), epoch_targets[start:stop]
+            )
+            columns, grad_rows = grads["w1"]
+            w1t[columns] -= config.value_lr * grad_rows
             model.b1 -= config.value_lr * grads["b1"]
             model.w2 -= config.value_lr * grads["w2"]
             model.b2 -= config.value_lr * grads["b2"]
-    after, _ = loss_and_grads(model, features, targets)
+    after, _ = loss_and_grads(model, rows, targets, grads=False)
     if not np.isfinite(after) or after > before:
         model.w1, model.b1, model.w2, model.b2 = saved
+    else:
+        model.w1 = np.ascontiguousarray(w1t.T)
 
 
 class _Rollout:
     """Outcome of one rollout attempt: the final product with its
     canonical SMILES and fingerprint, or a dead end."""
 
-    __slots__ = ("graph", "smiles", "fingerprint", "route", "path_features", "dead")
+    __slots__ = ("graph", "smiles", "fingerprint", "route", "path_bits", "dead")
 
     def __init__(self, graph=None, smiles=None, fingerprint=None, route=(),
-                 path_features=(), dead=False):
+                 path_bits=(), dead=False):
         self.graph = graph
         self.smiles = smiles
         self.fingerprint = fingerprint
         self.route = route
-        self.path_features = path_features
+        self.path_bits = path_bits
         self.dead = dead
 
 
@@ -507,7 +544,7 @@ class Generator:
         ]
         inputs: list[str | None] = [first_block] + [None] * (template.arity - 1)
         member_fps = [self.blocks[first_block].fingerprint]
-        path = [node_features(member_fps, self.solvent)]
+        path = [node_bits(member_fps)]
         open_roles = range(1, template.arity)
         product = product_smiles = product_fp = None
         route = []
@@ -532,7 +569,7 @@ class Generator:
                 if partner is not None:
                     inputs[others[0]] = partner
                     member_fps.append(self.blocks[partner].fingerprint)
-                    path.append(node_features(member_fps, self.solvent))
+                    path.append(node_bits(member_fps))
                 open_roles = others[1:]
             for role in open_roles:
                 options = self.index.compatible_blocks(template.id, role)
@@ -541,7 +578,7 @@ class Generator:
                 ]
                 inputs[role] = block_id
                 member_fps.append(self.blocks[block_id].fingerprint)
-                path.append(node_features(member_fps, self.solvent))
+                path.append(node_bits(member_fps))
 
             reactants = [
                 product if name == PREV_MARKER else self.blocks[name].graph
@@ -555,22 +592,22 @@ class Generator:
             product_smiles = result.smiles[product_index]
             product_fp = morgan_fingerprint(product)
             route.append(RouteStep(template.id, tuple(inputs), product_index))
-            path.append(node_features([product_fp], self.solvent))
+            path.append(node_bits([product_fp]))
 
         return _Rollout(
             graph=product,
             smiles=product_smiles,
             fingerprint=product_fp,
             route=tuple(route),
-            path_features=tuple(path),
+            path_bits=tuple(path),
         )
 
     def _train_values(self):
         if len(self.buffer) == 0:
             return
-        features, targets = self.buffer.arrays()
+        rows, targets = self.buffer.rows()
         for k, model in enumerate(self.value_models):
-            train_value_model(model, features, targets[:, k], self.config, self.np_rng)
+            train_value_model(model, rows, targets[:, k], self.config, self.np_rng)
         self._block_outputs = None
 
     def run(self, progress=None) -> GenerationResult:
@@ -634,8 +671,8 @@ class Generator:
                 self.tau = tune_temperature(self.similarity_window, self.tau, config)
             self.weights = tune_weights(self._rates(), config.weight_floor)
 
-            for features in outcome.path_features:
-                self.buffer.append(features, scores)
+            for bits in outcome.path_bits:
+                self.buffer.append(bits, self.solvent, scores)
             if (rollout_idx + 1) % config.train_interval == 0:
                 self._train_values()
 

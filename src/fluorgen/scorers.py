@@ -9,6 +9,15 @@ hand; the finite-difference check in the tests is the referee for them.
 Only the four solvent columns are normalized (bit columns are already
 0/1), with statistics taken from the training fold and stored on the
 model so scoring never depends on outside state.
+
+Training reads rows sparsely. A fingerprint row holds about 35 on-bits
+out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
+form plus the four solvent values. loss_and_grads computes the first
+layer over only the columns a mini-batch touches, against a transposed
+(input, hidden) working copy of w1, and returns the w1 gradient for
+those columns alone; full-set losses are one CSR product. Scoring
+(forward_batch) stays dense, and checkpoints keep w1 as (hidden, input).
+The dense form of the kernel is the test referee (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -17,12 +26,19 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 from scipy.stats import rankdata
 
-from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector
+from fluorgen.fingerprints import FEATURE_DIM, SOLVENT_DIM, Fingerprint, build_feature_vector
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
 _CHECKPOINT_VERSION = 1
+
+# Rows are scored at most this many per forward_batch call. Scoring the
+# whole block library in one call raised the peak memory of perfbench's
+# generate workload from 115 to 119 MB at the same speed; 64-row blocks
+# keep it at 115 MB.
+SCORE_BLOCK_ROWS = 64
 
 
 class ScorerError(ValueError):
@@ -112,17 +128,110 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return logits
 
 
-def loss_and_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray):
+@dataclass(frozen=True)
+class SparseRows:
+    """Feature rows for training, the leading block in CSR form.
+
+    Row i's nonzero leading columns (the fingerprint bits) are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with values
+    ``data`` at the same positions; its last SOLVENT_DIM columns are
+    ``solvent[i]``, not normalized. ``width`` is the full row length.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int32
+    indices: np.ndarray  # (nnz,) int32
+    data: np.ndarray  # (nnz,) float64
+    solvent: np.ndarray  # (n, SOLVENT_DIM) float64
+    width: int
+
+    @classmethod
+    def from_dense(cls, features) -> SparseRows:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] < SOLVENT_DIM:
+            raise ScorerError(f"expected (n, >= {SOLVENT_DIM}) features, got {features.shape}")
+        lead = features[:, :-SOLVENT_DIM]
+        rows, columns = np.nonzero(lead)
+        indptr = np.zeros(len(features) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=len(features)), out=indptr[1:])
+        return cls(
+            indptr=indptr,
+            indices=columns.astype(np.int32),
+            data=lead[rows, columns],
+            solvent=features[:, -SOLVENT_DIM:].copy(),
+            width=features.shape[1],
+        )
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows) -> SparseRows:
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        positions = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return SparseRows(
+            indptr, self.indices[positions], self.data[positions], self.solvent[rows], self.width
+        )
+
+    def slice(self, start: int, stop: int) -> SparseRows:
+        """Rows start..stop-1, sharing this object's arrays."""
+        stop = min(stop, len(self))
+        low, high = self.indptr[start], self.indptr[stop]
+        return SparseRows(
+            self.indptr[start : stop + 1] - low,
+            self.indices[low:high],
+            self.data[low:high],
+            self.solvent[start:stop],
+            self.width,
+        )
+
+
+def as_sparse_rows(features) -> SparseRows:
+    """SparseRows as given, or built from a dense (n, width) matrix."""
+    return features if isinstance(features, SparseRows) else SparseRows.from_dense(features)
+
+
+def loss_and_grads(model: MlpModel, features, labels, grads: bool = True):
     """Batch loss plus gradients for every parameter.
 
     SIGMOID uses mean binary cross-entropy computed from the logit
     (softplus form, no probability clipping needed); LINEAR uses mean
-    squared error. Returns (loss, dict with keys w1, b1, w2, b2).
+    squared error. ``features`` is a SparseRows or a dense
+    (n, input_dim) matrix. The first layer reads ``model.w1.T`` only at
+    the rows' nonzero leading columns, as a CSR product; in training
+    ``model.w1`` is the transposed view of an (input, hidden) working
+    copy, so those reads are contiguous rows.
+
+    Returns (loss, dict with keys w1, b1, w2, b2). The w1 entry is a
+    (columns, rows) pair: the input columns the batch touches (its
+    nonzero leading columns, then the solvent columns) and the gradient
+    of ``w1.T`` at them, shape (len(columns), hidden); every other
+    column's gradient is zero. With ``grads=False`` only the loss is
+    computed, over the uncompacted CSR block, and the dict is None.
     """
-    x = _normalize(model, features)
+    rows = as_sparse_rows(features)
+    if rows.width != model.input_dim:
+        raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
     y = np.asarray(labels, dtype=np.float64)
-    n = x.shape[0]
-    z1 = x @ model.w1.T + model.b1
+    n = len(rows)
+    w1t = model.w1.T
+    n_lead = rows.width - SOLVENT_DIM
+    if grads:
+        # compact to the touched columns; a mask over the leading block
+        # finds them faster than sorting the indices
+        touched = np.zeros(n_lead, dtype=bool)
+        touched[rows.indices] = True
+        columns = np.flatnonzero(touched)
+        indices = (np.cumsum(touched, dtype=np.int32) - 1)[rows.indices]
+        weights = w1t[columns]
+    else:
+        indices, weights = rows.indices, w1t[:n_lead]
+    lead = csr_array((rows.data, indices, rows.indptr), shape=(n, len(weights)))
+    solvent = (rows.solvent - model.norm_mean) / model.norm_std
+    z1 = lead @ weights + solvent @ w1t[n_lead:] + model.b1
     hidden = np.maximum(z1, 0.0)
     z2 = hidden @ model.w2 + model.b2
     if model.head is Head.SIGMOID:
@@ -132,11 +241,18 @@ def loss_and_grads(model: MlpModel, features: np.ndarray, labels: np.ndarray):
         diff = z2 - y
         loss = float(np.mean(diff * diff))
         dz2 = 2.0 * diff / n
+    if not grads:
+        return loss, None
     grad_w2 = hidden.T @ dz2
     grad_b2 = float(np.sum(dz2))
     d_hidden = np.outer(dz2, model.w2)
     dz1 = d_hidden * (z1 > 0.0)
-    grad_w1 = dz1.T @ x
+    # the same three arrays, read as CSC, are the transposed block
+    lead_t = csc_array((rows.data, indices, rows.indptr), shape=(len(columns), n))
+    grad_w1 = (
+        np.concatenate([columns, np.arange(n_lead, rows.width)]),
+        np.concatenate([lead_t @ dz1, solvent.T @ dz1]),
+    )
     grad_b1 = dz1.sum(axis=0)
     return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
@@ -150,27 +266,35 @@ class TrainResult:
 
 
 def mlp_train(
-    features: np.ndarray,
+    features,
     labels: np.ndarray,
     head: Head,
     config: TrainConfig,
-    val_features: np.ndarray | None = None,
+    val_features=None,
     val_labels: np.ndarray | None = None,
 ) -> TrainResult:
     """Mini-batch SGD with momentum, keeping the best-validation weights.
 
-    When no validation set is given the training set doubles as one.
-    Deterministic under config.seed: same inputs give bit-identical
-    weights. A non-finite loss aborts with a diverging-rate diagnostic.
+    Features are SparseRows or dense matrices. When no validation set is
+    given the training set doubles as one. Deterministic under
+    config.seed: same inputs give bit-identical weights. A non-finite
+    loss aborts with a diverging-rate diagnostic.
+
+    Training updates an (input, hidden) copy of w1 in place: each
+    mini-batch writes its gradient only to the columns it touches, and
+    the momentum step ``v *= m; v[cols] -= lr * g; w1 += v`` makes the
+    same float operations per element as ``v = m * v - lr * g``.
     """
-    features = np.asarray(features, dtype=np.float64)
+    rows = as_sparse_rows(features)
     labels = np.asarray(labels, dtype=np.float64)
-    if len(features) == 0:
+    if len(rows) == 0:
         raise ScorerError("empty training set")
-    if len(features) != len(labels):
+    if len(rows) != len(labels):
         raise ScorerError("features and labels differ in length")
     if val_features is None:
-        val_features, val_labels = features, labels
+        val_rows, val_labels = rows, labels
+    else:
+        val_rows = as_sparse_rows(val_features)
     val_labels = np.asarray(val_labels, dtype=np.float64)
 
     # Regression targets train standardized so one learning rate serves
@@ -184,28 +308,23 @@ def mlp_train(
         val_labels = (val_labels - target_mean) / target_std
 
     rng = np.random.default_rng(config.seed)
-    input_dim = features.shape[1]
-    solvent_cols = features[:, -SOLVENT_DIM:]
-    std = solvent_cols.std(axis=0)
+    std = rows.solvent.std(axis=0)
+    w1t = rng.normal(0.0, config.weight_init_scale, (config.hidden_dim, rows.width)).T.copy()
     model = MlpModel(
-        w1=rng.normal(0.0, config.weight_init_scale, (config.hidden_dim, input_dim)),
+        w1=w1t.T,
         b1=np.zeros(config.hidden_dim),
         w2=rng.normal(0.0, config.weight_init_scale, config.hidden_dim),
         b2=0.0,
         head=head,
-        norm_mean=solvent_cols.mean(axis=0),
+        norm_mean=rows.solvent.mean(axis=0),
         norm_std=np.where(std > 0.0, std, 1.0),
         seed=config.seed,
     )
-    velocity = {
-        "w1": np.zeros_like(model.w1),
-        "b1": np.zeros_like(model.b1),
-        "w2": np.zeros_like(model.w2),
-        "b2": 0.0,
-    }
+    velocity_w1 = np.zeros_like(w1t)
+    velocity = {"b1": np.zeros_like(model.b1), "w2": np.zeros_like(model.w2), "b2": 0.0}
 
     def snapshot():
-        return (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2)
+        return (w1t.copy(), model.b1.copy(), model.w2.copy(), model.b2)
 
     best = snapshot()
     best_loss = float("inf")
@@ -213,27 +332,32 @@ def mlp_train(
     stale = 0
     train_losses = []
     val_losses = []
-    n = len(features)
+    n = len(rows)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        epoch_rows, epoch_labels = rows.take(order), labels[order]
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grads = loss_and_grads(model, features[batch], labels[batch])
+            stop = start + config.batch_size
+            batch_labels = epoch_labels[start:stop]
+            loss, grads = loss_and_grads(model, epoch_rows.slice(start, stop), batch_labels)
             if not np.isfinite(loss):
                 raise ScorerError(
                     f"loss diverged at epoch {epoch}; lower the learning rate"
                 )
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * len(batch_labels)
+            columns, grad_rows = grads["w1"]
+            velocity_w1 *= config.momentum
+            velocity_w1[columns] -= config.learning_rate * grad_rows
+            w1t += velocity_w1
             for key in velocity:
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
-            model.w1 += velocity["w1"]
             model.b1 += velocity["b1"]
             model.w2 += velocity["w2"]
             model.b2 += velocity["b2"]
         # reported losses are in the caller's target units
         train_losses.append(epoch_loss / n * target_std**2)
-        val_loss, _ = loss_and_grads(model, val_features, val_labels)
+        val_loss, _ = loss_and_grads(model, val_rows, val_labels, grads=False)
         if not np.isfinite(val_loss):
             raise ScorerError(f"loss diverged at epoch {epoch}; lower the learning rate")
         val_losses.append(val_loss * target_std**2)
@@ -246,7 +370,8 @@ def mlp_train(
             stale += 1
             if stale > config.patience:
                 break
-    model.w1, model.b1, model.w2, model.b2 = best
+    best_w1t, model.b1, model.w2, model.b2 = best
+    model.w1 = np.ascontiguousarray(best_w1t.T)
     if head is Head.LINEAR:
         model.w2 = model.w2 * target_std
         model.b2 = model.b2 * target_std + target_mean
@@ -318,6 +443,23 @@ def score_property(
         return float(sp2_network_size(graph))
     fv = build_feature_vector(fingerprint, solvent)
     return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
+
+
+def score_fingerprints(scorer: PropertyScorer, fingerprints, solvent) -> np.ndarray:
+    """score_property of a model-backed scorer for a list of fingerprints in
+    one solvent. Feature rows are built SCORE_BLOCK_ROWS at a time into one
+    reused block and scored with one forward_batch call per block, so no
+    (n, 2052) matrix is held."""
+    if scorer.model is None:
+        raise ScorerError(f"{scorer.kind.value} is scored from the graph, not a fingerprint")
+    out = np.empty(len(fingerprints))
+    rows = np.empty((min(len(fingerprints), SCORE_BLOCK_ROWS), FEATURE_DIM))
+    for start in range(0, len(fingerprints), SCORE_BLOCK_ROWS):
+        block = fingerprints[start : start + SCORE_BLOCK_ROWS]
+        for i, fp in enumerate(block):
+            rows[i] = build_feature_vector(fp, solvent)
+        out[start : start + len(block)] = forward_batch(scorer.model, rows[: len(block)])
+    return out
 
 
 def save_model(model: MlpModel, path: str):
@@ -392,16 +534,17 @@ def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0,
     metric_name = "roc_auc" if head is Head.SIGMOID else "mae"
     metrics = []
     models = []
+    rows = SparseRows.from_dense(dataset.features)
     for split in split_cv(len(dataset), folds=folds, seed=split_seed):
         train_idx = np.array(split.train)
         val_idx = np.array(split.val)
         test_idx = np.array(split.test)
         result = mlp_train(
-            dataset.features[train_idx],
+            rows.take(train_idx),
             dataset.labels[train_idx],
             head,
             config,
-            val_features=dataset.features[val_idx],
+            val_features=rows.take(val_idx),
             val_labels=dataset.labels[val_idx],
         )
         predictions = forward_batch(result.model, dataset.features[test_idx])

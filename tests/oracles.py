@@ -27,7 +27,16 @@ from fluorgen.molgraph import (
     MolecularGraph,
     perceive_hybridization,
 )
-from fluorgen.scorers import forward_batch
+from fluorgen.scorers import (
+    Head,
+    MlpModel,
+    ScorerError,
+    TrainResult,
+    ScorerKind,
+    _normalize,
+    forward_batch,
+    score_property,
+)
 from fluorgen.smiles import _atom_token, _bond_symbol, connected_components
 
 
@@ -219,6 +228,28 @@ def representatives_loop(labels, medoids, fingerprints):
 def novelty_loop(fingerprints, references):
     """Novelty oracle: the largest scalar tanimoto against any reference."""
     return tuple(max(tanimoto(fp, ref) for ref in references) for fp in fingerprints)
+
+
+def run_filters_loop(smiles_list, scorers, solvent, thresholds):
+    """Surviving SMILES of the four filter stages, every molecule parsed,
+    fingerprinted and scored on its own with one-row score_property calls."""
+    from fluorgen.fingerprints import morgan_fingerprint
+    from fluorgen.molgraph import sp2_network_size
+    from fluorgen.smiles import parse_smiles
+
+    survivors = []
+    for smiles in smiles_list:
+        graph = parse_smiles(smiles)
+        if sp2_network_size(graph) < thresholds.sp2_min:
+            continue
+        fp = morgan_fingerprint(graph)
+        scores = [score_property(scorers[kind], graph, fp, solvent)
+                  for kind in (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)]
+        window = (thresholds.window_min_nm, thresholds.window_max_nm)
+        if (scores[0] >= thresholds.plqy_min and window[0] <= scores[1] <= window[1]
+                and window[0] <= scores[2] <= window[1]):
+            survivors.append(smiles)
+    return tuple(survivors)
 
 
 def node_value_loop(features: np.ndarray, models, weights) -> float:
@@ -441,3 +472,141 @@ def _emit_exhaustive(graph: MolecularGraph, ranks: dict[int, int]) -> str:
         return "".join(parts)
 
     return build(start)
+
+
+# ---------------------------------------------------------------------------
+# dense MLP training: the referee for the sparse first-layer kernel
+
+
+def loss_and_grads_dense(model: MlpModel, features: np.ndarray, labels: np.ndarray):
+    """Every first-layer product over the full dense (n, input_dim) rows;
+    the w1 gradient is a dense (hidden, input_dim) matrix."""
+    x = _normalize(model, features)
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    z1 = x @ model.w1.T + model.b1
+    hidden = np.maximum(z1, 0.0)
+    z2 = hidden @ model.w2 + model.b2
+    if model.head is Head.SIGMOID:
+        loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+        dz2 = (1.0 / (1.0 + np.exp(-z2)) - y) / n
+    else:
+        diff = z2 - y
+        loss = float(np.mean(diff * diff))
+        dz2 = 2.0 * diff / n
+    grad_w2 = hidden.T @ dz2
+    grad_b2 = float(np.sum(dz2))
+    d_hidden = np.outer(dz2, model.w2)
+    dz1 = d_hidden * (z1 > 0.0)
+    grad_w1 = dz1.T @ x
+    grad_b1 = dz1.sum(axis=0)
+    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+
+
+def sparse_rows_to_dense(rows) -> np.ndarray:
+    """The dense (n, width) matrix a SparseRows stands for, row by row."""
+    out = np.zeros((len(rows), rows.width))
+    for i in range(len(rows)):
+        span = slice(rows.indptr[i], rows.indptr[i + 1])
+        out[i, rows.indices[span]] = rows.data[span]
+        out[i, -len(rows.solvent[i]):] = rows.solvent[i]
+    return out
+
+
+def dense_w1_gradient(grads, model: MlpModel) -> np.ndarray:
+    """The kernel's (columns, rows) w1 gradient as a (hidden, input) matrix."""
+    columns, rows = grads["w1"]
+    out = np.zeros_like(model.w1)
+    out[:, columns] = rows.T
+    return out
+
+
+def mlp_train_dense(features, labels, head, config, val_features=None, val_labels=None):
+    """Mini-batch SGD with momentum on dense rows, every update a full
+    (hidden, input) matrix; same draws, batch order and best-epoch rule
+    as scorers.mlp_train."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if val_features is None:
+        val_features, val_labels = features, labels
+    val_labels = np.asarray(val_labels, dtype=np.float64)
+    target_mean, target_std = 0.0, 1.0
+    if head is Head.LINEAR:
+        target_mean = float(labels.mean())
+        spread = float(labels.std())
+        target_std = spread if spread > 0.0 else 1.0
+        labels = (labels - target_mean) / target_std
+        val_labels = (val_labels - target_mean) / target_std
+    rng = np.random.default_rng(config.seed)
+    solvent_cols = features[:, -4:]
+    std = solvent_cols.std(axis=0)
+    model = MlpModel(
+        w1=rng.normal(0.0, config.weight_init_scale, (config.hidden_dim, features.shape[1])),
+        b1=np.zeros(config.hidden_dim),
+        w2=rng.normal(0.0, config.weight_init_scale, config.hidden_dim),
+        b2=0.0,
+        head=head,
+        norm_mean=solvent_cols.mean(axis=0),
+        norm_std=np.where(std > 0.0, std, 1.0),
+        seed=config.seed,
+    )
+    velocity = {"w1": np.zeros_like(model.w1), "b1": np.zeros_like(model.b1),
+                "w2": np.zeros_like(model.w2), "b2": 0.0}
+    best = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2)
+    best_loss, best_epoch, stale = float("inf"), 0, 0
+    train_losses, val_losses = [], []
+    n = len(features)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grads = loss_and_grads_dense(model, features[batch], labels[batch])
+            if not np.isfinite(loss):
+                raise ScorerError(f"loss diverged at epoch {epoch}")
+            epoch_loss += loss * len(batch)
+            for key in velocity:
+                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
+            model.w1 += velocity["w1"]
+            model.b1 += velocity["b1"]
+            model.w2 += velocity["w2"]
+            model.b2 += velocity["b2"]
+        train_losses.append(epoch_loss / n * target_std**2)
+        val_loss, _ = loss_and_grads_dense(model, val_features, val_labels)
+        val_losses.append(val_loss * target_std**2)
+        if val_loss < best_loss:
+            best_loss = val_loss
+            best = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2)
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    model.w1, model.b1, model.w2, model.b2 = best
+    if head is Head.LINEAR:
+        model.w2 = model.w2 * target_std
+        model.b2 = model.b2 * target_std + target_mean
+    return TrainResult(model, tuple(train_losses), tuple(val_losses), best_epoch)
+
+
+def train_value_model_dense(model, features, targets, config, rng) -> bool:
+    """Plain SGD on dense buffer rows, kept only when the full-buffer loss
+    does not rise; returns whether the update was kept."""
+    before, _ = loss_and_grads_dense(model, features, targets)
+    saved = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2)
+    n = len(features)
+    for _ in range(config.value_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.value_batch):
+            batch = order[start : start + config.value_batch]
+            _, grads = loss_and_grads_dense(model, features[batch], targets[batch])
+            model.w1 -= config.value_lr * grads["w1"]
+            model.b1 -= config.value_lr * grads["b1"]
+            model.w2 -= config.value_lr * grads["w2"]
+            model.b2 -= config.value_lr * grads["b2"]
+    after, _ = loss_and_grads_dense(model, features, targets)
+    if not np.isfinite(after) or after > before:
+        model.w1, model.b1, model.w2, model.b2 = saved
+        return False
+    return True

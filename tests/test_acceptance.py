@@ -53,7 +53,7 @@ from fluorgen.scorers import (
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
-from oracles import all_injections_matching, sp2_network_size_unionfind
+from oracles import all_injections_matching, dense_w1_gradient, sp2_network_size_unionfind
 from randmol import permute_graph, random_molecule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -284,6 +284,7 @@ def test_03_gradient_check_both_heads(report):
             else rng.normal(0.0, 1.0, 6)
         )
         _, analytic = loss_and_grads(model, features, labels)
+        analytic["w1"] = dense_w1_gradient(analytic, model)
         numeric = _finite_difference_grads(model, features, labels)
         for key in ("w1", "b1", "w2", "b2"):
             a = np.asarray(analytic[key], dtype=float)

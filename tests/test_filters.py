@@ -33,10 +33,12 @@ from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import Head, MlpModel, PropertyScorer, ScorerKind
 from fluorgen.smiles import parse_smiles
 
+from corpus import CORPUS
 from oracles import (
     distance_matrix_loop,
     novelty_loop,
     representatives_loop,
+    run_filters_loop,
     similarity_histogram_loop,
 )
 
@@ -149,6 +151,51 @@ class TestRunFilters:
         assert survivors == (ANTHRACENE, BIPHENYL)
         assert fingerprints == tuple(morgan_fingerprint(parse_smiles(s)) for s in survivors)
 
+    def test_batched_stages_match_per_molecule_oracle(self, monkeypatch):
+        """Random-weight models whose scores straddle every threshold; each
+        model stage scores its distinct survivors in 64-row blocks."""
+        from fluorgen import scorers as scorers_module
+
+        rng = np.random.default_rng(21)
+
+        def random_model(head, bias, scale):
+            return MlpModel(
+                w1=rng.normal(0, 0.3, (8, FEATURE_DIM)),
+                b1=rng.normal(0, 0.1, 8),
+                w2=rng.normal(0, scale, 8),
+                b2=bias,
+                head=head,
+                norm_mean=np.zeros(4),
+                norm_std=np.ones(4),
+            )
+
+        models = {
+            ScorerKind.PLQY_PROB: random_model(Head.SIGMOID, 0.5, 2.0),
+            ScorerKind.ABS_NM: random_model(Head.LINEAR, 500.0, 150.0),
+            ScorerKind.EM_NM: random_model(Head.LINEAR, 650.0, 150.0),
+        }
+        scorers = {kind: PropertyScorer(kind, model) for kind, model in models.items()}
+        scorers[ScorerKind.SP2_SIZE] = PropertyScorer(ScorerKind.SP2_SIZE)
+        molecules = list(CORPUS) * 2  # duplicates are scored once
+        thresholds = FilterThresholds(sp2_min=6)
+        calls = []
+        original = scorers_module.forward_batch
+
+        def counting(model, features):
+            calls.append(len(features))
+            return original(model, features)
+
+        monkeypatch.setattr(scorers_module, "forward_batch", counting)
+        survivors, report, _ = run_filters(molecules, scorers, WATER, thresholds)
+        monkeypatch.undo()
+        assert survivors == run_filters_loop(molecules, scorers, WATER, thresholds)
+        assert 0 < len(survivors) < report.remaining[0]
+        assert all(rejected > 0 for rejected in report.rejected)
+        # each model stage makes ceil(distinct entrants / 64) calls
+        assert len(set(CORPUS)) == len(CORPUS)
+        assert max(calls) <= 64
+        assert len(calls) == sum(-(-(entrants // 2) // 64) for entrants in report.remaining[:3])
+
     def test_report_rejects_inconsistent_counts(self):
         with pytest.raises(FilterError):
             FilterReport(
@@ -222,9 +269,11 @@ class TestClustering:
                 distance_matrix_loop(fingerprints).tobytes()
             )
             assignment = cluster_tanimoto(fingerprints, k=min(4, n), seed=0)
-            assert cluster_similarity_histogram(assignment, fingerprints) == (
-                similarity_histogram_loop(assignment.labels, fingerprints)
-            )
+            histogram = cluster_similarity_histogram(assignment, fingerprints)
+            oracle = similarity_histogram_loop(assignment.labels, fingerprints)
+            for got, want in zip(histogram, oracle, strict=True):
+                assert got.dtype == np.float64 and got.shape == (len(want),)
+                assert got.tolist() == list(want)
             assert select_representatives(assignment, fingerprints) == representatives_loop(
                 assignment.labels, assignment.medoids, fingerprints
             )
@@ -253,7 +302,7 @@ class TestSimilarityHistogram:
         assignment = cluster_tanimoto(fingerprints, k=1, seed=0)
         intra, inter = cluster_similarity_histogram(assignment, fingerprints)
         n = len(fingerprints)
-        assert inter == ()
+        assert inter.shape == (0,)
         assert len(intra) == n * (n - 1) // 2
 
     def test_pair_count_is_complete(self):
@@ -380,6 +429,22 @@ class TestWriters:
         assert path.read_text(encoding="utf-8") == "".join(want)
         exponents = {"inter\t1e-05\n", "inter\t2.5e-07\n", "inter\t1.23457e+08\n"}
         assert exponents | {"inter\t1\n", "inter\t0\n"} <= set(want)
+
+    def test_histogram_file_across_chunks(self, tmp_path, monkeypatch):
+        """Chunks of 7 values, arrays and tuples alike: the same bytes as
+        one row formatted per value."""
+        from fluorgen import filters
+
+        monkeypatch.setattr(filters, "HISTOGRAM_CHUNK", 7)
+        rng = random.Random(9)
+        intra = np.array([rng.choice([0.0, 1.0, 0.5, 1 / 3, 2.5e-07]) for _ in range(50)])
+        inter = tuple(rng.random() for _ in range(23)) + tuple(intra[:14])
+        path = tmp_path / "hist.tsv"
+        write_similarity_histogram(intra, inter, path)
+        want = ["kind\tsimilarity\n"]
+        want += [f"intra\t{format(float(value), '.6g')}\n" for value in intra]
+        want += [f"inter\t{format(float(value), '.6g')}\n" for value in inter]
+        assert path.read_text(encoding="utf-8") == "".join(want)
 
     def test_empty_histogram_file(self, tmp_path):
         path = tmp_path / "hist.tsv"

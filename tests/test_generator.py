@@ -3,6 +3,7 @@ adaptive controllers, and end-to-end generation runs."""
 
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
     Fingerprint,
+    SolventFeatures,
     WATER,
     build_feature_vector,
     morgan_fingerprint,
@@ -30,6 +32,7 @@ from fluorgen.generator import (
     SCORE_BLOCK_ROWS,
     format_route,
     generate,
+    node_bits,
     node_features,
     node_outputs,
     parse_route,
@@ -52,11 +55,12 @@ from fluorgen.scorers import (
     MlpModel,
     PropertyScorer,
     ScorerKind,
+    SparseRows,
     loss_and_grads,
 )
 from fluorgen.smiles import parse_smiles
 
-from oracles import node_value_loop
+from oracles import node_value_loop, sparse_rows_to_dense, train_value_model_dense
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -354,10 +358,11 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buffer = ReplayBuffer(capacity=3)
         for k in range(4):
-            buffer.append(np.full(3, float(k)), (float(k), 0.0, 0.0, 0.0))
+            buffer.append(np.array([k, 10 + k]), WATER, (float(k), 0.0, 0.0, 0.0))
         assert len(buffer) == 3
-        features, targets = buffer.arrays()
-        assert list(features[:, 0]) == [1.0, 2.0, 3.0]
+        rows, targets = buffer.rows()
+        assert rows.indices.tolist() == [1, 11, 2, 12, 3, 13]
+        assert rows.indptr.tolist() == [0, 2, 4, 6]
         assert list(targets[:, 0]) == [1.0, 2.0, 3.0]
 
     def test_bad_inputs_rejected(self):
@@ -365,7 +370,51 @@ class TestReplayBuffer:
             ReplayBuffer(capacity=0)
         buffer = ReplayBuffer(capacity=2)
         with pytest.raises(GeneratorError):
-            buffer.append(np.zeros(3), (1.0, 2.0))
+            buffer.append(np.zeros(3), WATER, (1.0, 2.0))
+
+
+class TestSparseReplayBuffer:
+    @staticmethod
+    def random_nodes(library, n, seed):
+        rng = random.Random(seed)
+        blocks = library.blocks
+        return [[b.fingerprint for b in rng.sample(blocks, rng.randint(1, 3))] for _ in range(n)]
+
+    def test_rows_rebuild_node_features(self, library):
+        """Past capacity too: the kept rows are the newest, each equal to
+        its node_features row."""
+        nodes = self.random_nodes(library, 300, seed=1)
+        solvents = [SolventFeatures(0.1 * k, 0.5, -0.25 * k, 0.0) for k in range(len(nodes))]
+        buffer = ReplayBuffer(capacity=250)
+        for k, (fps, solvent) in enumerate(zip(nodes, solvents)):
+            buffer.append(node_bits(fps), solvent, (float(k), 0.0, 0.0, 1.0))
+        rows, targets = buffer.rows()
+        assert len(rows) == len(buffer) == 250
+        want = np.array([node_features(fps, sol) for fps, sol in zip(nodes[50:], solvents[50:])])
+        assert np.array_equal(sparse_rows_to_dense(rows), want)
+        assert targets[:, 0].tolist() == [float(k) for k in range(50, 300)]
+        assert rows.width == FEATURE_DIM and np.all(rows.data == 1.0)
+
+    def test_empty_buffer_has_no_rows(self):
+        rows, targets = ReplayBuffer(capacity=4).rows()
+        assert len(rows) == 0 and targets.shape == (0, 4)
+
+    def test_full_buffer_is_ten_times_smaller_than_dense(self, library):
+        capacity = 2_000
+        nodes = self.random_nodes(library, capacity, seed=3)
+        scores = (0.5, 0.25, 0.75, 1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            buffer = ReplayBuffer(capacity)
+            for fps in nodes:
+                buffer.append(node_bits(fps), WATER, scores)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(buffer) == capacity
+        dense = capacity * FEATURE_DIM * np.dtype(np.float64).itemsize
+        assert held * 10 <= dense, (held, dense)
 
 
 class TestValueTraining:
@@ -412,12 +461,46 @@ class TestValueTraining:
         assert after <= before
         assert np.array_equal(model.w2, saved_w2)
 
+    @pytest.mark.parametrize(
+        "seed, epochs, lr, batch",
+        [(2, 8, 0.05, 32), (3, 1, 1e8, 32), (4, 4, 0.5, 7), (5, 2, 3.0, 200), (6, 4, 0.05, 1)],
+    )
+    def test_matches_dense_oracle(self, seed, epochs, lr, batch):
+        model = self.make_model(seed=seed)
+        oracle = self.make_model(seed=seed)
+        features, targets = self.make_data(n=120, seed=seed)
+        config = GenerationConfig(value_epochs=epochs, value_lr=lr, value_batch=batch)
+        saved_w2 = model.w2.copy()
+        with np.errstate(all="ignore"):
+            train_value_model(
+                model, SparseRows.from_dense(features), targets, config, np.random.default_rng(seed)
+            )
+            kept = train_value_model_dense(
+                oracle, features, targets, config, np.random.default_rng(seed)
+            )
+        assert (not np.array_equal(model.w2, saved_w2)) == kept
+        for key in ("w1", "b1", "w2"):
+            np.testing.assert_allclose(getattr(model, key), getattr(oracle, key), rtol=1e-12, atol=1e-12)
+        assert model.b2 == pytest.approx(oracle.b2, rel=1e-12, abs=1e-12)
+        assert model.w1.flags.c_contiguous
+
+    def test_kept_and_reverted_both_occur_in_oracle_cases(self):
+        outcomes = set()
+        for seed, epochs, lr in ((2, 8, 0.05), (3, 1, 1e8)):
+            features, targets = self.make_data(n=120, seed=seed)
+            config = GenerationConfig(value_epochs=epochs, value_lr=lr)
+            with np.errstate(all="ignore"):
+                outcomes.add(train_value_model_dense(
+                    self.make_model(seed=seed), features, targets, config, np.random.default_rng(seed)
+                ))
+        assert outcomes == {True, False}
+
     def test_block_outputs_follow_kept_update(self, library, templates):
         engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
         stale = engine.block_outputs.copy()
         saved_w2 = [model.w2.copy() for model in engine.value_models]
         for block in library.blocks:
-            engine.buffer.append(node_features([block.fingerprint], WATER), (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(node_bits([block.fingerprint]), WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         assert all(
             not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
@@ -442,7 +525,7 @@ class TestValueTraining:
 
         monkeypatch.setattr(generator, "node_outputs", counting)
         for block in library.blocks:
-            engine.buffer.append(node_features([block.fingerprint], WATER), (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(node_bits([block.fingerprint]), WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         engine._train_values()
         assert scored == []

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -20,6 +22,7 @@ from fluorgen.scorers import (
     PropertyScorer,
     ScorerError,
     ScorerKind,
+    SparseRows,
     TrainConfig,
     forward_batch,
     load_model,
@@ -29,9 +32,17 @@ from fluorgen.scorers import (
     roc_auc,
     run_cv,
     save_model,
+    score_fingerprints,
     score_property,
 )
 from fluorgen.smiles import parse_smiles
+
+from oracles import (
+    dense_w1_gradient,
+    loss_and_grads_dense,
+    mlp_train_dense,
+    sparse_rows_to_dense,
+)
 
 
 
@@ -151,6 +162,7 @@ class TestGradients:
             else np.array([0.2, -1.0, 0.7, 2.0, 0.0])
         )
         _, analytic = loss_and_grads(model, features, labels)
+        analytic["w1"] = dense_w1_gradient(analytic, model)
         numeric = self.finite_difference(model, features, labels)
         for key in ("w1", "b1", "w2", "b2"):
             a = np.asarray(analytic[key], dtype=float)
@@ -163,6 +175,7 @@ class TestGradients:
         features = random_batch(20, 6, seed=6)
         labels = np.linspace(-1, 1, 20)
         loss0, grads = loss_and_grads(model, features, labels)
+        grads["w1"] = dense_w1_gradient(grads, model)
         for key, grad in grads.items():
             current = getattr(model, key)
             setattr(model, key, current - 0.01 * grad)
@@ -289,6 +302,27 @@ class TestMetrics:
 
 
 class TestPropertyScorers:
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
+    def test_score_fingerprints_matches_score_property(self, n):
+        from fluorgen.fingerprints import Fingerprint
+
+        rng = np.random.default_rng(n)
+        model = make_model(input_dim=FEATURE_DIM, hidden=6, head=Head.LINEAR, seed=n, scale=0.3)
+        scorer = PropertyScorer(kind=ScorerKind.ABS_NM, model=model)
+        solvent = SolventFeatures(0.7, 0.5, 0.2, 0.1)
+        fps = [
+            Fingerprint(int(sum(1 << int(b) for b in rng.choice(2048, 40, replace=False))))
+            for _ in range(n)
+        ]
+        got = score_fingerprints(scorer, fps, solvent)
+        assert got.shape == (n,)
+        want = [score_property(scorer, None, fp, solvent) for fp in fps]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_score_fingerprints_rejects_graph_scorer(self):
+        with pytest.raises(ScorerError, match="graph"):
+            score_fingerprints(PropertyScorer(kind=ScorerKind.SP2_SIZE), [], WATER)
+
     def test_sp2_size_scorer(self):
         scorer = PropertyScorer(kind=ScorerKind.SP2_SIZE)
         benzene = parse_smiles("c1ccccc1")
@@ -376,3 +410,103 @@ class TestCrossValidation:
         assert lines[0] == "task\tplqy_class"
         assert lines[-1].startswith("summary\t")
         assert len(lines) == 13
+
+
+@st.composite
+def sparse_problems(draw):
+    """A model and a batch whose rows include empty leading blocks and
+    all-zero solvent values."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(SOLVENT_DIM + 1, 40))
+    hidden = draw(st.integers(1, 7))
+    head = draw(st.sampled_from([Head.SIGMOID, Head.LINEAR]))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    features = np.where(rng.random((n, width)) < density, 1.0, 0.0)
+    if draw(st.booleans()):
+        features *= rng.normal(0, 2, (n, width))  # values other than 1
+    features[:, -SOLVENT_DIM:] = rng.normal(0.5, 0.3, (n, SOLVENT_DIM))
+    features[rng.random(n) < 0.3, :-SOLVENT_DIM] = 0.0
+    features[rng.random(n) < 0.3, -SOLVENT_DIM:] = 0.0
+    model = make_model(input_dim=width, hidden=hidden, head=head, seed=seed % 1000)
+    model.norm_mean[:] = rng.normal(0, 0.2, SOLVENT_DIM)
+    model.norm_std[:] = rng.uniform(0.5, 2.0, SOLVENT_DIM)
+    labels = (
+        (rng.random(n) < 0.5).astype(float) if head is Head.SIGMOID else rng.normal(0, 1, n)
+    )
+    return model, features, labels
+
+
+class TestSparseKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_problems())
+    def test_matches_dense_oracle(self, problem):
+        model, features, labels = problem
+        loss, grads = loss_and_grads(model, SparseRows.from_dense(features), labels)
+        want_loss, want = loss_and_grads_dense(model, features, labels)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        columns, _ = grads["w1"]
+        assert np.all(np.diff(columns) > 0)
+        touched = np.flatnonzero(np.any(features != 0.0, axis=0)[:-SOLVENT_DIM])
+        assert columns.tolist() == touched.tolist() + list(
+            range(model.input_dim - SOLVENT_DIM, model.input_dim)
+        )
+        np.testing.assert_allclose(dense_w1_gradient(grads, model), want["w1"], rtol=0, atol=1e-12)
+        for key in ("b1", "w2"):
+            np.testing.assert_allclose(grads[key], want[key], rtol=0, atol=1e-12)
+        assert grads["b2"] == pytest.approx(want["b2"], rel=0, abs=1e-12)
+        full, none = loss_and_grads(model, features, labels, grads=False)
+        assert none is None
+        assert full == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_problems(), st.data())
+    def test_rows_round_trip(self, problem, data):
+        _, features, _ = problem
+        rows = SparseRows.from_dense(features)
+        assert np.array_equal(sparse_rows_to_dense(rows), features)
+        order = data.draw(st.permutations(range(len(features))))
+        taken = rows.take(order)
+        assert np.array_equal(sparse_rows_to_dense(taken), features[order])
+        start = data.draw(st.integers(0, len(features)))
+        stop = data.draw(st.integers(start, len(features) + 3))
+        assert np.array_equal(
+            sparse_rows_to_dense(taken.slice(start, stop)), features[order][start:stop]
+        )
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ScorerError, match="wide rows"):
+            loss_and_grads(make_model(input_dim=6), np.ones((2, 7)), np.zeros(2))
+
+    def test_trainer_matches_dense_oracle_on_train_csv(self, tmp_path, monkeypatch):
+        """Every fold of the benchmark's seed-1 train CSV, as cmd_train
+        splits it: weights to 1e-12, same best epoch and epoch count,
+        loss sequences to 1e-12 relative."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+
+        from fluorgen.dataset import curate_task, ingest_chemfluor, record_fingerprints, split_cv
+
+        inputs.build_train(1, str(tmp_path))
+        records = ingest_chemfluor(str(tmp_path / "chemfluor.csv")).records
+        fingerprints = record_fingerprints(records)
+        config = TrainConfig(epochs=20, hidden_dim=64, patience=20, batch_size=32)
+        for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
+            dataset = curate_task(records, task, fingerprints)
+            head = Head.SIGMOID if task is Task.PLQY_CLASS else Head.LINEAR
+            for split in split_cv(len(dataset), folds=3, seed=0):
+                train, val = np.array(split.train), np.array(split.val)
+                args = (dataset.features[train], dataset.labels[train], head, config)
+                kwargs = {"val_features": dataset.features[val], "val_labels": dataset.labels[val]}
+                got = mlp_train(*args, **kwargs)
+                want = mlp_train_dense(*args, **kwargs)
+                assert got.best_epoch == want.best_epoch
+                np.testing.assert_allclose(got.train_losses, want.train_losses, rtol=1e-12)
+                np.testing.assert_allclose(got.val_losses, want.val_losses, rtol=1e-12)
+                for key in ("w1", "b1", "w2", "norm_mean", "norm_std"):
+                    np.testing.assert_allclose(
+                        getattr(got.model, key), getattr(want.model, key), rtol=1e-12, atol=1e-12
+                    )
+                assert got.model.b2 == pytest.approx(want.model.b2, rel=1e-12, abs=1e-12)
+                assert got.model.w1.flags.c_contiguous
