@@ -191,7 +191,6 @@ def cmd_train(config: RunConfig, column_map) -> int:
                 config.train,
                 folds=config.cv.folds,
                 split_seed=config.cv.split_seed,
-                collect_models=True,
             )
         except (DatasetError, ScorerError) as exc:
             raise type(exc)(f"{task.value}: {exc}") from exc

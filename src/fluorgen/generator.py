@@ -39,16 +39,15 @@ from fluorgen.reactions import (
     apply_reaction,
 )
 from fluorgen.scorers import (
-    SCORE_BLOCK_ROWS,
     Head,
     MlpModel,
     PropertyScorer,
     ScorerKind,
     SparseRows,
     as_sparse_rows,
-    forward_batch,
     loss_and_grads,
     score_property,
+    score_rows,
 )
 
 PROPERTY_ORDER = (
@@ -230,17 +229,10 @@ def node_bits(fingerprints) -> np.ndarray:
 
 def node_outputs(nodes, models, solvent: SolventFeatures) -> np.ndarray:
     """(len(nodes), len(models)) value-net outputs. Each node is a list of
-    Fingerprints; its node_features row is scored with the rows next to it,
-    SCORE_BLOCK_ROWS rows per forward_batch call."""
-    out = np.empty((len(nodes), len(models)))
-    rows = np.empty((min(len(nodes), SCORE_BLOCK_ROWS), FEATURE_DIM))
-    for start in range(0, len(nodes), SCORE_BLOCK_ROWS):
-        block = nodes[start : start + SCORE_BLOCK_ROWS]
-        for i, fps in enumerate(block):
-            rows[i] = node_features(fps, solvent)
-        for k, model in enumerate(models):
-            out[start : start + len(block), k] = forward_batch(model, rows[: len(block)])
-    return out
+    Fingerprints; its node_features row is scored with the rows next to it
+    through score_rows."""
+    rows = (node_features(fps, solvent) for fps in nodes)
+    return score_rows(models, rows, len(nodes))
 
 
 def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
@@ -526,8 +518,6 @@ class Generator:
                 if not has_match(template.roles[role], product):
                     continue
                 others = [k for k in range(template.arity) if k != role]
-                if any(not self.index.compatible_blocks(template.id, k) for k in others):
-                    continue
                 if not others:
                     out.append((template, role, None))
                     continue

@@ -11,16 +11,27 @@ closures mirror SMILES structure.
 
 Matching enumerates injective subgraph monomorphisms: query edges must
 exist in the target with a satisfying order, extra target bonds are fine.
+Each query's search plan (visit order, node tests, bonds back to earlier
+nodes) is built once, when the query is made, and every match reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from fluorgen.molgraph import SUPPORTED_ELEMENTS, BondOrder, MolecularGraph
 
 _AROMATIC_LETTERS = {"b": "B", "c": "C", "n": "N", "o": "O", "p": "P", "s": "S"}
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
+# bond kind -> target bond orders it accepts
+_KIND_ORDERS = {
+    "single": (BondOrder.SINGLE,),
+    "double": (BondOrder.DOUBLE,),
+    "triple": (BondOrder.TRIPLE,),
+    "aromatic": (BondOrder.AROMATIC,),
+    "default": (BondOrder.SINGLE, BondOrder.AROMATIC),
+    "any": tuple(BondOrder),
+}
 
 
 class PatternError(ValueError):
@@ -47,12 +58,8 @@ class AtomPattern:
 
     def matches(self, graph: MolecularGraph, index: int) -> bool:
         atom = graph.atoms[index]
-        if self.elements is not None:
-            if not any(
-                atom.element == el and atom.aromatic == arom
-                for el, arom in self.elements
-            ):
-                return False
+        if self.elements is not None and (atom.element, atom.aromatic) not in self.elements:
+            return False
         if self.degree is not None and graph.degree(index) != self.degree:
             return False
         if self.h_count is not None and graph.total_h(index) != self.h_count:
@@ -71,44 +78,48 @@ class BondPattern:
     kind: str  # single | double | triple | aromatic | any | default
 
     def matches(self, order: BondOrder) -> bool:
-        if self.kind == "any":
-            return True
-        if self.kind == "default":
-            return order in (BondOrder.SINGLE, BondOrder.AROMATIC)
-        return {
-            "single": BondOrder.SINGLE,
-            "double": BondOrder.DOUBLE,
-            "triple": BondOrder.TRIPLE,
-            "aromatic": BondOrder.AROMATIC,
-        }[self.kind] is order
+        return order in _KIND_ORDERS[self.kind]
+
+
+PlanStep = tuple[int, AtomPattern, tuple[tuple[int, BondPattern], ...]]
 
 
 @dataclass(frozen=True)
 class PatternQuery:
-    """Connected query graph; node count >= 1."""
+    """Connected query graph; node count >= 1.
+
+    ``plan`` is the search order, a BFS from node 0 that takes neighbours
+    in bond order, so every node after the first touches an earlier one.
+    Step k holds the query node, its AtomPattern and its (earlier
+    neighbour, BondPattern) pairs in bond order.
+    """
 
     text: str
     atoms: tuple[AtomPattern, ...]
     bonds: tuple[BondPattern, ...]
+    plan: tuple[PlanStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise PatternError("pattern has no atoms", 0)
-        # Connectivity check over the query graph.
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, list[int]] = {}
+        adj: list[list[tuple[int, BondPattern]]] = [[] for _ in self.atoms]
         for bond in self.bonds:
-            adj.setdefault(bond.a1, []).append(bond.a2)
-            adj.setdefault(bond.a2, []).append(bond.a1)
-        while frontier:
-            node = frontier.pop()
-            for nbr in adj.get(node, []):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        if len(seen) != len(self.atoms):
+            adj[bond.a1].append((bond.a2, bond))
+            adj[bond.a2].append((bond.a1, bond))
+        order = [0]
+        position = {0: 0}
+        for node in order:  # the list grows as the BFS reaches new nodes
+            for nbr, _ in adj[node]:
+                if nbr not in position:
+                    position[nbr] = len(order)
+                    order.append(nbr)
+        if len(order) != len(self.atoms):
             raise PatternError("pattern must be connected", 0)
+        plan = tuple(
+            (q, self.atoms[q], tuple((nbr, bond) for nbr, bond in adj[q] if position[nbr] < pos))
+            for pos, q in enumerate(order)
+        )
+        object.__setattr__(self, "plan", plan)
 
 
 def parse_pattern(text: str) -> PatternQuery:
@@ -296,56 +307,34 @@ def match_pattern(
     Results are sorted; passing ``limit`` stops the search early once that
     many mappings exist (used for cheap any-match checks).
     """
-    n_query = len(query.atoms)
-    adj: dict[int, list[tuple[int, BondPattern]]] = {k: [] for k in range(n_query)}
-    for bond in query.bonds:
-        adj[bond.a1].append((bond.a2, bond))
-        adj[bond.a2].append((bond.a1, bond))
-
-    # Visit order: BFS from node 0 so every later node touches a mapped one.
-    order = [0]
-    seen = {0}
-    queue = [0]
-    while queue:
-        node = queue.pop(0)
-        for nbr, _ in adj[node]:
-            if nbr not in seen:
-                seen.add(nbr)
-                order.append(nbr)
-                queue.append(nbr)
-
+    plan = query.plan
+    n_query = len(plan)
     results: list[tuple[int, ...]] = []
-    mapping: dict[int, int] = {}
+    mapping = [0] * n_query  # target atom of each query node mapped so far
     used: set[int] = set()
 
     def backtrack(pos: int) -> bool:
         if pos == n_query:
-            results.append(tuple(mapping[k] for k in range(n_query)))
+            results.append(tuple(mapping))
             return limit is not None and len(results) >= limit
-        q = order[pos]
-        mapped_nbrs = [(nbr, bond) for nbr, bond in adj[q] if nbr in mapping]
+        q, atom, mapped_nbrs = plan[pos]
         if mapped_nbrs:
-            anchor, _ = mapped_nbrs[0]
-            candidates = sorted(j for j, _ in graph.neighbors(mapping[anchor]))
+            candidates = sorted(j for j, _ in graph.neighbors(mapping[mapped_nbrs[0][0]]))
         else:
             candidates = range(len(graph))
         for j in candidates:
-            if j in used or not query.atoms[q].matches(graph, j):
+            if j in used or not atom.matches(graph, j):
                 continue
-            ok = True
             for nbr, bond in mapped_nbrs:
                 target_bond = graph.bond_between(j, mapping[nbr])
                 if target_bond is None or not bond.matches(target_bond.order):
-                    ok = False
                     break
-            if not ok:
-                continue
-            mapping[q] = j
-            used.add(j)
-            if backtrack(pos + 1):
-                return True
-            del mapping[q]
-            used.remove(j)
+            else:
+                mapping[q] = j
+                used.add(j)
+                if backtrack(pos + 1):
+                    return True
+                used.remove(j)
         return False
 
     backtrack(0)

@@ -376,32 +376,27 @@ def _parse_edit(fields: list[str], lineno: int, path: str) -> EditOp:
 
 
 class CompatibilityIndex:
-    """Lazy per-(template, role) cache of matching building-block ids."""
+    """Per-(template, role) table of matching building-block ids, in
+    library order, filled when the index is built."""
 
     def __init__(self, library: BlockLibrary, templates: tuple[ReactionTemplate, ...]):
-        self.library = library
         self.templates = {t.id: t for t in templates}
-        self._cache: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._table: dict[tuple[str, int], tuple[str, ...]] = {
+            (template.id, role): tuple(
+                block.id for block in library.blocks if has_match(pattern, block.graph)
+            )
+            for template in self.templates.values()
+            for role, pattern in enumerate(template.roles)
+        }
 
     def compatible_blocks(self, template_id: str, role: int) -> tuple[str, ...]:
-        key = (template_id, role)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        template = self.templates[template_id]
-        pattern = template.roles[role]
-        found = tuple(
-            block.id for block in self.library.blocks if has_match(pattern, block.graph)
-        )
-        self._cache[key] = found
-        return found
+        return self._table[(template_id, role)]
 
     def viable_templates(self) -> tuple[str, ...]:
-        """Templates whose every role has at least one compatible block."""
-        out = []
-        for tid, template in self.templates.items():
-            if all(
-                self.compatible_blocks(tid, role) for role in range(template.arity)
-            ):
-                out.append(tid)
-        return tuple(out)
+        """Templates whose every role has at least one compatible block,
+        in file order."""
+        return tuple(
+            tid
+            for tid, template in self.templates.items()
+            if all(self._table[(tid, role)] for role in range(template.arity))
+        )

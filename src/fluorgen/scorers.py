@@ -445,21 +445,30 @@ def score_property(
     return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
 
 
+def score_rows(models, rows, n_rows: int) -> np.ndarray:
+    """(n_rows, len(models)) outputs for n_rows feature rows drawn from an
+    iterable. Rows are copied SCORE_BLOCK_ROWS at a time into one reused
+    block, and each block is scored with one forward_batch call per model,
+    so no (n_rows, 2052) matrix is held."""
+    out = np.empty((n_rows, len(models)))
+    block = np.empty((min(n_rows, SCORE_BLOCK_ROWS), FEATURE_DIM))
+    rows = iter(rows)
+    for start in range(0, n_rows, SCORE_BLOCK_ROWS):
+        count = min(SCORE_BLOCK_ROWS, n_rows - start)
+        for i in range(count):
+            block[i] = next(rows)
+        for k, model in enumerate(models):
+            out[start : start + count, k] = forward_batch(model, block[:count])
+    return out
+
+
 def score_fingerprints(scorer: PropertyScorer, fingerprints, solvent) -> np.ndarray:
     """score_property of a model-backed scorer for a list of fingerprints in
-    one solvent. Feature rows are built SCORE_BLOCK_ROWS at a time into one
-    reused block and scored with one forward_batch call per block, so no
-    (n, 2052) matrix is held."""
+    one solvent, scored through score_rows."""
     if scorer.model is None:
         raise ScorerError(f"{scorer.kind.value} is scored from the graph, not a fingerprint")
-    out = np.empty(len(fingerprints))
-    rows = np.empty((min(len(fingerprints), SCORE_BLOCK_ROWS), FEATURE_DIM))
-    for start in range(0, len(fingerprints), SCORE_BLOCK_ROWS):
-        block = fingerprints[start : start + SCORE_BLOCK_ROWS]
-        for i, fp in enumerate(block):
-            rows[i] = build_feature_vector(fp, solvent)
-        out[start : start + len(block)] = forward_batch(scorer.model, rows[: len(block)])
-    return out
+    rows = (build_feature_vector(fp, solvent) for fp in fingerprints)
+    return score_rows([scorer.model], rows, len(fingerprints))[:, 0]
 
 
 def save_model(model: MlpModel, path: str):
@@ -523,11 +532,10 @@ class CvReport:
             handle.write(f"summary\t{self.summary()}\n")
 
 
-def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0,
-           collect_models: bool = False):
+def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0):
     """Train on every fold of a TaskDataset; AUC for the classification
-    task, MAE for the regression tasks, reported per fold. With
-    collect_models, also return the per-fold models in fold order."""
+    task, MAE for the regression tasks, reported per fold. Returns the
+    report and the per-fold models in fold order."""
     from fluorgen.dataset import Task, split_cv
 
     head = Head.SIGMOID if dataset.task is Task.PLQY_CLASS else Head.LINEAR
@@ -559,6 +567,4 @@ def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0,
         metric_name=metric_name,
         fold_metrics=tuple(metrics),
     )
-    if collect_models:
-        return report, tuple(models)
-    return report
+    return report, tuple(models)

@@ -346,6 +346,76 @@ def all_injections_matching(predicate_ok, query_edges, n_query: int, graph: Mole
     return sorted(results)
 
 
+def match_pattern_per_call(query, graph: MolecularGraph, limit: int | None = None):
+    """Pattern matcher that rebuilds its search plan on every call.
+
+    The query's adjacency lists and its BFS visit order from node 0 are
+    derived from ``query.bonds`` here instead of read from ``query.plan``;
+    the backtracking is the same, so results and the early stop at
+    ``limit`` must agree with patterns.match_pattern exactly.
+    """
+    n_query = len(query.atoms)
+    adj = {k: [] for k in range(n_query)}
+    for bond in query.bonds:
+        adj[bond.a1].append((bond.a2, bond))
+        adj[bond.a2].append((bond.a1, bond))
+    order = [0]
+    queue = [0]
+    while queue:
+        node = queue.pop(0)
+        for nbr, _ in adj[node]:
+            if nbr not in order:
+                order.append(nbr)
+                queue.append(nbr)
+
+    results = []
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(pos: int) -> bool:
+        if pos == n_query:
+            results.append(tuple(mapping[k] for k in range(n_query)))
+            return limit is not None and len(results) >= limit
+        q = order[pos]
+        mapped_nbrs = [(nbr, bond) for nbr, bond in adj[q] if nbr in mapping]
+        if mapped_nbrs:
+            candidates = sorted(j for j, _ in graph.neighbors(mapping[mapped_nbrs[0][0]]))
+        else:
+            candidates = range(len(graph))
+        for j in candidates:
+            if j in used or not query.atoms[q].matches(graph, j):
+                continue
+            if all(
+                (target := graph.bond_between(j, mapping[nbr])) is not None
+                and bond.matches(target.order)
+                for nbr, bond in mapped_nbrs
+            ):
+                mapping[q] = j
+                used.add(j)
+                if backtrack(pos + 1):
+                    return True
+                del mapping[q]
+                used.remove(j)
+        return False
+
+    backtrack(0)
+    return sorted(results)
+
+
+def compatibility_table(library, templates) -> dict[tuple[str, int], tuple[str, ...]]:
+    """(template id, role) -> ids of the blocks the role matches, in library
+    order: every role tried against every block with the per-call matcher."""
+    return {
+        (template.id, role): tuple(
+            block.id
+            for block in library.blocks
+            if match_pattern_per_call(pattern, block.graph, limit=1)
+        )
+        for template in templates
+        for role, pattern in enumerate(template.roles)
+    }
+
+
 def canonical_smiles_exhaustive(graph: MolecularGraph) -> str:
     """Canonical SMILES oracle: the individualization-refinement tree
     explored in full, one emitted string per leaf, no pruning and no leaf

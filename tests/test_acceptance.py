@@ -326,7 +326,7 @@ def test_04_chemfluor_cross_validation(report):
     means = {}
     for task in Task:
         dataset = curate_task(ingested.records, task)
-        cv = run_cv(dataset, config, folds=10, split_seed=0)
+        cv, _ = run_cv(dataset, config, folds=10, split_seed=0)
         means[task] = cv.mean
     seconds = time.perf_counter() - start
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluorgen import generator
+from fluorgen import scorers as scorers_module
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
@@ -29,7 +30,6 @@ from fluorgen.generator import (
     GeneratorError,
     ReplayBuffer,
     RouteStep,
-    SCORE_BLOCK_ROWS,
     format_route,
     generate,
     node_bits,
@@ -49,8 +49,15 @@ from fluorgen.generator import (
     write_reaction_usage,
     write_run_log,
 )
-from fluorgen.reactions import ingest_building_blocks, ingest_reaction_templates
+from fluorgen.patterns import parse_pattern
+from fluorgen.reactions import (
+    ReactionTemplate,
+    apply_reaction,
+    ingest_building_blocks,
+    ingest_reaction_templates,
+)
 from fluorgen.scorers import (
+    SCORE_BLOCK_ROWS,
     Head,
     MlpModel,
     PropertyScorer,
@@ -198,13 +205,13 @@ class TestNodeValue:
     @pytest.mark.parametrize("n_nodes", [1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 200])
     def test_scored_in_blocks(self, n_nodes, monkeypatch):
         rows = []
-        original = generator.forward_batch
+        original = scorers_module.forward_batch
 
         def counting(model, features):
             rows.append(len(features))
             return original(model, features)
 
-        monkeypatch.setattr(generator, "forward_batch", counting)
+        monkeypatch.setattr(scorers_module, "forward_batch", counting)
         models = random_value_models(np.random.default_rng(n_nodes))
         node_outputs([[Fingerprint(bits=1 << k)] for k in range(n_nodes)], models, WATER)
         blocks = -(-n_nodes // SCORE_BLOCK_ROWS)
@@ -631,6 +638,19 @@ role 0 [C;H4]
 edit remove_bond 0.0 0.0
 end
 """
+
+
+class TestContinuations:
+    def test_unary_template_offered_without_compatible_blocks(self, library, templates):
+        # the unary role matches no block, so the template is not viable,
+        # but a product that matches it may still react through it
+        amide = next(t for t in templates if t.id == "amide")
+        tag = ReactionTemplate("amide_tag", 1, (parse_pattern("O=C[N;H1]"),), ())
+        engine = Generator(library, (amide, tag), const_scorers(), WATER, GenerationConfig())
+        assert engine.viable == {"amide"}
+        reactants = [library.by_id(b).graph for b in ("benzoic_acid", "aniline")]
+        (product,) = apply_reaction(amide, reactants).products
+        assert engine._continuations(product) == [(tag, 0, None)]
 
 
 class TestDegenerateRuns:

@@ -9,7 +9,7 @@ from fluorgen.patterns import (
 )
 from fluorgen.smiles import parse_smiles
 
-from oracles import all_injections_matching
+from oracles import all_injections_matching, match_pattern_per_call
 from randmol import random_molecule
 
 
@@ -69,14 +69,17 @@ class TestParsing:
             parse_pattern("[C;X7]")
 
     def test_disconnected_rejected(self):
-        from fluorgen.patterns import AtomPattern, PatternQuery
+        from fluorgen.patterns import AtomPattern, BondPattern, PatternQuery
 
-        with pytest.raises(PatternError, match="connected"):
-            PatternQuery(
-                text="",
-                atoms=(AtomPattern(), AtomPattern()),
-                bonds=(),
-            )
+        for bonds in [(), ((0, 1),), ((1, 2),)]:
+            with pytest.raises(PatternError) as caught:
+                PatternQuery(
+                    text="",
+                    atoms=(AtomPattern(), AtomPattern(), AtomPattern()),
+                    bonds=tuple(BondPattern(a, b, "default") for a, b in bonds),
+                )
+            assert str(caught.value) == "pattern must be connected (offset 0)"
+            assert caught.value.offset == 0
 
     def test_syntax_errors(self):
         for bad in ["", "C(", "C)", "C==C", "[C", "[]", "C1CC", "=C"]:
@@ -176,3 +179,36 @@ class TestAgainstBruteForce:
             for p in ("C=O", "[N;H2]", "c"):
                 q = parse_pattern(p)
                 assert has_match(q, graph) == bool(match_pattern(q, graph))
+
+
+class TestCompiledPlan:
+    # the shipped role patterns plus branched, ring and repeated-bond queries
+    PATTERNS = TestAgainstBruteForce.PATTERNS + [
+        "[O;H1][C]=O", "[c]([N;H2])[c][N;H2]", "C(=O)[C;H2]C=O", "S(=O)(=O)Cl",
+        "[N;+]([O;-])=O", "[N;D2]=C=O", "[c;H1][n;H1]", "c1ccccc1", "C1CC1",
+        "C(C)(C)C", "cc(c)c", "[C,c]~[C,c]~[C,c]", "C1C1",
+    ]
+
+    def test_plan_visits_every_node_once(self):
+        for text in self.PATTERNS:
+            query = parse_pattern(text)
+            order = [q for q, _, _ in query.plan]
+            assert sorted(order) == list(range(len(query.atoms)))
+            for pos, (q, atom, earlier) in enumerate(query.plan):
+                assert atom is query.atoms[q]
+                assert all(order.index(nbr) < pos for nbr, _ in earlier)
+                assert bool(earlier) == (pos > 0)
+
+    def test_reused_query_equals_fresh_parse(self):
+        rng = np.random.default_rng(1618)
+        queries = {text: parse_pattern(text) for text in self.PATTERNS}
+        for _ in range(150):
+            graph = random_molecule(rng)
+            for text, query in queries.items():
+                want = match_pattern(parse_pattern(text), graph)
+                assert match_pattern(query, graph) == want
+                assert want == match_pattern_per_call(query, graph)
+                assert match_pattern(query, graph, limit=2) == match_pattern_per_call(
+                    query, graph, limit=2
+                )
+                assert has_match(query, graph) == bool(want)

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from oracles import compatibility_table
 from randmol import permute_graph
 
 from fluorgen.molgraph import BondOrder
@@ -85,6 +86,31 @@ class TestShippedLibrary:
         assert block.smiles == canon("c1cc[nH]c1")
         with pytest.raises(KeyError):
             library.by_id("no_such_block")
+
+
+def assert_index_equals_table(library, templates):
+    index = CompatibilityIndex(library, templates)
+    table = compatibility_table(library, templates)
+    for (template_id, role), blocks in table.items():
+        assert index.compatible_blocks(template_id, role) == blocks, (template_id, role)
+    viable = tuple(
+        t.id for t in templates if all(table[(t.id, role)] for role in range(t.arity))
+    )
+    assert index.viable_templates() == viable
+    return index
+
+
+class TestCompatibilityIndex:
+    def test_shipped_files_equal_brute_force(self, templates, library):
+        index = assert_index_equals_table(library, tuple(templates.values()))
+        assert index.viable_templates() == tuple(templates)  # file order
+
+    def test_unary_role_without_blocks_is_not_viable(self, templates, library):
+        # no shipped block holds a secondary amide, but the amide products do
+        tag = ReactionTemplate("amide_tag", 1, (parse_pattern("O=C[N;H1]"),), ())
+        index = assert_index_equals_table(library, (tag, templates["amide"]))
+        assert index.compatible_blocks("amide_tag", 0) == ()
+        assert index.viable_templates() == ("amide",)
 
 
 class TestWorkedProducts:

@@ -392,7 +392,7 @@ class TestCrossValidation:
     def test_cv_on_separable_data(self):
         dataset = self.build_dataset()
         config = TrainConfig(hidden_dim=8, epochs=40, learning_rate=0.5, seed=15)
-        report = run_cv(dataset, config, folds=10, split_seed=0)
+        report, _ = run_cv(dataset, config, folds=10, split_seed=0)
         assert len(report.fold_metrics) == 10
         assert report.mean > 0.9
         assert report.metric_name == "roc_auc"
@@ -402,7 +402,7 @@ class TestCrossValidation:
 
         dataset = self.build_dataset(n=60)
         config = TrainConfig(hidden_dim=4, epochs=5, seed=16)
-        report = run_cv(dataset, config, folds=10, split_seed=1)
+        report, _ = run_cv(dataset, config, folds=10, split_seed=1)
         assert re.fullmatch(r"roc_auc = \d\.\d{3} ± \d\.\d{3}", report.summary())
         path = tmp_path / "cv.tsv"
         report.write(str(path))
