@@ -44,6 +44,7 @@ from fluorgen.generator import (
 )
 from fluorgen.molgraph import MoleculeError, sp2_network_size
 from fluorgen.reactions import (
+    CompatibilityIndex,
     ReactionFormatError,
     ingest_building_blocks,
     ingest_reaction_templates,
@@ -55,7 +56,7 @@ from fluorgen.scorers import (
     load_model,
     run_cv,
     save_model,
-    score_property,
+    score_rows,
 )
 from fluorgen.smiles import SmilesError, parse_smiles
 
@@ -213,6 +214,8 @@ def cmd_generate(config: RunConfig) -> int:
     scorers = _load_scorers(config)
     library = ingest_building_blocks(config.paths.blocks)
     templates = ingest_reaction_templates(config.paths.reactions)
+    # one compatibility table serves the run and the baseline
+    index = CompatibilityIndex(library, tuple(templates))
     result = generate(
         config.generation,
         library,
@@ -220,6 +223,7 @@ def cmd_generate(config: RunConfig) -> int:
         scorers,
         config.solvent,
         progress=_progress(sys.stderr),
+        index=index,
     )
     out = config.paths.output_dir
     write_molecules(result.molecules, os.path.join(out, "molecules.tsv"))
@@ -238,6 +242,7 @@ def cmd_generate(config: RunConfig) -> int:
             config.baseline.seed,
             scorers,
             config.solvent,
+            index,
         )
         write_molecules(baseline, os.path.join(out, "baseline.tsv"))
         print(f"baseline sample of {len(baseline)} molecules written", file=sys.stderr)
@@ -314,16 +319,14 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_smiles(s) for s in smiles_list]
-    fps = morgan_fingerprints(graphs)
-
-    def scores(kind):
-        return [score_property(scorers[kind], g, fp, solvent) for g, fp in zip(graphs, fps)]
-
+    kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
+    outputs = score_rows([scorers[k].model for k in kinds], morgan_fingerprints(graphs), solvent)
+    plqy, absorption, emission = outputs.T.tolist()
     return {
-        "plqy_probability": scores(ScorerKind.PLQY_PROB),
+        "plqy_probability": plqy,
         "sp2_size": [float(sp2_network_size(g)) for g in graphs],
-        "absorption_nm": scores(ScorerKind.ABS_NM),
-        "emission_nm": scores(ScorerKind.EM_NM),
+        "absorption_nm": absorption,
+        "emission_nm": emission,
     }
 
 

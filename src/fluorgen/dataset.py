@@ -19,7 +19,7 @@ import numpy as np
 from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
-    build_feature_vector,
+    feature_matrix,
     morgan_fingerprints,
 )
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
@@ -233,7 +233,6 @@ def curate_task(
         Task.ABS_REG: lambda r: r.absorption_nm,
         Task.EM_REG: lambda r: r.emission_nm,
     }[task]
-    rows = []
     labels = []
     smiles = []
     solvents = []
@@ -241,18 +240,17 @@ def curate_task(
         value = value_of(record)
         if value is None or record.solvent is None:
             continue
-        rows.append(build_feature_vector(fingerprints[record.smiles], record.solvent))
         if task is Task.PLQY_CLASS:
             labels.append(1.0 if value > 0.5 else 0.0)
         else:
             labels.append(value)
         smiles.append(record.smiles)
         solvents.append(record.solvent)
-    if not rows:
+    if not smiles:
         raise DatasetError(f"no records usable for task {task.value}")
     return TaskDataset(
         task=task,
-        features=np.asarray(rows, dtype=np.float64),
+        features=feature_matrix([fingerprints[s] for s in smiles], solvents),
         labels=np.asarray(labels, dtype=np.float64),
         smiles=tuple(smiles),
         solvents=tuple(solvents),

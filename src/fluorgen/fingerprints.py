@@ -9,8 +9,11 @@ One numpy kernel, morgan_fingerprints, fingerprints a whole list of graphs
 at once; the hash is splitmix64, whose uint64 array arithmetic wraps
 exactly as the pinned scalar hash does.
 
-A model input is the fingerprint followed by the four solvent descriptors
-(SP, SdP, SA, SB), 2,052 features in all.
+Width and radius are fixed (FP_BITS, FP_RADIUS); no caller picks others.
+pack turns fingerprints into rows of uint64 words and unpack turns words
+into bit columns: every model input row, one or many, is decoded by
+unpack. A model input is the fingerprint followed by the four solvent
+descriptors (SP, SdP, SA, SB), 2,052 features in all.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from fluorgen.molgraph import ATOMIC_NUMBER, BondOrder, MolecularGraph
 
 FP_BITS = 2048
 FP_RADIUS = 2
+FP_WORDS = FP_BITS // 64
 SOLVENT_DIM = 4
 FEATURE_DIM = FP_BITS + SOLVENT_DIM
 
@@ -74,7 +78,7 @@ def _hash_columns(state, columns) -> np.ndarray:
     return state
 
 
-@functools.cache  # one entry per distinct leading tuple: a handful of radii
+@functools.cache  # one entry per distinct leading tuple: one per radius
 def _hash_prefix(*values: int) -> np.uint64:
     """Hash state after a constant leading run of tuple values."""
     start = np.full(1, _HASH_SEED, dtype=np.uint64)
@@ -83,32 +87,19 @@ def _hash_prefix(*values: int) -> np.uint64:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Folded bit vector held as one big integer (bit k = feature k)."""
+    """Folded FP_BITS-bit vector held as one big integer (bit k = feature k)."""
 
     bits: int
-    nbits: int = FP_BITS
-
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def to_array(self) -> np.ndarray:
-        """Bits as a float 0/1 vector, bit k at index k."""
-        packed = np.frombuffer(self.bits.to_bytes((self.nbits + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(packed, count=self.nbits, bitorder="little").astype(np.float64)
 
 
-def morgan_fingerprint(
-    graph: MolecularGraph, radius: int = FP_RADIUS, nbits: int = FP_BITS
-) -> Fingerprint:
+def morgan_fingerprint(graph: MolecularGraph) -> Fingerprint:
     """Fingerprint of one graph; see morgan_fingerprints."""
-    return morgan_fingerprints([graph], radius, nbits)[0]
+    return morgan_fingerprints([graph])[0]
 
 
-def morgan_fingerprints(
-    graphs, radius: int = FP_RADIUS, nbits: int = FP_BITS
-) -> list[Fingerprint]:
-    """Hash circular atom environments of radius 0..radius into one bit
-    vector per graph, in input order.
+def morgan_fingerprints(graphs) -> list[Fingerprint]:
+    """Hash circular atom environments of radius 0..FP_RADIUS into one
+    FP_BITS-bit vector per graph, in input order.
 
     Radius-0 invariants cover (element, degree, charge, hydrogen count,
     aromaticity). Each round rehashes an atom's previous invariant with the
@@ -124,11 +115,11 @@ def morgan_fingerprints(
     pending = iter(graphs)
     out: list[Fingerprint] = []
     while chunk := list(islice(pending, MORGAN_CHUNK)):
-        out.extend(_morgan_chunk(chunk, radius, nbits))
+        out.extend(_morgan_chunk(chunk))
     return out
 
 
-def _morgan_chunk(graphs: list[MolecularGraph], radius: int, nbits: int) -> list[Fingerprint]:
+def _morgan_chunk(graphs: list[MolecularGraph]) -> list[Fingerprint]:
     # The graphs' atoms and bonds are concatenated; atom_mol says which
     # graph an atom came from, and each bond keeps its index in its graph.
     n_mols = len(graphs)
@@ -181,7 +172,7 @@ def _morgan_chunk(graphs: list[MolecularGraph], radius: int, nbits: int) -> list
     edge_bond = np.concatenate([local_bond, local_bond])
     np.bitwise_or.at(env, (src, edge_bond // 64), _ONE << (edge_bond % 64).astype(np.uint64))
     cand_mol, cand_env, cand_round, cand_hash = [], [], [], []
-    for r in range(1, radius + 1):
+    for r in range(1, FP_RADIUS + 1):
         # Each atom's (bond code, neighbor invariant) pairs in sorted order.
         pair_inv = np.append(inv, np.uint64(0))[neighbor]
         order = np.lexsort((pair_inv, pair_code), axis=0)
@@ -204,38 +195,29 @@ def _morgan_chunk(graphs: list[MolecularGraph], radius: int, nbits: int) -> list
         cand_round.append(np.full(len(rows), r))
         cand_hash.append(inv[rows])
 
-    if cand_mol:
-        # Sorted by (molecule, environment, round, hash), the first row of
-        # each (molecule, environment) group is the smallest hash of the
-        # earliest round that reached that bond set: the one emitted.
-        c_mol = np.concatenate(cand_mol)
-        c_env = np.concatenate(cand_env)
-        c_hash = np.concatenate(cand_hash)
-        order = np.lexsort((c_hash, np.concatenate(cand_round), *c_env.T[::-1], c_mol))
-        c_mol, c_env, c_hash = c_mol[order], c_env[order], c_hash[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (c_mol[1:] != c_mol[:-1]) | (c_env[1:] != c_env[:-1]).any(axis=1)
-        mols.append(c_mol[first])
-        hashes.append(c_hash[first])
+    # Sorted by (molecule, environment, round, hash), the first row of each
+    # (molecule, environment) group is the smallest hash of the earliest
+    # round that reached that bond set: the one emitted.
+    c_mol = np.concatenate(cand_mol)
+    c_env = np.concatenate(cand_env)
+    c_hash = np.concatenate(cand_hash)
+    order = np.lexsort((c_hash, np.concatenate(cand_round), *c_env.T[::-1], c_mol))
+    c_mol, c_env, c_hash = c_mol[order], c_env[order], c_hash[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (c_mol[1:] != c_mol[:-1]) | (c_env[1:] != c_env[:-1]).any(axis=1)
+    mols.append(c_mol[first])
+    hashes.append(c_hash[first])
 
-    bit = np.concatenate(hashes) % np.uint64(nbits)
-    n_words = (nbits + 63) // 64
-    folded = np.zeros((n_mols, n_words), dtype="<u8")
+    bit = np.concatenate(hashes) % np.uint64(FP_BITS)
+    folded = np.zeros((n_mols, FP_WORDS), dtype="<u8")
     np.bitwise_or.at(
         folded, (np.concatenate(mols), (bit // 64).astype(np.intp)), _ONE << (bit % 64)
     )
-    raw = folded.tobytes()
-    width = 8 * n_words
-    return [
-        Fingerprint(bits=int.from_bytes(raw[i * width:(i + 1) * width], "little"), nbits=nbits)
-        for i in range(n_mols)
-    ]
+    return [Fingerprint(int.from_bytes(row.tobytes(), "little")) for row in folded]
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """Tanimoto similarity of two bit vectors; 1.0 when both are empty."""
-    if a.nbits != b.nbits:
-        raise ValueError("fingerprint lengths differ")
     union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 1.0
@@ -243,16 +225,16 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 
 
 def pack(fingerprints) -> np.ndarray:
-    """Fingerprints as an (n, ceil(nbits / 64)) array of little-endian
-    uint64 words, bit k in bit k % 64 of word k // 64. An empty input
-    gives (0, FP_BITS / 64)."""
-    fingerprints = list(fingerprints)
-    lengths = {fp.nbits for fp in fingerprints}
-    if len(lengths) > 1:
-        raise ValueError("fingerprint lengths differ")
-    words = ((lengths.pop() if lengths else FP_BITS) + 63) // 64
-    raw = b"".join(fp.bits.to_bytes(8 * words, "little") for fp in fingerprints)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(fingerprints), words)
+    """Fingerprints as an (n, FP_WORDS) array of little-endian uint64
+    words, bit k in bit k % 64 of word k // 64."""
+    raw = b"".join(fp.bits.to_bytes(8 * FP_WORDS, "little") for fp in fingerprints)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, FP_WORDS)
+
+
+def unpack(words: np.ndarray) -> np.ndarray:
+    """Packed rows as an (n, FP_BITS) uint8 array of 0/1 bit columns, bit k
+    in column k: the one decoder behind every model input row."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,22 +284,17 @@ WATER = SolventFeatures(sp=0.681, sdp=0.997, sa=1.062, sb=0.025)
 
 def build_feature_vector(fingerprint: Fingerprint, solvent: SolventFeatures) -> np.ndarray:
     """Concatenate fingerprint bits and solvent descriptors, in that order."""
-    if fingerprint.nbits != FP_BITS:
-        raise ValueError(f"expected {FP_BITS}-bit fingerprint, got {fingerprint.nbits}")
-    vec = np.empty(FEATURE_DIM, dtype=np.float64)
-    vec[:FP_BITS] = fingerprint.to_array()
-    vec[FP_BITS:] = solvent.as_tuple()
-    return vec
+    return feature_matrix([fingerprint], [solvent])[0]
 
 
 def feature_matrix(
     fingerprints: list[Fingerprint], solvents: list[SolventFeatures]
 ) -> np.ndarray:
-    """Stack feature vectors row-wise into an (n, 2052) matrix."""
+    """Feature rows of paired fingerprints and solvents as an (n, 2052)
+    matrix: unpack(pack(fingerprints)), then the solvent columns."""
     if len(fingerprints) != len(solvents):
         raise ValueError("fingerprint and solvent counts differ")
     out = np.empty((len(fingerprints), FEATURE_DIM), dtype=np.float64)
-    for row, (fp, sol) in enumerate(zip(fingerprints, solvents)):
-        out[row, :FP_BITS] = fp.to_array()
-        out[row, FP_BITS:] = sol.as_tuple()
+    out[:, :FP_BITS] = unpack(pack(fingerprints))
+    out[:, FP_BITS:] = np.reshape([s.as_tuple() for s in solvents], (-1, SOLVENT_DIM))
     return out

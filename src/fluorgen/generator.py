@@ -23,13 +23,15 @@ import numpy as np
 
 from fluorgen.fingerprints import (
     FEATURE_DIM,
-    FP_BITS,
+    FP_WORDS,
     SOLVENT_DIM,
     Fingerprint,
     SolventFeatures,
+    build_feature_vector,
     morgan_fingerprint,
     pack,
     tanimoto_matrix,
+    unpack,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 from fluorgen.patterns import has_match
@@ -215,24 +217,20 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
     :param fingerprints: one or more Fingerprint values.
     :param solvent: solvent descriptors appended as the last four entries.
     """
-    out = np.empty(FEATURE_DIM, dtype=np.float64)
-    out[:FP_BITS] = _node_fingerprint(fingerprints).to_array()
-    out[FP_BITS:] = solvent.as_tuple()
-    return out
+    return build_feature_vector(_node_fingerprint(fingerprints), solvent)
 
 
 def node_bits(fingerprints) -> np.ndarray:
     """The on-bit columns of node_features' fingerprint block, ascending,
     as int16: what the replay buffer stores for a node."""
-    return np.flatnonzero(_node_fingerprint(fingerprints).to_array()).astype(np.int16)
+    return np.flatnonzero(unpack(pack([_node_fingerprint(fingerprints)]))).astype(np.int16)
 
 
 def node_outputs(nodes, models, solvent: SolventFeatures) -> np.ndarray:
     """(len(nodes), len(models)) value-net outputs. Each node is a list of
-    Fingerprints; its node_features row is scored with the rows next to it
-    through score_rows."""
-    rows = (node_features(fps, solvent) for fps in nodes)
-    return score_rows(models, rows, len(nodes))
+    Fingerprints; the bit-OR of each node's fingerprints is scored with the
+    nodes next to it through score_rows."""
+    return score_rows(models, [_node_fingerprint(fps) for fps in nodes], solvent)
 
 
 def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
@@ -453,16 +451,18 @@ class Generator:
     :param scorers: reward scorers keyed by ScorerKind.
     :param solvent: solvent the rewards are evaluated in.
     :param config: run parameters.
+    :param index: the CompatibilityIndex of library and templates, when
+        the caller already has one; built here otherwise.
     """
 
-    def __init__(self, library: BlockLibrary, templates, scorers, solvent, config):
+    def __init__(self, library: BlockLibrary, templates, scorers, solvent, config, index=None):
         self.config = config
         self.library = library
         self.templates = tuple(templates)
         self.blocks = {b.id: b for b in library.blocks}
         self.scorers = dict(scorers)
         self.solvent = solvent
-        self.index = CompatibilityIndex(library, self.templates)
+        self.index = index or CompatibilityIndex(library, self.templates)
         self.viable = set(self.index.viable_templates())
         if not self.viable:
             raise GeneratorError("no template has compatible blocks for every role")
@@ -605,7 +605,7 @@ class Generator:
         emitted: dict[str, GeneratedMolecule] = {}
         # packed fingerprints of the emitted molecules in rows [:n_emitted];
         # the array doubles when full
-        emitted_words = np.empty((16, FP_BITS // 64), dtype=np.uint64)
+        emitted_words = np.empty((16, FP_WORDS), dtype=np.uint64)
         n_emitted = 0
         log: list[RolloutLog] = []
         dead_ends = 0
@@ -708,6 +708,7 @@ def generate(
     scorers,
     solvent: SolventFeatures,
     progress=None,
+    index: CompatibilityIndex | None = None,
 ) -> GenerationResult:
     """Run the full generation loop and return molecules plus run logs.
 
@@ -718,11 +719,13 @@ def generate(
     :param solvent: solvent context for the learned scorers.
     :param progress: optional callback invoked as progress(done, total)
         before each rollout; purely informational.
+    :param index: the CompatibilityIndex of library and templates, if
+        already built.
     """
     missing = [kind.value for kind in PROPERTY_ORDER if kind not in scorers]
     if missing:
         raise GeneratorError(f"missing reward scorers: {missing}")
-    return Generator(library, templates, scorers, solvent, config).run(progress)
+    return Generator(library, templates, scorers, solvent, config, index).run(progress)
 
 
 def uniform_baseline(
@@ -732,11 +735,13 @@ def uniform_baseline(
     seed: int,
     scorers,
     solvent: SolventFeatures,
+    index: CompatibilityIndex | None = None,
 ) -> tuple[GeneratedMolecule, ...]:
     """Single-step random template/block combinations from the same
-    library, scored the same way; the no-learning comparison set."""
+    library, scored the same way; the no-learning comparison set. index is
+    the CompatibilityIndex of library and templates, if already built."""
     rng = random.Random(seed)
-    index = CompatibilityIndex(library, tuple(templates))
+    index = index or CompatibilityIndex(library, tuple(templates))
     templates_by_id = {t.id: t for t in templates}
     viable = sorted(index.viable_templates())
     if not viable:

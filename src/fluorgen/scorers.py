@@ -18,6 +18,11 @@ layer over only the columns a mini-batch touches, against a transposed
 those columns alone; full-set losses are one CSR product. Scoring
 (forward_batch) stays dense, and checkpoints keep w1 as (hidden, input).
 The dense form of the kernel is the test referee (tests/oracles.py).
+
+Every batch of fingerprints is scored by one loop, score_rows: it decodes
+SCORE_BLOCK_ROWS fingerprints at a time with feature_matrix and makes one
+forward_batch call per model and block. Filtering, stats and the rollout's
+value estimates all go through it.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.stats import rankdata
 
-from fluorgen.fingerprints import FEATURE_DIM, SOLVENT_DIM, Fingerprint, build_feature_vector
+from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector, feature_matrix
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_ARRAYS = ("head", "w1", "b1", "w2", "b2", "norm_mean", "norm_std", "seed")
 
 # Rows are scored at most this many per forward_batch call. Scoring the
 # whole block library in one call raised the peak memory of perfbench's
@@ -445,20 +451,17 @@ def score_property(
     return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
 
 
-def score_rows(models, rows, n_rows: int) -> np.ndarray:
-    """(n_rows, len(models)) outputs for n_rows feature rows drawn from an
-    iterable. Rows are copied SCORE_BLOCK_ROWS at a time into one reused
-    block, and each block is scored with one forward_batch call per model,
-    so no (n_rows, 2052) matrix is held."""
-    out = np.empty((n_rows, len(models)))
-    block = np.empty((min(n_rows, SCORE_BLOCK_ROWS), FEATURE_DIM))
-    rows = iter(rows)
-    for start in range(0, n_rows, SCORE_BLOCK_ROWS):
-        count = min(SCORE_BLOCK_ROWS, n_rows - start)
-        for i in range(count):
-            block[i] = next(rows)
+def score_rows(models, fingerprints, solvent) -> np.ndarray:
+    """(len(fingerprints), len(models)) outputs for a list of fingerprints
+    in one solvent. SCORE_BLOCK_ROWS fingerprints at a time are decoded
+    into one feature block, which is scored with one forward_batch call per
+    model, so no (n, 2052) matrix is held."""
+    out = np.empty((len(fingerprints), len(models)))
+    for start in range(0, len(fingerprints), SCORE_BLOCK_ROWS):
+        chunk = fingerprints[start : start + SCORE_BLOCK_ROWS]
+        block = feature_matrix(chunk, [solvent] * len(chunk))
         for k, model in enumerate(models):
-            out[start : start + count, k] = forward_batch(model, block[:count])
+            out[start : start + len(chunk), k] = forward_batch(model, block)
     return out
 
 
@@ -467,8 +470,7 @@ def score_fingerprints(scorer: PropertyScorer, fingerprints, solvent) -> np.ndar
     one solvent, scored through score_rows."""
     if scorer.model is None:
         raise ScorerError(f"{scorer.kind.value} is scored from the graph, not a fingerprint")
-    rows = (build_feature_vector(fp, solvent) for fp in fingerprints)
-    return score_rows([scorer.model], rows, len(fingerprints))[:, 0]
+    return score_rows([scorer.model], fingerprints, solvent)[:, 0]
 
 
 def save_model(model: MlpModel, path: str):
@@ -493,12 +495,18 @@ def load_model(path: str) -> MlpModel:
         raise ScorerError(f"cannot read checkpoint {path}: {exc}") from None
     if "version" not in data or int(data["version"]) != _CHECKPOINT_VERSION:
         raise ScorerError(f"{path}: unsupported checkpoint version")
+    missing = [key for key in _CHECKPOINT_ARRAYS if key not in data]
+    if missing:
+        raise ScorerError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    head = str(data["head"])
+    if head not in {h.value for h in Head}:
+        raise ScorerError(f"{path}: unknown head {head!r}")
     return MlpModel(
         w1=data["w1"],
         b1=data["b1"],
         w2=data["w2"],
         b2=float(data["b2"]),
-        head=Head(str(data["head"])),
+        head=Head(head),
         norm_mean=data["norm_mean"],
         norm_std=data["norm_std"],
         seed=int(data["seed"]),

@@ -97,9 +97,7 @@ def stable_hash(values: tuple[int, ...], seed: int = _HASH_SEED) -> int:
     return h
 
 
-def morgan_fingerprint_loop(
-    graph: MolecularGraph, radius: int = FP_RADIUS, nbits: int = FP_BITS
-) -> Fingerprint:
+def morgan_fingerprint_loop(graph: MolecularGraph) -> Fingerprint:
     """Morgan fingerprint oracle: one atom at a time, environments held as
     frozensets of bond indices grown from an atom frontier, and a per-round
     dict that keeps the smallest hash per bond set."""
@@ -131,7 +129,7 @@ def morgan_fingerprint_loop(
     frontier: list[set[int]] = [{i} for i in range(n)]  # atoms within current radius
     seen_sets: set[frozenset[int]] = {frozenset()}
 
-    for r in range(1, radius + 1):
+    for r in range(1, FP_RADIUS + 1):
         new_inv = list(inv)
         candidates: dict[frozenset[int], int] = {}
         new_env = list(env_bonds)
@@ -173,14 +171,14 @@ def morgan_fingerprint_loop(
 
     bits = 0
     for h in emitted:
-        bits |= 1 << (h % nbits)
-    return Fingerprint(bits=bits, nbits=nbits)
+        bits |= 1 << (h % FP_BITS)
+    return Fingerprint(bits)
 
 
-def bits_to_array_loop(bits: int, nbits: int = FP_BITS) -> np.ndarray:
+def bits_to_array_loop(bits: int) -> np.ndarray:
     """Fingerprint decoder oracle: shift the integer right one bit at a
     time and set index k when bit k is on."""
-    out = np.zeros(nbits, dtype=np.float64)
+    out = np.zeros(FP_BITS, dtype=np.float64)
     index = 0
     while bits:
         if bits & 1:

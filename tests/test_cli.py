@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluorgen import generator, reactions
 from fluorgen.cli import main
 from fluorgen.config import (
     LAYOUT,
@@ -382,6 +383,55 @@ class TestGenerate:
                 for name in ("molecules.tsv", "run_log.tsv", "reaction_usage.tsv", "baseline.tsv")
             }
         assert written["1"] == written["2"]
+
+    def test_baseline_shares_the_compatibility_table(self, tmp_path, monkeypatch):
+        """The run and its baseline read one table: every has_match call
+        made through fluorgen.reactions is the one table build."""
+        constant_checkpoints(tmp_path / "ckpt")
+        calls = {"reactions": 0, "generator": 0}
+
+        def counting(module):
+            original = getattr(module, "has_match")
+
+            def has_match(query, graph):
+                calls[module.__name__.split(".")[-1]] += 1
+                return original(query, graph)
+
+            monkeypatch.setattr(module, "has_match", has_match)
+
+        counting(reactions)
+        counting(generator)
+        library = reactions.ingest_building_blocks(REPO_DATA / "building_blocks.tsv")
+        templates = reactions.ingest_reaction_templates(REPO_DATA / "reactions.txt")
+        reactions.CompatibilityIndex(library, tuple(templates))
+        one_table = calls["reactions"]
+        assert one_table > 0
+        calls.update(reactions=0, generator=0)
+        config_path = write_config(tmp_path, n_rollouts=1, baseline_samples=1)
+        assert main(["--config", str(config_path), "generate"]) == 0
+        assert (tmp_path / "out" / "baseline.tsv").exists()
+        assert calls["reactions"] == one_table
+        assert calls["generator"] < one_table
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda arrays: arrays.update(head=np.str_("foo")), "unknown head 'foo'"),
+            (lambda arrays: arrays.pop("w1"), "lacks w1"),
+        ],
+    )
+    def test_malformed_checkpoint_is_code_two(self, edit, message, tmp_path, capsys):
+        constant_checkpoints(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "abs_reg.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "generate"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "abs_reg.npz" in err
+        assert "Traceback" not in err
 
 
 def constant_checkpoints(directory: Path, plqy_logit=0.0, absorption=500.0, emission=520.0):

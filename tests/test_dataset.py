@@ -20,6 +20,8 @@ from fluorgen.dataset import (
 from fluorgen.fingerprints import SolventFeatures, morgan_fingerprint
 from fluorgen.smiles import parse_smiles, write_canonical_smiles
 
+from oracles import bits_to_array_loop
+
 HEADER = "SMILES,SP,SdP,SA,SB,PLQY,Absorption,Emission"
 
 ROWS = [
@@ -185,7 +187,7 @@ class TestCuration:
         assert dataset.features.shape == (4, 2052)
         for i, smiles in enumerate(dataset.smiles):
             fp = morgan_fingerprint(parse_smiles(smiles))
-            assert np.array_equal(dataset.features[i, :2048], fp.to_array())
+            assert np.array_equal(dataset.features[i, :2048], bits_to_array_loop(fp.bits))
             assert dataset.features[i, 2048:].tolist() == list(dataset.solvents[i].as_tuple())
 
     def test_shared_fingerprints_give_the_same_arrays(self, tmp_path):

@@ -7,6 +7,7 @@ from fluorgen.fingerprints import (
     _HASH_SEED,
     FEATURE_DIM,
     FP_BITS,
+    FP_WORDS,
     MORGAN_CHUNK,
     Fingerprint,
     WATER,
@@ -20,8 +21,9 @@ from fluorgen.fingerprints import (
     pack,
     tanimoto,
     tanimoto_matrix,
+    unpack,
 )
-from fluorgen.generator import node_features
+from fluorgen.generator import node_bits, node_features
 from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph
 from fluorgen.smiles import parse_smiles
 
@@ -97,11 +99,11 @@ def _graph(n_atoms: int, bonds) -> MolecularGraph:
     )
 
 
-def _assert_equal_to_loop(graphs, **kwargs):
-    got = morgan_fingerprints(graphs, **kwargs)
+def _assert_equal_to_loop(graphs):
+    got = morgan_fingerprints(graphs)
     assert len(got) == len(graphs)
     for graph, fingerprint in zip(graphs, got):
-        assert fingerprint == morgan_fingerprint_loop(graph, **kwargs)
+        assert fingerprint == morgan_fingerprint_loop(graph)
 
 
 CORPUS_GRAPHS = [parse_smiles(s) for s in CORPUS]
@@ -119,10 +121,6 @@ class TestMorganKernel:
 
     def test_corpus_equals_loop_oracle(self):
         _assert_equal_to_loop(CORPUS_GRAPHS)
-
-    @pytest.mark.parametrize("radius, nbits", [(0, FP_BITS), (1, 64), (3, 100), (2, 8)])
-    def test_other_radii_and_lengths(self, radius, nbits):
-        _assert_equal_to_loop(CORPUS_GRAPHS[::5], radius=radius, nbits=nbits)
 
     def test_empty_list(self):
         assert morgan_fingerprints([]) == []
@@ -177,14 +175,14 @@ class TestMorganKernel:
 
 class TestMorganEnvironments:
     def test_methane_single_environment(self):
-        assert fp("C").count() == 1
+        assert fp("C").bits.bit_count() == 1
 
     def test_ethane_two_environments(self):
-        assert fp("CC").count() == 2
+        assert fp("CC").bits.bit_count() == 2
 
     def test_benzene_three_environments(self):
         # One distinct invariant per radius: all atoms are equivalent.
-        assert fp("c1ccccc1").count() == 3
+        assert fp("c1ccccc1").bits.bit_count() == 3
 
     def test_atom_order_invariant_simple(self):
         assert fp("CCO").bits == fp("OCC").bits
@@ -228,27 +226,23 @@ class TestMorganEnvironments:
 
 class TestTanimoto:
     def test_frozen_small_cases(self):
-        a = Fingerprint(bits=0b1100, nbits=8)
-        b = Fingerprint(bits=0b0110, nbits=8)
+        a = Fingerprint(bits=0b1100)
+        b = Fingerprint(bits=0b0110)
         assert tanimoto(a, b) == pytest.approx(1 / 3)
         assert tanimoto(a, a) == 1.0
 
     def test_empty_pair_is_one(self):
-        empty = Fingerprint(bits=0, nbits=8)
+        empty = Fingerprint(bits=0)
         assert tanimoto(empty, empty) == 1.0
 
     def test_empty_vs_nonempty_is_zero(self):
-        empty = Fingerprint(bits=0, nbits=8)
-        full = Fingerprint(bits=0b1, nbits=8)
+        empty = Fingerprint(bits=0)
+        full = Fingerprint(bits=0b1)
         assert tanimoto(empty, full) == 0.0
 
     def test_symmetry(self):
         a, b = fp("CCO"), fp("CCN")
         assert tanimoto(a, b) == tanimoto(b, a)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tanimoto(Fingerprint(bits=1, nbits=8), Fingerprint(bits=1, nbits=16))
 
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(31337)
@@ -258,7 +252,7 @@ class TestTanimoto:
                 mask = 0
                 for bit in rng.choice(64, size=rng.integers(0, 20), replace=False):
                     mask |= 1 << int(bit)
-                trio.append(Fingerprint(bits=mask, nbits=64))
+                trio.append(Fingerprint(bits=mask))
             a, b, c = trio
             dab = 1.0 - tanimoto(a, b)
             dbc = 1.0 - tanimoto(b, c)
@@ -291,6 +285,7 @@ class TestFeatureVector:
 
 
 ALL_BITS = (1 << FP_BITS) - 1
+SOLVENTS = [WATER, SolventFeatures(0.1, 0.2, 0.3, 0.4), SolventFeatures(0.857, 0.808, 0.044, 0.329)]
 
 # dense random integers, sparse random bit sets, and the edge cases
 bit_sets = st.one_of(
@@ -308,11 +303,18 @@ class TestDecoder:
     @example(bits=1)
     @example(bits=1 << (FP_BITS - 1))
     @example(bits=ALL_BITS)
-    def test_to_array_equals_bit_loop(self, bits):
-        got = Fingerprint(bits).to_array()
-        assert got.dtype == np.float64
-        assert got.shape == (FP_BITS,)
-        assert got.tobytes() == bits_to_array_loop(bits).tobytes()
+    def test_unpack_equals_bit_loop(self, bits):
+        got = unpack(pack([Fingerprint(bits)]))
+        assert got.shape == (1, FP_BITS)
+        assert got.astype(np.float64).tobytes() == bits_to_array_loop(bits).tobytes()
+
+    @settings(deadline=None)
+    @given(rows=st.lists(bit_sets, max_size=70))
+    def test_rows_decode_independently(self, rows):
+        got = unpack(pack([Fingerprint(bits) for bits in rows]))
+        want = np.array([bits_to_array_loop(bits) for bits in rows]).reshape(-1, FP_BITS)
+        assert got.shape == (len(rows), FP_BITS)
+        np.testing.assert_array_equal(got, want)
 
     @settings(deadline=None)
     @given(bits=bit_sets)
@@ -326,20 +328,40 @@ class TestDecoder:
         mask = 0x5555 << 1000
         parts = [Fingerprint(bits & mask), Fingerprint(bits & ~mask), Fingerprint(bits & mask)]
         assert node_features(parts, WATER).tobytes() == want.tobytes()
+        assert node_bits(parts).tolist() == np.flatnonzero(want[:FP_BITS]).tolist()
 
-    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 64])
-    def test_short_fingerprints_decode_every_bit(self, nbits):
-        bits = (1 << nbits) - 1
-        assert Fingerprint(bits, nbits).to_array().tobytes() == (
-            bits_to_array_loop(bits, nbits).tobytes()
-        )
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(bit_sets, st.sampled_from(SOLVENTS)), max_size=20))
+    def test_feature_matrix_equals_bit_loop(self, rows):
+        got = feature_matrix([Fingerprint(bits) for bits, _ in rows], [sol for _, sol in rows])
+        assert got.dtype == np.float64
+        assert got.shape == (len(rows), FEATURE_DIM)
+        for row, (bits, sol) in zip(got, rows):
+            want = np.concatenate([bits_to_array_loop(bits), sol.as_tuple()])
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("low_bits", [1, 7, 8, 9, 64])
+    def test_short_fingerprints_decode_every_bit(self, low_bits):
+        """A run of on bits from bit 0 that ends inside or at a byte edge."""
+        bits = (1 << low_bits) - 1
+        got = unpack(pack([Fingerprint(bits)]))[0]
+        assert got.astype(np.float64).tobytes() == bits_to_array_loop(bits).tobytes()
+
+    def test_empty_list(self):
+        assert unpack(pack([])).shape == (0, FP_BITS)
+        got = feature_matrix([], [])
+        assert got.shape == (0, FEATURE_DIM) and got.dtype == np.float64
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="counts differ"):
+            feature_matrix([Fingerprint(1)], [])
 
 
-def _bit_sets_of(nbits):
-    """Dense random integers and sparse random bit sets of one length."""
+def _bit_sets(max_bit):
+    """Dense random integers and sparse random bit sets below 2**max_bit."""
     return st.one_of(
-        st.integers(min_value=0, max_value=(1 << nbits) - 1),
-        st.sets(st.integers(min_value=0, max_value=nbits - 1), max_size=40).map(
+        st.integers(min_value=0, max_value=(1 << max_bit) - 1),
+        st.sets(st.integers(min_value=0, max_value=max_bit - 1), max_size=40).map(
             lambda on: sum(1 << k for k in on)
         ),
     )
@@ -347,14 +369,12 @@ def _bit_sets_of(nbits):
 
 @st.composite
 def packed_cases(draw):
-    """(nbits, row bits of A, row bits of B); 8, 16 and 100 are not
-    multiples of 64, and A may span more than one 8-row block."""
-    nbits = draw(st.sampled_from([8, 16, 64, 100, FP_BITS]))
-    # an empty list carries no length, so pack([]) has the FP_BITS width
-    min_size = 0 if nbits == FP_BITS else 1
-    a_rows = draw(st.lists(_bit_sets_of(nbits), min_size=min_size, max_size=20))
-    b_rows = draw(st.lists(_bit_sets_of(nbits), min_size=min_size, max_size=7))
-    return nbits, a_rows, b_rows
+    """(row bits of A, row bits of B); the low-bit rows share few words,
+    and A may span more than one 8-row block."""
+    bits = draw(st.sampled_from([_bit_sets(8), _bit_sets(100), _bit_sets(FP_BITS)]))
+    a_rows = draw(st.lists(bits, max_size=20))
+    b_rows = draw(st.lists(bits, max_size=7))
+    return a_rows, b_rows
 
 
 EDGE_ROWS = [0, ALL_BITS, 1, 1 << (FP_BITS - 1), 1 | 1 << (FP_BITS - 1)]
@@ -363,16 +383,16 @@ EDGE_ROWS = [0, ALL_BITS, 1, 1 << (FP_BITS - 1), 1 | 1 << (FP_BITS - 1)]
 class TestPackedTanimoto:
     @settings(deadline=None)
     @given(case=packed_cases())
-    @example(case=(FP_BITS, EDGE_ROWS * 4, EDGE_ROWS))
-    @example(case=(FP_BITS, [0], [0]))
-    @example(case=(FP_BITS, [0], [ALL_BITS]))
-    @example(case=(8, [0, 0xFF, 0x81], [0x80, 0x01, 0]))
-    @example(case=(100, [1 << 99, 1 << 63 | 1 << 64], [(1 << 100) - 1, 1 << 64]))
-    @example(case=(FP_BITS, [], [1, 2]))
+    @example(case=(EDGE_ROWS * 4, EDGE_ROWS))
+    @example(case=([0], [0]))
+    @example(case=([0], [ALL_BITS]))
+    @example(case=([0, 0xFF, 0x81], [0x80, 0x01, 0]))
+    @example(case=([1 << 99, 1 << 63 | 1 << 64], [(1 << 100) - 1, 1 << 64]))
+    @example(case=([], [1, 2]))
     def test_matrix_equals_scalar_tanimoto(self, case):
-        nbits, a_bits, b_bits = case
-        a = [Fingerprint(bits, nbits) for bits in a_bits]
-        b = [Fingerprint(bits, nbits) for bits in b_bits]
+        a_bits, b_bits = case
+        a = [Fingerprint(bits) for bits in a_bits]
+        b = [Fingerprint(bits) for bits in b_bits]
         got = tanimoto_matrix(pack(a), pack(b))
         assert got.dtype == np.float64
         assert got.shape == (len(a), len(b))
@@ -381,23 +401,22 @@ class TestPackedTanimoto:
                 assert got[i, j] == tanimoto(fa, fb)
 
     @pytest.mark.parametrize(
-        "nbits, words", [(8, 1), (16, 1), (64, 1), (65, 2), (100, 2), (FP_BITS, 32)]
+        "low_bits, words", [(8, 1), (16, 1), (64, 1), (65, 2), (100, 2), (FP_BITS, 32)]
     )
-    def test_pack_layout(self, nbits, words):
-        top = 1 << (nbits - 1)
-        packed = pack([Fingerprint(1, nbits), Fingerprint(top, nbits)])
-        assert packed.shape == (2, words)
-        want = np.zeros((2, words), dtype=np.uint64)
+    def test_pack_layout(self, low_bits, words):
+        """The top bit of the lowest low_bits bits lands in word words - 1."""
+        top = low_bits - 1
+        packed = pack([Fingerprint(1), Fingerprint(1 << top)])
+        assert packed.shape == (2, FP_WORDS)
+        want = np.zeros((2, FP_WORDS), dtype=np.uint64)
         want[0, 0] = 1
-        want[1, (nbits - 1) // 64] = 1 << ((nbits - 1) % 64)
+        want[1, words - 1] = 1 << (top % 64)
         np.testing.assert_array_equal(packed, want)
 
     def test_empty_input_packs_to_zero_rows(self):
-        assert pack([]).shape == (0, FP_BITS // 64)
+        assert pack([]).shape == (0, FP_WORDS)
         assert tanimoto_matrix(pack([]), pack([Fingerprint(1)])).shape == (0, 1)
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            pack([Fingerprint(bits=1, nbits=8), Fingerprint(bits=1, nbits=16)])
-        with pytest.raises(ValueError):
-            tanimoto_matrix(pack([Fingerprint(1, 8)]), pack([Fingerprint(1, 100)]))
+            tanimoto_matrix(pack([Fingerprint(1)]), np.zeros((1, 2), dtype=np.uint64))

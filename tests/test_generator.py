@@ -51,6 +51,7 @@ from fluorgen.generator import (
 )
 from fluorgen.patterns import parse_pattern
 from fluorgen.reactions import (
+    CompatibilityIndex,
     ReactionTemplate,
     apply_reaction,
     ingest_building_blocks,
@@ -827,3 +828,9 @@ class TestUniformBaseline:
     def test_routes_replay(self, library, templates):
         for molecule in uniform_baseline(library, templates, 25, 4, const_scorers(), WATER):
             assert replay_route(molecule.route, library, templates) == molecule.smiles
+
+    def test_given_index_gives_the_same_sample(self, library, templates):
+        index = CompatibilityIndex(library, tuple(templates))
+        own = uniform_baseline(library, templates, 40, 9, const_scorers(), WATER)
+        shared = uniform_baseline(library, templates, 40, 9, const_scorers(), WATER, index)
+        assert shared == own

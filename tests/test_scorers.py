@@ -302,7 +302,7 @@ class TestMetrics:
 
 
 class TestPropertyScorers:
-    @pytest.mark.parametrize("n", [0, 1, 64, 65, 130])
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 130, 200])
     def test_score_fingerprints_matches_score_property(self, n):
         from fluorgen.fingerprints import Fingerprint
 
