@@ -33,7 +33,7 @@ from fluorgen.filters import (
     write_filter_report,
     write_similarity_histogram,
 )
-from fluorgen.fingerprints import morgan_fingerprints
+from fluorgen.fingerprints import morgan_fingerprints, pack
 from fluorgen.generator import (
     GeneratorError,
     generate,
@@ -320,7 +320,8 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_smiles(s) for s in smiles_list]
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
-    outputs = score_rows([scorers[k].model for k in kinds], morgan_fingerprints(graphs), solvent)
+    models = [scorers[k].model for k in kinds]
+    outputs = score_rows(models, pack(morgan_fingerprints(graphs)), solvent)
     plqy, absorption, emission = outputs.T.tolist()
     return {
         "plqy_probability": plqy,

@@ -10,10 +10,12 @@ at once; the hash is splitmix64, whose uint64 array arithmetic wraps
 exactly as the pinned scalar hash does.
 
 Width and radius are fixed (FP_BITS, FP_RADIUS); no caller picks others.
-pack turns fingerprints into rows of uint64 words and unpack turns words
-into bit columns: every model input row, one or many, is decoded by
-unpack. A model input is the fingerprint followed by the four solvent
-descriptors (SP, SdP, SA, SB), 2,052 features in all.
+pack turns fingerprints into packed rows of FP_WORDS uint64 words, the
+form the rollout and every scoring loop work in: a node's row is the OR
+of its molecules' rows. unpack turns words into bit columns, and
+feature_rows lays out every model input row, one or many: the decoded
+bits followed by the four solvent descriptors (SP, SdP, SA, SB), 2,052
+features in all.
 """
 
 from __future__ import annotations
@@ -233,8 +235,9 @@ def pack(fingerprints) -> np.ndarray:
 
 def unpack(words: np.ndarray) -> np.ndarray:
     """Packed rows as an (n, FP_BITS) uint8 array of 0/1 bit columns, bit k
-    in column k: the one decoder behind every model input row."""
-    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    in column k (one (FP_WORDS,) row gives (FP_BITS,)): the one decoder
+    behind every model input row."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,10 +294,19 @@ def feature_matrix(
     fingerprints: list[Fingerprint], solvents: list[SolventFeatures]
 ) -> np.ndarray:
     """Feature rows of paired fingerprints and solvents as an (n, 2052)
-    matrix: unpack(pack(fingerprints)), then the solvent columns."""
+    matrix: feature_rows of pack(fingerprints) and the solvents."""
     if len(fingerprints) != len(solvents):
         raise ValueError("fingerprint and solvent counts differ")
-    out = np.empty((len(fingerprints), FEATURE_DIM), dtype=np.float64)
-    out[:, :FP_BITS] = unpack(pack(fingerprints))
-    out[:, FP_BITS:] = np.reshape([s.as_tuple() for s in solvents], (-1, SOLVENT_DIM))
+    return feature_rows(
+        pack(fingerprints), np.reshape([s.as_tuple() for s in solvents], (-1, SOLVENT_DIM))
+    )
+
+
+def feature_rows(words: np.ndarray, solvent_values) -> np.ndarray:
+    """The model input layout: an (n, 2052) float matrix of the packed rows'
+    bit columns, then the solvent columns. solvent_values is one row of
+    SOLVENT_DIM values for every row or an (n, SOLVENT_DIM) array."""
+    out = np.empty((len(words), FEATURE_DIM), dtype=np.float64)
+    out[:, :FP_BITS] = unpack(words)
+    out[:, FP_BITS:] = solvent_values
     return out

@@ -48,7 +48,6 @@ from fluorgen.scorers import (
     SparseRows,
     as_sparse_rows,
     loss_and_grads,
-    score_property,
     score_rows,
 )
 
@@ -168,11 +167,11 @@ class GenerationResult:
 class ReplayBuffer:
     """FIFO store of visited nodes and their reward targets.
 
-    A node is kept as the on-bit columns of its node_features row (see
-    node_bits: int16, ascending, about 35-60 of them) plus its solvent
-    values, not as a dense 2,052-float row: a full 2,000-row buffer holds
-    well under 1 MB where dense rows took 33 MB. ``rows`` rebuilds the
-    whole buffer as SparseRows for training.
+    A node is kept as the on-bit columns of its packed row (see node_bits:
+    int16, ascending, about 35-60 of them) plus its solvent values, not as
+    a dense 2,052-float row: a full 2,000-row buffer holds well under 1 MB
+    where dense rows took 33 MB. ``rows`` rebuilds the whole buffer as
+    SparseRows for training.
     """
 
     def __init__(self, capacity: int):
@@ -199,43 +198,32 @@ class ReplayBuffer:
         return rows, np.array(targets, dtype=np.float64).reshape(-1, N_PROPERTIES)
 
 
-def _node_fingerprint(fingerprints) -> Fingerprint:
-    """Bit-OR of a node's fingerprints."""
+def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
+    """Feature vector for a set of molecules: bit-OR of their
+    fingerprints followed by the solvent features. The rollout ORs packed
+    rows instead; this form is their referee.
+
+    :param fingerprints: one or more Fingerprint values.
+    :param solvent: solvent descriptors appended as the last four entries.
+    """
     fingerprints = list(fingerprints)
     if not fingerprints:
         raise GeneratorError("node has no molecules")
     bits = 0
     for fp in fingerprints:
         bits |= fp.bits
-    return Fingerprint(bits)
+    return build_feature_vector(Fingerprint(bits), solvent)
 
 
-def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
-    """Feature vector for a set of molecules: bit-OR of their
-    fingerprints followed by the solvent features.
-
-    :param fingerprints: one or more Fingerprint values.
-    :param solvent: solvent descriptors appended as the last four entries.
-    """
-    return build_feature_vector(_node_fingerprint(fingerprints), solvent)
-
-
-def node_bits(fingerprints) -> np.ndarray:
-    """The on-bit columns of node_features' fingerprint block, ascending,
-    as int16: what the replay buffer stores for a node."""
-    return np.flatnonzero(unpack(pack([_node_fingerprint(fingerprints)]))).astype(np.int16)
-
-
-def node_outputs(nodes, models, solvent: SolventFeatures) -> np.ndarray:
-    """(len(nodes), len(models)) value-net outputs. Each node is a list of
-    Fingerprints; the bit-OR of each node's fingerprints is scored with the
-    nodes next to it through score_rows."""
-    return score_rows(models, [_node_fingerprint(fps) for fps in nodes], solvent)
+def node_bits(row: np.ndarray) -> np.ndarray:
+    """The on-bit columns of a node's packed row, ascending, as int16: what
+    the replay buffer stores for a node."""
+    return np.flatnonzero(unpack(row)).astype(np.int16)
 
 
 def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
-    """V(N) = sum_k w_k * Z_k(N) for each row of node_outputs, summed one
-    property at a time in PROPERTY_ORDER."""
+    """V(N) = sum_k w_k * Z_k(N) for each row of value-net outputs, summed
+    one property at a time in PROPERTY_ORDER."""
     if outputs.shape[1] != len(weights):
         raise GeneratorError("one value model per weight required")
     total = np.zeros(len(outputs))
@@ -280,7 +268,7 @@ def sample_child(values, tau: float, rng: random.Random) -> int:
 
 def reward(
     graph: MolecularGraph,
-    fingerprint: Fingerprint,
+    words: np.ndarray,
     scorers,
     weights,
     solvent: SolventFeatures,
@@ -291,15 +279,15 @@ def reward(
     to 1 when the predicted wavelength falls in the visible window; the
     sp2 score is the network size over the target 12, clamped to 1.
 
-    :param fingerprint: the molecule's Morgan fingerprint.
+    :param words: the molecule's packed fingerprint as a (1, FP_WORDS)
+        row; its three model scores come from one score_rows call.
     :param scorers: mapping from ScorerKind to PropertyScorer.
     :param weights: property weights in PROPERTY_ORDER.
     :returns: (scores tuple, combined p(m)).
     """
-    plqy = score_property(scorers[ScorerKind.PLQY_PROB], graph, fingerprint, solvent)
-    absorption = score_property(scorers[ScorerKind.ABS_NM], graph, fingerprint, solvent)
-    emission = score_property(scorers[ScorerKind.EM_NM], graph, fingerprint, solvent)
-    sp2 = score_property(scorers[ScorerKind.SP2_SIZE], graph, fingerprint, solvent)
+    models = [scorers[kind].model for kind in PROPERTY_ORDER[:3]]
+    plqy, absorption, emission = score_rows(models, words, solvent)[0].tolist()
+    sp2 = sp2_network_size(graph)
     scores = (
         plqy,
         1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,
@@ -429,15 +417,16 @@ def train_value_model(model, features, targets, config, rng) -> None:
 
 class _Rollout:
     """Outcome of one rollout attempt: the final product with its
-    canonical SMILES and fingerprint, or a dead end."""
+    canonical SMILES and packed (1, FP_WORDS) fingerprint row, or a dead
+    end."""
 
-    __slots__ = ("graph", "smiles", "fingerprint", "route", "path_bits", "dead")
+    __slots__ = ("graph", "smiles", "words", "route", "path_bits", "dead")
 
-    def __init__(self, graph=None, smiles=None, fingerprint=None, route=(),
+    def __init__(self, graph=None, smiles=None, words=None, route=(),
                  path_bits=(), dead=False):
         self.graph = graph
         self.smiles = smiles
-        self.fingerprint = fingerprint
+        self.words = words
         self.route = route
         self.path_bits = path_bits
         self.dead = dead
@@ -457,7 +446,6 @@ class Generator:
 
     def __init__(self, library: BlockLibrary, templates, scorers, solvent, config, index=None):
         self.config = config
-        self.library = library
         self.templates = tuple(templates)
         self.blocks = {b.id: b for b in library.blocks}
         self.scorers = dict(scorers)
@@ -474,6 +462,10 @@ class Generator:
         self.weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
         self.similarity_window = collections.deque(maxlen=config.window)
         self.success_window = collections.deque(maxlen=config.window)
+        # each block's packed row in library order, then an all-zero row
+        # that index -1 reads as "no partner"
+        self.block_words = pack([b.fingerprint for b in library.blocks] + [Fingerprint(0)])
+        self._position = {b.id: k for k, b in enumerate(library.blocks)}
         # the first decision's (template, block) candidates, with each
         # block's row in block_outputs
         self._first_candidates = [
@@ -482,8 +474,7 @@ class Generator:
             if template.id in self.viable
             for block_id in self.index.compatible_blocks(template.id, 0)
         ]
-        position = {b.id: k for k, b in enumerate(library.blocks)}
-        self._first_rows = np.array([position[b] for _, b in self._first_candidates])
+        self._first_rows = np.array([self._position[b] for _, b in self._first_candidates])
         self._block_outputs = None
 
     # value estimation
@@ -495,15 +486,14 @@ class Generator:
         the first read after start-up or a retrain, so a retrain that no
         rollout follows scores nothing."""
         if self._block_outputs is None:
-            nodes = [[block.fingerprint] for block in self.library.blocks]
-            self._block_outputs = node_outputs(nodes, self.value_models, self.solvent)
+            self._block_outputs = score_rows(self.value_models, self.block_words[:-1], self.solvent)
         return self._block_outputs
 
     def _sample(self, outputs: np.ndarray) -> int:
         return sample_child(weighted_values(outputs, self.weights), self.tau, self.rng)
 
-    def _choose(self, nodes) -> int:
-        return self._sample(node_outputs(nodes, self.value_models, self.solvent))
+    def _choose(self, candidates: np.ndarray) -> int:
+        return self._sample(score_rows(self.value_models, candidates, self.solvent))
 
     # rollout phases
 
@@ -533,42 +523,42 @@ class Generator:
             self._sample(self.block_outputs[self._first_rows])
         ]
         inputs: list[str | None] = [first_block] + [None] * (template.arity - 1)
-        member_fps = [self.blocks[first_block].fingerprint]
-        path = [node_bits(member_fps)]
+        # the current node's packed row: the OR of its molecules' rows
+        node = self.block_words[self._position[first_block]]
+        path = [node_bits(node)]
         open_roles = range(1, template.arity)
-        product = product_smiles = product_fp = None
+        product = product_smiles = product_row = None
         route = []
         for step in range(self.config.max_steps):
             if step:
                 continuations = self._continuations(product)
                 if not continuations:
                     break
-                nodes = [[product_fp]] + [
-                    [product_fp] if block_id is None
-                    else [product_fp, self.blocks[block_id].fingerprint]
+                # the stop node first, then each continuation's node
+                partners = [-1] + [
+                    -1 if block_id is None else self._position[block_id]
                     for _, _, block_id in continuations
                 ]
-                pick = self._choose(nodes)
+                candidates = product_row | self.block_words[partners]
+                pick = self._choose(candidates)
                 if pick == 0:
                     break
                 template, product_role, partner = continuations[pick - 1]
-                member_fps = [product_fp]
+                node = candidates[pick]
                 inputs = [None] * template.arity
                 inputs[product_role] = PREV_MARKER
                 others = [k for k in range(template.arity) if k != product_role]
                 if partner is not None:
                     inputs[others[0]] = partner
-                    member_fps.append(self.blocks[partner].fingerprint)
-                    path.append(node_bits(member_fps))
+                    path.append(node_bits(node))
                 open_roles = others[1:]
             for role in open_roles:
                 options = self.index.compatible_blocks(template.id, role)
-                block_id = options[
-                    self._choose([member_fps + [self.blocks[b].fingerprint] for b in options])
-                ]
-                inputs[role] = block_id
-                member_fps.append(self.blocks[block_id].fingerprint)
-                path.append(node_bits(member_fps))
+                candidates = node | self.block_words[[self._position[b] for b in options]]
+                pick = self._choose(candidates)
+                inputs[role] = options[pick]
+                node = candidates[pick]
+                path.append(node_bits(node))
 
             reactants = [
                 product if name == PREV_MARKER else self.blocks[name].graph
@@ -580,14 +570,14 @@ class Generator:
             product_index = self.rng.randrange(len(result.products))
             product = result.products[product_index]
             product_smiles = result.smiles[product_index]
-            product_fp = morgan_fingerprint(product)
+            product_row = pack([morgan_fingerprint(product)])
             route.append(RouteStep(template.id, tuple(inputs), product_index))
-            path.append(node_bits([product_fp]))
+            path.append(node_bits(product_row))
 
         return _Rollout(
             graph=product,
             smiles=product_smiles,
-            fingerprint=product_fp,
+            words=product_row,
             route=tuple(route),
             path_bits=tuple(path),
         )
@@ -629,14 +619,12 @@ class Generator:
                 continue
 
             smiles = outcome.smiles
-            fp = outcome.fingerprint
             scores, combined = reward(
-                outcome.graph, fp, self.scorers, self.weights, self.solvent
+                outcome.graph, outcome.words, self.scorers, self.weights, self.solvent
             )
-            fp_words = pack([fp])
             similarity = None
             if n_emitted:
-                similarity = float(tanimoto_matrix(fp_words, emitted_words[:n_emitted]).max())
+                similarity = float(tanimoto_matrix(outcome.words, emitted_words[:n_emitted]).max())
             if smiles in emitted:
                 duplicates += 1
                 status = "duplicate"
@@ -652,7 +640,7 @@ class Generator:
                 )
                 if n_emitted == len(emitted_words):
                     emitted_words = np.concatenate([emitted_words, np.empty_like(emitted_words)])
-                emitted_words[n_emitted] = fp_words[0]
+                emitted_words[n_emitted] = outcome.words
                 n_emitted += 1
 
             self.success_window.append(_successes(scores))
@@ -761,7 +749,7 @@ def uniform_baseline(
         product_index = rng.randrange(len(result.products))
         product = result.products[product_index]
         scores, combined = reward(
-            product, morgan_fingerprint(product), scorers, uniform_weights, solvent
+            product, pack([morgan_fingerprint(product)]), scorers, uniform_weights, solvent
         )
         out.append(
             GeneratedMolecule(

@@ -8,6 +8,7 @@ once constructed; anything that "edits" a molecule builds a new graph.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -74,6 +75,7 @@ class Bond:
     order: BondOrder
 
 
+@functools.cache
 def max_valence(element: str, charge: int) -> int:
     """Largest bond-order sum (hydrogens included) the element tolerates."""
     top = max(_FILL_VALENCES[element])
@@ -92,9 +94,19 @@ def _charge_adjust(element: str, charge: int, valence: int) -> int:
     return valence + charge
 
 
+@functools.cache
 def _fill_valences(element: str, charge: int) -> tuple[int, ...]:
     vals = tuple(_charge_adjust(element, charge, v) for v in _FILL_VALENCES[element])
     return tuple(v for v in vals if v >= 0)
+
+
+def _fill_hydrogens(element: str, charge: int, used: int) -> int:
+    """Hydrogens that bring a bond-order sum up to the lowest fill valence
+    that holds it; 0 when none does."""
+    for v in _fill_valences(element, charge):
+        if v >= used:
+            return v - used
+    return 0
 
 
 class MolecularGraph:
@@ -165,6 +177,12 @@ class MolecularGraph:
         bond only in the bare two-connected pyridine-like case.
         """
         atom = self.atoms[index]
+        return self._order_sum(index, atom.explicit_h, atom.formal_charge)
+
+    def _order_sum(self, index: int, explicit_h: int, charge: int) -> int:
+        # bond_order_sum's rule, for the atom read with the given hydrogen
+        # count and charge
+        element = self.atoms[index].element
         k = 0
         other = 0
         for _, bond in self._neighbors[index]:
@@ -174,12 +192,10 @@ class MolecularGraph:
                 other += bond.order.value
         if k == 0:
             return other
-        if atom.element in ("C", "B"):
+        if element in ("C", "B"):
             contrib = k + 1
-        elif atom.element in ("N", "P"):
-            pyridine_like = (
-                k == 2 and other == 0 and atom.explicit_h == 0 and atom.formal_charge == 0
-            )
+        elif element in ("N", "P"):
+            pyridine_like = k == 2 and other == 0 and explicit_h == 0 and charge == 0
             contrib = k + 1 if pyridine_like else k
         else:
             contrib = k
@@ -198,10 +214,12 @@ class MolecularGraph:
         if atom.explicit_h > 0 or atom.formal_charge != 0:
             # Bracket-style atoms state their hydrogen count outright.
             return 0
-        for v in _fill_valences(atom.element, atom.formal_charge):
-            if v >= used:
-                return v - used
-        return 0
+        return _fill_hydrogens(atom.element, atom.formal_charge, used)
+
+    def bare_implicit_h(self, index: int) -> int:
+        """Hydrogens a reader infers for this atom written bare, without
+        brackets: read with no explicit hydrogens and no charge."""
+        return _fill_hydrogens(self.atoms[index].element, 0, self._order_sum(index, 0, 0))
 
     def implicit_h(self, index: int) -> int:
         return self._implicit_h[index]

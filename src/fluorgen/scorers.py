@@ -19,10 +19,11 @@ those columns alone; full-set losses are one CSR product. Scoring
 (forward_batch) stays dense, and checkpoints keep w1 as (hidden, input).
 The dense form of the kernel is the test referee (tests/oracles.py).
 
-Every batch of fingerprints is scored by one loop, score_rows: it decodes
-SCORE_BLOCK_ROWS fingerprints at a time with feature_matrix and makes one
-forward_batch call per model and block. Filtering, stats and the rollout's
-value estimates all go through it.
+Every batch of fingerprints is scored by one loop, score_rows, on packed
+rows (fingerprints.pack): it lays out SCORE_BLOCK_ROWS rows at a time with
+feature_rows and makes one forward_batch call per model and block.
+Filtering, stats, rewards and the rollout's value estimates all go
+through it; score_property, the one-molecule form, is the test referee.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.stats import rankdata
 
-from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector, feature_matrix
+from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector, feature_rows
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
 _CHECKPOINT_VERSION = 1
@@ -289,7 +290,10 @@ def mlp_train(
     Training updates an (input, hidden) copy of w1 in place: each
     mini-batch writes its gradient only to the columns it touches, and
     the momentum step ``v *= m; v[cols] -= lr * g; w1 += v`` makes the
-    same float operations per element as ``v = m * v - lr * g``.
+    same float operations per element as ``v = m * v - lr * g``. Velocity
+    is kept only for the live columns, those some training row touches
+    plus the solvent columns: every other column's velocity stays zero
+    and would move nothing.
     """
     rows = as_sparse_rows(features)
     labels = np.asarray(labels, dtype=np.float64)
@@ -326,7 +330,11 @@ def mlp_train(
         norm_std=np.where(std > 0.0, std, 1.0),
         seed=config.seed,
     )
-    velocity_w1 = np.zeros_like(w1t)
+    solvent_columns = np.arange(rows.width - SOLVENT_DIM, rows.width)
+    live = np.concatenate([np.unique(rows.indices), solvent_columns])
+    live_slot = np.zeros(rows.width, dtype=np.intp)
+    live_slot[live] = np.arange(len(live))
+    velocity_w1 = np.zeros((len(live), config.hidden_dim))
     velocity = {"b1": np.zeros_like(model.b1), "w2": np.zeros_like(model.w2), "b2": 0.0}
 
     def snapshot():
@@ -354,8 +362,8 @@ def mlp_train(
             epoch_loss += loss * len(batch_labels)
             columns, grad_rows = grads["w1"]
             velocity_w1 *= config.momentum
-            velocity_w1[columns] -= config.learning_rate * grad_rows
-            w1t += velocity_w1
+            velocity_w1[live_slot[columns]] -= config.learning_rate * grad_rows
+            w1t[live] += velocity_w1
             for key in velocity:
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
             model.b1 += velocity["b1"]
@@ -451,26 +459,17 @@ def score_property(
     return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
 
 
-def score_rows(models, fingerprints, solvent) -> np.ndarray:
-    """(len(fingerprints), len(models)) outputs for a list of fingerprints
-    in one solvent. SCORE_BLOCK_ROWS fingerprints at a time are decoded
-    into one feature block, which is scored with one forward_batch call per
-    model, so no (n, 2052) matrix is held."""
-    out = np.empty((len(fingerprints), len(models)))
-    for start in range(0, len(fingerprints), SCORE_BLOCK_ROWS):
-        chunk = fingerprints[start : start + SCORE_BLOCK_ROWS]
-        block = feature_matrix(chunk, [solvent] * len(chunk))
+def score_rows(models, words: np.ndarray, solvent) -> np.ndarray:
+    """(len(words), len(models)) outputs for an (n, FP_WORDS) array of
+    packed fingerprint rows in one solvent. SCORE_BLOCK_ROWS rows at a time
+    are laid out as one feature block, which is scored with one
+    forward_batch call per model, so no (n, 2052) matrix is held."""
+    out = np.empty((len(words), len(models)))
+    for start in range(0, len(words), SCORE_BLOCK_ROWS):
+        block = feature_rows(words[start : start + SCORE_BLOCK_ROWS], solvent.as_tuple())
         for k, model in enumerate(models):
-            out[start : start + len(chunk), k] = forward_batch(model, block)
+            out[start : start + len(block), k] = forward_batch(model, block)
     return out
-
-
-def score_fingerprints(scorer: PropertyScorer, fingerprints, solvent) -> np.ndarray:
-    """score_property of a model-backed scorer for a list of fingerprints in
-    one solvent, scored through score_rows."""
-    if scorer.model is None:
-        raise ScorerError(f"{scorer.kind.value} is scored from the graph, not a fingerprint")
-    return score_rows([scorer.model], fingerprints, solvent)[:, 0]
 
 
 def save_model(model: MlpModel, path: str):

@@ -21,7 +21,6 @@ from fluorgen.molgraph import (
     BondOrder,
     MolecularGraph,
     MoleculeError,
-    _fill_valences,
 )
 
 _ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -543,37 +542,13 @@ def _bond_symbol(graph: MolecularGraph, bond: Bond) -> str:
     return "" if (a.aromatic and b.aromatic) else ":"
 
 
-def _bare_inferred_h(graph: MolecularGraph, index: int) -> int:
-    """Hydrogen count a reader would infer for this atom written bare."""
-    atom = graph.atoms[index]
-    k = 0
-    other = 0
-    for _, bond in graph.neighbors(index):
-        if bond.order is BondOrder.AROMATIC:
-            k += 1
-        else:
-            other += bond.order.value
-    if k == 0:
-        used = other
-    elif atom.element in ("C", "B"):
-        used = other + k + 1
-    elif atom.element in ("N", "P"):
-        used = other + (k + 1 if (k == 2 and other == 0) else k)
-    else:
-        used = other + k
-    for v in _fill_valences(atom.element, 0):
-        if v >= used:
-            return v - used
-    return 0
-
-
 def _atom_token(graph: MolecularGraph, index: int) -> str:
     atom = graph.atoms[index]
     total_h = graph.total_h(index)
     bare_allowed = (
         atom.formal_charge == 0
         and atom.element in _ORGANIC_SUBSET
-        and _bare_inferred_h(graph, index) == total_h
+        and graph.bare_implicit_h(index) == total_h
     )
     symbol = atom.element.lower() if atom.aromatic else atom.element
     if bare_allowed:

@@ -250,6 +250,26 @@ def run_filters_loop(smiles_list, scorers, solvent, thresholds):
     return tuple(survivors)
 
 
+def reward_loop(graph, fingerprint, scorers, weights, solvent):
+    """Reward oracle: the four properties scored with one-row score_property
+    calls, then binarized, clamped and weighted as generator.reward does."""
+    from fluorgen.generator import SP2_TARGET, VISIBLE_MAX_NM, VISIBLE_MIN_NM
+
+    plqy, absorption, emission, sp2 = (
+        score_property(scorers[kind], graph, fingerprint, solvent)
+        for kind in (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM,
+                     ScorerKind.SP2_SIZE)
+    )
+    scores = (
+        plqy,
+        1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,
+        1.0 if VISIBLE_MIN_NM <= emission <= VISIBLE_MAX_NM else 0.0,
+        min(sp2 / SP2_TARGET, 1.0),
+    )
+    combined = float(sum(w * m for w, m in zip(weights, scores)))
+    return scores, combined
+
+
 def node_value_loop(features: np.ndarray, models, weights) -> float:
     """Node value oracle: V(N) = sum_k w_k * Z_k(features), one single-row
     forward pass per model, accumulated in model order."""

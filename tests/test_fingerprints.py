@@ -16,6 +16,7 @@ from fluorgen.fingerprints import (
     _mix64_array,
     build_feature_vector,
     feature_matrix,
+    feature_rows,
     morgan_fingerprint,
     morgan_fingerprints,
     pack,
@@ -328,7 +329,8 @@ class TestDecoder:
         mask = 0x5555 << 1000
         parts = [Fingerprint(bits & mask), Fingerprint(bits & ~mask), Fingerprint(bits & mask)]
         assert node_features(parts, WATER).tobytes() == want.tobytes()
-        assert node_bits(parts).tolist() == np.flatnonzero(want[:FP_BITS]).tolist()
+        node = np.bitwise_or.reduce(pack(parts))
+        assert node_bits(node).tolist() == np.flatnonzero(want[:FP_BITS]).tolist()
 
     @settings(deadline=None)
     @given(rows=st.lists(st.tuples(bit_sets, st.sampled_from(SOLVENTS)), max_size=20))
@@ -346,6 +348,18 @@ class TestDecoder:
         bits = (1 << low_bits) - 1
         got = unpack(pack([Fingerprint(bits)]))[0]
         assert got.astype(np.float64).tobytes() == bits_to_array_loop(bits).tobytes()
+
+    @settings(deadline=None)
+    @given(rows=st.lists(bit_sets, max_size=20))
+    def test_feature_rows_share_one_layout(self, rows):
+        """feature_rows with one solvent for every row equals
+        feature_matrix with that solvent repeated."""
+        fingerprints = [Fingerprint(bits) for bits in rows]
+        for solvent in SOLVENTS:
+            got = feature_rows(pack(fingerprints), solvent.as_tuple())
+            want = feature_matrix(fingerprints, [solvent] * len(rows))
+            assert got.shape == want.shape == (len(rows), FEATURE_DIM)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_list(self):
         assert unpack(pack([])).shape == (0, FP_BITS)

@@ -16,12 +16,15 @@ from fluorgen import scorers as scorers_module
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
+    FP_WORDS,
     Fingerprint,
     SolventFeatures,
     WATER,
     build_feature_vector,
     morgan_fingerprint,
+    pack,
     tanimoto,
+    unpack,
 )
 from fluorgen.generator import (
     GeneratedMolecule,
@@ -34,7 +37,6 @@ from fluorgen.generator import (
     generate,
     node_bits,
     node_features,
-    node_outputs,
     parse_route,
     replay_route,
     reward,
@@ -65,10 +67,13 @@ from fluorgen.scorers import (
     ScorerKind,
     SparseRows,
     loss_and_grads,
+    score_rows,
 )
 from fluorgen.smiles import parse_smiles
 
-from oracles import node_value_loop, sparse_rows_to_dense, train_value_model_dense
+from corpus import CORPUS
+from oracles import node_value_loop, reward_loop, sparse_rows_to_dense, train_value_model_dense
+from randmol import random_molecule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -172,17 +177,22 @@ def random_fingerprint(rng):
     return Fingerprint(bits=sum(1 << int(bit) for bit in on))
 
 
+def packed_node(fingerprints):
+    """A node's packed row: the OR of its molecules' packed rows."""
+    return np.bitwise_or.reduce(pack(fingerprints))
+
+
 class TestNodeValue:
     def test_weighted_sum_of_heads(self):
         models = [const_model(z, Head.LINEAR) for z in (0.5, 1.0, 0.0, 0.5)]
-        outputs = node_outputs([[Fingerprint(bits=0)]], models, WATER)
+        outputs = score_rows(models, pack([Fingerprint(bits=0)]), WATER)
         values = weighted_values(outputs, (0.4, 0.2, 0.2, 0.2))
         assert values.shape == (1,)
         assert values[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         models = [const_model(0.0, Head.LINEAR)] * 3
-        outputs = node_outputs([[Fingerprint(bits=0)]], models, WATER)
+        outputs = score_rows(models, pack([Fingerprint(bits=0)]), WATER)
         with pytest.raises(GeneratorError):
             weighted_values(outputs, (0.25, 0.25, 0.25, 0.25))
 
@@ -197,9 +207,13 @@ class TestNodeValue:
         rng = np.random.default_rng(seed)
         models = random_value_models(rng)
         members = [random_fingerprint(rng) for _ in range(n_members)]
-        nodes = [members + [random_fingerprint(rng)] for _ in range(n_options)]
-        values = weighted_values(node_outputs(nodes, models, WATER), weights)
-        expected = [node_value_loop(node_features(n, WATER), models, weights) for n in nodes]
+        options = [random_fingerprint(rng) for _ in range(n_options)]
+        candidates = packed_node(members) | pack(options)
+        values = weighted_values(score_rows(models, candidates, WATER), weights)
+        expected = [
+            node_value_loop(node_features(members + [option], WATER), models, weights)
+            for option in options
+        ]
         assert values.shape == (n_options,)
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
@@ -214,10 +228,49 @@ class TestNodeValue:
 
         monkeypatch.setattr(scorers_module, "forward_batch", counting)
         models = random_value_models(np.random.default_rng(n_nodes))
-        node_outputs([[Fingerprint(bits=1 << k)] for k in range(n_nodes)], models, WATER)
+        score_rows(models, pack([Fingerprint(bits=1 << k) for k in range(n_nodes)]), WATER)
         blocks = -(-n_nodes // SCORE_BLOCK_ROWS)
         assert len(rows) == blocks * len(models)
         assert max(rows) <= SCORE_BLOCK_ROWS and sum(rows) == n_nodes * len(models)
+
+
+@pytest.fixture(scope="module")
+def engine(library, templates):
+    return Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
+
+
+class TestPackedNodes:
+    def test_block_words_rows(self, engine, library):
+        """One row per block in library order, then the all-zero row."""
+        assert engine.block_words.shape == (len(library.blocks) + 1, FP_WORDS)
+        want = pack([b.fingerprint for b in library.blocks])
+        assert np.array_equal(engine.block_words[:-1], want)
+        assert not engine.block_words[-1].any()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        blocks=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
+        no_partner=st.booleans(),
+        product=st.one_of(st.none(), st.sampled_from(CORPUS)),
+    )
+    def test_or_rows_decode_to_node_features(self, engine, library, blocks, no_partner, product):
+        """A node built the rollout's way, block_words rows ORed onto each
+        other and onto a product row, with -1 read as "no partner", decodes
+        to node_features of its molecules; node_bits lists its on-bits."""
+        positions = [k % len(library.blocks) for k in blocks] + ([-1] if no_partner else [])
+        members = [library.blocks[k].fingerprint for k in positions if k != -1]
+        rows = engine.block_words[positions]
+        if product is not None:
+            fingerprint = morgan_fingerprint(parse_smiles(product))
+            members.append(fingerprint)
+            rows = pack([fingerprint]) | rows
+        node = rows[0]
+        for row in rows[1:]:
+            node = node | row
+        want = node_features(members, WATER)[:FP_BITS]
+        assert unpack(node).astype(np.float64).tobytes() == want.tobytes()
+        assert node_bits(node).tolist() == np.flatnonzero(want).tolist()
+        assert node_bits(node).dtype == np.int16
 
 
 class TestSampling:
@@ -269,7 +322,7 @@ class TestReward:
         benzene = parse_smiles("c1ccccc1")
         weights = (0.25, 0.25, 0.25, 0.25)
         scores, combined = reward(
-            benzene, morgan_fingerprint(benzene), const_scorers(), weights, WATER
+            benzene, pack([morgan_fingerprint(benzene)]), const_scorers(), weights, WATER
         )
         assert scores[0] == pytest.approx(0.5)
         assert scores[1] == 1.0 and scores[2] == 1.0
@@ -284,7 +337,7 @@ class TestReward:
         benzene = parse_smiles("c1ccccc1")
         scores, _ = reward(
             benzene,
-            morgan_fingerprint(benzene),
+            pack([morgan_fingerprint(benzene)]),
             const_scorers(absorption=nm, emission=nm),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
@@ -295,7 +348,7 @@ class TestReward:
         anthracene = parse_smiles("c1ccc2cc3ccccc3cc2c1")
         scores, _ = reward(
             anthracene,
-            morgan_fingerprint(anthracene),
+            pack([morgan_fingerprint(anthracene)]),
             const_scorers(),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
@@ -306,13 +359,43 @@ class TestReward:
         biphenyl = parse_smiles("c1ccc(-c2ccccc2)cc1")
         scores, combined = reward(
             biphenyl,
-            morgan_fingerprint(biphenyl),
+            pack([morgan_fingerprint(biphenyl)]),
             const_scorers(plqy_logit=50.0),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
         assert all(s == pytest.approx(1.0) for s in scores)
         assert combined == pytest.approx(1.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        source=st.one_of(st.sampled_from(CORPUS), st.integers(0, 2**32 - 1)),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_equals_per_property_oracle(self, seed, source, weights):
+        """One score_rows call over the three models gives exactly the
+        scores and combined value of four one-row score_property calls."""
+        if isinstance(source, str):
+            graph = parse_smiles(source)
+        else:
+            graph = random_molecule(np.random.default_rng(source))
+        rng = np.random.default_rng(seed)
+        # one sigmoid and two linear nets, with outputs spread across the
+        # visible window so both binarized values occur
+        models = random_value_models(rng, count=3)
+        for model in models[1:]:
+            model.b2 += 585.0 + 300.0 * float(rng.normal())
+        scorers = {
+            kind: PropertyScorer(kind, model)
+            for kind, model in zip(
+                (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM), models
+            )
+        }
+        scorers[ScorerKind.SP2_SIZE] = PropertyScorer(ScorerKind.SP2_SIZE)
+        fingerprint = morgan_fingerprint(graph)
+        got = reward(graph, pack([fingerprint]), scorers, weights, WATER)
+        assert got == reward_loop(graph, fingerprint, scorers, weights, WATER)
 
 
 class TestTemperatureController:
@@ -395,7 +478,7 @@ class TestSparseReplayBuffer:
         solvents = [SolventFeatures(0.1 * k, 0.5, -0.25 * k, 0.0) for k in range(len(nodes))]
         buffer = ReplayBuffer(capacity=250)
         for k, (fps, solvent) in enumerate(zip(nodes, solvents)):
-            buffer.append(node_bits(fps), solvent, (float(k), 0.0, 0.0, 1.0))
+            buffer.append(node_bits(packed_node(fps)), solvent, (float(k), 0.0, 0.0, 1.0))
         rows, targets = buffer.rows()
         assert len(rows) == len(buffer) == 250
         want = np.array([node_features(fps, sol) for fps, sol in zip(nodes[50:], solvents[50:])])
@@ -409,14 +492,14 @@ class TestSparseReplayBuffer:
 
     def test_full_buffer_is_ten_times_smaller_than_dense(self, library):
         capacity = 2_000
-        nodes = self.random_nodes(library, capacity, seed=3)
+        rows = [packed_node(fps) for fps in self.random_nodes(library, capacity, seed=3)]
         scores = (0.5, 0.25, 0.75, 1.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             buffer = ReplayBuffer(capacity)
-            for fps in nodes:
-                buffer.append(node_bits(fps), WATER, scores)
+            for row in rows:
+                buffer.append(node_bits(row), WATER, scores)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -507,8 +590,8 @@ class TestValueTraining:
         engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
         stale = engine.block_outputs.copy()
         saved_w2 = [model.w2.copy() for model in engine.value_models]
-        for block in library.blocks:
-            engine.buffer.append(node_bits([block.fingerprint]), WATER, (0.9, 0.1, 0.5, 0.3))
+        for row in engine.block_words[:-1]:
+            engine.buffer.append(node_bits(row), WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         assert all(
             not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
@@ -527,13 +610,13 @@ class TestValueTraining:
         engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
         scored = []
 
-        def counting(nodes, models, solvent):
-            scored.append(len(nodes))
-            return node_outputs(nodes, models, solvent)
+        def counting(models, words, solvent):
+            scored.append(len(words))
+            return score_rows(models, words, solvent)
 
-        monkeypatch.setattr(generator, "node_outputs", counting)
-        for block in library.blocks:
-            engine.buffer.append(node_bits([block.fingerprint]), WATER, (0.9, 0.1, 0.5, 0.3))
+        monkeypatch.setattr(generator, "score_rows", counting)
+        for row in engine.block_words[:-1]:
+            engine.buffer.append(node_bits(row), WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         engine._train_values()
         assert scored == []

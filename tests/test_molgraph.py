@@ -17,6 +17,7 @@ from fluorgen.molgraph import (
 )
 from fluorgen.smiles import parse_smiles
 
+from corpus import CORPUS
 from oracles import sp2_network_size_unionfind
 from randmol import random_molecule
 
@@ -105,6 +106,20 @@ class TestImplicitHydrogens:
         graph = parse_smiles("CN(=O)=O")
         n = next(i for i, a in enumerate(graph.atoms) if a.element == "N")
         assert graph.total_h(n) == 0
+
+    def test_bare_reading_shares_the_graph_rule(self):
+        """Over the corpus, an atom with no stated hydrogens and no charge
+        is read bare the way the graph derives its hydrogens."""
+        for smiles in CORPUS:
+            graph = parse_smiles(smiles)
+            for i, atom in enumerate(graph.atoms):
+                if atom.explicit_h == 0 and atom.formal_charge == 0:
+                    assert graph.bare_implicit_h(i) == graph.implicit_h(i), (smiles, i)
+
+    def test_pyrrole_nitrogen_read_bare_has_no_h(self):
+        graph = parse_smiles("c1cc[nH]c1")
+        n = next(i for i, a in enumerate(graph.atoms) if a.element == "N")
+        assert graph.bare_implicit_h(n) == 0 and graph.total_h(n) == 1
 
 
 class TestHybridization:

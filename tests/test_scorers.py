@@ -32,8 +32,8 @@ from fluorgen.scorers import (
     roc_auc,
     run_cv,
     save_model,
-    score_fingerprints,
     score_property,
+    score_rows,
 )
 from fluorgen.smiles import parse_smiles
 
@@ -304,7 +304,9 @@ class TestMetrics:
 class TestPropertyScorers:
     @pytest.mark.parametrize("n", [0, 1, 64, 65, 130, 200])
     def test_score_fingerprints_matches_score_property(self, n):
-        from fluorgen.fingerprints import Fingerprint
+        """score_rows on packed rows equals one-row score_property calls,
+        across the 64-row block edges."""
+        from fluorgen.fingerprints import Fingerprint, pack
 
         rng = np.random.default_rng(n)
         model = make_model(input_dim=FEATURE_DIM, hidden=6, head=Head.LINEAR, seed=n, scale=0.3)
@@ -314,14 +316,10 @@ class TestPropertyScorers:
             Fingerprint(int(sum(1 << int(b) for b in rng.choice(2048, 40, replace=False))))
             for _ in range(n)
         ]
-        got = score_fingerprints(scorer, fps, solvent)
-        assert got.shape == (n,)
+        got = score_rows([model], pack(fps), solvent)
+        assert got.shape == (n, 1)
         want = [score_property(scorer, None, fp, solvent) for fp in fps]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_score_fingerprints_rejects_graph_scorer(self):
-        with pytest.raises(ScorerError, match="graph"):
-            score_fingerprints(PropertyScorer(kind=ScorerKind.SP2_SIZE), [], WATER)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=1e-12)
 
     def test_sp2_size_scorer(self):
         scorer = PropertyScorer(kind=ScorerKind.SP2_SIZE)
@@ -478,6 +476,25 @@ class TestSparseKernel:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ScorerError, match="wide rows"):
             loss_and_grads(make_model(input_dim=6), np.ones((2, 7)), np.zeros(2))
+
+    def test_untouched_columns_keep_their_initial_weights(self):
+        """Momentum is kept only for the live columns, those the training
+        rows touch plus the solvent columns: every other w1 column stays
+        the initial draw bit for bit, and every live column moves."""
+        rng = np.random.default_rng(3)
+        n, width = 80, 40
+        features = np.zeros((n, width))
+        features[:, :12] = rng.random((n, 12)) < 0.3
+        features[:, -SOLVENT_DIM:] = rng.normal(size=(n, SOLVENT_DIM))
+        config = TrainConfig(epochs=5, hidden_dim=8, seed=4)
+        model = mlp_train(features, rng.normal(size=n), Head.LINEAR, config).model
+        init = np.random.default_rng(config.seed).normal(
+            0.0, config.weight_init_scale, (config.hidden_dim, width)
+        )
+        live = features.any(axis=0)
+        assert 0 < live[:-SOLVENT_DIM].sum() < width - SOLVENT_DIM
+        assert model.w1[:, ~live].tobytes() == init[:, ~live].tobytes()
+        assert (model.w1[:, live] != init[:, live]).any(axis=0).all()
 
     def test_trainer_matches_dense_oracle_on_train_csv(self, tmp_path, monkeypatch):
         """Every fold of the benchmark's seed-1 train CSV, as cmd_train
