@@ -53,6 +53,7 @@ from fluorgen.scorers import (
     PropertyScorer,
     ScorerError,
     ScorerKind,
+    ScoreStack,
     load_model,
     run_cv,
     save_model,
@@ -320,8 +321,8 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_smiles(s) for s in smiles_list]
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
-    models = [scorers[k].model for k in kinds]
-    outputs = score_rows(models, pack(morgan_fingerprints(graphs)), solvent)
+    stack = ScoreStack([scorers[k].model for k in kinds])
+    outputs = score_rows(stack, pack(morgan_fingerprints(graphs)), solvent)
     plqy, absorption, emission = outputs.T.tolist()
     return {
         "plqy_probability": plqy,

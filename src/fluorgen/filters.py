@@ -16,7 +16,7 @@ from fluorgen.fingerprints import (
     tanimoto_matrix,
 )
 from fluorgen.molgraph import sp2_network_size
-from fluorgen.scorers import ScorerKind, score_rows
+from fluorgen.scorers import ScorerKind, ScoreStack, score_rows
 from fluorgen.smiles import parse_smiles
 
 NOVELTY_THRESHOLD = 0.5
@@ -65,9 +65,9 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     stage it fails. Each molecule is parsed once; the sp2 stage's survivors,
     exactly the molecules that reach a model stage, are fingerprinted in one
     batch, and each model stage scores its distinct survivors with
-    score_rows, a block of rows per forward_batch call. Returns
-    (surviving smiles, FilterReport, survivor fingerprints in survivor
-    order)."""
+    score_rows against a ScoreStack of the stage's model, one CSR product
+    per block of rows. Returns (surviving smiles, FilterReport, survivor
+    fingerprints in survivor order)."""
     survivors = list(smiles_list)
     graphs = {s: parse_smiles(s) for s in survivors}
     fingerprints: dict[str, Fingerprint] = {}
@@ -91,7 +91,8 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
             values = [sp2_network_size(graphs[s]) for s in distinct]
         elif distinct:  # with nothing left, no scorer is needed
             fps = [fingerprints[s] for s in distinct]
-            values = score_rows([scorers[kind].model], pack(fps), solvent)[:, 0].tolist()
+            stack = ScoreStack([scorers[kind].model])
+            values = score_rows(stack, pack(fps), solvent)[:, 0].tolist()
         else:
             values = []
         passed = {s for s, value in zip(distinct, values) if ok(value)}

@@ -12,10 +12,11 @@ exactly as the pinned scalar hash does.
 Width and radius are fixed (FP_BITS, FP_RADIUS); no caller picks others.
 pack turns fingerprints into packed rows of FP_WORDS uint64 words, the
 form the rollout and every scoring loop work in: a node's row is the OR
-of its molecules' rows. unpack turns words into bit columns, and
-feature_rows lays out every model input row, one or many: the decoded
-bits followed by the four solvent descriptors (SP, SdP, SA, SB), 2,052
-features in all.
+of its molecules' rows. unpack turns words into bit columns and on_bits
+into on-bit column indices, the sparse form scoring and the replay buffer
+read. feature_rows lays out a dense model input row, one or many: the
+decoded bits followed by the four solvent descriptors (SP, SdP, SA, SB),
+2,052 features in all.
 """
 
 from __future__ import annotations
@@ -238,6 +239,13 @@ def unpack(words: np.ndarray) -> np.ndarray:
     in column k (one (FP_WORDS,) row gives (FP_BITS,)): the one decoder
     behind every model input row."""
     return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+
+
+def on_bits(words: np.ndarray) -> np.ndarray:
+    """The on-bit columns of packed rows, bit k as column k: ascending for
+    one (FP_WORDS,) row; for an (n, FP_WORDS) array, row after row with each
+    row's ascending, the column indices of the rows' CSR form."""
+    return np.flatnonzero(unpack(words).view(bool)) % FP_BITS
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ from fluorgen.fingerprints import (
     SolventFeatures,
     build_feature_vector,
     morgan_fingerprint,
+    on_bits,
     pack,
     tanimoto_matrix,
-    unpack,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 from fluorgen.patterns import has_match
@@ -45,6 +45,7 @@ from fluorgen.scorers import (
     MlpModel,
     PropertyScorer,
     ScorerKind,
+    ScoreStack,
     SparseRows,
     as_sparse_rows,
     loss_and_grads,
@@ -218,7 +219,7 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
 def node_bits(row: np.ndarray) -> np.ndarray:
     """The on-bit columns of a node's packed row, ascending, as int16: what
     the replay buffer stores for a node."""
-    return np.flatnonzero(unpack(row)).astype(np.int16)
+    return on_bits(row).astype(np.int16)
 
 
 def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
@@ -266,10 +267,16 @@ def sample_child(values, tau: float, rng: random.Random) -> int:
     )
 
 
+def reward_stack(scorers) -> ScoreStack:
+    """The PLQY, absorption and emission models of a scorer mapping,
+    stacked in PROPERTY_ORDER for reward."""
+    return ScoreStack([scorers[kind].model for kind in PROPERTY_ORDER[:3]])
+
+
 def reward(
     graph: MolecularGraph,
     words: np.ndarray,
-    scorers,
+    stack: ScoreStack,
     weights,
     solvent: SolventFeatures,
 ):
@@ -281,12 +288,11 @@ def reward(
 
     :param words: the molecule's packed fingerprint as a (1, FP_WORDS)
         row; its three model scores come from one score_rows call.
-    :param scorers: mapping from ScorerKind to PropertyScorer.
+    :param stack: the reward models, as reward_stack builds them.
     :param weights: property weights in PROPERTY_ORDER.
     :returns: (scores tuple, combined p(m)).
     """
-    models = [scorers[kind].model for kind in PROPERTY_ORDER[:3]]
-    plqy, absorption, emission = score_rows(models, words, solvent)[0].tolist()
+    plqy, absorption, emission = score_rows(stack, words, solvent)[0].tolist()
     sp2 = sp2_network_size(graph)
     scores = (
         plqy,
@@ -389,11 +395,12 @@ def train_value_model(model, features, targets, config, rng) -> None:
     """
     rows = as_sparse_rows(features)
     targets = np.asarray(targets, dtype=np.float64)
-    before, _ = loss_and_grads(model, rows, targets, grads=False)
     # the original w1 array is never written, so it is its own saved copy
     saved = (model.w1, model.b1.copy(), model.w2.copy(), model.b2)
     w1t = np.ascontiguousarray(model.w1.T)
     model.w1 = w1t.T
+    # with w1t C-ordered, the full-buffer CSR products read it uncopied
+    before, _ = loss_and_grads(model, rows, targets, grads=False)
     n = len(rows)
     for _ in range(config.value_epochs):
         order = rng.permutation(n)
@@ -448,7 +455,7 @@ class Generator:
         self.config = config
         self.templates = tuple(templates)
         self.blocks = {b.id: b for b in library.blocks}
-        self.scorers = dict(scorers)
+        self.reward_stack = reward_stack(scorers)
         self.solvent = solvent
         self.index = index or CompatibilityIndex(library, self.templates)
         self.viable = set(self.index.viable_templates())
@@ -457,6 +464,7 @@ class Generator:
         self.rng = random.Random(config.seed)
         self.np_rng = np.random.default_rng(config.seed + 1)
         self.value_models = _init_value_models(config)
+        self._value_stack = None
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.tau = config.tau_init
         self.weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
@@ -480,20 +488,28 @@ class Generator:
     # value estimation
 
     @property
+    def value_stack(self) -> ScoreStack:
+        """The value nets stacked for score_rows. Built on the first read
+        after start-up or a retrain, like block_outputs."""
+        if self._value_stack is None:
+            self._value_stack = ScoreStack(self.value_models)
+        return self._value_stack
+
+    @property
     def block_outputs(self) -> np.ndarray:
         """Value-net outputs of each library block alone, in library order;
         the first decision's candidates index into this array. Scored on
         the first read after start-up or a retrain, so a retrain that no
         rollout follows scores nothing."""
         if self._block_outputs is None:
-            self._block_outputs = score_rows(self.value_models, self.block_words[:-1], self.solvent)
+            self._block_outputs = score_rows(self.value_stack, self.block_words[:-1], self.solvent)
         return self._block_outputs
 
     def _sample(self, outputs: np.ndarray) -> int:
         return sample_child(weighted_values(outputs, self.weights), self.tau, self.rng)
 
     def _choose(self, candidates: np.ndarray) -> int:
-        return self._sample(score_rows(self.value_models, candidates, self.solvent))
+        return self._sample(score_rows(self.value_stack, candidates, self.solvent))
 
     # rollout phases
 
@@ -588,6 +604,7 @@ class Generator:
         rows, targets = self.buffer.rows()
         for k, model in enumerate(self.value_models):
             train_value_model(model, rows, targets[:, k], self.config, self.np_rng)
+        self._value_stack = None
         self._block_outputs = None
 
     def run(self, progress=None) -> GenerationResult:
@@ -620,7 +637,7 @@ class Generator:
 
             smiles = outcome.smiles
             scores, combined = reward(
-                outcome.graph, outcome.words, self.scorers, self.weights, self.solvent
+                outcome.graph, outcome.words, self.reward_stack, self.weights, self.solvent
             )
             similarity = None
             if n_emitted:
@@ -735,6 +752,7 @@ def uniform_baseline(
     if not viable:
         raise GeneratorError("no template has compatible blocks for every role")
     blocks = {b.id: b for b in library.blocks}
+    stack = reward_stack(scorers)
     uniform_weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
     out = []
     for sample_idx in range(n_samples):
@@ -749,7 +767,7 @@ def uniform_baseline(
         product_index = rng.randrange(len(result.products))
         product = result.products[product_index]
         scores, combined = reward(
-            product, pack([morgan_fingerprint(product)]), scorers, uniform_weights, solvent
+            product, pack([morgan_fingerprint(product)]), stack, uniform_weights, solvent
         )
         out.append(
             GeneratedMolecule(

@@ -15,15 +15,18 @@ out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
 form plus the four solvent values. loss_and_grads computes the first
 layer over only the columns a mini-batch touches, against a transposed
 (input, hidden) working copy of w1, and returns the w1 gradient for
-those columns alone; full-set losses are one CSR product. Scoring
-(forward_batch) stays dense, and checkpoints keep w1 as (hidden, input).
-The dense form of the kernel is the test referee (tests/oracles.py).
+those columns alone; full-set losses are one CSR product. Checkpoints
+keep w1 as (hidden, input). The dense form of the kernel is the test
+referee (tests/oracles.py).
 
-Every batch of fingerprints is scored by one loop, score_rows, on packed
-rows (fingerprints.pack): it lays out SCORE_BLOCK_ROWS rows at a time with
-feature_rows and makes one forward_batch call per model and block.
-Filtering, stats, rewards and the rollout's value estimates all go
-through it; score_property, the one-molecule form, is the test referee.
+Scoring reads rows sparsely too. Every batch of fingerprints is scored by
+one loop, score_rows, on packed rows (fingerprints.pack) against a
+ScoreStack, the bit columns of several models' w1 side by side: each
+block of SCORE_BLOCK_ROWS rows is one CSR product that gives every
+model's first-layer sums at once, summed over the on-bits in ascending
+order. Filtering, stats, rewards and the rollout's value estimates all go
+through it. forward_batch, the dense form, scores cross-validation test
+folds and is the referee behind score_property, the one-molecule form.
 """
 
 from __future__ import annotations
@@ -35,16 +38,26 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.stats import rankdata
 
-from fluorgen.fingerprints import SOLVENT_DIM, Fingerprint, build_feature_vector, feature_rows
+from fluorgen.fingerprints import (
+    FEATURE_DIM,
+    FP_BITS,
+    SOLVENT_DIM,
+    Fingerprint,
+    build_feature_vector,
+    on_bits,
+)
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
 _CHECKPOINT_VERSION = 1
 _CHECKPOINT_ARRAYS = ("head", "w1", "b1", "w2", "b2", "norm_mean", "norm_std", "seed")
 
-# Rows are scored at most this many per forward_batch call. Scoring the
-# whole block library in one call raised the peak memory of perfbench's
-# generate workload from 115 to 119 MB at the same speed; 64-row blocks
-# keep it at 115 MB.
+# Rows are scored at most this many per CSR product, which bounds the
+# per-block temporaries (an (n, FP_BITS) uint8 decode and an (n, total
+# hidden) float block) however long the list: 11,590 molecules, the
+# paper's filter input, would decode 24 MB in one block. At perfbench's
+# sizes the choice does not show: one block per call left the peak memory
+# of generate at 116.4-116.6 MB and of filter at 140.8-140.9 MB, against
+# 116.5-116.8 and 141.1 MB with 64-row blocks.
 SCORE_BLOCK_ROWS = 64
 
 
@@ -459,16 +472,66 @@ def score_property(
     return float(forward_batch(scorer.model, fv[np.newaxis, :])[0])
 
 
-def score_rows(models, words: np.ndarray, solvent) -> np.ndarray:
-    """(len(words), len(models)) outputs for an (n, FP_WORDS) array of
-    packed fingerprint rows in one solvent. SCORE_BLOCK_ROWS rows at a time
-    are laid out as one feature block, which is scored with one
-    forward_batch call per model, so no (n, 2052) matrix is held."""
-    out = np.empty((len(words), len(models)))
+class ScoreStack:
+    """Models stacked for score_rows, a copy of their weights taken when
+    built: the bit columns of every w1 side by side as one C-contiguous
+    (FP_BITS, total hidden) array, so one CSR product makes every model's
+    first-layer sums (scipy copies a weight array that is not C-ordered on
+    every product), and the solvent columns, normalization, b1 and w2 laid
+    out the same way. A caller builds one per set of models and builds it
+    again when their weights change.
+    """
+
+    def __init__(self, models):
+        models = list(models)
+        for model in models:
+            if model.input_dim != FEATURE_DIM:
+                raise ScorerError(f"expected {FEATURE_DIM}-wide models, got {model.input_dim}")
+        self.count = len(models)
+        self.bit_weights = np.ascontiguousarray(np.vstack([m.w1[:, :FP_BITS] for m in models]).T)
+        # (SOLVENT_DIM, total hidden): each hidden unit's solvent weights
+        # and its model's normalization
+        widths = [m.hidden_dim for m in models]
+        self.solvent_weights = np.vstack([m.w1[:, FP_BITS:] for m in models]).T
+        self.norm_mean = np.repeat([m.norm_mean for m in models], widths, axis=0).T
+        self.norm_std = np.repeat([m.norm_std for m in models], widths, axis=0).T
+        self.b1 = np.concatenate([m.b1 for m in models])
+        self.w2 = np.concatenate([m.w2 for m in models])
+        self.b2 = np.array([m.b2 for m in models])
+        self.bounds = np.cumsum([0] + widths).tolist()
+        self.sigmoid = np.array([m.head is Head.SIGMOID for m in models])
+
+
+def score_rows(stack: ScoreStack, words: np.ndarray, solvent) -> np.ndarray:
+    """(len(words), stack.count) outputs for an (n, FP_WORDS) array of
+    packed fingerprint rows in one solvent, one column per stacked model.
+
+    Each block of SCORE_BLOCK_ROWS rows is one CSR product of its on-bit
+    columns against stack.bit_weights, which sums each row's weight
+    columns in ascending bit order. The normalized solvent term (its four
+    products summed in descriptor order) and b1 are added after, and each
+    model's ReLU outputs times w2 are summed along the row, so a row's
+    outputs do not depend on the rows scored with it.
+    """
+    solvent_values = np.reshape(solvent.as_tuple(), (SOLVENT_DIM, 1))
+    normalized = (solvent_values - stack.norm_mean) / stack.norm_std
+    solvent_term = (normalized * stack.solvent_weights).sum(axis=0)
+    out = np.empty((len(words), stack.count))
     for start in range(0, len(words), SCORE_BLOCK_ROWS):
-        block = feature_rows(words[start : start + SCORE_BLOCK_ROWS], solvent.as_tuple())
-        for k, model in enumerate(models):
-            out[start : start + len(block), k] = forward_batch(model, block)
+        block = words[start : start + SCORE_BLOCK_ROWS]
+        columns = on_bits(block)
+        indptr = np.zeros(len(block) + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(block).sum(axis=1), out=indptr[1:])
+        lead = csr_array((np.ones(len(columns)), columns, indptr), shape=(len(block), FP_BITS))
+        hidden = lead @ stack.bit_weights
+        hidden += solvent_term
+        hidden += stack.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        hidden *= stack.w2
+        for k, (low, high) in enumerate(zip(stack.bounds, stack.bounds[1:])):
+            out[start : start + len(block), k] = hidden[:, low:high].sum(axis=1)
+    out += stack.b2
+    out[:, stack.sigmoid] = 1.0 / (1.0 + np.exp(-out[:, stack.sigmoid]))
     return out
 
 

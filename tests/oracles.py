@@ -250,16 +250,46 @@ def run_filters_loop(smiles_list, scorers, solvent, thresholds):
     return tuple(survivors)
 
 
-def reward_loop(graph, fingerprint, scorers, weights, solvent):
+def score_rows_loop(models, words, solvent) -> np.ndarray:
+    """score_rows oracle in the sparse kernel's summation order, one row and
+    one model at a time. The row's on-bits are read from its words as a
+    Python int; the w1 columns at those bits are summed in ascending bit
+    order starting from zero, then the normalized solvent term (its four
+    products summed in descriptor order) and b1 are added; the ReLU
+    outputs times w2 are summed as one vector, b2 is added and the head
+    applied."""
+    out = np.empty((len(words), len(models)))
+    for i, row in enumerate(np.asarray(words, dtype=np.uint64)):
+        value = int.from_bytes(row.astype("<u8").tobytes(), "little")
+        bits = [k for k in range(FP_BITS) if value >> k & 1]
+        for m, model in enumerate(models):
+            lead = np.zeros(model.hidden_dim)
+            for k in bits:
+                lead = lead + model.w1[:, k]
+            term = np.zeros(model.hidden_dim)
+            for k, x in enumerate(solvent.as_tuple()):
+                term = term + (x - model.norm_mean[k]) / model.norm_std[k] * model.w1[:, FP_BITS + k]
+            hidden = np.maximum(lead + term + model.b1, 0.0)
+            logit = (hidden * model.w2).sum() + model.b2
+            out[i, m] = 1.0 / (1.0 + np.exp(-logit)) if model.head is Head.SIGMOID else logit
+    return out
+
+
+def reward_loop(graph, fingerprint, scorers, weights, solvent, sparse_order=False):
     """Reward oracle: the four properties scored with one-row score_property
-    calls, then binarized, clamped and weighted as generator.reward does."""
+    calls, then binarized, clamped and weighted as generator.reward does.
+    With sparse_order the three model scores come from score_rows_loop
+    instead, in the order score_rows sums."""
+    from fluorgen.fingerprints import pack
     from fluorgen.generator import SP2_TARGET, VISIBLE_MAX_NM, VISIBLE_MIN_NM
 
+    kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM, ScorerKind.SP2_SIZE)
     plqy, absorption, emission, sp2 = (
-        score_property(scorers[kind], graph, fingerprint, solvent)
-        for kind in (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM,
-                     ScorerKind.SP2_SIZE)
+        score_property(scorers[kind], graph, fingerprint, solvent) for kind in kinds
     )
+    if sparse_order:
+        models = [scorers[kind].model for kind in kinds[:3]]
+        plqy, absorption, emission = score_rows_loop(models, pack([fingerprint]), solvent)[0]
     scores = (
         plqy,
         1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,

@@ -179,19 +179,19 @@ class TestRunFilters:
         molecules = list(CORPUS) * 2  # duplicates are scored once
         thresholds = FilterThresholds(sp2_min=6)
         calls = []
-        original = scorers_module.forward_batch
+        original = scorers_module.csr_array
 
-        def counting(model, features):
-            calls.append(len(features))
-            return original(model, features)
+        def counting(arg, shape):
+            calls.append(shape[0])
+            return original(arg, shape=shape)
 
-        monkeypatch.setattr(scorers_module, "forward_batch", counting)
+        monkeypatch.setattr(scorers_module, "csr_array", counting)
         survivors, report, _ = run_filters(molecules, scorers, WATER, thresholds)
         monkeypatch.undo()
         assert survivors == run_filters_loop(molecules, scorers, WATER, thresholds)
         assert 0 < len(survivors) < report.remaining[0]
         assert all(rejected > 0 for rejected in report.rejected)
-        # each model stage makes ceil(distinct entrants / 64) calls
+        # each model stage makes ceil(distinct entrants / 64) sparse products
         assert len(set(CORPUS)) == len(CORPUS)
         assert max(calls) <= 64
         assert len(calls) == sum(-(-(entrants // 2) // 64) for entrants in report.remaining[:3])

@@ -40,6 +40,7 @@ from fluorgen.generator import (
     parse_route,
     replay_route,
     reward,
+    reward_stack,
     sample_child,
     softmax_probabilities,
     train_value_model,
@@ -65,6 +66,7 @@ from fluorgen.scorers import (
     MlpModel,
     PropertyScorer,
     ScorerKind,
+    ScoreStack,
     SparseRows,
     loss_and_grads,
     score_rows,
@@ -185,14 +187,14 @@ def packed_node(fingerprints):
 class TestNodeValue:
     def test_weighted_sum_of_heads(self):
         models = [const_model(z, Head.LINEAR) for z in (0.5, 1.0, 0.0, 0.5)]
-        outputs = score_rows(models, pack([Fingerprint(bits=0)]), WATER)
+        outputs = score_rows(ScoreStack(models), pack([Fingerprint(bits=0)]), WATER)
         values = weighted_values(outputs, (0.4, 0.2, 0.2, 0.2))
         assert values.shape == (1,)
         assert values[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         models = [const_model(0.0, Head.LINEAR)] * 3
-        outputs = score_rows(models, pack([Fingerprint(bits=0)]), WATER)
+        outputs = score_rows(ScoreStack(models), pack([Fingerprint(bits=0)]), WATER)
         with pytest.raises(GeneratorError):
             weighted_values(outputs, (0.25, 0.25, 0.25, 0.25))
 
@@ -209,7 +211,7 @@ class TestNodeValue:
         members = [random_fingerprint(rng) for _ in range(n_members)]
         options = [random_fingerprint(rng) for _ in range(n_options)]
         candidates = packed_node(members) | pack(options)
-        values = weighted_values(score_rows(models, candidates, WATER), weights)
+        values = weighted_values(score_rows(ScoreStack(models), candidates, WATER), weights)
         expected = [
             node_value_loop(node_features(members + [option], WATER), models, weights)
             for option in options
@@ -219,19 +221,20 @@ class TestNodeValue:
 
     @pytest.mark.parametrize("n_nodes", [1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 200])
     def test_scored_in_blocks(self, n_nodes, monkeypatch):
+        """One sparse product per block of rows, for all models at once."""
         rows = []
-        original = scorers_module.forward_batch
+        original = scorers_module.csr_array
 
-        def counting(model, features):
-            rows.append(len(features))
-            return original(model, features)
+        def counting(arg, shape):
+            rows.append(shape[0])
+            return original(arg, shape=shape)
 
-        monkeypatch.setattr(scorers_module, "forward_batch", counting)
-        models = random_value_models(np.random.default_rng(n_nodes))
-        score_rows(models, pack([Fingerprint(bits=1 << k) for k in range(n_nodes)]), WATER)
+        monkeypatch.setattr(scorers_module, "csr_array", counting)
+        stack = ScoreStack(random_value_models(np.random.default_rng(n_nodes)))
+        score_rows(stack, pack([Fingerprint(bits=1 << k) for k in range(n_nodes)]), WATER)
         blocks = -(-n_nodes // SCORE_BLOCK_ROWS)
-        assert len(rows) == blocks * len(models)
-        assert max(rows) <= SCORE_BLOCK_ROWS and sum(rows) == n_nodes * len(models)
+        assert len(rows) == blocks
+        assert max(rows) <= SCORE_BLOCK_ROWS and sum(rows) == n_nodes
 
 
 @pytest.fixture(scope="module")
@@ -321,8 +324,9 @@ class TestReward:
     def test_wavelengths_binarize_inside_window(self):
         benzene = parse_smiles("c1ccccc1")
         weights = (0.25, 0.25, 0.25, 0.25)
+        stack = reward_stack(const_scorers())
         scores, combined = reward(
-            benzene, pack([morgan_fingerprint(benzene)]), const_scorers(), weights, WATER
+            benzene, pack([morgan_fingerprint(benzene)]), stack, weights, WATER
         )
         assert scores[0] == pytest.approx(0.5)
         assert scores[1] == 1.0 and scores[2] == 1.0
@@ -338,7 +342,7 @@ class TestReward:
         scores, _ = reward(
             benzene,
             pack([morgan_fingerprint(benzene)]),
-            const_scorers(absorption=nm, emission=nm),
+            reward_stack(const_scorers(absorption=nm, emission=nm)),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -349,7 +353,7 @@ class TestReward:
         scores, _ = reward(
             anthracene,
             pack([morgan_fingerprint(anthracene)]),
-            const_scorers(),
+            reward_stack(const_scorers()),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -360,7 +364,7 @@ class TestReward:
         scores, combined = reward(
             biphenyl,
             pack([morgan_fingerprint(biphenyl)]),
-            const_scorers(plqy_logit=50.0),
+            reward_stack(const_scorers(plqy_logit=50.0)),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -375,7 +379,8 @@ class TestReward:
     )
     def test_equals_per_property_oracle(self, seed, source, weights):
         """One score_rows call over the three models gives exactly the
-        scores and combined value of four one-row score_property calls."""
+        scores and combined value of the sparse-order referee, and those of
+        four one-row score_property calls within 1e-12."""
         if isinstance(source, str):
             graph = parse_smiles(source)
         else:
@@ -394,8 +399,11 @@ class TestReward:
         }
         scorers[ScorerKind.SP2_SIZE] = PropertyScorer(ScorerKind.SP2_SIZE)
         fingerprint = morgan_fingerprint(graph)
-        got = reward(graph, pack([fingerprint]), scorers, weights, WATER)
-        assert got == reward_loop(graph, fingerprint, scorers, weights, WATER)
+        got = reward(graph, pack([fingerprint]), reward_stack(scorers), weights, WATER)
+        assert got == reward_loop(graph, fingerprint, scorers, weights, WATER, sparse_order=True)
+        scores, combined = reward_loop(graph, fingerprint, scorers, weights, WATER)
+        np.testing.assert_allclose(got[0], scores, rtol=0.0, atol=1e-12)
+        assert got[1] == pytest.approx(combined, rel=0.0, abs=1e-12)
 
 
 class TestTemperatureController:
@@ -585,6 +593,47 @@ class TestValueTraining:
                     self.make_model(seed=seed), features, targets, config, np.random.default_rng(seed)
                 ))
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("value_lr, kept", [(0.05, True), (1e8, False)])
+    def test_scores_follow_current_value_models(self, library, templates, value_lr, kept,
+                                                monkeypatch):
+        """After retrains that keep (or all revert) their update,
+        block_outputs and every later decision's candidate outputs,
+        continuations included, equal score_rows over a stack of the
+        current value_models built fresh."""
+        config = GenerationConfig(
+            n_rollouts=4, train_interval=2, max_steps=3, seed=5, value_lr=value_lr
+        )
+        engine = Generator(library, templates, const_scorers(), WATER, config)
+        initial = [model.w1 for model in engine.value_models]
+        with np.errstate(all="ignore"):
+            engine.run()
+        changed = [model.w1 is not w1 for model, w1 in zip(engine.value_models, initial)]
+        assert any(changed) == kept
+        scored = []
+
+        def recording(stack, words, solvent):
+            out = score_rows(stack, words, solvent)
+            scored.append((words.copy(), out))
+            return out
+
+        continuations = []
+
+        def counting(product):
+            found = Generator._continuations(engine, product)
+            continuations.append(len(found))
+            return found
+
+        monkeypatch.setattr(generator, "score_rows", recording)
+        monkeypatch.setattr(engine, "_continuations", counting)
+        for _ in range(6):
+            engine._run_rollout()
+        assert any(continuations)
+        fresh = ScoreStack(engine.value_models)
+        want = score_rows(fresh, engine.block_words[:-1], WATER)
+        np.testing.assert_allclose(engine.block_outputs, want, rtol=0.0, atol=1e-12)
+        for words, out in scored:
+            np.testing.assert_allclose(out, score_rows(fresh, words, WATER), rtol=0.0, atol=1e-12)
 
     def test_block_outputs_follow_kept_update(self, library, templates):
         engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))

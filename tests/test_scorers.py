@@ -11,10 +11,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from fluorgen.dataset import Task, TaskDataset
 from fluorgen.fingerprints import (
     FEATURE_DIM,
+    FP_BITS,
     SOLVENT_DIM,
     WATER,
+    Fingerprint,
     SolventFeatures,
     morgan_fingerprint,
+    pack,
 )
 from fluorgen.scorers import (
     Head,
@@ -22,6 +25,7 @@ from fluorgen.scorers import (
     PropertyScorer,
     ScorerError,
     ScorerKind,
+    ScoreStack,
     SparseRows,
     TrainConfig,
     forward_batch,
@@ -41,6 +45,7 @@ from oracles import (
     dense_w1_gradient,
     loss_and_grads_dense,
     mlp_train_dense,
+    score_rows_loop,
     sparse_rows_to_dense,
 )
 
@@ -306,8 +311,6 @@ class TestPropertyScorers:
     def test_score_fingerprints_matches_score_property(self, n):
         """score_rows on packed rows equals one-row score_property calls,
         across the 64-row block edges."""
-        from fluorgen.fingerprints import Fingerprint, pack
-
         rng = np.random.default_rng(n)
         model = make_model(input_dim=FEATURE_DIM, hidden=6, head=Head.LINEAR, seed=n, scale=0.3)
         scorer = PropertyScorer(kind=ScorerKind.ABS_NM, model=model)
@@ -316,10 +319,67 @@ class TestPropertyScorers:
             Fingerprint(int(sum(1 << int(b) for b in rng.choice(2048, 40, replace=False))))
             for _ in range(n)
         ]
-        got = score_rows([model], pack(fps), solvent)
+        got = score_rows(ScoreStack([model]), pack(fps), solvent)
         assert got.shape == (n, 1)
         want = [score_property(scorer, None, fp, solvent) for fp in fps]
         np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(
+            st.tuples(st.sampled_from(Head), st.integers(1, 40)), min_size=1, max_size=4
+        ),
+        n=st.sampled_from([0, 1, 63, 64, 65, 128, 129]),
+        zero_rows=st.integers(0, 3),
+    )
+    def test_score_rows_equals_sparse_order_referee(self, seed, shapes, n, zero_rows):
+        """score_rows equals the sparse-order loop referee bit for bit and
+        one-row score_property calls within 1e-12: both heads, mixed hidden
+        widths in one stack, normalized solvent columns, all-zero rows and
+        n across the 64-row block edges."""
+        rng = np.random.default_rng(seed)
+        models = [
+            MlpModel(
+                w1=rng.normal(0.0, 0.3, (width, FEATURE_DIM)),
+                b1=rng.normal(0.0, 0.1, width),
+                w2=rng.normal(0.0, 1.0, width),
+                b2=float(rng.normal()),
+                head=head,
+                norm_mean=rng.normal(0.5, 0.3, SOLVENT_DIM),
+                norm_std=rng.uniform(0.2, 2.0, SOLVENT_DIM),
+            )
+            for head, width in shapes
+        ]
+        fps = [
+            Fingerprint(sum(1 << int(b) for b in rng.choice(FP_BITS, rng.integers(1, 90), False)))
+            for _ in range(n)
+        ]
+        for row in rng.integers(0, max(n, 1), zero_rows if n else 0):
+            fps[row] = Fingerprint(0)
+        solvent = SolventFeatures(*rng.uniform(0.0, 1.2, SOLVENT_DIM).tolist())
+        words = pack(fps)
+        got = score_rows(ScoreStack(models), words, solvent)
+        assert got.shape == (n, len(models))
+        assert np.array_equal(got, score_rows_loop(models, words, solvent))
+        want = [
+            [score_property(PropertyScorer(ScorerKind.ABS_NM, m), None, fp, solvent) for m in models]
+            for fp in fps
+        ]
+        np.testing.assert_allclose(got, np.reshape(want, got.shape), rtol=0.0, atol=1e-12)
+
+    def test_stack_rejects_other_widths(self):
+        with pytest.raises(ScorerError):
+            ScoreStack([zero_model(input_dim=6)])
+
+    def test_stack_bit_weights_c_ordered(self):
+        """The CSR product reads the stacked weights uncopied only when they
+        are C-ordered, whichever order each model's w1 is in."""
+        c_ordered = make_model(input_dim=FEATURE_DIM, hidden=5)
+        f_ordered = make_model(input_dim=FEATURE_DIM, hidden=3, seed=1)
+        f_ordered.w1 = np.asfortranarray(f_ordered.w1)
+        for models in ([c_ordered], [f_ordered], [c_ordered, f_ordered]):
+            assert ScoreStack(models).bit_weights.flags.c_contiguous
 
     def test_sp2_size_scorer(self):
         scorer = PropertyScorer(kind=ScorerKind.SP2_SIZE)
