@@ -4,6 +4,7 @@ compare them. All outputs are plain delimited text."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -23,12 +24,15 @@ from fluorgen.dataset import (
 )
 from fluorgen.filters import (
     FilterError,
+    UnparsableSmiles,
     cluster_similarity_histogram,
     cluster_tanimoto,
     is_novel,
     novelty,
+    parse_molecule,
     run_filters,
     select_representatives,
+    write_binned_histogram,
     write_cluster_assignment,
     write_filter_report,
     write_similarity_histogram,
@@ -59,7 +63,7 @@ from fluorgen.scorers import (
     save_model,
     score_rows,
 )
-from fluorgen.smiles import SmilesError, parse_smiles
+from fluorgen.smiles import SmilesError
 
 INPUT_ERRORS = (
     ConfigError,
@@ -156,24 +160,44 @@ def _load_scorers(config: RunConfig) -> dict:
     return scorers
 
 
-def _read_molecule_smiles(path: str) -> list[str]:
+def _read_molecule_smiles(path: str) -> tuple[list[str], list[int]]:
+    """The smiles column and each row's 1-based line in the file."""
     _ensure_exists(path, "generated-molecules file")
+    smiles_list = []
+    lines = []
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle, delimiter="\t")
         if reader.fieldnames is None or "smiles" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a tab-delimited file with a smiles column")
-        return [row["smiles"] for row in reader]
+        for row in reader:
+            smiles_list.append(row["smiles"])
+            lines.append(reader.line_num)
+    return smiles_list, lines
 
 
-def _read_reference_smiles(path: str) -> list[str]:
+def _read_reference_smiles(path: str) -> tuple[list[str], list[int]]:
+    """One SMILES per non-blank, non-comment line, and its 1-based line."""
     _ensure_exists(path, "novelty reference file")
-    out = []
+    smiles_list = []
+    lines = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                out.append(line)
-    return out
+                smiles_list.append(line)
+                lines.append(number)
+    return smiles_list, lines
+
+
+@contextlib.contextmanager
+def _naming_bad_rows(path: str, smiles_list, lines):
+    """Report a SMILES that does not parse with its file and the line of
+    its first occurrence."""
+    try:
+        yield
+    except UnparsableSmiles as exc:
+        line = lines[smiles_list.index(exc.smiles)]
+        raise ConfigError(f"{path}, line {line}: {exc}") from None
 
 
 def cmd_train(config: RunConfig, column_map) -> int:
@@ -253,7 +277,7 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_filter(config: RunConfig) -> int:
     out = config.paths.output_dir
     molecules_path = os.path.join(out, "molecules.tsv")
-    smiles_list = _read_molecule_smiles(molecules_path)
+    smiles_list, lines = _read_molecule_smiles(molecules_path)
     _ensure_dir(out)
     if not smiles_list:
         # the stages never run, so no checkpoints are needed
@@ -262,9 +286,10 @@ def cmd_filter(config: RunConfig) -> int:
         write_filter_report(report, os.path.join(out, "filter_report.tsv"))
         return 0
     scorers = _load_scorers(config)
-    survivors, report, fingerprints = run_filters(
-        smiles_list, scorers, config.solvent, config.thresholds
-    )
+    with _naming_bad_rows(molecules_path, smiles_list, lines):
+        survivors, report, fingerprints = run_filters(
+            smiles_list, scorers, config.solvent, config.thresholds
+        )
     write_filter_report(report, os.path.join(out, "filter_report.tsv"))
     with open(os.path.join(out, "survivors.tsv"), "w", encoding="utf-8") as handle:
         handle.write("smiles\n")
@@ -283,11 +308,12 @@ def cmd_filter(config: RunConfig) -> int:
     write_cluster_assignment(
         assignment, survivors, os.path.join(out, "clusters.tsv")
     )
-    # the pair similarities are written and dropped before the next stage
-    write_similarity_histogram(
-        *cluster_similarity_histogram(assignment, fingerprints),
+    # the pair similarities are streamed: written and binned a chunk at a time
+    counts = write_similarity_histogram(
+        cluster_similarity_histogram(assignment, fingerprints),
         os.path.join(out, "similarity_histogram.tsv"),
     )
+    write_binned_histogram(counts, os.path.join(out, "similarity_histogram_binned.tsv"))
     ranked = select_representatives(assignment, fingerprints)
     with open(os.path.join(out, "representatives.tsv"), "w", encoding="utf-8") as handle:
         handle.write("cluster\trank\tsmiles\tis_medoid\n")
@@ -297,12 +323,12 @@ def cmd_filter(config: RunConfig) -> int:
                 handle.write(f"{cluster}\t{rank}\t{survivors[index]}\t{flag}\n")
 
     if config.clustering.novelty_references:
-        references = _read_reference_smiles(config.clustering.novelty_references)
+        references_path = config.clustering.novelty_references
+        references, reference_lines = _read_reference_smiles(references_path)
         if not references:
-            raise ConfigError(
-                f"novelty reference file {config.clustering.novelty_references} is empty"
-            )
-        reference_fps = morgan_fingerprints(parse_smiles(s) for s in references)
+            raise ConfigError(f"novelty reference file {references_path} is empty")
+        with _naming_bad_rows(references_path, references, reference_lines):
+            reference_fps = morgan_fingerprints(map(parse_molecule, references))
         scores = novelty(fingerprints, reference_fps)
         with open(os.path.join(out, "novelty.tsv"), "w", encoding="utf-8") as handle:
             handle.write("smiles\tmax_similarity\tnovel\n")
@@ -319,7 +345,7 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 
 def _metric_values(smiles_list, scorers, solvent):
-    graphs = [parse_smiles(s) for s in smiles_list]
+    graphs = [parse_molecule(s) for s in smiles_list]
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
     stack = ScoreStack([scorers[k].model for k in kinds])
     outputs = score_rows(stack, pack(morgan_fingerprints(graphs)), solvent)
@@ -334,13 +360,17 @@ def _metric_values(smiles_list, scorers, solvent):
 
 def cmd_stats(config: RunConfig) -> int:
     out = config.paths.output_dir
-    generated = _read_molecule_smiles(os.path.join(out, "molecules.tsv"))
-    baseline = _read_molecule_smiles(os.path.join(out, "baseline.tsv"))
+    generated_path = os.path.join(out, "molecules.tsv")
+    baseline_path = os.path.join(out, "baseline.tsv")
+    generated, generated_lines = _read_molecule_smiles(generated_path)
+    baseline, baseline_lines = _read_molecule_smiles(baseline_path)
     if not generated or not baseline:
         raise ConfigError("stats needs non-empty molecules.tsv and baseline.tsv")
     scorers = _load_scorers(config)
-    generated_values = _metric_values(generated, scorers, config.solvent)
-    baseline_values = _metric_values(baseline, scorers, config.solvent)
+    with _naming_bad_rows(generated_path, generated, generated_lines):
+        generated_values = _metric_values(generated, scorers, config.solvent)
+    with _naming_bad_rows(baseline_path, baseline, baseline_lines):
+        baseline_values = _metric_values(baseline, scorers, config.solvent)
     with open(os.path.join(out, "stats_histogram.tsv"), "w", encoding="utf-8") as handle:
         handle.write("set\tmetric\tvalue\n")
         for name in STAT_METRICS:

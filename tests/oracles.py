@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 
 import numpy as np
 
+from fluorgen.filters import ClusterAssignment, distance_matrix
 from fluorgen.fingerprints import (
     _BOND_CODE,
     _HASH_SEED,
@@ -210,6 +212,40 @@ def similarity_histogram_loop(labels, fingerprints):
             similarity = tanimoto(fingerprints[i], fingerprints[j])
             (intra if labels[i] == labels[j] else inter).append(similarity)
     return tuple(intra), tuple(inter)
+
+
+def cluster_tanimoto_matrix(fingerprints, k: int, seed: int, max_iterations: int = 100):
+    """K-medoids oracle on the full n x n distance matrix: the clustering
+    as it ran before distances were computed on demand. Farthest-point
+    seeds take a fresh minimum over every seed's column each round."""
+    distances = distance_matrix(fingerprints)
+    n = len(fingerprints)
+    rng = random.Random(seed)
+    medoids = [rng.randrange(n)]
+    while len(medoids) < k:
+        nearest = distances[:, medoids].min(axis=1)
+        nearest[medoids] = -1.0
+        medoids.append(int(np.argmax(nearest)))
+    labels = None
+    trace = []
+    for _ in range(max_iterations):
+        new_labels = np.argmin(distances[:, medoids], axis=1)
+        for cluster, medoid in enumerate(medoids):
+            new_labels[medoid] = cluster
+        trace.append(float(distances[np.arange(n), [medoids[c] for c in new_labels]].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for cluster in range(k):
+            members = np.flatnonzero(labels == cluster)
+            within = distances[np.ix_(members, members)].sum(axis=1)
+            medoids[cluster] = int(members[np.argmin(within)])
+    return ClusterAssignment(
+        k=k,
+        labels=tuple(int(c) for c in labels),
+        medoids=tuple(medoids),
+        objective_trace=tuple(trace),
+    )
 
 
 def representatives_loop(labels, medoids, fingerprints):

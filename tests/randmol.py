@@ -120,6 +120,28 @@ def random_cubic_molecule(rng: np.random.Generator) -> MolecularGraph:
     atoms that no symmetry relates in one class, so the canonical search
     has to branch and prune."""
     copies = int(rng.integers(1, 4))
+    m, piece, cut, pairs = _cubic_framework(rng, copies)
+    n = m * copies
+    elements = ["N" if rng.random() < 0.2 else "C" for _ in range(m)]
+    spare = [element == "C" and rng.random() < 0.5 for element in elements]
+    doubles = set()
+    for k in rng.permutation(len(piece)):
+        a, b = piece[k]
+        if (a, b) != cut and spare[a] and spare[b]:
+            doubles.add((a, b))
+            spare[a] = spare[b] = False
+    bonds = tuple(
+        Bond(a, b, BondOrder.DOUBLE if (a % m, b % m) in doubles else BondOrder.SINGLE)
+        for a, b in sorted(pairs)
+    )
+    atoms = tuple(Atom(index=i, element=elements[i % m]) for i in range(n))
+    return MolecularGraph(atoms, bonds)
+
+
+def _cubic_framework(rng: np.random.Generator, copies: int):
+    """A connected cubic framework: copies of a random 4-8 atom cubic
+    piece, each copy's cut bond rejoined to the next copy. Returns (piece
+    size, piece bonds, cut bond, framework bonds as sorted pairs)."""
     while True:
         m = 2 * int(rng.integers(2, 5))
         stubs = rng.permutation(np.repeat(np.arange(m), 3)).reshape(-1, 2)
@@ -137,21 +159,80 @@ def random_cubic_molecule(rng: np.random.Generator) -> MolecularGraph:
         for a, b in pairs:
             components.union(a, b)
         if len(pairs) == 3 * n // 2 and components.size[components.find(0)] == n:
+            return m, piece, cut, sorted(pairs)
+
+
+def _perfect_matching(rng: np.random.Generator, n: int, pairs, tries: int = 50):
+    """A random perfect matching of atoms 0..n-1 from pairs, by greedy
+    passes over shuffled pairs; None when no pass covers every atom."""
+    for _ in range(tries):
+        free = set(range(n))
+        chosen = set()
+        for k in rng.permutation(len(pairs)):
+            a, b = pairs[k]
+            if a in free and b in free:
+                chosen.add((a, b))
+                free -= {a, b}
+        if not free:
+            return chosen
+    return None
+
+
+def random_kekule_framework(rng: np.random.Generator) -> MolecularGraph:
+    """All-carbon cubic framework, one to four copies of a random piece
+    joined in a ring as in random_cubic_molecule, with one random perfect
+    matching of C=C bonds drawn over the whole framework. Every atom has
+    one double bond, so refinement starts from a single class; but the
+    matching is not periodic, so the rotation of the bare framework, and
+    other maps that keep every bond, usually move double bonds onto
+    single ones. Leaf maps that keep the bonds but not their orders then
+    occur, and they are not automorphisms."""
+    copies = int(rng.integers(1, 5))
+    while True:
+        m, _, _, pairs = _cubic_framework(rng, copies)
+        n = m * copies
+        doubles = _perfect_matching(rng, n, pairs)
+        if doubles is not None:
             break
-    elements = ["N" if rng.random() < 0.2 else "C" for _ in range(m)]
-    spare = [element == "C" and rng.random() < 0.5 for element in elements]
-    doubles = set()
-    for k in rng.permutation(len(piece)):
-        a, b = piece[k]
-        if (a, b) != cut and spare[a] and spare[b]:
-            doubles.add((a, b))
-            spare[a] = spare[b] = False
+    atoms = tuple(Atom(index=i, element="C") for i in range(n))
     bonds = tuple(
-        Bond(a, b, BondOrder.DOUBLE if (a % m, b % m) in doubles else BondOrder.SINGLE)
-        for a, b in sorted(pairs)
+        Bond(a, b, BondOrder.DOUBLE if (a, b) in doubles else BondOrder.SINGLE)
+        for a, b in pairs
     )
-    atoms = tuple(Atom(index=i, element=elements[i % m]) for i in range(n))
     return MolecularGraph(atoms, bonds)
+
+
+def random_chiral_necklace(rng: np.random.Generator) -> MolecularGraph:
+    """An eight-ring, boron at even positions and carbon at odd ones, each
+    ring atom carrying one of two pendants that refinement cannot tell
+    apart: a root bonded to opposite atoms of a six-ring, or to one atom
+    of each of two three-rings. Both cover a root bonded twice to one atom
+    of a three-ring, so every atom sees the same neighbour classes; ring
+    atoms over the same quotient atom share an element, drawn per parity.
+    The pendants alternate in pairs, so a half-turn of the ring is an
+    automorphism and no reflection is. Refinement sees every boron alike
+    and, once one is individualized, the two borons beside it alike, though
+    only the half-turn, which moves the first boron, relates them."""
+    even = ("hex", "tri") if rng.random() < 0.5 else ("tri", "hex")
+    odd = ("hex", "tri") if rng.random() < 0.5 else ("tri", "hex")
+    marks = [("N", "O", "S")[rng.integers(3)] for _ in range(2)]
+    rings = {
+        "hex": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)],
+        "tri": [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)],
+    }
+    atoms = ["B" if i % 2 == 0 else "C" for i in range(8)]
+    bonds = [(i, (i + 1) % 8) for i in range(8)]
+    for i in range(8):
+        kind = (even if i % 2 == 0 else odd)[i // 2 % 2]
+        root = len(atoms)
+        # the root holds ring atoms 1 and 4; atoms 2 and 5 carry the mark
+        atoms += ["C", "C", marks[i % 2], "C", "C", marks[i % 2], "C"]
+        bonds += [(root + a, root + b) for a, b in rings[kind]]
+        bonds += [(root, root + 1), (root, root + 4), (i, root)]
+    return MolecularGraph(
+        tuple(Atom(index=k, element=e) for k, e in enumerate(atoms)),
+        tuple(Bond(min(a, b), max(a, b), BondOrder.SINGLE) for a, b in bonds),
+    )
 
 
 def _recount(used: list[int], bonds: list[tuple[int, int, BondOrder]], i: int) -> None:

@@ -498,6 +498,13 @@ class TestFilter:
         clusters = (directory / "out" / "clusters.tsv").read_text().splitlines()
         assert len(clusters) == 4
         assert (directory / "out" / "similarity_histogram.tsv").exists()
+        binned = (directory / "out" / "similarity_histogram_binned.tsv").read_text().splitlines()
+        assert binned[0] == "kind\tbin_low\tbin_high\tcount"
+        counts = {"intra": 0, "inter": 0}
+        for line in binned[1:]:
+            kind, _, _, count = line.split("\t")
+            counts[kind] += int(count)
+        assert counts["intra"] + counts["inter"] == 3  # every pair of 3 survivors
         assert (directory / "out" / "representatives.tsv").exists()
         novelty_lines = (directory / "out" / "novelty.tsv").read_text().splitlines()
         assert novelty_lines[0] == "smiles\tmax_similarity\tnovel"
@@ -536,6 +543,25 @@ class TestFilter:
         config_path = write_config(tmp_path)
         assert main(["--config", str(config_path), "filter"]) == 2
         assert "generated-molecules file" in capsys.readouterr().err
+
+    def test_malformed_molecule_names_its_line(self, tmp_path, capsys):
+        constant_checkpoints(tmp_path / "ckpt")
+        path = tmp_path / "out" / "molecules.tsv"
+        # the bad SMILES first appears on line 3 (line 1 is the header)
+        molecules_file(path, ["c1ccc(-c2ccccc2)cc1", "C1CC", "c1ccccc1", "C1CC"])
+        config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "filter"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: 'C1CC': unmatched ring closure 1 (offset 1)" in err
+        assert not (tmp_path / "out" / "survivors.tsv").exists()
+
+    def test_malformed_reference_names_its_line(self, filter_setup, capsys):
+        directory, config_path = filter_setup
+        references = directory / "refs.txt"
+        references.write_text("# references\n\nc1ccccc1\nc1ccc(\n")
+        assert main(["--config", str(config_path), "filter"]) == 2
+        err = capsys.readouterr().err
+        assert f"{references}, line 4: 'c1ccc(': unbalanced parenthesis" in err
 
 
 class TestStats:

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluorgen.fingerprints import (
     FEATURE_DIM,
@@ -14,10 +17,13 @@ from fluorgen.fingerprints import (
     tanimoto,
 )
 from fluorgen.filters import (
+    HISTOGRAM_BINS,
+    HISTOGRAM_KINDS,
     ClusterAssignment,
     FilterError,
     FilterReport,
     FilterThresholds,
+    UnparsableSmiles,
     cluster_similarity_histogram,
     cluster_tanimoto,
     distance_matrix,
@@ -25,6 +31,7 @@ from fluorgen.filters import (
     novelty,
     run_filters,
     select_representatives,
+    write_binned_histogram,
     write_cluster_assignment,
     write_filter_report,
     write_similarity_histogram,
@@ -35,6 +42,7 @@ from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
 from oracles import (
+    cluster_tanimoto_matrix,
     distance_matrix_loop,
     novelty_loop,
     representatives_loop,
@@ -196,11 +204,48 @@ class TestRunFilters:
         assert max(calls) <= 64
         assert len(calls) == sum(-(-(entrants // 2) // 64) for entrants in report.remaining[:3])
 
+    def test_each_distinct_smiles_parsed_once(self, monkeypatch):
+        from fluorgen import filters
+
+        parsed = []
+        original = filters.parse_smiles
+
+        def counting(smiles):
+            parsed.append(smiles)
+            return original(smiles)
+
+        monkeypatch.setattr(filters, "parse_smiles", counting)
+        molecules = [BIPHENYL, ANTHRACENE, BUTANE, BIPHENYL, ANTHRACENE, BIPHENYL]
+        survivors, _, fingerprints = run_filters(molecules, const_scorers(), WATER)
+        assert parsed == [BIPHENYL, ANTHRACENE, BUTANE]
+        assert survivors == (BIPHENYL, ANTHRACENE, BIPHENYL, ANTHRACENE, BIPHENYL)
+        assert fingerprints == tuple(morgan_fingerprint(parse_smiles(s)) for s in survivors)
+
+    def test_unparsable_smiles_is_named(self):
+        with pytest.raises(UnparsableSmiles, match=r"^'C1CC': unmatched ring closure 1") as caught:
+            run_filters([BIPHENYL, "C1CC"], const_scorers(), WATER)
+        assert caught.value.smiles == "C1CC"
+        assert isinstance(caught.value, FilterError)
+
     def test_report_rejects_inconsistent_counts(self):
         with pytest.raises(FilterError):
             FilterReport(
                 stages=("a", "b"), total=3, remaining=(2, 3), rejected=(1, 0)
             )
+
+
+def histogram_arrays(chunks):
+    """The streamed (kind, values) chunks joined into one float64 array
+    per kind, in HISTOGRAM_KINDS order; every intra chunk must come
+    before every inter chunk."""
+    kinds = []
+    parts = {kind: [] for kind in HISTOGRAM_KINDS}
+    for kind, values in chunks:
+        assert values.dtype == np.float64 and values.ndim == 1
+        kinds.append(kind)
+        parts[kind].append(values)
+    assert kinds == sorted(kinds, key=HISTOGRAM_KINDS.index)
+    return tuple(np.concatenate(parts[kind] or [np.empty(0)]) for kind in HISTOGRAM_KINDS)
 
 
 def block_fingerprint(core_bits, extra_bit):
@@ -269,7 +314,7 @@ class TestClustering:
                 distance_matrix_loop(fingerprints).tobytes()
             )
             assignment = cluster_tanimoto(fingerprints, k=min(4, n), seed=0)
-            histogram = cluster_similarity_histogram(assignment, fingerprints)
+            histogram = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
             oracle = similarity_histogram_loop(assignment.labels, fingerprints)
             for got, want in zip(histogram, oracle, strict=True):
                 assert got.dtype == np.float64 and got.shape == (len(want),)
@@ -278,6 +323,47 @@ class TestClustering:
                 assignment.labels, assignment.medoids, fingerprints
             )
             assert novelty(fingerprints, references) == novelty_loop(fingerprints, references)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_streamed_clustering_equals_full_matrix_oracle(self, data):
+        """Labels, medoids, objective floats and histogram values in order,
+        exactly, against the full n x n matrix clustering. A small pool
+        gives duplicates and distance ties, the empty set an empty row,
+        and sizes up to 40 straddle the 8-row blocks."""
+        bit_sets = st.sets(st.integers(0, 63) | st.integers(0, 2047), max_size=16)
+        pool = data.draw(st.lists(bit_sets, min_size=1, max_size=8))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        fingerprints = [Fingerprint(bits=sum(1 << bit for bit in pool[i])) for i in picks]
+        n = len(fingerprints)
+        k = data.draw(st.sampled_from((1, n)) | st.integers(1, n))
+        seed = data.draw(st.integers(0, 1000))
+        assignment = cluster_tanimoto(fingerprints, k=k, seed=seed)
+        assert assignment == cluster_tanimoto_matrix(fingerprints, k=k, seed=seed)
+        got = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+        want = similarity_histogram_loop(assignment.labels, fingerprints)
+        assert [values.tolist() for values in got] == [list(values) for values in want]
+
+    def test_memory_stays_far_below_the_distance_matrix(self):
+        """3,000 clustered fingerprints: one n x n float64 matrix is 72 MB.
+        Clustering plus the streamed histogram must peak far below it."""
+        rng = random.Random(23)
+        centers = [rng.sample(range(2048), 48) for _ in range(100)]
+        fingerprints = []
+        for _ in range(3000):
+            bits = set(rng.choice(centers))
+            bits.symmetric_difference_update(rng.sample(range(2048), 6))
+            fingerprints.append(Fingerprint(bits=sum(1 << bit for bit in bits)))
+        tracemalloc.start()
+        try:
+            assignment = cluster_tanimoto(fingerprints, k=100, seed=0)
+            pairs = sum(len(values) for _, values in
+                        cluster_similarity_histogram(assignment, fingerprints))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == 3000 * 2999 // 2
+        assert peak < 20 * 2**20
 
     def test_too_few_molecules_rejected(self):
         fingerprints = two_group_fingerprints(per_group=1)
@@ -300,7 +386,7 @@ class TestSimilarityHistogram:
     def test_single_cluster_has_no_inter_pairs(self):
         fingerprints = two_group_fingerprints(per_group=2)
         assignment = cluster_tanimoto(fingerprints, k=1, seed=0)
-        intra, inter = cluster_similarity_histogram(assignment, fingerprints)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
         n = len(fingerprints)
         assert inter.shape == (0,)
         assert len(intra) == n * (n - 1) // 2
@@ -308,14 +394,14 @@ class TestSimilarityHistogram:
     def test_pair_count_is_complete(self):
         fingerprints = two_group_fingerprints()
         assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
-        intra, inter = cluster_similarity_histogram(assignment, fingerprints)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
         n = len(fingerprints)
         assert len(intra) + len(inter) == n * (n - 1) // 2
 
     def test_intra_exceeds_inter_on_separated_groups(self):
         fingerprints = two_group_fingerprints()
         assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
-        intra, inter = cluster_similarity_histogram(assignment, fingerprints)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
         assert sum(intra) / len(intra) > sum(inter) / len(inter)
         assert max(inter) == 0.0  # groups share no bits
 
@@ -324,6 +410,31 @@ class TestSimilarityHistogram:
         assignment = cluster_tanimoto(fingerprints, k=1, seed=0)
         with pytest.raises(FilterError):
             cluster_similarity_histogram(assignment, fingerprints[:-1])
+
+
+    def test_binned_counts_equal_histogram_of_oracle_values(self, tmp_path):
+        # duplicates (similarity 1), disjoint rows (0) and half overlaps
+        # (0.5, a bin edge) land on the edges of HISTOGRAM_BINS
+        rng = random.Random(19)
+        pool = [block_fingerprint((0, 1), 2), block_fingerprint((1, 2), 3), Fingerprint(bits=0)]
+        pool += [Fingerprint(bits=rng.getrandbits(64)) for _ in range(5)]
+        fingerprints = [rng.choice(pool) for _ in range(60)]
+        assignment = cluster_tanimoto(fingerprints, k=5, seed=1)
+        counts = write_similarity_histogram(
+            cluster_similarity_histogram(assignment, fingerprints), tmp_path / "hist.tsv"
+        )
+        oracle = similarity_histogram_loop(assignment.labels, fingerprints)
+        for kind, values in zip(HISTOGRAM_KINDS, oracle, strict=True):
+            assert counts[kind].tolist() == np.histogram(values, HISTOGRAM_BINS)[0].tolist()
+            assert counts[kind].sum() == len(values)
+        path = tmp_path / "binned.tsv"
+        write_binned_histogram(counts, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "kind\tbin_low\tbin_high\tcount"
+        assert len(lines) == 1 + 2 * 100
+        assert lines[1] == f"intra\t0\t0.01\t{counts['intra'][0]}"
+        assert lines[51] == f"intra\t0.5\t0.51\t{counts['intra'][50]}"
+        assert lines[200] == f"inter\t0.99\t1\t{counts['inter'][99]}"
 
 
 class TestRepresentatives:
@@ -405,7 +516,7 @@ class TestWriters:
 
     def test_histogram_file(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram((0.25, 0.5), (0.125,), path)
+        write_similarity_histogram([("intra", (0.25, 0.5)), ("inter", (0.125,))], path)
         lines = path.read_text().splitlines()
         assert lines == [
             "kind\tsimilarity",
@@ -422,7 +533,7 @@ class TestWriters:
         intra = tuple(rng.choice(special + [i / 97 for i in range(97)]) for _ in range(2000))
         inter = tuple(special) + tuple(rng.random() for _ in range(300)) + intra[:500]
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram(intra, inter, path)
+        write_similarity_histogram([("intra", intra), ("inter", inter)], path)
         want = ["kind\tsimilarity\n"]
         want += [f"intra\t{format(value, '.6g')}\n" for value in intra]
         want += [f"inter\t{format(value, '.6g')}\n" for value in inter]
@@ -431,8 +542,9 @@ class TestWriters:
         assert exponents | {"inter\t1\n", "inter\t0\n"} <= set(want)
 
     def test_histogram_file_across_chunks(self, tmp_path, monkeypatch):
-        """Chunks of 7 values, arrays and tuples alike: the same bytes as
-        one row formatted per value."""
+        """Chunks of 7 values, arrays and tuples alike, each kind split
+        over several streamed chunks: the same bytes as one row formatted
+        per value."""
         from fluorgen import filters
 
         monkeypatch.setattr(filters, "HISTOGRAM_CHUNK", 7)
@@ -440,7 +552,9 @@ class TestWriters:
         intra = np.array([rng.choice([0.0, 1.0, 0.5, 1 / 3, 2.5e-07]) for _ in range(50)])
         inter = tuple(rng.random() for _ in range(23)) + tuple(intra[:14])
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram(intra, inter, path)
+        chunks = [("intra", intra[:20]), ("intra", intra[20:]), ("inter", inter[:5]),
+                  ("inter", ()), ("inter", inter[5:])]
+        write_similarity_histogram(chunks, path)
         want = ["kind\tsimilarity\n"]
         want += [f"intra\t{format(float(value), '.6g')}\n" for value in intra]
         want += [f"inter\t{format(float(value), '.6g')}\n" for value in inter]
@@ -448,5 +562,5 @@ class TestWriters:
 
     def test_empty_histogram_file(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram((), (), path)
+        write_similarity_histogram([], path)
         assert path.read_text(encoding="utf-8") == "kind\tsimilarity\n"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluorgen.molgraph import BondOrder
@@ -13,7 +13,14 @@ from fluorgen.smiles import (
 
 from corpus import CORPUS
 from oracles import canonical_smiles_exhaustive, graphs_isomorphic
-from randmol import permute_graph, random_cubic_molecule, random_molecule, substitute
+from randmol import (
+    permute_graph,
+    random_chiral_necklace,
+    random_cubic_molecule,
+    random_kekule_framework,
+    random_molecule,
+    substitute,
+)
 
 
 class TestParsing:
@@ -224,6 +231,36 @@ class TestCanonicalSearchIsExact:
         assert write_canonical_smiles(graph) == want
         shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
         assert write_canonical_smiles(shuffled) == want
+
+    # Seeds on which a search that accepts a leaf map as an automorphism
+    # without comparing bond orders returns a wrong string.
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=91)
+    @example(seed=93)
+    @example(seed=103)
+    @example(seed=357)
+    @example(seed=358)
+    def test_kekule_frameworks_match_exhaustive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_kekule_framework(rng)
+        want = canonical_smiles_exhaustive(graph)
+        assert write_canonical_smiles(graph) == want
+        for _ in range(2):
+            shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
+            assert write_canonical_smiles(shuffled) == want
+
+    # Seeds on which orbit pruning with recorded automorphisms that move the
+    # individualized path returns a wrong string for some atom orders.
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_chiral_necklaces_match_exhaustive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_chiral_necklace(rng)
+        want = canonical_smiles_exhaustive(graph)
+        assert write_canonical_smiles(graph) == want
+        for _ in range(20):
+            shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
+            assert write_canonical_smiles(shuffled) == want
 
     def test_corpus_matches_exhaustive_oracle(self):
         for smi in CORPUS:
