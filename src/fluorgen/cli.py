@@ -37,7 +37,7 @@ from fluorgen.filters import (
     write_filter_report,
     write_similarity_histogram,
 )
-from fluorgen.fingerprints import morgan_fingerprints, pack
+from fluorgen.fingerprints import morgan_fingerprints
 from fluorgen.generator import (
     GeneratorError,
     generate,
@@ -287,7 +287,7 @@ def cmd_filter(config: RunConfig) -> int:
         return 0
     scorers = _load_scorers(config)
     with _naming_bad_rows(molecules_path, smiles_list, lines):
-        survivors, report, fingerprints = run_filters(
+        survivors, report, words = run_filters(
             smiles_list, scorers, config.solvent, config.thresholds
         )
     write_filter_report(report, os.path.join(out, "filter_report.tsv"))
@@ -304,17 +304,17 @@ def cmd_filter(config: RunConfig) -> int:
         print(
             f"warning: clamping cluster count to {k} survivors", file=sys.stderr
         )
-    assignment = cluster_tanimoto(fingerprints, k=k, seed=config.clustering.cluster_seed)
+    assignment = cluster_tanimoto(words, k=k, seed=config.clustering.cluster_seed)
     write_cluster_assignment(
         assignment, survivors, os.path.join(out, "clusters.tsv")
     )
     # the pair similarities are streamed: written and binned a chunk at a time
     counts = write_similarity_histogram(
-        cluster_similarity_histogram(assignment, fingerprints),
+        cluster_similarity_histogram(assignment, words),
         os.path.join(out, "similarity_histogram.tsv"),
     )
     write_binned_histogram(counts, os.path.join(out, "similarity_histogram_binned.tsv"))
-    ranked = select_representatives(assignment, fingerprints)
+    ranked = select_representatives(assignment, words)
     with open(os.path.join(out, "representatives.tsv"), "w", encoding="utf-8") as handle:
         handle.write("cluster\trank\tsmiles\tis_medoid\n")
         for cluster, (medoid, members) in enumerate(ranked):
@@ -328,8 +328,8 @@ def cmd_filter(config: RunConfig) -> int:
         if not references:
             raise ConfigError(f"novelty reference file {references_path} is empty")
         with _naming_bad_rows(references_path, references, reference_lines):
-            reference_fps = morgan_fingerprints(map(parse_molecule, references))
-        scores = novelty(fingerprints, reference_fps)
+            reference_words = morgan_fingerprints(map(parse_molecule, references))
+        scores = novelty(words, reference_words)
         with open(os.path.join(out, "novelty.tsv"), "w", encoding="utf-8") as handle:
             handle.write("smiles\tmax_similarity\tnovel\n")
             for smiles, score in zip(survivors, scores):
@@ -348,7 +348,7 @@ def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_molecule(s) for s in smiles_list]
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
     stack = ScoreStack([scorers[k].model for k in kinds])
-    outputs = score_rows(stack, pack(morgan_fingerprints(graphs)), solvent)
+    outputs = score_rows(stack, morgan_fingerprints(graphs), solvent)
     plqy, absorption, emission = outputs.T.tolist()
     return {
         "plqy_probability": plqy,

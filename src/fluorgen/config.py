@@ -51,6 +51,10 @@ class BaselineConfig:
     samples: int = 0
     seed: int = 1
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ConfigError("generate.baseline_samples must be at least 0")
+
 
 @dataclass(frozen=True)
 class ClusteringConfig:

@@ -4,7 +4,9 @@ The input is delimited text (comma or tab, sniffed from the header) with
 one measurement row per molecule-solvent pair: SMILES, the four Catalan
 solvent descriptors, and up to three measured properties. Rows that fail
 to parse are reported, duplicate pairs are averaged, and task curation
-turns the surviving records into feature/label arrays.
+turns the surviving records into training arrays: packed fingerprint
+rows (one per distinct SMILES, shared by the three tasks), solvents and
+labels.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import (
-    Fingerprint,
-    SolventFeatures,
-    feature_matrix,
-    morgan_fingerprints,
-)
+from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
 
 
@@ -110,7 +107,6 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
 
     rejected: list[str] = []
     groups: dict[tuple, dict[str, list[float]]] = {}
-    originals: dict[tuple, str] = {}
     for lineno, row in enumerate(rows, start=2):  # header is line 1
         def cell(logical):
             value = row.get(resolved[logical])
@@ -153,7 +149,6 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
 
         key = (smiles, solvent.as_tuple() if solvent is not None else None)
         bucket = groups.setdefault(key, {"plqy": [], "absorption": [], "emission": []})
-        originals.setdefault(key, smiles)
         if plqy is not None:
             bucket["plqy"].append(plqy)
         if absorption is not None:
@@ -198,7 +193,7 @@ def _mean(values: list[float]) -> float | None:
 @dataclass(frozen=True)
 class TaskDataset:
     task: Task
-    features: np.ndarray  # (n, 2052)
+    words: np.ndarray  # (n, FP_WORDS) packed fingerprint rows
     labels: np.ndarray  # (n,)
     smiles: tuple[str, ...]
     solvents: tuple[SolventFeatures, ...]
@@ -207,15 +202,15 @@ class TaskDataset:
         return len(self.smiles)
 
 
-def record_fingerprints(records) -> dict[str, Fingerprint]:
-    """Fingerprint of every distinct record SMILES, computed once so the
-    three tasks can share it."""
+def record_fingerprints(records) -> dict[str, np.ndarray]:
+    """Packed fingerprint row of every distinct record SMILES, computed
+    once so the three tasks can share it."""
     distinct = list(dict.fromkeys(record.smiles for record in records))
     return dict(zip(distinct, morgan_fingerprints(parse_smiles(s) for s in distinct)))
 
 
 def curate_task(
-    records, task: Task, fingerprints: dict[str, Fingerprint] | None = None
+    records, task: Task, fingerprints: dict[str, np.ndarray] | None = None
 ) -> TaskDataset:
     """Keep records complete for the task and build the training arrays.
 
@@ -223,7 +218,7 @@ def curate_task(
     measurement are present. PLQY classification labels are 1 only for
     PLQY strictly above 0.5; the regression tasks use nm values as-is.
 
-    :param fingerprints: record SMILES to fingerprint, as made by
+    :param fingerprints: record SMILES to packed row, as made by
         ``record_fingerprints``; made here when not given.
     """
     if fingerprints is None:
@@ -250,7 +245,7 @@ def curate_task(
         raise DatasetError(f"no records usable for task {task.value}")
     return TaskDataset(
         task=task,
-        features=feature_matrix([fingerprints[s] for s in smiles], solvents),
+        words=np.stack([fingerprints[s] for s in smiles]),
         labels=np.asarray(labels, dtype=np.float64),
         smiles=tuple(smiles),
         solvents=tuple(solvents),

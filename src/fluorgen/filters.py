@@ -8,12 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import (
-    SolventFeatures,
-    morgan_fingerprints,
-    pack,
-    tanimoto_matrix,
-)
+from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints, tanimoto_matrix
 from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import ScorerKind, ScoreStack, score_rows
 from fluorgen.smiles import SmilesError, parse_smiles
@@ -56,6 +51,14 @@ class FilterThresholds:
     window_min_nm: float = 420.0
     window_max_nm: float = 750.0
 
+    def __post_init__(self):
+        if self.sp2_min < 0:
+            raise FilterError("filters.sp2_min must be at least 0")
+        if not 0.0 <= self.plqy_min <= 1.0:
+            raise FilterError("filters.plqy_min must lie in [0,1]")
+        if self.window_min_nm > self.window_max_nm:
+            raise FilterError("filters.window_min_nm must not exceed filters.window_max_nm")
+
 
 @dataclass(frozen=True)
 class FilterReport:
@@ -87,7 +90,7 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     of MORGAN_CHUNK graphs is fingerprinted. Each model stage scores its
     distinct survivors with score_rows against a ScoreStack of the stage's
     model, one CSR product per block of rows. Returns (surviving smiles,
-    FilterReport, survivor fingerprints in survivor order)."""
+    FilterReport, survivor fingerprints as packed rows in survivor order)."""
     survivors = list(smiles_list)
     total = len(survivors)
     remaining = []
@@ -109,9 +112,9 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
                 sp2_passed.append(smiles)
                 yield graph
 
-    fps = morgan_fingerprints(sp2_graphs())
-    fingerprints = dict(zip(sp2_passed, fps, strict=True))
-    keep(fingerprints)
+    words = morgan_fingerprints(sp2_graphs())
+    row_of = {smiles: row for row, smiles in enumerate(sp2_passed)}
+    keep(row_of)
 
     def in_window(nm):
         return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
@@ -126,7 +129,7 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
         passed = set()
         if distinct:  # with nothing left, no scorer is needed
             stack = ScoreStack([scorers[kind].model])
-            values = score_rows(stack, pack(fingerprints[s] for s in distinct), solvent)
+            values = score_rows(stack, words[[row_of[s] for s in distinct]], solvent)
             passed = {s for s, value in zip(distinct, values[:, 0].tolist()) if ok(value)}
         keep(passed)
     report = FilterReport(
@@ -135,7 +138,7 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
         remaining=tuple(remaining),
         rejected=tuple(rejected),
     )
-    return tuple(survivors), report, tuple(fingerprints[s] for s in survivors)
+    return tuple(survivors), report, words[[row_of[s] for s in survivors]]
 
 
 @dataclass(frozen=True)
@@ -163,13 +166,12 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def distance_matrix(fingerprints) -> np.ndarray:
-    """Pairwise Jaccard distances 1 - tanimoto; the diagonal is zero.
+def distance_matrix(words: np.ndarray) -> np.ndarray:
+    """Pairwise Jaccard distances 1 - tanimoto of packed rows; zero diagonal.
 
     Nothing in the package calls this any more: clustering reads distance
     blocks on demand. It stays as a public entry point, which the
     benchmark's tracer watches and the tests use as a reference."""
-    words = pack(fingerprints)
     return _distances(words, words)
 
 
@@ -186,7 +188,7 @@ def _farthest_point_seeds(words: np.ndarray, k: int, seed: int) -> list[int]:
     return seeds
 
 
-def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
+def cluster_tanimoto(words: np.ndarray, k: int = 100, seed: int = 0,
                      max_iterations: int = 100) -> ClusterAssignment:
     """K-medoids in Tanimoto space: assign to the nearest medoid, then
     move each medoid to the member minimizing summed intra-cluster
@@ -195,12 +197,11 @@ def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
     Distances are computed on demand from the packed words: one k x n
     block per assignment and one members x members block per medoid
     update, so memory is O(n k + largest cluster squared), never n x n."""
-    n = len(fingerprints)
+    n = len(words)
     if n < k:
         raise FilterError(f"cannot form {k} clusters from {n} molecules")
     if k < 1:
         raise FilterError("k must be positive")
-    words = pack(fingerprints)
     medoids = _farthest_point_seeds(words, k, seed)
     labels = None
     trace = []
@@ -227,7 +228,7 @@ def cluster_tanimoto(fingerprints, k: int = 100, seed: int = 0,
     )
 
 
-def cluster_similarity_histogram(assignment: ClusterAssignment, fingerprints):
+def cluster_similarity_histogram(assignment: ClusterAssignment, words: np.ndarray):
     """Every pairwise similarity i < j as (kind, float64 chunk) pairs in
     file order: the within-cluster ("intra") pairs in (i, j) order, then
     the across-cluster ("inter") pairs in (i, j) order.
@@ -237,11 +238,9 @@ def cluster_similarity_histogram(assignment: ClusterAssignment, fingerprints):
     a time against the columns right of them, one chunk per block. So no
     n x n matrix and no array of all pairs is held. The length check runs
     at call time; the chunks are computed as they are read."""
-    n = len(fingerprints)
-    if len(assignment.labels) != n:
+    if len(assignment.labels) != len(words):
         raise FilterError("assignment does not match the fingerprint list")
-    return _similarity_chunks(np.asarray(assignment.labels, dtype=np.intp), assignment.k,
-                              pack(fingerprints))
+    return _similarity_chunks(np.asarray(assignment.labels, dtype=np.intp), assignment.k, words)
 
 
 def _similarity_chunks(labels: np.ndarray, k: int, words: np.ndarray):
@@ -272,10 +271,9 @@ def _intra_similarities(labels: np.ndarray, k: int, words: np.ndarray) -> np.nda
     return np.concatenate(values)[np.argsort(np.concatenate(keys))]
 
 
-def select_representatives(assignment: ClusterAssignment, fingerprints):
+def select_representatives(assignment: ClusterAssignment, words: np.ndarray):
     """Per cluster: members ranked by distance to the medoid, medoid
     first. Input for the human picking one molecule per cluster."""
-    words = pack(fingerprints)
     labels = np.asarray(assignment.labels)
     distances = 1.0 - tanimoto_matrix(words[list(assignment.medoids)], words)
     ranked = []
@@ -287,12 +285,11 @@ def select_representatives(assignment: ClusterAssignment, fingerprints):
     return tuple(ranked)
 
 
-def novelty(fingerprints, references) -> tuple[float, ...]:
-    """Per molecule, the maximum Tanimoto similarity to any reference."""
-    references = list(references)
-    if not references:
+def novelty(words: np.ndarray, references: np.ndarray) -> tuple[float, ...]:
+    """Per packed row, the maximum Tanimoto similarity to any reference row."""
+    if len(references) == 0:
         raise FilterError("reference set is empty")
-    best = tanimoto_matrix(pack(fingerprints), pack(references)).max(axis=1)
+    best = tanimoto_matrix(words, references).max(axis=1)
     return tuple(best.tolist())
 
 

@@ -10,13 +10,14 @@ at once; the hash is splitmix64, whose uint64 array arithmetic wraps
 exactly as the pinned scalar hash does.
 
 Width and radius are fixed (FP_BITS, FP_RADIUS); no caller picks others.
-pack turns fingerprints into packed rows of FP_WORDS uint64 words, the
-form the rollout and every scoring loop work in: a node's row is the OR
-of its molecules' rows. unpack turns words into bit columns and on_bits
-into on-bit column indices, the sparse form scoring and the replay buffer
-read. feature_rows lays out a dense model input row, one or many: the
-decoded bits followed by the four solvent descriptors (SP, SdP, SA, SB),
-2,052 features in all.
+The kernel returns packed rows of FP_WORDS uint64 words, the one form
+the package works in, from the rollout (a node's row is the OR of its
+molecules' rows) to scoring, training, the filter and clustering. unpack
+turns words into bit columns and on_bits into on-bit column indices, the
+sparse form scoring and training read. feature_rows lays out a dense
+model input row, one or many: the decoded bits followed by the four
+solvent descriptors (SP, SdP, SA, SB), 2,052 features in all. Fingerprint
+(one vector as a Python int) and pack serve the one-molecule entry points.
 """
 
 from __future__ import annotations
@@ -96,13 +97,14 @@ class Fingerprint:
 
 
 def morgan_fingerprint(graph: MolecularGraph) -> Fingerprint:
-    """Fingerprint of one graph; see morgan_fingerprints."""
-    return morgan_fingerprints([graph])[0]
+    """Fingerprint of one graph as a Python int; see morgan_fingerprints."""
+    return Fingerprint(int.from_bytes(morgan_fingerprints([graph]).tobytes(), "little"))
 
 
-def morgan_fingerprints(graphs) -> list[Fingerprint]:
+def morgan_fingerprints(graphs) -> np.ndarray:
     """Hash circular atom environments of radius 0..FP_RADIUS into one
-    FP_BITS-bit vector per graph, in input order.
+    FP_BITS-bit vector per graph, returned as an (n, FP_WORDS) array of
+    packed rows in input order ((0, FP_WORDS) for no graphs).
 
     Radius-0 invariants cover (element, degree, charge, hydrogen count,
     aromaticity). Each round rehashes an atom's previous invariant with the
@@ -116,13 +118,13 @@ def morgan_fingerprints(graphs) -> list[Fingerprint]:
     MORGAN_CHUNK graphs alive.
     """
     pending = iter(graphs)
-    out: list[Fingerprint] = []
+    blocks = [np.zeros((0, FP_WORDS), dtype="<u8")]
     while chunk := list(islice(pending, MORGAN_CHUNK)):
-        out.extend(_morgan_chunk(chunk))
-    return out
+        blocks.append(_morgan_chunk(chunk))
+    return np.concatenate(blocks)
 
 
-def _morgan_chunk(graphs: list[MolecularGraph]) -> list[Fingerprint]:
+def _morgan_chunk(graphs: list[MolecularGraph]) -> np.ndarray:
     # The graphs' atoms and bonds are concatenated; atom_mol says which
     # graph an atom came from, and each bond keeps its index in its graph.
     n_mols = len(graphs)
@@ -216,7 +218,7 @@ def _morgan_chunk(graphs: list[MolecularGraph]) -> list[Fingerprint]:
     np.bitwise_or.at(
         folded, (np.concatenate(mols), (bit // 64).astype(np.intp)), _ONE << (bit % 64)
     )
-    return [Fingerprint(int.from_bytes(row.tobytes(), "little")) for row in folded]
+    return folded
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

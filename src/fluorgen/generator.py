@@ -28,9 +28,8 @@ from fluorgen.fingerprints import (
     Fingerprint,
     SolventFeatures,
     build_feature_vector,
-    morgan_fingerprint,
+    morgan_fingerprints,
     on_bits,
-    pack,
     tanimoto_matrix,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
@@ -472,7 +471,7 @@ class Generator:
         self.success_window = collections.deque(maxlen=config.window)
         # each block's packed row in library order, then an all-zero row
         # that index -1 reads as "no partner"
-        self.block_words = pack([b.fingerprint for b in library.blocks] + [Fingerprint(0)])
+        self.block_words = np.append(library.words, np.zeros((1, FP_WORDS), np.uint64), axis=0)
         self._position = {b.id: k for k, b in enumerate(library.blocks)}
         # the first decision's (template, block) candidates, with each
         # block's row in block_outputs
@@ -586,7 +585,7 @@ class Generator:
             product_index = self.rng.randrange(len(result.products))
             product = result.products[product_index]
             product_smiles = result.smiles[product_index]
-            product_row = pack([morgan_fingerprint(product)])
+            product_row = morgan_fingerprints([product])
             route.append(RouteStep(template.id, tuple(inputs), product_index))
             path.append(node_bits(product_row))
 
@@ -767,7 +766,7 @@ def uniform_baseline(
         product_index = rng.randrange(len(result.products))
         product = result.products[product_index]
         scores, combined = reward(
-            product, pack([morgan_fingerprint(product)]), stack, uniform_weights, solvent
+            product, morgan_fingerprints([product]), stack, uniform_weights, solvent
         )
         out.append(
             GeneratedMolecule(

@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from fluorgen.fingerprints import Fingerprint, morgan_fingerprints
+import numpy as np
+
+from fluorgen.fingerprints import morgan_fingerprints
 from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph, MoleculeError
 from fluorgen.patterns import PatternError, PatternQuery, has_match, match_pattern, parse_pattern
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
@@ -201,12 +203,12 @@ class BuildingBlock:
     id: str
     smiles: str  # canonical
     graph: MolecularGraph
-    fingerprint: Fingerprint
 
 
 @dataclass(frozen=True)
 class BlockLibrary:
     blocks: tuple[BuildingBlock, ...]
+    words: np.ndarray  # (len(blocks), FP_WORDS) packed fingerprints, in block order
     rejected: tuple[str, ...]  # human-readable reports for skipped lines
 
     def __len__(self) -> int:
@@ -250,14 +252,12 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
             parsed.append((block_id, graph))
     if not parsed:
         raise ReactionFormatError(f"{path}: no valid building blocks")
-    fingerprints = morgan_fingerprints(graph for _, graph in parsed)
     blocks = tuple(
-        BuildingBlock(
-            id=block_id, smiles=write_canonical_smiles(graph), graph=graph, fingerprint=fp
-        )
-        for (block_id, graph), fp in zip(parsed, fingerprints)
+        BuildingBlock(id=block_id, smiles=write_canonical_smiles(graph), graph=graph)
+        for block_id, graph in parsed
     )
-    return BlockLibrary(blocks=blocks, rejected=tuple(rejected))
+    words = morgan_fingerprints(block.graph for block in blocks)
+    return BlockLibrary(blocks=blocks, words=words, rejected=tuple(rejected))
 
 
 def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:

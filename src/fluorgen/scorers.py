@@ -12,21 +12,23 @@ model so scoring never depends on outside state.
 
 Training reads rows sparsely. A fingerprint row holds about 35 on-bits
 out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
-form plus the four solvent values. loss_and_grads computes the first
-layer over only the columns a mini-batch touches, against a transposed
-(input, hidden) working copy of w1, and returns the w1 gradient for
-those columns alone; full-set losses are one CSR product. Checkpoints
-keep w1 as (hidden, input). The dense form of the kernel is the test
-referee (tests/oracles.py).
+form plus the four solvent values, made from packed words by
+SparseRows.from_words. loss_and_grads computes the first layer over only
+the columns a mini-batch touches, against a transposed (input, hidden)
+working copy of w1, and returns the w1 gradient for those columns alone;
+full-set losses are one CSR product. Checkpoints keep w1 as (hidden,
+input). The dense form of the kernel is the test referee
+(tests/oracles.py).
 
 Scoring reads rows sparsely too. Every batch of fingerprints is scored by
-one loop, score_rows, on packed rows (fingerprints.pack) against a
-ScoreStack, the bit columns of several models' w1 side by side: each
-block of SCORE_BLOCK_ROWS rows is one CSR product that gives every
-model's first-layer sums at once, summed over the on-bits in ascending
-order. Filtering, stats, rewards and the rollout's value estimates all go
-through it. forward_batch, the dense form, scores cross-validation test
-folds and is the referee behind score_property, the one-molecule form.
+one loop, score_rows, on packed rows against a ScoreStack, the bit
+columns of several models' w1 side by side: each block of
+SCORE_BLOCK_ROWS rows, made SparseRows by from_words, is one CSR product
+that gives every model's first-layer sums at once, summed over the
+on-bits in ascending order. Filtering, stats, rewards and the rollout's
+value estimates all go through it. forward_batch, the dense form, scores
+cross-validation test folds and is the referee behind score_property,
+the one-molecule form.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from fluorgen.fingerprints import (
     SOLVENT_DIM,
     Fingerprint,
     build_feature_vector,
+    feature_rows,
     on_bits,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
@@ -180,6 +183,16 @@ class SparseRows:
             solvent=features[:, -SOLVENT_DIM:].copy(),
             width=features.shape[1],
         )
+
+    @classmethod
+    def from_words(cls, words: np.ndarray, solvent_values) -> SparseRows:
+        """The rows feature_rows(words, solvent_values) lays out densely."""
+        indptr = np.zeros(len(words) + 1, dtype=np.int32)
+        np.cumsum(np.bitwise_count(words).sum(axis=1), out=indptr[1:])
+        indices = on_bits(words).astype(np.int32)
+        solvent = np.empty((len(words), SOLVENT_DIM))
+        solvent[:] = solvent_values
+        return cls(indptr, indices, np.ones(len(indices)), solvent, FEATURE_DIM)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -518,11 +531,8 @@ def score_rows(stack: ScoreStack, words: np.ndarray, solvent) -> np.ndarray:
     solvent_term = (normalized * stack.solvent_weights).sum(axis=0)
     out = np.empty((len(words), stack.count))
     for start in range(0, len(words), SCORE_BLOCK_ROWS):
-        block = words[start : start + SCORE_BLOCK_ROWS]
-        columns = on_bits(block)
-        indptr = np.zeros(len(block) + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(block).sum(axis=1), out=indptr[1:])
-        lead = csr_array((np.ones(len(columns)), columns, indptr), shape=(len(block), FP_BITS))
+        block = SparseRows.from_words(words[start : start + SCORE_BLOCK_ROWS], solvent.as_tuple())
+        lead = csr_array((block.data, block.indices, block.indptr), shape=(len(block), FP_BITS))
         hidden = lead @ stack.bit_weights
         hidden += solvent_term
         hidden += stack.b1
@@ -612,7 +622,8 @@ def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0):
     metric_name = "roc_auc" if head is Head.SIGMOID else "mae"
     metrics = []
     models = []
-    rows = SparseRows.from_dense(dataset.features)
+    solvents = np.reshape([s.as_tuple() for s in dataset.solvents], (-1, SOLVENT_DIM))
+    rows = SparseRows.from_words(dataset.words, solvents)
     for split in split_cv(len(dataset), folds=folds, seed=split_seed):
         train_idx = np.array(split.train)
         val_idx = np.array(split.val)
@@ -625,7 +636,8 @@ def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0):
             val_features=rows.take(val_idx),
             val_labels=dataset.labels[val_idx],
         )
-        predictions = forward_batch(result.model, dataset.features[test_idx])
+        test_rows = feature_rows(dataset.words[test_idx], solvents[test_idx])
+        predictions = forward_batch(result.model, test_rows)
         truth = dataset.labels[test_idx]
         if head is Head.SIGMOID:
             metrics.append(roc_auc(predictions, truth))

@@ -21,6 +21,9 @@ from fluorgen.fingerprints import (
     FP_BITS,
     FP_RADIUS,
     Fingerprint,
+    feature_matrix,
+    morgan_fingerprint,
+    pack,
     tanimoto,
 )
 from fluorgen.molgraph import (
@@ -33,10 +36,14 @@ from fluorgen.scorers import (
     Head,
     MlpModel,
     ScorerError,
+    SparseRows,
     TrainResult,
     ScorerKind,
     _normalize,
     forward_batch,
+    mae,
+    mlp_train,
+    roc_auc,
     score_property,
 )
 from fluorgen.smiles import _atom_token, _bond_symbol, connected_components
@@ -218,7 +225,7 @@ def cluster_tanimoto_matrix(fingerprints, k: int, seed: int, max_iterations: int
     """K-medoids oracle on the full n x n distance matrix: the clustering
     as it ran before distances were computed on demand. Farthest-point
     seeds take a fresh minimum over every seed's column each round."""
-    distances = distance_matrix(fingerprints)
+    distances = distance_matrix(pack(fingerprints))
     n = len(fingerprints)
     rng = random.Random(seed)
     medoids = [rng.randrange(n)]
@@ -267,7 +274,6 @@ def novelty_loop(fingerprints, references):
 def run_filters_loop(smiles_list, scorers, solvent, thresholds):
     """Surviving SMILES of the four filter stages, every molecule parsed,
     fingerprinted and scored on its own with one-row score_property calls."""
-    from fluorgen.fingerprints import morgan_fingerprint
     from fluorgen.molgraph import sp2_network_size
     from fluorgen.smiles import parse_smiles
 
@@ -316,7 +322,6 @@ def reward_loop(graph, fingerprint, scorers, weights, solvent, sparse_order=Fals
     calls, then binarized, clamped and weighted as generator.reward does.
     With sparse_order the three model scores come from score_rows_loop
     instead, in the order score_rows sums."""
-    from fluorgen.fingerprints import pack
     from fluorgen.generator import SP2_TARGET, VISIBLE_MAX_NM, VISIBLE_MIN_NM
 
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM, ScorerKind.SP2_SIZE)
@@ -764,3 +769,32 @@ def train_value_model_dense(model, features, targets, config, rng) -> bool:
         model.w1, model.b1, model.w2, model.b2 = saved
         return False
     return True
+
+
+def run_cv_dense(dataset, config, folds: int = 10, split_seed: int = 0):
+    """run_cv oracle on a dense feature matrix: each molecule fingerprinted
+    from its SMILES on its own, the (n, 2052) matrix laid out by
+    feature_matrix, training rows made by SparseRows.from_dense and each
+    test fold scored by forward_batch on its rows of the matrix. Returns
+    (fold metrics, per-fold models)."""
+    from fluorgen.dataset import Task, split_cv
+    from fluorgen.smiles import parse_smiles
+
+    features = feature_matrix(
+        [morgan_fingerprint(parse_smiles(s)) for s in dataset.smiles], dataset.solvents
+    )
+    rows = SparseRows.from_dense(features)
+    head = Head.SIGMOID if dataset.task is Task.PLQY_CLASS else Head.LINEAR
+    metrics = []
+    models = []
+    for split in split_cv(len(dataset), folds=folds, seed=split_seed):
+        train, val, test = (np.array(part) for part in (split.train, split.val, split.test))
+        model = mlp_train(
+            rows.take(train), dataset.labels[train], head, config,
+            val_features=rows.take(val), val_labels=dataset.labels[val],
+        ).model
+        predictions = forward_batch(model, features[test])
+        score = roc_auc if head is Head.SIGMOID else mae
+        metrics.append(score(predictions, dataset.labels[test]))
+        models.append(model)
+    return tuple(metrics), tuple(models)

@@ -116,7 +116,9 @@ def other_value(default):
         return f"other/{default}"
     if isinstance(default, int):
         return str(default + 1)
-    return repr(default / 2)
+    # a tenth lower keeps every float valid, window_max_nm (750) above
+    # window_min_nm (420) included
+    return repr(default * 0.9)
 
 
 # `fluorgen --print-config` without a config file, byte for byte
@@ -281,6 +283,46 @@ class TestConfigLoading:
         path.write_text(text)
         with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
             load_config(path)
+
+
+class TestConfigValidation:
+    """Filter and baseline settings that could never work exit 2 with the
+    offending key named, --print-config included."""
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("[filters]\nsp2_min = -1\n", "filters.sp2_min"),
+            ("[filters]\nplqy_min = 1.5\n", "filters.plqy_min"),
+            ("[filters]\nwindow_min_nm = 800\nwindow_max_nm = 400\n", "filters.window_min_nm"),
+            ("[generate]\nbaseline_samples = -5\n", "generate.baseline_samples"),
+        ],
+        ids=["sp2_min", "plqy_min", "window_order", "baseline_samples"],
+    )
+    def test_inconsistent_setting_exits_two_naming_the_key(self, text, key, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            load_config(path)
+        assert main(["--config", str(path), "--print-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {key}" in captured.err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[filters]\nsp2_min = 0\n",
+            "[filters]\nplqy_min = 0\n",
+            "[filters]\nplqy_min = 1\n",
+            "[filters]\nwindow_min_nm = 500\nwindow_max_nm = 500\n",
+            "[generate]\nbaseline_samples = 0\n",
+        ],
+    )
+    def test_boundary_values_accepted(self, text, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        load_config(path)
 
 
 class TestTopLevel:

@@ -17,7 +17,13 @@ from fluorgen.dataset import (
     split_cv,
     write_rejection_report,
 )
-from fluorgen.fingerprints import SolventFeatures, morgan_fingerprint
+from fluorgen.fingerprints import (
+    FP_WORDS,
+    SolventFeatures,
+    feature_rows,
+    morgan_fingerprint,
+    pack,
+)
 from fluorgen.smiles import parse_smiles, write_canonical_smiles
 
 from oracles import bits_to_array_loop
@@ -184,22 +190,24 @@ class TestCuration:
 
     def test_feature_layout(self, tmp_path):
         dataset = curate_task(self.records(tmp_path), Task.ABS_REG)
-        assert dataset.features.shape == (4, 2052)
+        assert dataset.words.shape == (4, FP_WORDS)
+        features = feature_rows(dataset.words, [s.as_tuple() for s in dataset.solvents])
+        assert features.shape == (4, 2052)
         for i, smiles in enumerate(dataset.smiles):
             fp = morgan_fingerprint(parse_smiles(smiles))
-            assert np.array_equal(dataset.features[i, :2048], bits_to_array_loop(fp.bits))
-            assert dataset.features[i, 2048:].tolist() == list(dataset.solvents[i].as_tuple())
+            assert np.array_equal(features[i, :2048], bits_to_array_loop(fp.bits))
+            assert features[i, 2048:].tolist() == list(dataset.solvents[i].as_tuple())
 
     def test_shared_fingerprints_give_the_same_arrays(self, tmp_path):
         records = self.records(tmp_path)
         fingerprints = record_fingerprints(records)
         assert set(fingerprints) == {r.smiles for r in records}
-        for smiles, fp in fingerprints.items():
-            assert fp == morgan_fingerprint(parse_smiles(smiles))
+        for smiles, row in fingerprints.items():
+            assert np.array_equal(row, pack([morgan_fingerprint(parse_smiles(smiles))])[0])
         for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
             shared = curate_task(records, task, fingerprints)
             alone = curate_task(records, task)
-            assert np.array_equal(shared.features, alone.features)
+            assert np.array_equal(shared.words, alone.words)
             assert np.array_equal(shared.labels, alone.labels)
 
     def test_empty_curation_raises(self, tmp_path):

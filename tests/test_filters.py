@@ -14,6 +14,7 @@ from fluorgen.fingerprints import (
     Fingerprint,
     WATER,
     morgan_fingerprint,
+    pack,
     tanimoto,
 )
 from fluorgen.filters import (
@@ -155,9 +156,9 @@ class TestRunFilters:
 
     def test_survivor_fingerprints_follow_survivors(self):
         molecules = [ANTHRACENE, BUTANE, BIPHENYL, INDOLE_ALDEHYDE]
-        survivors, _, fingerprints = run_filters(molecules, const_scorers(), WATER)
+        survivors, _, words = run_filters(molecules, const_scorers(), WATER)
         assert survivors == (ANTHRACENE, BIPHENYL)
-        assert fingerprints == tuple(morgan_fingerprint(parse_smiles(s)) for s in survivors)
+        assert np.array_equal(words, pack([morgan_fingerprint(parse_smiles(s)) for s in survivors]))
 
     def test_batched_stages_match_per_molecule_oracle(self, monkeypatch):
         """Random-weight models whose scores straddle every threshold; each
@@ -216,10 +217,10 @@ class TestRunFilters:
 
         monkeypatch.setattr(filters, "parse_smiles", counting)
         molecules = [BIPHENYL, ANTHRACENE, BUTANE, BIPHENYL, ANTHRACENE, BIPHENYL]
-        survivors, _, fingerprints = run_filters(molecules, const_scorers(), WATER)
+        survivors, _, words = run_filters(molecules, const_scorers(), WATER)
         assert parsed == [BIPHENYL, ANTHRACENE, BUTANE]
         assert survivors == (BIPHENYL, ANTHRACENE, BIPHENYL, ANTHRACENE, BIPHENYL)
-        assert fingerprints == tuple(morgan_fingerprint(parse_smiles(s)) for s in survivors)
+        assert np.array_equal(words, pack([morgan_fingerprint(parse_smiles(s)) for s in survivors]))
 
     def test_unparsable_smiles_is_named(self):
         with pytest.raises(UnparsableSmiles, match=r"^'C1CC': unmatched ring closure 1") as caught:
@@ -265,7 +266,7 @@ def two_group_fingerprints(per_group=6):
 class TestClustering:
     def test_two_disjoint_groups_separate_exactly(self):
         fingerprints = two_group_fingerprints()
-        assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
+        assignment = cluster_tanimoto(pack(fingerprints), k=2, seed=0)
         half = len(fingerprints) // 2
         first_half = set(assignment.labels[:half])
         second_half = set(assignment.labels[half:])
@@ -274,15 +275,15 @@ class TestClustering:
 
     def test_k_equals_n_is_identity(self):
         fingerprints = two_group_fingerprints(per_group=3)
-        assignment = cluster_tanimoto(fingerprints, k=len(fingerprints), seed=1)
+        assignment = cluster_tanimoto(pack(fingerprints), k=len(fingerprints), seed=1)
         assert sorted(assignment.labels) == sorted(range(len(fingerprints)))
         for cluster, medoid in enumerate(assignment.medoids):
             assert assignment.labels[medoid] == cluster
 
     def test_k_one_medoid_minimizes_total_distance(self):
         fingerprints = two_group_fingerprints(per_group=4)
-        assignment = cluster_tanimoto(fingerprints, k=1, seed=2)
-        distances = distance_matrix(fingerprints)
+        assignment = cluster_tanimoto(pack(fingerprints), k=1, seed=2)
+        distances = distance_matrix(pack(fingerprints))
         totals = distances.sum(axis=1)
         assert totals[assignment.medoids[0]] == pytest.approx(totals.min())
 
@@ -291,14 +292,14 @@ class TestClustering:
         fingerprints = [
             Fingerprint(bits=rng.getrandbits(2048)) for _ in range(40)
         ]
-        assignment = cluster_tanimoto(fingerprints, k=5, seed=3)
+        assignment = cluster_tanimoto(pack(fingerprints), k=5, seed=3)
         trace = assignment.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic_under_seed(self):
         fingerprints = two_group_fingerprints()
-        first = cluster_tanimoto(fingerprints, k=3, seed=5)
-        second = cluster_tanimoto(fingerprints, k=3, seed=5)
+        first = cluster_tanimoto(pack(fingerprints), k=3, seed=5)
+        second = cluster_tanimoto(pack(fingerprints), k=3, seed=5)
         assert first == second
 
     def test_packed_paths_equal_scalar_oracles(self):
@@ -310,19 +311,19 @@ class TestClustering:
         references = [Fingerprint(bits=rng.choice(pool)) for _ in range(5)]
         for n in (1, 2, 8, 9, 17, 30):
             fingerprints = [Fingerprint(bits=rng.choice(pool)) for _ in range(n)]
-            assert distance_matrix(fingerprints).tobytes() == (
+            assert distance_matrix(pack(fingerprints)).tobytes() == (
                 distance_matrix_loop(fingerprints).tobytes()
             )
-            assignment = cluster_tanimoto(fingerprints, k=min(4, n), seed=0)
-            histogram = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+            assignment = cluster_tanimoto(pack(fingerprints), k=min(4, n), seed=0)
+            histogram = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
             oracle = similarity_histogram_loop(assignment.labels, fingerprints)
             for got, want in zip(histogram, oracle, strict=True):
                 assert got.dtype == np.float64 and got.shape == (len(want),)
                 assert got.tolist() == list(want)
-            assert select_representatives(assignment, fingerprints) == representatives_loop(
+            assert select_representatives(assignment, pack(fingerprints)) == representatives_loop(
                 assignment.labels, assignment.medoids, fingerprints
             )
-            assert novelty(fingerprints, references) == novelty_loop(fingerprints, references)
+            assert novelty(pack(fingerprints), pack(references)) == novelty_loop(fingerprints, references)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -338,9 +339,9 @@ class TestClustering:
         n = len(fingerprints)
         k = data.draw(st.sampled_from((1, n)) | st.integers(1, n))
         seed = data.draw(st.integers(0, 1000))
-        assignment = cluster_tanimoto(fingerprints, k=k, seed=seed)
+        assignment = cluster_tanimoto(pack(fingerprints), k=k, seed=seed)
         assert assignment == cluster_tanimoto_matrix(fingerprints, k=k, seed=seed)
-        got = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+        got = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
         want = similarity_histogram_loop(assignment.labels, fingerprints)
         assert [values.tolist() for values in got] == [list(values) for values in want]
 
@@ -354,11 +355,12 @@ class TestClustering:
             bits = set(rng.choice(centers))
             bits.symmetric_difference_update(rng.sample(range(2048), 6))
             fingerprints.append(Fingerprint(bits=sum(1 << bit for bit in bits)))
+        words = pack(fingerprints)
         tracemalloc.start()
         try:
-            assignment = cluster_tanimoto(fingerprints, k=100, seed=0)
+            assignment = cluster_tanimoto(words, k=100, seed=0)
             pairs = sum(len(values) for _, values in
-                        cluster_similarity_histogram(assignment, fingerprints))
+                        cluster_similarity_histogram(assignment, words))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -368,12 +370,12 @@ class TestClustering:
     def test_too_few_molecules_rejected(self):
         fingerprints = two_group_fingerprints(per_group=1)
         with pytest.raises(FilterError):
-            cluster_tanimoto(fingerprints, k=5)
+            cluster_tanimoto(pack(fingerprints), k=5)
 
     def test_every_cluster_owns_its_medoid(self):
         rng = random.Random(13)
         fingerprints = [Fingerprint(bits=rng.getrandbits(2048)) for _ in range(50)]
-        assignment = cluster_tanimoto(fingerprints, k=8, seed=4)
+        assignment = cluster_tanimoto(pack(fingerprints), k=8, seed=4)
         for cluster, medoid in enumerate(assignment.medoids):
             assert assignment.labels[medoid] == cluster
 
@@ -385,31 +387,31 @@ class TestClustering:
 class TestSimilarityHistogram:
     def test_single_cluster_has_no_inter_pairs(self):
         fingerprints = two_group_fingerprints(per_group=2)
-        assignment = cluster_tanimoto(fingerprints, k=1, seed=0)
-        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+        assignment = cluster_tanimoto(pack(fingerprints), k=1, seed=0)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
         n = len(fingerprints)
         assert inter.shape == (0,)
         assert len(intra) == n * (n - 1) // 2
 
     def test_pair_count_is_complete(self):
         fingerprints = two_group_fingerprints()
-        assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
-        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+        assignment = cluster_tanimoto(pack(fingerprints), k=2, seed=0)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
         n = len(fingerprints)
         assert len(intra) + len(inter) == n * (n - 1) // 2
 
     def test_intra_exceeds_inter_on_separated_groups(self):
         fingerprints = two_group_fingerprints()
-        assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
-        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, fingerprints))
+        assignment = cluster_tanimoto(pack(fingerprints), k=2, seed=0)
+        intra, inter = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
         assert sum(intra) / len(intra) > sum(inter) / len(inter)
         assert max(inter) == 0.0  # groups share no bits
 
     def test_length_mismatch_rejected(self):
         fingerprints = two_group_fingerprints(per_group=2)
-        assignment = cluster_tanimoto(fingerprints, k=1, seed=0)
+        assignment = cluster_tanimoto(pack(fingerprints), k=1, seed=0)
         with pytest.raises(FilterError):
-            cluster_similarity_histogram(assignment, fingerprints[:-1])
+            cluster_similarity_histogram(assignment, pack(fingerprints[:-1]))
 
 
     def test_binned_counts_equal_histogram_of_oracle_values(self, tmp_path):
@@ -419,9 +421,9 @@ class TestSimilarityHistogram:
         pool = [block_fingerprint((0, 1), 2), block_fingerprint((1, 2), 3), Fingerprint(bits=0)]
         pool += [Fingerprint(bits=rng.getrandbits(64)) for _ in range(5)]
         fingerprints = [rng.choice(pool) for _ in range(60)]
-        assignment = cluster_tanimoto(fingerprints, k=5, seed=1)
+        assignment = cluster_tanimoto(pack(fingerprints), k=5, seed=1)
         counts = write_similarity_histogram(
-            cluster_similarity_histogram(assignment, fingerprints), tmp_path / "hist.tsv"
+            cluster_similarity_histogram(assignment, pack(fingerprints)), tmp_path / "hist.tsv"
         )
         oracle = similarity_histogram_loop(assignment.labels, fingerprints)
         for kind, values in zip(HISTOGRAM_KINDS, oracle, strict=True):
@@ -440,8 +442,8 @@ class TestSimilarityHistogram:
 class TestRepresentatives:
     def test_ranked_by_distance_to_medoid(self):
         fingerprints = two_group_fingerprints()
-        assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
-        ranked = select_representatives(assignment, fingerprints)
+        assignment = cluster_tanimoto(pack(fingerprints), k=2, seed=0)
+        ranked = select_representatives(assignment, pack(fingerprints))
         all_members = list(itertools.chain.from_iterable(m for _, m in ranked))
         assert sorted(all_members) == list(range(len(fingerprints)))
         for cluster, (medoid, members) in enumerate(ranked):
@@ -454,14 +456,14 @@ class TestRepresentatives:
 class TestNovelty:
     def test_identical_reference_scores_one(self):
         fp = morgan_fingerprint(parse_smiles(BIPHENYL))
-        scores = novelty([fp], [fp])
+        scores = novelty(pack([fp]), pack([fp]))
         assert scores == (1.0,)
         assert not is_novel(scores[0])
 
     def test_disjoint_reference_scores_zero(self):
         fp = Fingerprint(bits=0b111)
         ref = Fingerprint(bits=0b111000)
-        scores = novelty([fp], [ref])
+        scores = novelty(pack([fp]), pack([ref]))
         assert scores == (0.0,)
         assert is_novel(scores[0])
 
@@ -469,7 +471,7 @@ class TestNovelty:
         # 2 shared bits of 4 in the union: similarity exactly 0.5
         fp = block_fingerprint((0, 1), 2)
         ref = block_fingerprint((1, 2), 3)
-        scores = novelty([fp], [ref])
+        scores = novelty(pack([fp]), pack([ref]))
         assert scores == (0.5,)
         assert not is_novel(scores[0])
 
@@ -477,14 +479,16 @@ class TestNovelty:
         rng = random.Random(17)
         fingerprints = [Fingerprint(bits=rng.getrandbits(256)) for _ in range(10)]
         references = [Fingerprint(bits=rng.getrandbits(256)) for _ in range(5)]
-        base = novelty(fingerprints, references)
-        extended = novelty(fingerprints, references + [Fingerprint(bits=rng.getrandbits(256))])
+        base = novelty(pack(fingerprints), pack(references))
+        extended = novelty(
+            pack(fingerprints), pack(references + [Fingerprint(bits=rng.getrandbits(256))])
+        )
         assert all(b >= a for a, b in zip(base, extended))
         assert all(0.0 <= value <= 1.0 for value in extended)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(FilterError):
-            novelty([Fingerprint(bits=1)], [])
+            novelty(pack([Fingerprint(bits=1)]), pack([]))
 
 
 class TestWriters:
@@ -502,7 +506,7 @@ class TestWriters:
 
     def test_cluster_assignment_file(self, tmp_path):
         fingerprints = two_group_fingerprints(per_group=2)
-        assignment = cluster_tanimoto(fingerprints, k=2, seed=0)
+        assignment = cluster_tanimoto(pack(fingerprints), k=2, seed=0)
         names = [f"mol{i}" for i in range(len(fingerprints))]
         path = tmp_path / "clusters.tsv"
         write_cluster_assignment(assignment, names, path)

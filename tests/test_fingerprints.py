@@ -102,9 +102,9 @@ def _graph(n_atoms: int, bonds) -> MolecularGraph:
 
 def _assert_equal_to_loop(graphs):
     got = morgan_fingerprints(graphs)
-    assert len(got) == len(graphs)
-    for graph, fingerprint in zip(graphs, got):
-        assert fingerprint == morgan_fingerprint_loop(graph)
+    assert got.shape == (len(graphs), FP_WORDS)
+    for graph, row in zip(graphs, got):
+        assert np.array_equal(row, pack([morgan_fingerprint_loop(graph)])[0])
 
 
 CORPUS_GRAPHS = [parse_smiles(s) for s in CORPUS]
@@ -124,10 +124,10 @@ class TestMorganKernel:
         _assert_equal_to_loop(CORPUS_GRAPHS)
 
     def test_empty_list(self):
-        assert morgan_fingerprints([]) == []
+        assert morgan_fingerprints([]).shape == (0, FP_WORDS)
 
     def test_empty_graph(self):
-        assert morgan_fingerprints([_graph(0, [])]) == [Fingerprint(0)]
+        assert np.array_equal(morgan_fingerprints([_graph(0, [])]), pack([Fingerprint(0)]))
 
     @pytest.mark.parametrize("smiles", BONDLESS)
     def test_single_atoms_and_bondless_fragments(self, smiles):
@@ -167,11 +167,29 @@ class TestMorganKernel:
         rng = np.random.default_rng(seed)
         graphs = [random_molecule(rng) for _ in range(size)]
         graphs += [CORPUS_GRAPHS[int(i)] for i in rng.choice(len(CORPUS_GRAPHS), size=3)]
-        alone = [morgan_fingerprint(g) for g in graphs]
-        assert morgan_fingerprints(graphs) == alone
+        alone = pack([morgan_fingerprint(g) for g in graphs])
+        assert np.array_equal(morgan_fingerprints(graphs), alone)
         order = rng.permutation(len(graphs))
         shuffled = morgan_fingerprints([graphs[i] for i in order])
-        assert shuffled == [alone[i] for i in order]
+        assert np.array_equal(shuffled, alone[order])
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([0, 1, MORGAN_CHUNK - 1, MORGAN_CHUNK, MORGAN_CHUNK + 1,
+                              2 * MORGAN_CHUNK, 2 * MORGAN_CHUNK + 1]) | st.integers(0, 70),
+        lazy=st.booleans(),
+    )
+    def test_rows_equal_packed_single_fingerprints(self, seed, size, lazy):
+        """Row i of the kernel's array is pack([morgan_fingerprint(g_i)]),
+        for empty input, generator input and sizes across MORGAN_CHUNK
+        edges; the array is (n, FP_WORDS) uint64."""
+        rng = np.random.default_rng(seed)
+        graphs = [random_molecule(rng) for _ in range(size)]
+        got = morgan_fingerprints((g for g in graphs) if lazy else graphs)
+        assert got.dtype == np.uint64 and got.shape == (size, FP_WORDS)
+        for graph, row in zip(graphs, got):
+            assert np.array_equal(row, pack([morgan_fingerprint(graph)])[0])
 
 
 class TestMorganEnvironments:

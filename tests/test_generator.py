@@ -151,8 +151,8 @@ class TestNodeFeatures:
 
     def test_matches_scorer_featurization(self, library):
         block = library.by_id("benzaldehyde")
-        expected = build_feature_vector(block.fingerprint, WATER)
-        assert np.array_equal(node_features([block.fingerprint], WATER), expected)
+        expected = build_feature_vector(morgan_fingerprint(block.graph), WATER)
+        assert np.array_equal(node_features([morgan_fingerprint(block.graph)], WATER), expected)
 
     def test_empty_node_rejected(self):
         with pytest.raises(GeneratorError):
@@ -246,7 +246,7 @@ class TestPackedNodes:
     def test_block_words_rows(self, engine, library):
         """One row per block in library order, then the all-zero row."""
         assert engine.block_words.shape == (len(library.blocks) + 1, FP_WORDS)
-        want = pack([b.fingerprint for b in library.blocks])
+        want = pack([morgan_fingerprint(b.graph) for b in library.blocks])
         assert np.array_equal(engine.block_words[:-1], want)
         assert not engine.block_words[-1].any()
 
@@ -261,7 +261,7 @@ class TestPackedNodes:
         other and onto a product row, with -1 read as "no partner", decodes
         to node_features of its molecules; node_bits lists its on-bits."""
         positions = [k % len(library.blocks) for k in blocks] + ([-1] if no_partner else [])
-        members = [library.blocks[k].fingerprint for k in positions if k != -1]
+        members = [morgan_fingerprint(library.blocks[k].graph) for k in positions if k != -1]
         rows = engine.block_words[positions]
         if product is not None:
             fingerprint = morgan_fingerprint(parse_smiles(product))
@@ -477,7 +477,10 @@ class TestSparseReplayBuffer:
     def random_nodes(library, n, seed):
         rng = random.Random(seed)
         blocks = library.blocks
-        return [[b.fingerprint for b in rng.sample(blocks, rng.randint(1, 3))] for _ in range(n)]
+        return [
+            [morgan_fingerprint(b.graph) for b in rng.sample(blocks, rng.randint(1, 3))]
+            for _ in range(n)
+        ]
 
     def test_rows_rebuild_node_features(self, library):
         """Past capacity too: the kept rows are the newest, each equal to
@@ -647,7 +650,9 @@ class TestValueTraining:
         )
         fresh = np.array([
             [
-                node_value_loop(node_features([block.fingerprint], WATER), [model], [1.0])
+                node_value_loop(
+                    node_features([morgan_fingerprint(block.graph)], WATER), [model], [1.0]
+                )
                 for model in engine.value_models
             ]
             for block in library.blocks

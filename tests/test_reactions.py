@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -8,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import compatibility_table
 from randmol import permute_graph
 
+from fluorgen.fingerprints import FP_WORDS, morgan_fingerprint, pack
 from fluorgen.molgraph import BondOrder
 from fluorgen.patterns import parse_pattern
 from fluorgen.reactions import (
@@ -80,6 +82,13 @@ class TestShippedLibrary:
         index = CompatibilityIndex(library, tuple(templates.values()))
         first = index.compatible_blocks("suzuki", 1)
         assert index.compatible_blocks("suzuki", 1) is first
+
+    def test_words_are_packed_block_fingerprints(self, library):
+        """One packed row per block, in library order."""
+        assert library.words.shape == (len(library.blocks), FP_WORDS)
+        assert library.words.dtype == np.uint64
+        for k, block in enumerate(library.blocks):
+            assert np.array_equal(library.words[k], pack([morgan_fingerprint(block.graph)])[0])
 
     def test_block_lookup(self, library):
         block = library.by_id("pyrrole")

@@ -12,10 +12,12 @@ from fluorgen.dataset import Task, TaskDataset
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
+    FP_WORDS,
     SOLVENT_DIM,
     WATER,
     Fingerprint,
     SolventFeatures,
+    feature_rows,
     morgan_fingerprint,
     pack,
 )
@@ -45,6 +47,7 @@ from oracles import (
     dense_w1_gradient,
     loss_and_grads_dense,
     mlp_train_dense,
+    run_cv_dense,
     score_rows_loop,
     sparse_rows_to_dense,
 )
@@ -439,9 +442,10 @@ class TestCrossValidation:
         features[:, 3] = (rng.random(n) < 0.5).astype(float)
         features[:, -SOLVENT_DIM:] = rng.normal(0.5, 0.2, (n, SOLVENT_DIM))
         labels = features[:, 3].copy()
+        bits = features[:, :FP_BITS].astype(np.uint8)
         return TaskDataset(
             task=Task.PLQY_CLASS,
-            features=features,
+            words=np.packbits(bits, axis=1, bitorder="little").view("<u8"),
             labels=labels,
             smiles=tuple(f"mol{i}" for i in range(n)),
             solvents=tuple(SolventFeatures(*features[i, -SOLVENT_DIM:]) for i in range(n)),
@@ -468,6 +472,30 @@ class TestCrossValidation:
         assert lines[0] == "task\tplqy_class"
         assert lines[-1].startswith("summary\t")
         assert len(lines) == 13
+
+    def test_run_cv_equals_dense_path_oracle(self, tmp_path, monkeypatch):
+        """Every task of the benchmark's seed-1 train CSV: run_cv on the
+        dataset's packed words gives exactly the fold metrics and model
+        arrays of the dense path (feature_matrix, then from_dense)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+
+        from fluorgen.dataset import curate_task, ingest_chemfluor, record_fingerprints
+
+        inputs.build_train(1, str(tmp_path))
+        records = ingest_chemfluor(str(tmp_path / "chemfluor.csv")).records
+        fingerprints = record_fingerprints(records)
+        config = TrainConfig(epochs=6, hidden_dim=16, patience=3, seed=2)
+        for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
+            dataset = curate_task(records, task, fingerprints)
+            report, models = run_cv(dataset, config, folds=4, split_seed=3)
+            want_metrics, want_models = run_cv_dense(dataset, config, folds=4, split_seed=3)
+            assert report.fold_metrics == want_metrics
+            assert len(models) == len(want_models) == 4
+            for got, want in zip(models, want_models):
+                for key in ("w1", "b1", "w2", "norm_mean", "norm_std"):
+                    assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+                assert (got.b2, got.head, got.seed) == (want.b2, want.head, want.seed)
 
 
 @st.composite
@@ -533,6 +561,34 @@ class TestSparseKernel:
             sparse_rows_to_dense(taken.slice(start, stop)), features[order][start:stop]
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 70),
+        zero_rows=st.integers(0, 4),
+        per_row_solvents=st.booleans(),
+    )
+    def test_from_words_equals_from_dense_of_feature_rows(
+        self, seed, n, zero_rows, per_row_solvents
+    ):
+        """Field by field, with all-zero rows and solvent values given per
+        row or as one row for all."""
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64, endpoint=False)
+        words &= rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64, endpoint=False)
+        words[rng.integers(0, max(n, 1), zero_rows if n else 0)] = 0
+        if per_row_solvents:
+            solvents = rng.normal(0.5, 0.3, (n, SOLVENT_DIM))
+        else:
+            solvents = tuple(rng.normal(0.5, 0.3, SOLVENT_DIM).tolist())
+        got = SparseRows.from_words(words, solvents)
+        want = SparseRows.from_dense(feature_rows(words, solvents))
+        assert got.width == want.width == FEATURE_DIM
+        for key in ("indptr", "indices", "data", "solvent"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.dtype == b.dtype and a.shape == b.shape, key
+            assert a.tobytes() == b.tobytes(), key
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ScorerError, match="wide rows"):
             loss_and_grads(make_model(input_dim=6), np.ones((2, 7)), np.zeros(2))
@@ -571,11 +627,12 @@ class TestSparseKernel:
         config = TrainConfig(epochs=20, hidden_dim=64, patience=20, batch_size=32)
         for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
             dataset = curate_task(records, task, fingerprints)
+            features = feature_rows(dataset.words, [s.as_tuple() for s in dataset.solvents])
             head = Head.SIGMOID if task is Task.PLQY_CLASS else Head.LINEAR
             for split in split_cv(len(dataset), folds=3, seed=0):
                 train, val = np.array(split.train), np.array(split.val)
-                args = (dataset.features[train], dataset.labels[train], head, config)
-                kwargs = {"val_features": dataset.features[val], "val_labels": dataset.labels[val]}
+                args = (features[train], dataset.labels[train], head, config)
+                kwargs = {"val_features": features[val], "val_labels": dataset.labels[val]}
                 got = mlp_train(*args, **kwargs)
                 want = mlp_train_dense(*args, **kwargs)
                 assert got.best_epoch == want.best_epoch
