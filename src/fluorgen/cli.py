@@ -57,8 +57,8 @@ from fluorgen.scorers import (
     PropertyScorer,
     ScorerError,
     ScorerKind,
-    ScoreStack,
     load_model,
+    property_stack,
     run_cv,
     save_model,
     score_rows,
@@ -160,9 +160,12 @@ def _load_scorers(config: RunConfig) -> dict:
     return scorers
 
 
-def _read_molecule_smiles(path: str) -> tuple[list[str], list[int]]:
-    """The smiles column and each row's 1-based line in the file."""
-    _ensure_exists(path, "generated-molecules file")
+def _read_molecule_smiles(
+    path: str, hint: str = "generated-molecules file"
+) -> tuple[list[str], list[int]]:
+    """The smiles column and each row's 1-based line in the file; hint
+    names the file in the error when it is missing."""
+    _ensure_exists(path, hint)
     smiles_list = []
     lines = []
     with open(path, encoding="utf-8", newline="") as handle:
@@ -346,9 +349,7 @@ STAT_METRICS = ("plqy_probability", "sp2_size", "absorption_nm", "emission_nm")
 
 def _metric_values(smiles_list, scorers, solvent):
     graphs = [parse_molecule(s) for s in smiles_list]
-    kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
-    stack = ScoreStack([scorers[k].model for k in kinds])
-    outputs = score_rows(stack, morgan_fingerprints(graphs), solvent)
+    outputs = score_rows(property_stack(scorers), morgan_fingerprints(graphs), solvent)
     plqy, absorption, emission = outputs.T.tolist()
     return {
         "plqy_probability": plqy,
@@ -363,7 +364,7 @@ def cmd_stats(config: RunConfig) -> int:
     generated_path = os.path.join(out, "molecules.tsv")
     baseline_path = os.path.join(out, "baseline.tsv")
     generated, generated_lines = _read_molecule_smiles(generated_path)
-    baseline, baseline_lines = _read_molecule_smiles(baseline_path)
+    baseline, baseline_lines = _read_molecule_smiles(baseline_path, "baseline file")
     if not generated or not baseline:
         raise ConfigError("stats needs non-empty molecules.tsv and baseline.tsv")
     scorers = _load_scorers(config)

@@ -10,7 +10,7 @@ import numpy as np
 
 from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints, tanimoto_matrix
 from fluorgen.molgraph import sp2_network_size
-from fluorgen.scorers import ScorerKind, ScoreStack, score_rows
+from fluorgen.scorers import property_stack, score_rows
 from fluorgen.smiles import SmilesError, parse_smiles
 
 NOVELTY_THRESHOLD = 0.5
@@ -87,10 +87,12 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     """Apply the four stages in order; a molecule is charged to the first
     stage it fails. Each distinct SMILES is parsed once. A graph lives
     until its sp2 size is taken or, for an sp2 survivor, until its chunk
-    of MORGAN_CHUNK graphs is fingerprinted. Each model stage scores its
-    distinct survivors with score_rows against a ScoreStack of the stage's
-    model, one CSR product per block of rows. Returns (surviving smiles,
-    FilterReport, survivor fingerprints as packed rows in survivor order)."""
+    of MORGAN_CHUNK graphs is fingerprinted. The distinct sp2 survivors are
+    scored by one score_rows call against property_stack, every model in
+    one CSR product per block of rows, and the three model stages apply
+    its columns in order as masks; with no sp2 survivor no model is read.
+    Returns (surviving smiles, FilterReport, survivor fingerprints as
+    packed rows in survivor order)."""
     survivors = list(smiles_list)
     total = len(survivors)
     remaining = []
@@ -119,19 +121,13 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     def in_window(nm):
         return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
 
-    stages = (
-        (ScorerKind.PLQY_PROB, lambda probability: probability >= thresholds.plqy_min),
-        (ScorerKind.ABS_NM, in_window),
-        (ScorerKind.EM_NM, in_window),
-    )
-    for kind, ok in stages:
-        distinct = list(dict.fromkeys(survivors))
-        passed = set()
-        if distinct:  # with nothing left, no scorer is needed
-            stack = ScoreStack([scorers[kind].model])
-            values = score_rows(stack, words[[row_of[s] for s in distinct]], solvent)
-            passed = {s for s, value in zip(distinct, values[:, 0].tolist()) if ok(value)}
-        keep(passed)
+    # one test per PROPERTY_MODELS column
+    tests = (lambda probability: probability >= thresholds.plqy_min, in_window, in_window)
+    outputs = np.empty((0, len(tests)))
+    if sp2_passed:  # with nothing left, no scorer is needed
+        outputs = score_rows(property_stack(scorers), words, solvent)
+    for ok, values in zip(tests, outputs.T.tolist()):
+        keep({s for s, value in zip(sp2_passed, values) if ok(value)})
     report = FilterReport(
         stages=FILTER_STAGES,
         total=total,

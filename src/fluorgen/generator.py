@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from fluorgen.fingerprints import (
     SolventFeatures,
     build_feature_vector,
     morgan_fingerprints,
-    on_bits,
     tanimoto_matrix,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
@@ -40,23 +40,19 @@ from fluorgen.reactions import (
     apply_reaction,
 )
 from fluorgen.scorers import (
+    PROPERTY_MODELS,
     Head,
     MlpModel,
-    PropertyScorer,
     ScorerKind,
     ScoreStack,
     SparseRows,
     as_sparse_rows,
     loss_and_grads,
+    property_stack,
     score_rows,
 )
 
-PROPERTY_ORDER = (
-    ScorerKind.PLQY_PROB,
-    ScorerKind.ABS_NM,
-    ScorerKind.EM_NM,
-    ScorerKind.SP2_SIZE,
-)
+PROPERTY_ORDER = PROPERTY_MODELS + (ScorerKind.SP2_SIZE,)
 N_PROPERTIES = len(PROPERTY_ORDER)
 
 VISIBLE_MIN_NM = 420.0
@@ -167,11 +163,11 @@ class GenerationResult:
 class ReplayBuffer:
     """FIFO store of visited nodes and their reward targets.
 
-    A node is kept as the on-bit columns of its packed row (see node_bits:
-    int16, ascending, about 35-60 of them) plus its solvent values, not as
-    a dense 2,052-float row: a full 2,000-row buffer holds well under 1 MB
-    where dense rows took 33 MB. ``rows`` rebuilds the whole buffer as
-    SparseRows for training.
+    A node is kept as a copy of its packed (FP_WORDS,) row, the form the
+    rollout builds it in, plus its solvent values: 256 bytes of words
+    where a dense 2,052-float row took 16 KB, so a full 2,000-row buffer
+    holds about 1 MB. ``rows`` makes the whole buffer SparseRows for
+    training with one SparseRows.from_words call.
     """
 
     def __init__(self, capacity: int):
@@ -179,22 +175,24 @@ class ReplayBuffer:
             raise GeneratorError("buffer capacity must be positive")
         self._items = collections.deque(maxlen=capacity)
 
-    def append(self, bits: np.ndarray, solvent: SolventFeatures, targets: tuple[float, ...]):
+    def append(self, row: np.ndarray, solvent: SolventFeatures, targets: tuple[float, ...]):
+        """Store a node's packed row, copied: the rollout's node is a view
+        of its decision's candidate matrix, which the buffer must not keep
+        alive."""
         if len(targets) != N_PROPERTIES:
             raise GeneratorError(f"expected {N_PROPERTIES} targets")
-        self._items.append((np.asarray(bits, dtype=np.int16), solvent.as_tuple(), tuple(targets)))
+        self._items.append((np.array(row, dtype=np.uint64), solvent.as_tuple(), tuple(targets)))
 
     def __len__(self) -> int:
         return len(self._items)
 
     def rows(self) -> tuple[SparseRows, np.ndarray]:
         """(SparseRows of every stored node, (n, N_PROPERTIES) targets), oldest first."""
-        bits, solvents, targets = zip(*self._items) if self._items else ((), (), ())
-        indptr = np.zeros(len(bits) + 1, dtype=np.int32)
-        np.cumsum([len(b) for b in bits], out=indptr[1:])
-        indices = np.concatenate(bits, dtype=np.int32) if bits else np.empty(0, np.int32)
-        solvent = np.array(solvents, dtype=np.float64).reshape(-1, SOLVENT_DIM)
-        rows = SparseRows(indptr, indices, np.ones(len(indices)), solvent, FEATURE_DIM)
+        words, solvents, targets = zip(*self._items) if self._items else ((), (), ())
+        rows = SparseRows.from_words(
+            np.array(words, dtype=np.uint64).reshape(-1, FP_WORDS),
+            np.array(solvents, dtype=np.float64).reshape(-1, SOLVENT_DIM),
+        )
         return rows, np.array(targets, dtype=np.float64).reshape(-1, N_PROPERTIES)
 
 
@@ -213,12 +211,6 @@ def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
     for fp in fingerprints:
         bits |= fp.bits
     return build_feature_vector(Fingerprint(bits), solvent)
-
-
-def node_bits(row: np.ndarray) -> np.ndarray:
-    """The on-bit columns of a node's packed row, ascending, as int16: what
-    the replay buffer stores for a node."""
-    return on_bits(row).astype(np.int16)
 
 
 def weighted_values(outputs: np.ndarray, weights) -> np.ndarray:
@@ -266,12 +258,6 @@ def sample_child(values, tau: float, rng: random.Random) -> int:
     )
 
 
-def reward_stack(scorers) -> ScoreStack:
-    """The PLQY, absorption and emission models of a scorer mapping,
-    stacked in PROPERTY_ORDER for reward."""
-    return ScoreStack([scorers[kind].model for kind in PROPERTY_ORDER[:3]])
-
-
 def reward(
     graph: MolecularGraph,
     words: np.ndarray,
@@ -287,7 +273,7 @@ def reward(
 
     :param words: the molecule's packed fingerprint as a (1, FP_WORDS)
         row; its three model scores come from one score_rows call.
-    :param stack: the reward models, as reward_stack builds them.
+    :param stack: the reward models, as property_stack builds them.
     :param weights: property weights in PROPERTY_ORDER.
     :returns: (scores tuple, combined p(m)).
     """
@@ -421,21 +407,16 @@ def train_value_model(model, features, targets, config, rng) -> None:
         model.w1 = np.ascontiguousarray(w1t.T)
 
 
-class _Rollout:
-    """Outcome of one rollout attempt: the final product with its
-    canonical SMILES and packed (1, FP_WORDS) fingerprint row, or a dead
-    end."""
+class _Rollout(NamedTuple):
+    """A rollout that reached a product: the product with its canonical
+    SMILES and packed (1, FP_WORDS) fingerprint row, its route, and the
+    packed (FP_WORDS,) rows of the nodes it visited, in visit order."""
 
-    __slots__ = ("graph", "smiles", "words", "route", "path_bits", "dead")
-
-    def __init__(self, graph=None, smiles=None, words=None, route=(),
-                 path_bits=(), dead=False):
-        self.graph = graph
-        self.smiles = smiles
-        self.words = words
-        self.route = route
-        self.path_bits = path_bits
-        self.dead = dead
+    graph: MolecularGraph
+    smiles: str
+    words: np.ndarray
+    route: tuple[RouteStep, ...]
+    path: tuple[np.ndarray, ...]
 
 
 class Generator:
@@ -454,7 +435,7 @@ class Generator:
         self.config = config
         self.templates = tuple(templates)
         self.blocks = {b.id: b for b in library.blocks}
-        self.reward_stack = reward_stack(scorers)
+        self.property_stack = property_stack(scorers)
         self.solvent = solvent
         self.index = index or CompatibilityIndex(library, self.templates)
         self.viable = set(self.index.viable_templates())
@@ -530,17 +511,18 @@ class Generator:
                     out.append((template, role, block_id))
         return out
 
-    def _run_rollout(self) -> _Rollout:
+    def _run_rollout(self) -> _Rollout | None:
         """The first step starts from a sampled (template, first block)
         pair, each later one from a sampled continuation of the product or
-        a stop; the open roles are then filled one sampled block at a time."""
+        a stop; the open roles are then filled one sampled block at a time.
+        None when a reaction yields no product (a dead end)."""
         template, first_block = self._first_candidates[
             self._sample(self.block_outputs[self._first_rows])
         ]
         inputs: list[str | None] = [first_block] + [None] * (template.arity - 1)
         # the current node's packed row: the OR of its molecules' rows
         node = self.block_words[self._position[first_block]]
-        path = [node_bits(node)]
+        path = [node]
         open_roles = range(1, template.arity)
         product = product_smiles = product_row = None
         route = []
@@ -565,7 +547,7 @@ class Generator:
                 others = [k for k in range(template.arity) if k != product_role]
                 if partner is not None:
                     inputs[others[0]] = partner
-                    path.append(node_bits(node))
+                    path.append(node)
                 open_roles = others[1:]
             for role in open_roles:
                 options = self.index.compatible_blocks(template.id, role)
@@ -573,7 +555,7 @@ class Generator:
                 pick = self._choose(candidates)
                 inputs[role] = options[pick]
                 node = candidates[pick]
-                path.append(node_bits(node))
+                path.append(node)
 
             reactants = [
                 product if name == PREV_MARKER else self.blocks[name].graph
@@ -581,21 +563,15 @@ class Generator:
             ]
             result = apply_reaction(template, reactants)
             if not result.products:
-                return _Rollout(dead=True)
+                return None
             product_index = self.rng.randrange(len(result.products))
             product = result.products[product_index]
             product_smiles = result.smiles[product_index]
             product_row = morgan_fingerprints([product])
             route.append(RouteStep(template.id, tuple(inputs), product_index))
-            path.append(node_bits(product_row))
+            path.append(product_row[0])
 
-        return _Rollout(
-            graph=product,
-            smiles=product_smiles,
-            words=product_row,
-            route=tuple(route),
-            path_bits=tuple(path),
-        )
+        return _Rollout(product, product_smiles, product_row, tuple(route), tuple(path))
 
     def _train_values(self):
         if len(self.buffer) == 0:
@@ -609,66 +585,54 @@ class Generator:
     def run(self, progress=None) -> GenerationResult:
         config = self.config
         emitted: dict[str, GeneratedMolecule] = {}
-        # packed fingerprints of the emitted molecules in rows [:n_emitted];
+        # packed fingerprints of the emitted molecules in rows [:len(emitted)];
         # the array doubles when full
         emitted_words = np.empty((16, FP_WORDS), dtype=np.uint64)
-        n_emitted = 0
         log: list[RolloutLog] = []
-        dead_ends = 0
-        duplicates = 0
         for rollout_idx in range(config.n_rollouts):
             if progress is not None:
                 progress(rollout_idx, config.n_rollouts)
             outcome = self._run_rollout()
-            if outcome.dead:
-                dead_ends += 1
-                log.append(
-                    RolloutLog(
-                        rollout=rollout_idx,
-                        tau=self.tau,
-                        weights=self.weights,
-                        success_rates=self._rates(),
-                        similarity=None,
-                        status="dead",
+            status, similarity = "dead", None
+            # a dead end skips reward, the controllers, the buffer and the
+            # retrain check
+            if outcome is not None:
+                scores, combined = reward(
+                    outcome.graph, outcome.words, self.property_stack, self.weights, self.solvent
+                )
+                n_emitted = len(emitted)
+                if n_emitted:
+                    similarity = float(
+                        tanimoto_matrix(outcome.words, emitted_words[:n_emitted]).max()
                     )
-                )
-                continue
+                if outcome.smiles in emitted:
+                    status = "duplicate"
+                else:
+                    status = "ok"
+                    emitted[outcome.smiles] = GeneratedMolecule(
+                        smiles=outcome.smiles,
+                        route=outcome.route,
+                        scores=scores,
+                        combined=combined,
+                        weights=self.weights,
+                        rollout=rollout_idx,
+                    )
+                    if n_emitted == len(emitted_words):
+                        emitted_words = np.concatenate(
+                            [emitted_words, np.empty_like(emitted_words)]
+                        )
+                    emitted_words[n_emitted] = outcome.words
 
-            smiles = outcome.smiles
-            scores, combined = reward(
-                outcome.graph, outcome.words, self.reward_stack, self.weights, self.solvent
-            )
-            similarity = None
-            if n_emitted:
-                similarity = float(tanimoto_matrix(outcome.words, emitted_words[:n_emitted]).max())
-            if smiles in emitted:
-                duplicates += 1
-                status = "duplicate"
-            else:
-                status = "ok"
-                emitted[smiles] = GeneratedMolecule(
-                    smiles=smiles,
-                    route=outcome.route,
-                    scores=scores,
-                    combined=combined,
-                    weights=self.weights,
-                    rollout=rollout_idx,
-                )
-                if n_emitted == len(emitted_words):
-                    emitted_words = np.concatenate([emitted_words, np.empty_like(emitted_words)])
-                emitted_words[n_emitted] = outcome.words
-                n_emitted += 1
+                self.success_window.append(_successes(scores))
+                if similarity is not None:
+                    self.similarity_window.append(similarity)
+                    self.tau = tune_temperature(self.similarity_window, self.tau, config)
+                self.weights = tune_weights(self._rates(), config.weight_floor)
 
-            self.success_window.append(_successes(scores))
-            if similarity is not None:
-                self.similarity_window.append(similarity)
-                self.tau = tune_temperature(self.similarity_window, self.tau, config)
-            self.weights = tune_weights(self._rates(), config.weight_floor)
-
-            for bits in outcome.path_bits:
-                self.buffer.append(bits, self.solvent, scores)
-            if (rollout_idx + 1) % config.train_interval == 0:
-                self._train_values()
+                for row in outcome.path:
+                    self.buffer.append(row, self.solvent, scores)
+                if (rollout_idx + 1) % config.train_interval == 0:
+                    self._train_values()
 
             log.append(
                 RolloutLog(
@@ -687,12 +651,13 @@ class Generator:
         for molecule in emitted.values():
             for step in molecule.route:
                 usage[step.template_id] = usage.get(step.template_id, 0) + 1
+        statuses = [entry.status for entry in log]
         return GenerationResult(
             molecules=tuple(emitted.values()),
             log=tuple(log),
             reaction_usage=usage,
-            dead_ends=dead_ends,
-            duplicates=duplicates,
+            dead_ends=statuses.count("dead"),
+            duplicates=statuses.count("duplicate"),
         )
 
     def _rates(self) -> tuple[float, ...]:
@@ -751,7 +716,7 @@ def uniform_baseline(
     if not viable:
         raise GeneratorError("no template has compatible blocks for every role")
     blocks = {b.id: b for b in library.blocks}
-    stack = reward_stack(scorers)
+    stack = property_stack(scorers)
     uniform_weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
     out = []
     for sample_idx in range(n_samples):

@@ -278,12 +278,15 @@ def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:
             fail(lineno, f"reaction {current_id}: missing arity")
         if sorted(roles) != list(range(arity)):
             fail(lineno, f"reaction {current_id}: roles must cover 0..{arity - 1}")
-        template = ReactionTemplate(
-            id=current_id,
-            arity=arity,
-            roles=tuple(roles[k] for k in range(arity)),
-            edits=tuple(edits),
-        )
+        try:
+            template = ReactionTemplate(
+                id=current_id,
+                arity=arity,
+                roles=tuple(roles[k] for k in range(arity)),
+                edits=tuple(edits),
+            )
+        except ReactionFormatError as exc:
+            fail(lineno, str(exc))
         templates.append(template)
         current_id = None
         arity = None

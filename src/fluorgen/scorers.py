@@ -26,9 +26,10 @@ columns of several models' w1 side by side: each block of
 SCORE_BLOCK_ROWS rows, made SparseRows by from_words, is one CSR product
 that gives every model's first-layer sums at once, summed over the
 on-bits in ascending order. Filtering, stats, rewards and the rollout's
-value estimates all go through it. forward_batch, the dense form, scores
-cross-validation test folds and is the referee behind score_property,
-the one-molecule form.
+value estimates all go through it; the first three score one stack,
+property_stack: the PLQY, absorption and emission models, in that order.
+forward_batch, the dense form, scores cross-validation test folds and is
+the referee behind score_property, the one-molecule form.
 """
 
 from __future__ import annotations
@@ -513,6 +514,16 @@ class ScoreStack:
         self.b2 = np.array([m.b2 for m in models])
         self.bounds = np.cumsum([0] + widths).tolist()
         self.sigmoid = np.array([m.head is Head.SIGMOID for m in models])
+
+
+# the three learned property models, in the order every caller stacks them
+PROPERTY_MODELS = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM)
+
+
+def property_stack(scorers) -> ScoreStack:
+    """The PROPERTY_MODELS of a scorer mapping as one ScoreStack: the stack
+    that reward, the baseline, the filter stages and stats all score with."""
+    return ScoreStack([scorers[kind].model for kind in PROPERTY_MODELS])
 
 
 def score_rows(stack: ScoreStack, words: np.ndarray, solvent) -> np.ndarray:

@@ -18,11 +18,14 @@ from fluorgen.filters import ClusterAssignment, distance_matrix
 from fluorgen.fingerprints import (
     _BOND_CODE,
     _HASH_SEED,
+    FEATURE_DIM,
     FP_BITS,
     FP_RADIUS,
+    SOLVENT_DIM,
     Fingerprint,
     feature_matrix,
     morgan_fingerprint,
+    on_bits,
     pack,
     tanimoto,
 )
@@ -670,6 +673,23 @@ def sparse_rows_to_dense(rows) -> np.ndarray:
         out[i, rows.indices[span]] = rows.data[span]
         out[i, -len(rows.solvent[i]):] = rows.solvent[i]
     return out
+
+
+def replay_rows_int16(words, solvents, targets):
+    """ReplayBuffer.rows referee: the buffer's rows assembled as the buffer
+    once kept them, each node as the int16 on-bit columns of its packed
+    (FP_WORDS,) row, joined into CSR arrays by hand. words, solvents
+    (SolventFeatures) and targets are per node, oldest first."""
+    bits = [on_bits(row).astype(np.int16) for row in words]
+    indptr = np.zeros(len(bits) + 1, dtype=np.int32)
+    np.cumsum([len(b) for b in bits], out=indptr[1:])
+    indices = np.concatenate(bits, dtype=np.int32) if bits else np.empty(0, np.int32)
+    solvent = np.array([s.as_tuple() for s in solvents], dtype=np.float64)
+    rows = SparseRows(
+        indptr, indices, np.ones(len(indices)), solvent.reshape(-1, SOLVENT_DIM), FEATURE_DIM
+    )
+    # one target per reward property, of which there are four
+    return rows, np.array(targets, dtype=np.float64).reshape(-1, 4)
 
 
 def dense_w1_gradient(grads, model: MlpModel) -> np.ndarray:

@@ -640,3 +640,5 @@ class TestStats:
         molecules_file(tmp_path / "out" / "molecules.tsv", ["CCO"])
         config_path = write_config(tmp_path)
         assert main(["--config", str(config_path), "stats"]) == 2
+        baseline = tmp_path / "out" / "baseline.tsv"
+        assert f"error: missing baseline file: {baseline}" in capsys.readouterr().err

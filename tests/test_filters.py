@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fluorgen.fingerprints import (
     FEATURE_DIM,
+    FP_WORDS,
     Fingerprint,
     WATER,
     morgan_fingerprint,
@@ -38,7 +39,7 @@ from fluorgen.filters import (
     write_similarity_histogram,
 )
 from fluorgen.molgraph import sp2_network_size
-from fluorgen.scorers import Head, MlpModel, PropertyScorer, ScorerKind
+from fluorgen.scorers import Head, MlpModel, PropertyScorer, ScorerKind, score_rows
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
@@ -161,8 +162,9 @@ class TestRunFilters:
         assert np.array_equal(words, pack([morgan_fingerprint(parse_smiles(s)) for s in survivors]))
 
     def test_batched_stages_match_per_molecule_oracle(self, monkeypatch):
-        """Random-weight models whose scores straddle every threshold; each
-        model stage scores its distinct survivors in 64-row blocks."""
+        """Random-weight models whose scores straddle every threshold; the
+        distinct sp2 survivors are scored once, in 64-row blocks, for every
+        model stage."""
         from fluorgen import scorers as scorers_module
 
         rng = np.random.default_rng(21)
@@ -200,10 +202,35 @@ class TestRunFilters:
         assert survivors == run_filters_loop(molecules, scorers, WATER, thresholds)
         assert 0 < len(survivors) < report.remaining[0]
         assert all(rejected > 0 for rejected in report.rejected)
-        # each model stage makes ceil(distinct entrants / 64) sparse products
+        # one pass of ceil(distinct sp2 survivors / 64) sparse products
         assert len(set(CORPUS)) == len(CORPUS)
         assert max(calls) <= 64
-        assert len(calls) == sum(-(-(entrants // 2) // 64) for entrants in report.remaining[:3])
+        assert len(calls) == -(-(report.remaining[0] // 2) // 64)
+
+    def test_no_sp2_survivor_reads_no_model(self, monkeypatch):
+        from fluorgen import filters
+
+        scored = []
+        monkeypatch.setattr(filters, "score_rows", lambda *args: scored.append(args))
+        survivors, report, words = run_filters(["CCCC"], {}, WATER)
+        assert survivors == () and words.shape == (0, FP_WORDS)
+        assert report.remaining == (0, 0, 0, 0) and report.rejected == (1, 0, 0, 0)
+        assert scored == []
+
+    def test_model_stages_share_one_scoring_call(self, monkeypatch):
+        from fluorgen import filters
+
+        scored = []
+
+        def counting(stack, words, solvent):
+            scored.append((stack.count, len(words)))
+            return score_rows(stack, words, solvent)
+
+        monkeypatch.setattr(filters, "score_rows", counting)
+        molecules = [ANTHRACENE, BUTANE, BIPHENYL, ANTHRACENE]
+        survivors, _, _ = run_filters(molecules, const_scorers(), WATER)
+        assert survivors == (ANTHRACENE, BIPHENYL, ANTHRACENE)
+        assert scored == [(3, 2)]
 
     def test_each_distinct_smiles_parsed_once(self, monkeypatch):
         from fluorgen import filters

@@ -19,12 +19,13 @@ from fluorgen.fingerprints import (
     feature_rows,
     morgan_fingerprint,
     morgan_fingerprints,
+    on_bits,
     pack,
     tanimoto,
     tanimoto_matrix,
     unpack,
 )
-from fluorgen.generator import node_bits, node_features
+from fluorgen.generator import node_features
 from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph
 from fluorgen.smiles import parse_smiles
 
@@ -348,7 +349,7 @@ class TestDecoder:
         parts = [Fingerprint(bits & mask), Fingerprint(bits & ~mask), Fingerprint(bits & mask)]
         assert node_features(parts, WATER).tobytes() == want.tobytes()
         node = np.bitwise_or.reduce(pack(parts))
-        assert node_bits(node).tolist() == np.flatnonzero(want[:FP_BITS]).tolist()
+        assert on_bits(node).tolist() == np.flatnonzero(want[:FP_BITS]).tolist()
 
     @settings(deadline=None)
     @given(rows=st.lists(st.tuples(bit_sets, st.sampled_from(SOLVENTS)), max_size=20))

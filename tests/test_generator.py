@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluorgen import generator
@@ -22,6 +22,7 @@ from fluorgen.fingerprints import (
     WATER,
     build_feature_vector,
     morgan_fingerprint,
+    on_bits,
     pack,
     tanimoto,
     unpack,
@@ -35,12 +36,10 @@ from fluorgen.generator import (
     RouteStep,
     format_route,
     generate,
-    node_bits,
     node_features,
     parse_route,
     replay_route,
     reward,
-    reward_stack,
     sample_child,
     softmax_probabilities,
     train_value_model,
@@ -69,13 +68,21 @@ from fluorgen.scorers import (
     ScoreStack,
     SparseRows,
     loss_and_grads,
+    property_stack,
     score_rows,
 )
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
-from oracles import node_value_loop, reward_loop, sparse_rows_to_dense, train_value_model_dense
+from oracles import (
+    node_value_loop,
+    replay_rows_int16,
+    reward_loop,
+    sparse_rows_to_dense,
+    train_value_model_dense,
+)
 from randmol import random_molecule
+from test_tracing import tracing  # noqa: F401  (the perfbench tracer, a fixture)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -259,7 +266,7 @@ class TestPackedNodes:
     def test_or_rows_decode_to_node_features(self, engine, library, blocks, no_partner, product):
         """A node built the rollout's way, block_words rows ORed onto each
         other and onto a product row, with -1 read as "no partner", decodes
-        to node_features of its molecules; node_bits lists its on-bits."""
+        to node_features of its molecules; on_bits lists its on-bits."""
         positions = [k % len(library.blocks) for k in blocks] + ([-1] if no_partner else [])
         members = [morgan_fingerprint(library.blocks[k].graph) for k in positions if k != -1]
         rows = engine.block_words[positions]
@@ -272,8 +279,7 @@ class TestPackedNodes:
             node = node | row
         want = node_features(members, WATER)[:FP_BITS]
         assert unpack(node).astype(np.float64).tobytes() == want.tobytes()
-        assert node_bits(node).tolist() == np.flatnonzero(want).tolist()
-        assert node_bits(node).dtype == np.int16
+        assert on_bits(node).tolist() == np.flatnonzero(want).tolist()
 
 
 class TestSampling:
@@ -324,7 +330,7 @@ class TestReward:
     def test_wavelengths_binarize_inside_window(self):
         benzene = parse_smiles("c1ccccc1")
         weights = (0.25, 0.25, 0.25, 0.25)
-        stack = reward_stack(const_scorers())
+        stack = property_stack(const_scorers())
         scores, combined = reward(
             benzene, pack([morgan_fingerprint(benzene)]), stack, weights, WATER
         )
@@ -342,7 +348,7 @@ class TestReward:
         scores, _ = reward(
             benzene,
             pack([morgan_fingerprint(benzene)]),
-            reward_stack(const_scorers(absorption=nm, emission=nm)),
+            property_stack(const_scorers(absorption=nm, emission=nm)),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -353,7 +359,7 @@ class TestReward:
         scores, _ = reward(
             anthracene,
             pack([morgan_fingerprint(anthracene)]),
-            reward_stack(const_scorers()),
+            property_stack(const_scorers()),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -364,7 +370,7 @@ class TestReward:
         scores, combined = reward(
             biphenyl,
             pack([morgan_fingerprint(biphenyl)]),
-            reward_stack(const_scorers(plqy_logit=50.0)),
+            property_stack(const_scorers(plqy_logit=50.0)),
             (0.25, 0.25, 0.25, 0.25),
             WATER,
         )
@@ -399,7 +405,7 @@ class TestReward:
         }
         scorers[ScorerKind.SP2_SIZE] = PropertyScorer(ScorerKind.SP2_SIZE)
         fingerprint = morgan_fingerprint(graph)
-        got = reward(graph, pack([fingerprint]), reward_stack(scorers), weights, WATER)
+        got = reward(graph, pack([fingerprint]), property_stack(scorers), weights, WATER)
         assert got == reward_loop(graph, fingerprint, scorers, weights, WATER, sparse_order=True)
         scores, combined = reward_loop(graph, fingerprint, scorers, weights, WATER)
         np.testing.assert_allclose(got[0], scores, rtol=0.0, atol=1e-12)
@@ -457,7 +463,8 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buffer = ReplayBuffer(capacity=3)
         for k in range(4):
-            buffer.append(np.array([k, 10 + k]), WATER, (float(k), 0.0, 0.0, 0.0))
+            buffer.append(pack([Fingerprint(1 << k | 1 << (10 + k))])[0], WATER,
+                          (float(k), 0.0, 0.0, 0.0))
         assert len(buffer) == 3
         rows, targets = buffer.rows()
         assert rows.indices.tolist() == [1, 11, 2, 12, 3, 13]
@@ -469,7 +476,7 @@ class TestReplayBuffer:
             ReplayBuffer(capacity=0)
         buffer = ReplayBuffer(capacity=2)
         with pytest.raises(GeneratorError):
-            buffer.append(np.zeros(3), WATER, (1.0, 2.0))
+            buffer.append(np.zeros(FP_WORDS, np.uint64), WATER, (1.0, 2.0))
 
 
 class TestSparseReplayBuffer:
@@ -489,7 +496,7 @@ class TestSparseReplayBuffer:
         solvents = [SolventFeatures(0.1 * k, 0.5, -0.25 * k, 0.0) for k in range(len(nodes))]
         buffer = ReplayBuffer(capacity=250)
         for k, (fps, solvent) in enumerate(zip(nodes, solvents)):
-            buffer.append(node_bits(packed_node(fps)), solvent, (float(k), 0.0, 0.0, 1.0))
+            buffer.append(packed_node(fps), solvent, (float(k), 0.0, 0.0, 1.0))
         rows, targets = buffer.rows()
         assert len(rows) == len(buffer) == 250
         want = np.array([node_features(fps, sol) for fps, sol in zip(nodes[50:], solvents[50:])])
@@ -501,6 +508,53 @@ class TestSparseReplayBuffer:
         rows, targets = ReplayBuffer(capacity=4).rows()
         assert len(rows) == 0 and targets.shape == (0, 4)
 
+    solvent_features = st.builds(SolventFeatures, *[st.floats(-5.0, 5.0)] * 4)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nodes=st.lists(
+            st.tuples(st.integers(0, (1 << FP_BITS) - 1), solvent_features, st.floats(-1.0, 1.0)),
+            max_size=12,
+        ),
+        capacity=st.integers(1, 8),
+    )
+    @example(nodes=[], capacity=3)
+    @example(nodes=[(0, WATER, 0.5), (1 << (FP_BITS - 1), WATER, 0.0), (0, WATER, 1.0)],
+             capacity=2)
+    def test_rows_equal_int16_referee(self, nodes, capacity):
+        """Field by field, dtypes included: empty buffers, all-zero rows,
+        per-node solvents and eviction past capacity."""
+        words = [pack([Fingerprint(bits)])[0] for bits, _, _ in nodes]
+        solvents = [solvent for _, solvent, _ in nodes]
+        scores = [(target, 0.0, 0.5, 1.0) for _, _, target in nodes]
+        buffer = ReplayBuffer(capacity)
+        for row, solvent, targets in zip(words, solvents, scores):
+            buffer.append(row, solvent, targets)
+        kept = slice(max(0, len(nodes) - capacity), None)
+        rows, targets = buffer.rows()
+        want_rows, want_targets = replay_rows_int16(words[kept], solvents[kept], scores[kept])
+        for name in ("indptr", "indices", "data", "solvent"):
+            got, want = getattr(rows, name), getattr(want_rows, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        assert rows.width == want_rows.width
+        assert targets.dtype == want_targets.dtype
+        assert targets.shape == want_targets.shape and np.array_equal(targets, want_targets)
+
+    def test_append_stores_a_copy(self):
+        """The rollout's node is a row view of its decision's candidate
+        matrix; the buffer keeps its own words."""
+        candidates = pack([Fingerprint(0b1011), Fingerprint(1 << 2000 | 1 << 7)]).copy()
+        buffer = ReplayBuffer(capacity=2)
+        buffer.append(candidates[1], WATER, (0.0, 0.0, 0.0, 1.0))
+        before, _ = buffer.rows()
+        candidates[:] = np.uint64(0xFFFF)
+        after, _ = buffer.rows()
+        assert after.indices.tolist() == before.indices.tolist() == [7, 2000]
+        assert after.indptr.tolist() == before.indptr.tolist()
+        (stored, _, _), = buffer._items
+        assert not np.shares_memory(stored, candidates)
+
     def test_full_buffer_is_ten_times_smaller_than_dense(self, library):
         capacity = 2_000
         rows = [packed_node(fps) for fps in self.random_nodes(library, capacity, seed=3)]
@@ -510,7 +564,7 @@ class TestSparseReplayBuffer:
             start = tracemalloc.get_traced_memory()[0]
             buffer = ReplayBuffer(capacity)
             for row in rows:
-                buffer.append(node_bits(row), WATER, scores)
+                buffer.append(row, WATER, scores)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -643,7 +697,7 @@ class TestValueTraining:
         stale = engine.block_outputs.copy()
         saved_w2 = [model.w2.copy() for model in engine.value_models]
         for row in engine.block_words[:-1]:
-            engine.buffer.append(node_bits(row), WATER, (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         assert all(
             not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
@@ -670,13 +724,28 @@ class TestValueTraining:
 
         monkeypatch.setattr(generator, "score_rows", counting)
         for row in engine.block_words[:-1]:
-            engine.buffer.append(node_bits(row), WATER, (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         engine._train_values()
         assert scored == []
         first = engine.block_outputs
         assert engine.block_outputs is first
         assert scored == [len(library.blocks)]
+
+
+def test_traced_retrain_counts_one_call_per_value_net(tracing, library, templates):
+    """The retrain reaches train_value_model through the generator module,
+    where the benchmark's tracer wraps it: once per value net."""
+    engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
+    for row in engine.block_words[:-1]:
+        engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        engine._train_values()
+    finally:
+        tracer.remove()
+    assert tracer.calls["generator.train_value_model"] == 4
 
 
 class TestConfigValidation:
@@ -789,6 +858,43 @@ class TestContinuations:
         reactants = [library.by_id(b).graph for b in ("benzoic_acid", "aniline")]
         (product,) = apply_reaction(amide, reactants).products
         assert engine._continuations(product) == [(tag, 0, None)]
+
+
+class TestDeadEnds:
+    def test_dead_rows_carry_state_and_skip_learning(self, tmp_path, monkeypatch):
+        """Amide rollouts succeed, rollouts through the broken unary
+        template dead-end. A dead row repeats the previous row's tau,
+        weights and rates; it adds nothing to the buffer, and a dead
+        rollout on a train_interval boundary does not retrain."""
+        library, templates = write_mini_corpus(
+            tmp_path, "acid\tCC(O)=O\namine\tNCCCC\nm\tC\n", AMIDE_ONLY + DEAD_END_ONLY
+        )
+        config = GenerationConfig(n_rollouts=40, train_interval=2, window=5, max_steps=1, seed=3)
+        engine = Generator(library, templates, const_scorers(), WATER, config)
+        started = []
+        retrained_at = []
+        train_values = engine._train_values
+
+        def recording():
+            retrained_at.append(started[-1])
+            train_values()
+
+        monkeypatch.setattr(engine, "_train_values", recording)
+        result = engine.run(progress=lambda done, total: started.append(done))
+        statuses = [entry.status for entry in result.log]
+        dead = [k for k, status in enumerate(statuses) if status == "dead"]
+        assert result.dead_ends == len(dead) > 0
+        assert any((k + 1) % config.train_interval == 0 for k in dead)
+        previous = (config.tau_init, (0.25,) * 4, (0.0,) * 4)
+        for entry in result.log:
+            state = (entry.tau, entry.weights, entry.success_rates)
+            if entry.status == "dead":
+                assert state == previous and entry.similarity is None
+            previous = state
+        live = [k for k, status in enumerate(statuses) if status != "dead"]
+        assert retrained_at == [k for k in live if (k + 1) % config.train_interval == 0]
+        # the two choice nodes and the product node of each live rollout
+        assert len(engine.buffer) == 3 * len(live)
 
 
 class TestDegenerateRuns:

@@ -418,6 +418,19 @@ class TestFileParsing:
         with pytest.raises(ReactionFormatError, match="outside a reaction block"):
             ingest_reaction_templates(self.write(tmp_path, "edit delete_atom 0.0\n"))
 
+    def test_arity_out_of_range_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, "reaction r1\narity 0\nend\n")
+        with pytest.raises(ReactionFormatError) as caught:
+            ingest_reaction_templates(path)
+        assert str(caught.value) == f"{path}:3: reaction r1: arity 0 outside 1..3"
+
+    def test_edit_role_out_of_range_names_file_and_line(self, tmp_path):
+        text = "reaction r1\narity 1\nrole 0 C\nedit delete_atom 1.0\nend\n"
+        path = self.write(tmp_path, text)
+        with pytest.raises(ReactionFormatError) as caught:
+            ingest_reaction_templates(path)
+        assert str(caught.value) == f"{path}:5: reaction r1: edit references role 1"
+
     def test_bad_role_pattern_reports_line(self, tmp_path):
         text = "reaction a\narity 1\nrole 0 [Qx]\nend\n"
         with pytest.raises(ReactionFormatError, match=":3:"):
