@@ -25,7 +25,6 @@ import numpy as np
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_WORDS,
-    SOLVENT_DIM,
     Fingerprint,
     SolventFeatures,
     build_feature_vector,
@@ -161,39 +160,40 @@ class GenerationResult:
 
 
 class ReplayBuffer:
-    """FIFO store of visited nodes and their reward targets.
+    """Ring of the last ``capacity`` visited nodes and their reward targets.
 
-    A node is kept as a copy of its packed (FP_WORDS,) row, the form the
-    rollout builds it in, plus its solvent values: 256 bytes of words
-    where a dense 2,052-float row took 16 KB, so a full 2,000-row buffer
-    holds about 1 MB. ``rows`` makes the whole buffer SparseRows for
-    training with one SparseRows.from_words call.
+    Node rows live in two fixed arrays, (capacity, FP_WORDS) packed words
+    and (capacity, N_PROPERTIES) targets; each append writes the slot
+    after the newest, overwriting the oldest once the ring is full. A
+    full 2,000-row buffer holds 576 KB, and ``rows`` hands it to training
+    as one ordered gather and one SparseRows.from_words call.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise GeneratorError("buffer capacity must be positive")
-        self._items = collections.deque(maxlen=capacity)
+        self._words = np.zeros((capacity, FP_WORDS), dtype=np.uint64)
+        self._targets = np.zeros((capacity, N_PROPERTIES))
+        self._appended = 0
 
-    def append(self, row: np.ndarray, solvent: SolventFeatures, targets: tuple[float, ...]):
-        """Store a node's packed row, copied: the rollout's node is a view
-        of its decision's candidate matrix, which the buffer must not keep
-        alive."""
+    def append(self, row: np.ndarray, targets: tuple[float, ...]):
+        """Copy a node's packed (FP_WORDS,) row and its targets into the
+        next slot."""
         if len(targets) != N_PROPERTIES:
             raise GeneratorError(f"expected {N_PROPERTIES} targets")
-        self._items.append((np.array(row, dtype=np.uint64), solvent.as_tuple(), tuple(targets)))
+        slot = self._appended % len(self._words)
+        self._words[slot] = row
+        self._targets[slot] = targets
+        self._appended += 1
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._appended, len(self._words))
 
-    def rows(self) -> tuple[SparseRows, np.ndarray]:
-        """(SparseRows of every stored node, (n, N_PROPERTIES) targets), oldest first."""
-        words, solvents, targets = zip(*self._items) if self._items else ((), (), ())
-        rows = SparseRows.from_words(
-            np.array(words, dtype=np.uint64).reshape(-1, FP_WORDS),
-            np.array(solvents, dtype=np.float64).reshape(-1, SOLVENT_DIM),
-        )
-        return rows, np.array(targets, dtype=np.float64).reshape(-1, N_PROPERTIES)
+    def rows(self, solvent: SolventFeatures) -> tuple[SparseRows, np.ndarray]:
+        """(SparseRows of every stored node in ``solvent``, (n, N_PROPERTIES)
+        targets), oldest first."""
+        order = np.arange(self._appended - len(self), self._appended) % len(self._words)
+        return SparseRows.from_words(self._words[order], solvent.as_tuple()), self._targets[order]
 
 
 def node_features(fingerprints, solvent: SolventFeatures) -> np.ndarray:
@@ -434,7 +434,7 @@ class Generator:
     def __init__(self, library: BlockLibrary, templates, scorers, solvent, config, index=None):
         self.config = config
         self.templates = tuple(templates)
-        self.blocks = {b.id: b for b in library.blocks}
+        self.blocks = library.blocks
         self.property_stack = property_stack(scorers)
         self.solvent = solvent
         self.index = index or CompatibilityIndex(library, self.templates)
@@ -444,46 +444,32 @@ class Generator:
         self.rng = random.Random(config.seed)
         self.np_rng = np.random.default_rng(config.seed + 1)
         self.value_models = _init_value_models(config)
-        self._value_stack = None
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.tau = config.tau_init
         self.weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
         self.similarity_window = collections.deque(maxlen=config.window)
         self.success_window = collections.deque(maxlen=config.window)
         # each block's packed row in library order, then an all-zero row
-        # that index -1 reads as "no partner"
+        # that position -1 (no partner, or the previous product) reads
         self.block_words = np.append(library.words, np.zeros((1, FP_WORDS), np.uint64), axis=0)
-        self._position = {b.id: k for k, b in enumerate(library.blocks)}
-        # the first decision's (template, block) candidates, with each
-        # block's row in block_outputs
+        # the first decision's (template, block position) candidates
         self._first_candidates = [
-            (template, block_id)
+            (template, position)
             for template in self.templates
             if template.id in self.viable
-            for block_id in self.index.compatible_blocks(template.id, 0)
+            for position in self.index.compatible_blocks(template.id, 0)
         ]
-        self._first_rows = np.array([self._position[b] for _, b in self._first_candidates])
-        self._block_outputs = None
+        self._first_rows = np.array([position for _, position in self._first_candidates])
+        self._refresh_values()
 
     # value estimation
 
-    @property
-    def value_stack(self) -> ScoreStack:
-        """The value nets stacked for score_rows. Built on the first read
-        after start-up or a retrain, like block_outputs."""
-        if self._value_stack is None:
-            self._value_stack = ScoreStack(self.value_models)
-        return self._value_stack
-
-    @property
-    def block_outputs(self) -> np.ndarray:
-        """Value-net outputs of each library block alone, in library order;
-        the first decision's candidates index into this array. Scored on
-        the first read after start-up or a retrain, so a retrain that no
-        rollout follows scores nothing."""
-        if self._block_outputs is None:
-            self._block_outputs = score_rows(self.value_stack, self.block_words[:-1], self.solvent)
-        return self._block_outputs
+    def _refresh_values(self):
+        """Stack the current value nets for score_rows (``value_stack``) and
+        score each library block alone with them (``block_outputs``, in
+        library order); run at start-up and after each retrain."""
+        self.value_stack = ScoreStack(self.value_models)
+        self.block_outputs = score_rows(self.value_stack, self.block_words[:-1], self.solvent)
 
     def _sample(self, outputs: np.ndarray) -> int:
         return sample_child(weighted_values(outputs, self.weights), self.tau, self.rng)
@@ -494,8 +480,9 @@ class Generator:
     # rollout phases
 
     def _continuations(self, product: MolecularGraph):
-        """(template, product role, block for the lowest other role)
-        triples the current product could react through next."""
+        """(template, product role, library position of the block for the
+        lowest other role, or -1 for a unary template) triples the current
+        product could react through next."""
         out = []
         for template in self.templates:
             if template.id not in self.viable and template.arity > 1:
@@ -505,10 +492,10 @@ class Generator:
                     continue
                 others = [k for k in range(template.arity) if k != role]
                 if not others:
-                    out.append((template, role, None))
+                    out.append((template, role, -1))
                     continue
-                for block_id in self.index.compatible_blocks(template.id, others[0]):
-                    out.append((template, role, block_id))
+                for position in self.index.compatible_blocks(template.id, others[0]).tolist():
+                    out.append((template, role, position))
         return out
 
     def _run_rollout(self) -> _Rollout | None:
@@ -519,9 +506,10 @@ class Generator:
         template, first_block = self._first_candidates[
             self._sample(self.block_outputs[self._first_rows])
         ]
-        inputs: list[str | None] = [first_block] + [None] * (template.arity - 1)
+        # reactants as library positions in role order, -1 for the product
+        inputs = [first_block] + [-1] * (template.arity - 1)
         # the current node's packed row: the OR of its molecules' rows
-        node = self.block_words[self._position[first_block]]
+        node = self.block_words[first_block]
         path = [node]
         open_roles = range(1, template.arity)
         product = product_smiles = product_row = None
@@ -532,35 +520,28 @@ class Generator:
                 if not continuations:
                     break
                 # the stop node first, then each continuation's node
-                partners = [-1] + [
-                    -1 if block_id is None else self._position[block_id]
-                    for _, _, block_id in continuations
-                ]
+                partners = [-1] + [position for _, _, position in continuations]
                 candidates = product_row | self.block_words[partners]
                 pick = self._choose(candidates)
                 if pick == 0:
                     break
                 template, product_role, partner = continuations[pick - 1]
                 node = candidates[pick]
-                inputs = [None] * template.arity
-                inputs[product_role] = PREV_MARKER
+                inputs = [-1] * template.arity
                 others = [k for k in range(template.arity) if k != product_role]
-                if partner is not None:
+                if others:
                     inputs[others[0]] = partner
                     path.append(node)
                 open_roles = others[1:]
             for role in open_roles:
                 options = self.index.compatible_blocks(template.id, role)
-                candidates = node | self.block_words[[self._position[b] for b in options]]
+                candidates = node | self.block_words[options]
                 pick = self._choose(candidates)
                 inputs[role] = options[pick]
                 node = candidates[pick]
                 path.append(node)
 
-            reactants = [
-                product if name == PREV_MARKER else self.blocks[name].graph
-                for name in inputs
-            ]
+            reactants = [product if k < 0 else self.blocks[k].graph for k in inputs]
             result = apply_reaction(template, reactants)
             if not result.products:
                 return None
@@ -568,26 +549,23 @@ class Generator:
             product = result.products[product_index]
             product_smiles = result.smiles[product_index]
             product_row = morgan_fingerprints([product])
-            route.append(RouteStep(template.id, tuple(inputs), product_index))
+            names = tuple(PREV_MARKER if k < 0 else self.blocks[k].id for k in inputs)
+            route.append(RouteStep(template.id, names, product_index))
             path.append(product_row[0])
 
         return _Rollout(product, product_smiles, product_row, tuple(route), tuple(path))
 
     def _train_values(self):
-        if len(self.buffer) == 0:
-            return
-        rows, targets = self.buffer.rows()
+        rows, targets = self.buffer.rows(self.solvent)
         for k, model in enumerate(self.value_models):
             train_value_model(model, rows, targets[:, k], self.config, self.np_rng)
-        self._value_stack = None
-        self._block_outputs = None
+        self._refresh_values()
 
     def run(self, progress=None) -> GenerationResult:
         config = self.config
         emitted: dict[str, GeneratedMolecule] = {}
-        # packed fingerprints of the emitted molecules in rows [:len(emitted)];
-        # the array doubles when full
-        emitted_words = np.empty((16, FP_WORDS), dtype=np.uint64)
+        # packed fingerprints of the emitted molecules in rows [:len(emitted)]
+        emitted_words = np.empty((config.n_rollouts, FP_WORDS), dtype=np.uint64)
         log: list[RolloutLog] = []
         for rollout_idx in range(config.n_rollouts):
             if progress is not None:
@@ -617,10 +595,6 @@ class Generator:
                         weights=self.weights,
                         rollout=rollout_idx,
                     )
-                    if n_emitted == len(emitted_words):
-                        emitted_words = np.concatenate(
-                            [emitted_words, np.empty_like(emitted_words)]
-                        )
                     emitted_words[n_emitted] = outcome.words
 
                 self.success_window.append(_successes(scores))
@@ -630,7 +604,7 @@ class Generator:
                 self.weights = tune_weights(self._rates(), config.weight_floor)
 
                 for row in outcome.path:
-                    self.buffer.append(row, self.solvent, scores)
+                    self.buffer.append(row, scores)
                 if (rollout_idx + 1) % config.train_interval == 0:
                     self._train_values()
 
@@ -711,21 +685,20 @@ def uniform_baseline(
     the CompatibilityIndex of library and templates, if already built."""
     rng = random.Random(seed)
     index = index or CompatibilityIndex(library, tuple(templates))
-    templates_by_id = {t.id: t for t in templates}
     viable = sorted(index.viable_templates())
     if not viable:
         raise GeneratorError("no template has compatible blocks for every role")
-    blocks = {b.id: b for b in library.blocks}
+    blocks = library.blocks
     stack = property_stack(scorers)
     uniform_weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
     out = []
     for sample_idx in range(n_samples):
-        template = templates_by_id[viable[rng.randrange(len(viable))]]
+        template = index.templates[viable[rng.randrange(len(viable))]]
         chosen = []
         for role in range(template.arity):
             options = index.compatible_blocks(template.id, role)
             chosen.append(options[rng.randrange(len(options))])
-        result = apply_reaction(template, [blocks[b].graph for b in chosen])
+        result = apply_reaction(template, [blocks[k].graph for k in chosen])
         if not result.products:
             continue
         product_index = rng.randrange(len(result.products))
@@ -736,7 +709,7 @@ def uniform_baseline(
         out.append(
             GeneratedMolecule(
                 smiles=result.smiles[product_index],
-                route=(RouteStep(template.id, tuple(chosen), product_index),),
+                route=(RouteStep(template.id, tuple(blocks[k].id for k in chosen), product_index),),
                 scores=scores,
                 combined=combined,
                 weights=uniform_weights,

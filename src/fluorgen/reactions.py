@@ -214,12 +214,6 @@ class BlockLibrary:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def by_id(self, block_id: str) -> BuildingBlock:
-        for block in self.blocks:
-            if block.id == block_id:
-                return block
-        raise KeyError(block_id)
-
 
 def ingest_building_blocks(path: str) -> BlockLibrary:
     """Read a tab-separated ``id<TAB>smiles`` file.
@@ -379,20 +373,22 @@ def _parse_edit(fields: list[str], lineno: int, path: str) -> EditOp:
 
 
 class CompatibilityIndex:
-    """Per-(template, role) table of matching building-block ids, in
-    library order, filled when the index is built."""
+    """Per-(template, role) table of the library positions of the matching
+    building blocks, an ascending intp array, filled when the index is
+    built."""
 
     def __init__(self, library: BlockLibrary, templates: tuple[ReactionTemplate, ...]):
         self.templates = {t.id: t for t in templates}
-        self._table: dict[tuple[str, int], tuple[str, ...]] = {
-            (template.id, role): tuple(
-                block.id for block in library.blocks if has_match(pattern, block.graph)
+        self._table: dict[tuple[str, int], np.ndarray] = {
+            (template.id, role): np.array(
+                [k for k, block in enumerate(library.blocks) if has_match(pattern, block.graph)],
+                dtype=np.intp,
             )
             for template in self.templates.values()
             for role, pattern in enumerate(template.roles)
         }
 
-    def compatible_blocks(self, template_id: str, role: int) -> tuple[str, ...]:
+    def compatible_blocks(self, template_id: str, role: int) -> np.ndarray:
         return self._table[(template_id, role)]
 
     def viable_templates(self) -> tuple[str, ...]:
@@ -401,5 +397,5 @@ class CompatibilityIndex:
         return tuple(
             tid
             for tid, template in self.templates.items()
-            if all(self._table[(tid, role)] for role in range(template.arity))
+            if all(len(self._table[(tid, role)]) for role in range(template.arity))
         )

@@ -35,7 +35,7 @@ the referee behind score_property, the one-molecule form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
@@ -502,10 +502,13 @@ class ScoreStack:
             if model.input_dim != FEATURE_DIM:
                 raise ScorerError(f"expected {FEATURE_DIM}-wide models, got {model.input_dim}")
         self.count = len(models)
-        self.bit_weights = np.ascontiguousarray(np.vstack([m.w1[:, :FP_BITS] for m in models]).T)
+        widths = [m.hidden_dim for m in models]
+        # filled in place, with no full-size temporary to copy in C order
+        self.bit_weights = np.concatenate(
+            [m.w1[:, :FP_BITS].T for m in models], axis=1, out=np.empty((FP_BITS, sum(widths)))
+        )
         # (SOLVENT_DIM, total hidden): each hidden unit's solvent weights
         # and its model's normalization
-        widths = [m.hidden_dim for m in models]
         self.solvent_weights = np.vstack([m.w1[:, FP_BITS:] for m in models]).T
         self.norm_mean = np.repeat([m.norm_mean for m in models], widths, axis=0).T
         self.norm_std = np.repeat([m.norm_std for m in models], widths, axis=0).T

@@ -8,6 +8,7 @@ of backprop. Slow is fine; these only run in tests.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import random
@@ -21,6 +22,7 @@ from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
     FP_RADIUS,
+    FP_WORDS,
     SOLVENT_DIM,
     Fingerprint,
     feature_matrix,
@@ -673,6 +675,29 @@ def sparse_rows_to_dense(rows) -> np.ndarray:
         out[i, rows.indices[span]] = rows.data[span]
         out[i, -len(rows.solvent[i]):] = rows.solvent[i]
     return out
+
+
+class ReplayBufferDeque:
+    """generator.ReplayBuffer referee: a FIFO deque of (packed row copy,
+    targets tuple) items, the whole buffer stacked again on each read."""
+
+    def __init__(self, capacity: int):
+        self._items = collections.deque(maxlen=capacity)
+
+    def append(self, row, targets):
+        self._items.append((np.array(row, dtype=np.uint64), tuple(targets)))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def rows(self, solvent):
+        words, targets = zip(*self._items) if self._items else ((), ())
+        rows = SparseRows.from_words(
+            np.array(words, dtype=np.uint64).reshape(-1, FP_WORDS),
+            np.array([solvent.as_tuple()] * len(words), dtype=np.float64).reshape(-1, SOLVENT_DIM),
+        )
+        # one target per reward property, of which there are four
+        return rows, np.array(targets, dtype=np.float64).reshape(-1, 4)
 
 
 def replay_rows_int16(words, solvents, targets):

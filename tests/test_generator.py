@@ -75,6 +75,7 @@ from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
 from oracles import (
+    ReplayBufferDeque,
     node_value_loop,
     replay_rows_int16,
     reward_loop,
@@ -125,6 +126,11 @@ def templates():
 
 
 @pytest.fixture(scope="module")
+def blocks_by_id(library):
+    return {block.id: block for block in library.blocks}
+
+
+@pytest.fixture(scope="module")
 def small_run(library, templates):
     config = GenerationConfig(n_rollouts=60, train_interval=10, window=20, seed=7)
     return generate(config, library, templates, const_scorers(), WATER)
@@ -156,8 +162,8 @@ class TestNodeFeatures:
         b = Fingerprint(bits=(1 << 44))
         assert np.array_equal(node_features([a, b], WATER), node_features([b, a], WATER))
 
-    def test_matches_scorer_featurization(self, library):
-        block = library.by_id("benzaldehyde")
+    def test_matches_scorer_featurization(self, blocks_by_id):
+        block = blocks_by_id["benzaldehyde"]
         expected = build_feature_vector(morgan_fingerprint(block.graph), WATER)
         assert np.array_equal(node_features([morgan_fingerprint(block.graph)], WATER), expected)
 
@@ -463,10 +469,9 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buffer = ReplayBuffer(capacity=3)
         for k in range(4):
-            buffer.append(pack([Fingerprint(1 << k | 1 << (10 + k))])[0], WATER,
-                          (float(k), 0.0, 0.0, 0.0))
+            buffer.append(pack([Fingerprint(1 << k | 1 << (10 + k))])[0], (float(k), 0.0, 0.0, 0.0))
         assert len(buffer) == 3
-        rows, targets = buffer.rows()
+        rows, targets = buffer.rows(WATER)
         assert rows.indices.tolist() == [1, 11, 2, 12, 3, 13]
         assert rows.indptr.tolist() == [0, 2, 4, 6]
         assert list(targets[:, 0]) == [1.0, 2.0, 3.0]
@@ -476,7 +481,7 @@ class TestReplayBuffer:
             ReplayBuffer(capacity=0)
         buffer = ReplayBuffer(capacity=2)
         with pytest.raises(GeneratorError):
-            buffer.append(np.zeros(FP_WORDS, np.uint64), WATER, (1.0, 2.0))
+            buffer.append(np.zeros(FP_WORDS, np.uint64), (1.0, 2.0))
 
 
 class TestSparseReplayBuffer:
@@ -491,69 +496,90 @@ class TestSparseReplayBuffer:
 
     def test_rows_rebuild_node_features(self, library):
         """Past capacity too: the kept rows are the newest, each equal to
-        its node_features row."""
+        its node_features row in the given solvent."""
         nodes = self.random_nodes(library, 300, seed=1)
-        solvents = [SolventFeatures(0.1 * k, 0.5, -0.25 * k, 0.0) for k in range(len(nodes))]
+        solvent = SolventFeatures(0.1, 0.5, -0.25, 0.0)
         buffer = ReplayBuffer(capacity=250)
-        for k, (fps, solvent) in enumerate(zip(nodes, solvents)):
-            buffer.append(packed_node(fps), solvent, (float(k), 0.0, 0.0, 1.0))
-        rows, targets = buffer.rows()
+        for k, fps in enumerate(nodes):
+            buffer.append(packed_node(fps), (float(k), 0.0, 0.0, 1.0))
+        rows, targets = buffer.rows(solvent)
         assert len(rows) == len(buffer) == 250
-        want = np.array([node_features(fps, sol) for fps, sol in zip(nodes[50:], solvents[50:])])
+        want = np.array([node_features(fps, solvent) for fps in nodes[50:]])
         assert np.array_equal(sparse_rows_to_dense(rows), want)
         assert targets[:, 0].tolist() == [float(k) for k in range(50, 300)]
         assert rows.width == FEATURE_DIM and np.all(rows.data == 1.0)
 
     def test_empty_buffer_has_no_rows(self):
-        rows, targets = ReplayBuffer(capacity=4).rows()
+        rows, targets = ReplayBuffer(capacity=4).rows(WATER)
         assert len(rows) == 0 and targets.shape == (0, 4)
 
     solvent_features = st.builds(SolventFeatures, *[st.floats(-5.0, 5.0)] * 4)
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        nodes=st.lists(
-            st.tuples(st.integers(0, (1 << FP_BITS) - 1), solvent_features, st.floats(-1.0, 1.0)),
-            max_size=12,
-        ),
-        capacity=st.integers(1, 8),
-    )
-    @example(nodes=[], capacity=3)
-    @example(nodes=[(0, WATER, 0.5), (1 << (FP_BITS - 1), WATER, 0.0), (0, WATER, 1.0)],
-             capacity=2)
-    def test_rows_equal_int16_referee(self, nodes, capacity):
-        """Field by field, dtypes included: empty buffers, all-zero rows,
-        per-node solvents and eviction past capacity."""
-        words = [pack([Fingerprint(bits)])[0] for bits, _, _ in nodes]
-        solvents = [solvent for _, solvent, _ in nodes]
-        scores = [(target, 0.0, 0.5, 1.0) for _, _, target in nodes]
-        buffer = ReplayBuffer(capacity)
-        for row, solvent, targets in zip(words, solvents, scores):
-            buffer.append(row, solvent, targets)
-        kept = slice(max(0, len(nodes) - capacity), None)
-        rows, targets = buffer.rows()
-        want_rows, want_targets = replay_rows_int16(words[kept], solvents[kept], scores[kept])
+    @staticmethod
+    def assert_rows_equal(got, want):
+        """Two (SparseRows, targets) pairs equal field by field, dtypes included."""
+        (rows, targets), (want_rows, want_targets) = got, want
         for name in ("indptr", "indices", "data", "solvent"):
-            got, want = getattr(rows, name), getattr(want_rows, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert np.array_equal(got, want), name
+            a, b = getattr(rows, name), getattr(want_rows, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
         assert rows.width == want_rows.width
         assert targets.dtype == want_targets.dtype
         assert targets.shape == want_targets.shape and np.array_equal(targets, want_targets)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nodes=st.lists(
+            st.tuples(st.integers(0, (1 << FP_BITS) - 1), st.floats(-1.0, 1.0)), max_size=12
+        ),
+        solvent=solvent_features,
+        capacity=st.integers(1, 8),
+    )
+    @example(nodes=[], solvent=WATER, capacity=3)
+    @example(nodes=[(0, 0.5), (1 << (FP_BITS - 1), 0.0), (0, 1.0)], solvent=WATER, capacity=2)
+    def test_rows_equal_int16_referee(self, nodes, solvent, capacity):
+        """Field by field, dtypes included: empty buffers, all-zero rows,
+        any solvent and eviction past capacity."""
+        words = [pack([Fingerprint(bits)])[0] for bits, _ in nodes]
+        scores = [(target, 0.0, 0.5, 1.0) for _, target in nodes]
+        buffer = ReplayBuffer(capacity)
+        for row, targets in zip(words, scores):
+            buffer.append(row, targets)
+        kept = slice(max(0, len(nodes) - capacity), None)
+        want = replay_rows_int16(words[kept], [solvent] * len(words[kept]), scores[kept])
+        self.assert_rows_equal(buffer.rows(solvent), want)
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data(), capacity=st.integers(1, 7), solvent=solvent_features)
+    def test_ring_equals_deque_referee(self, data, capacity, solvent):
+        """0 to 3x capacity appends of random rows: the ring and the deque
+        buffer hold the same rows and targets, oldest first."""
+        n = data.draw(st.integers(0, 3 * capacity), label="appends")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        ring, referee = ReplayBuffer(capacity), ReplayBufferDeque(capacity)
+        for _ in range(n):
+            # words of any value, a random share of them zero
+            row = rng.integers(0, 2**64, FP_WORDS, dtype=np.uint64)
+            row[rng.random(FP_WORDS) < rng.random()] = 0
+            targets = tuple(rng.normal(size=4).tolist())
+            ring.append(row, targets)
+            referee.append(row, targets)
+            assert len(ring) == len(referee)
+            self.assert_rows_equal(ring.rows(solvent), referee.rows(solvent))
+        self.assert_rows_equal(ring.rows(solvent), referee.rows(solvent))
 
     def test_append_stores_a_copy(self):
         """The rollout's node is a row view of its decision's candidate
         matrix; the buffer keeps its own words."""
         candidates = pack([Fingerprint(0b1011), Fingerprint(1 << 2000 | 1 << 7)]).copy()
         buffer = ReplayBuffer(capacity=2)
-        buffer.append(candidates[1], WATER, (0.0, 0.0, 0.0, 1.0))
-        before, _ = buffer.rows()
+        buffer.append(candidates[1], (0.0, 0.0, 0.0, 1.0))
+        before, _ = buffer.rows(WATER)
         candidates[:] = np.uint64(0xFFFF)
-        after, _ = buffer.rows()
+        after, _ = buffer.rows(WATER)
         assert after.indices.tolist() == before.indices.tolist() == [7, 2000]
         assert after.indptr.tolist() == before.indptr.tolist()
-        (stored, _, _), = buffer._items
-        assert not np.shares_memory(stored, candidates)
 
     def test_full_buffer_is_ten_times_smaller_than_dense(self, library):
         capacity = 2_000
@@ -564,7 +590,7 @@ class TestSparseReplayBuffer:
             start = tracemalloc.get_traced_memory()[0]
             buffer = ReplayBuffer(capacity)
             for row in rows:
-                buffer.append(row, WATER, scores)
+                buffer.append(row, scores)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -697,7 +723,7 @@ class TestValueTraining:
         stale = engine.block_outputs.copy()
         saved_w2 = [model.w2.copy() for model in engine.value_models]
         for row in engine.block_words[:-1]:
-            engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(row, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
         assert all(
             not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
@@ -714,23 +740,23 @@ class TestValueTraining:
         assert np.max(np.abs(fresh - stale)) > 1e-3
         np.testing.assert_allclose(engine.block_outputs, fresh, rtol=0.0, atol=1e-12)
 
-    def test_block_outputs_scored_on_read_only(self, library, templates, monkeypatch):
+    def test_block_outputs_scored_on_read_only(self, library, templates):
+        """block_outputs is score_rows of the library under the current
+        value nets, at start-up and after a kept retrain."""
         engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
-        scored = []
 
-        def counting(models, words, solvent):
-            scored.append(len(words))
-            return score_rows(models, words, solvent)
+        def current():
+            return score_rows(ScoreStack(engine.value_models), library.words, WATER)
 
-        monkeypatch.setattr(generator, "score_rows", counting)
+        assert np.array_equal(engine.block_outputs, current())
+        saved_w2 = [model.w2.copy() for model in engine.value_models]
         for row in engine.block_words[:-1]:
-            engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
+            engine.buffer.append(row, (0.9, 0.1, 0.5, 0.3))
         engine._train_values()
-        engine._train_values()
-        assert scored == []
-        first = engine.block_outputs
-        assert engine.block_outputs is first
-        assert scored == [len(library.blocks)]
+        assert all(
+            not np.array_equal(model.w2, w2) for model, w2 in zip(engine.value_models, saved_w2)
+        )
+        assert np.array_equal(engine.block_outputs, current())
 
 
 def test_traced_retrain_counts_one_call_per_value_net(tracing, library, templates):
@@ -738,7 +764,7 @@ def test_traced_retrain_counts_one_call_per_value_net(tracing, library, template
     where the benchmark's tracer wraps it: once per value net."""
     engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
     for row in engine.block_words[:-1]:
-        engine.buffer.append(row, WATER, (0.9, 0.1, 0.5, 0.3))
+        engine.buffer.append(row, (0.9, 0.1, 0.5, 0.3))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -848,16 +874,17 @@ end
 
 
 class TestContinuations:
-    def test_unary_template_offered_without_compatible_blocks(self, library, templates):
+    def test_unary_template_offered_without_compatible_blocks(self, library, templates,
+                                                              blocks_by_id):
         # the unary role matches no block, so the template is not viable,
         # but a product that matches it may still react through it
         amide = next(t for t in templates if t.id == "amide")
         tag = ReactionTemplate("amide_tag", 1, (parse_pattern("O=C[N;H1]"),), ())
         engine = Generator(library, (amide, tag), const_scorers(), WATER, GenerationConfig())
         assert engine.viable == {"amide"}
-        reactants = [library.by_id(b).graph for b in ("benzoic_acid", "aniline")]
+        reactants = [blocks_by_id[b].graph for b in ("benzoic_acid", "aniline")]
         (product,) = apply_reaction(amide, reactants).products
-        assert engine._continuations(product) == [(tag, 0, None)]
+        assert engine._continuations(product) == [(tag, 0, -1)]
 
 
 class TestDeadEnds:
@@ -975,7 +1002,7 @@ class TestGenerationRun:
             if earlier:
                 assert entry.similarity == max(tanimoto(fp, other) for other in earlier)
             earlier.append(fp)
-        assert len(earlier) > 32  # the packed store grew past its first sizes
+        assert len(earlier) > 32
 
     def test_usage_histogram_counts_route_steps(self, small_run):
         total_steps = sum(len(m.route) for m in small_run.molecules)
@@ -985,6 +1012,28 @@ class TestGenerationRun:
     def test_molecules_ordered_by_rollout(self, small_run):
         indices = [m.rollout for m in small_run.molecules]
         assert indices == sorted(indices)
+
+
+def test_wrapping_ring_run_equals_deque_run(library, templates, monkeypatch):
+    """A run whose 20-slot buffer wraps many times: with the deque referee
+    in place of the ring it gives the same molecules, log and reaction
+    usage, and value nets equal to the last bit."""
+    config = GenerationConfig(
+        n_rollouts=60, buffer_capacity=20, train_interval=5, max_steps=3, window=10, seed=13
+    )
+    engines = [Generator(library, templates, const_scorers(), WATER, config)]
+    monkeypatch.setattr(generator, "ReplayBuffer", ReplayBufferDeque)
+    engines.append(Generator(library, templates, const_scorers(), WATER, config))
+    ring, referee = (engine.run() for engine in engines)
+    # a live rollout appends at least its first block's node and its product's
+    live = sum(entry.status != "dead" for entry in ring.log)
+    assert 2 * live > 3 * config.buffer_capacity
+    assert ring.molecules == referee.molecules
+    assert ring.log == referee.log
+    assert ring.reaction_usage == referee.reaction_usage
+    for model, want in zip(*(engine.value_models for engine in engines)):
+        for key in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(model, key), getattr(want, key)), key
 
 
 class TestDeterminism:

@@ -58,7 +58,7 @@ class TestShippedLibrary:
     def test_compatible_blocks_for_acid_role(self, templates, library):
         index = CompatibilityIndex(library, tuple(templates.values()))
         acids = index.compatible_blocks("amide", 0)
-        assert set(acids) == {
+        assert {library.blocks[k].id for k in acids} == {
             "benzoic_acid",
             "cinnamic_acid",
             "thiophene_acid",
@@ -90,18 +90,15 @@ class TestShippedLibrary:
         for k, block in enumerate(library.blocks):
             assert np.array_equal(library.words[k], pack([morgan_fingerprint(block.graph)])[0])
 
-    def test_block_lookup(self, library):
-        block = library.by_id("pyrrole")
-        assert block.smiles == canon("c1cc[nH]c1")
-        with pytest.raises(KeyError):
-            library.by_id("no_such_block")
-
 
 def assert_index_equals_table(library, templates):
     index = CompatibilityIndex(library, templates)
     table = compatibility_table(library, templates)
     for (template_id, role), blocks in table.items():
-        assert index.compatible_blocks(template_id, role) == blocks, (template_id, role)
+        # the oracle lists ids in library order, so equal ids mean ascending positions
+        positions = index.compatible_blocks(template_id, role)
+        assert positions.dtype == np.intp, (template_id, role)
+        assert tuple(library.blocks[k].id for k in positions) == blocks, (template_id, role)
     viable = tuple(
         t.id for t in templates if all(table[(t.id, role)] for role in range(t.arity))
     )
@@ -118,7 +115,7 @@ class TestCompatibilityIndex:
         # no shipped block holds a secondary amide, but the amide products do
         tag = ReactionTemplate("amide_tag", 1, (parse_pattern("O=C[N;H1]"),), ())
         index = assert_index_equals_table(library, (tag, templates["amide"]))
-        assert index.compatible_blocks("amide_tag", 0) == ()
+        assert index.compatible_blocks("amide_tag", 0).tolist() == []
         assert index.viable_templates() == ("amide",)
 
 
@@ -235,7 +232,7 @@ class TestApplySemantics:
         for template in templates.values():
             for _ in range(4):
                 reactants = [
-                    library.by_id(rng.choice(index.compatible_blocks(template.id, role))).graph
+                    library.blocks[rng.choice(index.compatible_blocks(template.id, role))].graph
                     for role in range(template.arity)
                 ]
                 result = apply_reaction(template, reactants)
