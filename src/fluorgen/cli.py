@@ -39,8 +39,8 @@ from fluorgen.filters import (
 )
 from fluorgen.fingerprints import morgan_fingerprints
 from fluorgen.generator import (
+    Generator,
     GeneratorError,
-    generate,
     uniform_baseline,
     write_molecules,
     write_reaction_usage,
@@ -77,8 +77,7 @@ INPUT_ERRORS = (
     OSError,
 )
 
-TASKS = (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG)
-
+# each trained task, in training order, and the reward it scores
 CHECKPOINT_KINDS = {
     Task.PLQY_CLASS: ScorerKind.PLQY_PROB,
     Task.ABS_REG: ScorerKind.ABS_NM,
@@ -212,7 +211,7 @@ def cmd_train(config: RunConfig, column_map) -> int:
         result.rejected, os.path.join(config.paths.output_dir, "rejected_rows.txt")
     )
     fingerprints = record_fingerprints(result.records)
-    for task in TASKS:
+    for task in CHECKPOINT_KINDS:
         try:
             dataset = curate_task(result.records, task, fingerprints)
             report, models = run_cv(
@@ -244,15 +243,8 @@ def cmd_generate(config: RunConfig) -> int:
     templates = ingest_reaction_templates(config.paths.reactions)
     # one compatibility table serves the run and the baseline
     index = CompatibilityIndex(library, tuple(templates))
-    result = generate(
-        config.generation,
-        library,
-        templates,
-        scorers,
-        config.solvent,
-        progress=_progress(sys.stderr),
-        index=index,
-    )
+    generator = Generator(library, templates, scorers, config.solvent, config.generation, index)
+    result = generator.run(_progress(sys.stderr))
     out = config.paths.output_dir
     write_molecules(result.molecules, os.path.join(out, "molecules.tsv"))
     write_run_log(result.log, os.path.join(out, "run_log.tsv"))

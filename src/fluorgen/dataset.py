@@ -63,6 +63,10 @@ class ChemFluorRecord:
                 raise DatasetError(f"{self.smiles}: wavelength {value} not positive")
 
 
+# the ChemFluorRecord fields a row measures, averaged over duplicate rows
+_MEASUREMENTS = ("plqy", "absorption_nm", "emission_nm")
+
+
 @dataclass(frozen=True)
 class IngestResult:
     records: tuple[ChemFluorRecord, ...]
@@ -118,55 +122,36 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
         except SmilesError as exc:
             rejected.append(f"line {lineno}: bad SMILES {raw_smiles!r}: {exc}")
             continue
-        smiles = write_canonical_smiles(graph)
 
         try:
             solvent_values = [_parse_float(cell(k), k) for k in ("sp", "sdp", "sa", "sb")]
-            plqy = _parse_float(cell("plqy"), "plqy")
-            absorption = _parse_float(cell("absorption"), "absorption")
-            emission = _parse_float(cell("emission"), "emission")
+            measurements = [_parse_float(cell(k), k) for k in ("plqy", "absorption", "emission")]
+            if all(v is not None for v in solvent_values):
+                solvent = SolventFeatures(*solvent_values)
+            elif all(v is None for v in solvent_values):
+                solvent = None
+            else:
+                raise DatasetError("partial solvent features")
+            # the record's own checks reject a row without a valid measurement
+            record = ChemFluorRecord(write_canonical_smiles(graph), solvent, *measurements)
         except DatasetError as exc:
             rejected.append(f"line {lineno}: {exc}")
             continue
 
-        if all(v is not None for v in solvent_values):
-            solvent = SolventFeatures(*solvent_values)
-        elif all(v is None for v in solvent_values):
-            solvent = None
-        else:
-            rejected.append(f"line {lineno}: partial solvent features")
-            continue
-
-        if plqy is None and absorption is None and emission is None:
-            rejected.append(f"line {lineno}: no measurement present")
-            continue
-        if plqy is not None and not 0.0 <= plqy <= 1.0:
-            rejected.append(f"line {lineno}: PLQY {plqy} outside [0,1]")
-            continue
-        if any(v is not None and v <= 0 for v in (absorption, emission)):
-            rejected.append(f"line {lineno}: non-positive wavelength")
-            continue
-
-        key = (smiles, solvent.as_tuple() if solvent is not None else None)
-        bucket = groups.setdefault(key, {"plqy": [], "absorption": [], "emission": []})
-        if plqy is not None:
-            bucket["plqy"].append(plqy)
-        if absorption is not None:
-            bucket["absorption"].append(absorption)
-        if emission is not None:
-            bucket["emission"].append(emission)
+        key = (record.smiles, solvent.as_tuple() if solvent is not None else None)
+        bucket = groups.setdefault(key, {name: [] for name in _MEASUREMENTS})
+        for name, values in bucket.items():
+            if getattr(record, name) is not None:
+                values.append(getattr(record, name))
 
     records = []
     for key in sorted(groups, key=lambda k: (k[0], k[1] is not None, k[1] or ())):
         smiles, solvent_tuple = key
-        bucket = groups[key]
         records.append(
             ChemFluorRecord(
                 smiles=smiles,
                 solvent=SolventFeatures(*solvent_tuple) if solvent_tuple else None,
-                plqy=_mean(bucket["plqy"]),
-                absorption_nm=_mean(bucket["absorption"]),
-                emission_nm=_mean(bucket["emission"]),
+                **{name: _mean(values) for name, values in groups[key].items()},
             )
         )
     if not records:
@@ -260,7 +245,7 @@ class CvSplit:
     test: tuple[int, ...]
 
 
-def split_cv(n_examples: int, folds: int = 10, seed: int = 0) -> tuple[CvSplit, ...]:
+def split_cv(n_examples: int, folds: int, seed: int) -> tuple[CvSplit, ...]:
     """Shuffle indices once, then rotate contiguous test blocks.
 
     Fold i tests on block i and validates on block i+1 (cyclically), so

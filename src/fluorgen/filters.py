@@ -59,6 +59,9 @@ class FilterThresholds:
         if self.window_min_nm > self.window_max_nm:
             raise FilterError("filters.window_min_nm must not exceed filters.window_max_nm")
 
+    def in_window(self, nm: float) -> bool:
+        return self.window_min_nm <= nm <= self.window_max_nm
+
 
 @dataclass(frozen=True)
 class FilterReport:
@@ -118,11 +121,9 @@ def run_filters(smiles_list, scorers, solvent: SolventFeatures,
     row_of = {smiles: row for row, smiles in enumerate(sp2_passed)}
     keep(row_of)
 
-    def in_window(nm):
-        return thresholds.window_min_nm <= nm <= thresholds.window_max_nm
-
     # one test per PROPERTY_MODELS column
-    tests = (lambda probability: probability >= thresholds.plqy_min, in_window, in_window)
+    window = thresholds.in_window
+    tests = (lambda probability: probability >= thresholds.plqy_min, window, window)
     outputs = np.empty((0, len(tests)))
     if sp2_passed:  # with nothing left, no scorer is needed
         outputs = score_rows(property_stack(scorers), words, solvent)
@@ -184,7 +185,7 @@ def _farthest_point_seeds(words: np.ndarray, k: int, seed: int) -> list[int]:
     return seeds
 
 
-def cluster_tanimoto(words: np.ndarray, k: int = 100, seed: int = 0,
+def cluster_tanimoto(words: np.ndarray, k: int, seed: int,
                      max_iterations: int = 100) -> ClusterAssignment:
     """K-medoids in Tanimoto space: assign to the nearest medoid, then
     move each medoid to the member minimizing summed intra-cluster

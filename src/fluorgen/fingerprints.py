@@ -29,7 +29,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from fluorgen.molgraph import ATOMIC_NUMBER, BondOrder, MolecularGraph
+from fluorgen.molgraph import ATOMIC_NUMBER, MolecularGraph
 
 FP_BITS = 2048
 FP_RADIUS = 2
@@ -38,13 +38,6 @@ SOLVENT_DIM = 4
 FEATURE_DIM = FP_BITS + SOLVENT_DIM
 
 _HASH_SEED = 0x52FD1E9A84C2B0F7
-
-_BOND_CODE = {
-    BondOrder.SINGLE: 1,
-    BondOrder.DOUBLE: 2,
-    BondOrder.TRIPLE: 3,
-    BondOrder.AROMATIC: 4,
-}
 
 # Molecules per kernel pass. A pass holds a few hundred bytes of numpy
 # temporaries per atom, and the heap keeps them after the pass ends, so the
@@ -59,7 +52,7 @@ _SPLITMIX_M1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
 _SPLITMIX_M2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
 _SHIFT_30, _SHIFT_27, _SHIFT_31 = (np.array(k, dtype=np.uint64) for k in (30, 27, 31))
 _ONE = np.array(1, dtype=np.uint64)
-_PAD_CODE = 255  # bond code of an empty neighbor slot; sorts after every real code
+_PAD_CODE = 255  # bond code of an empty neighbor slot; sorts after every BondOrder value
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -144,7 +137,7 @@ def _morgan_chunk(graphs: list[MolecularGraph]) -> np.ndarray:
     first_atom = np.repeat(np.cumsum(n_atoms) - n_atoms, n_bonds)
     a1 = np.fromiter((b.a1 for b in bonds), np.intp, n_edges) + first_atom
     a2 = np.fromiter((b.a2 for b in bonds), np.intp, n_edges) + first_atom
-    code = np.fromiter((_BOND_CODE[b.order] for b in bonds), np.uint64, n_edges)
+    code = np.fromiter((b.order.value for b in bonds), np.uint64, n_edges)
     local_bond = np.arange(n_edges) - np.repeat(np.cumsum(n_bonds) - n_bonds, n_bonds)
 
     # Directed edges, both ways round each bond, laid out as a padded

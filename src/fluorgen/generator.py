@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fluorgen.filters import FilterThresholds
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_WORDS,
@@ -34,6 +35,7 @@ from fluorgen.fingerprints import (
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 from fluorgen.patterns import has_match
 from fluorgen.reactions import (
+    PREV_MARKER,
     BlockLibrary,
     CompatibilityIndex,
     apply_reaction,
@@ -45,7 +47,6 @@ from fluorgen.scorers import (
     ScorerKind,
     ScoreStack,
     SparseRows,
-    as_sparse_rows,
     loss_and_grads,
     property_stack,
     score_rows,
@@ -53,12 +54,12 @@ from fluorgen.scorers import (
 
 PROPERTY_ORDER = PROPERTY_MODELS + (ScorerKind.SP2_SIZE,)
 N_PROPERTIES = len(PROPERTY_ORDER)
+UNIFORM_WEIGHTS = (1.0 / N_PROPERTIES,) * N_PROPERTIES
 
-VISIBLE_MIN_NM = 420.0
-VISIBLE_MAX_NM = 750.0
-SP2_TARGET = 12
+# A rollout succeeds on the dye criteria the filter screens for: the
+# filter's default thresholds, not a run's configured ones.
+DYE_CRITERIA = FilterThresholds()
 
-PREV_MARKER = "@prev"
 
 class GeneratorError(ValueError):
     pass
@@ -268,8 +269,8 @@ def reward(
     """Per-property scores and their weighted combination.
 
     PLQY is the classifier probability; absorption and emission binarize
-    to 1 when the predicted wavelength falls in the visible window; the
-    sp2 score is the network size over the target 12, clamped to 1.
+    to 1 when the predicted wavelength falls in DYE_CRITERIA's window; the
+    sp2 score is the network size over DYE_CRITERIA.sp2_min, clamped to 1.
 
     :param words: the molecule's packed fingerprint as a (1, FP_WORDS)
         row; its three model scores come from one score_rows call.
@@ -281,19 +282,18 @@ def reward(
     sp2 = sp2_network_size(graph)
     scores = (
         plqy,
-        1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,
-        1.0 if VISIBLE_MIN_NM <= emission <= VISIBLE_MAX_NM else 0.0,
-        min(sp2 / SP2_TARGET, 1.0),
+        1.0 if DYE_CRITERIA.in_window(absorption) else 0.0,
+        1.0 if DYE_CRITERIA.in_window(emission) else 0.0,
+        min(sp2 / DYE_CRITERIA.sp2_min, 1.0),
     )
     combined = float(sum(w * m for w, m in zip(weights, scores)))
     return scores, combined
 
 
 def _successes(scores) -> tuple[bool, ...]:
-    # Success thresholds: PLQY probability at least 0.5, wavelengths in
-    # the visible window, sp2 network at the target size.
+    # the DYE_CRITERIA a molecule passes, read off its reward scores
     return (
-        scores[0] >= 0.5,
+        scores[0] >= DYE_CRITERIA.plqy_min,
         scores[1] == 1.0,
         scores[2] == 1.0,
         scores[3] >= 1.0,
@@ -313,7 +313,7 @@ def tune_temperature(similarities, tau: float, config: GenerationConfig) -> floa
     return min(max(tau, config.tau_min), config.tau_max)
 
 
-def tune_weights(success_rates, floor: float = 0.05) -> tuple[float, ...]:
+def tune_weights(success_rates, floor: float) -> tuple[float, ...]:
     """Weights proportional to failure rates, kept on the simplex with a
     floor so no property is ever abandoned.
 
@@ -369,16 +369,15 @@ def _init_value_models(config: GenerationConfig) -> list[MlpModel]:
     return models
 
 
-def train_value_model(model, features, targets, config, rng) -> None:
+def train_value_model(model, rows: SparseRows, targets, config, rng) -> None:
     """A few epochs of SGD on the buffer; the update is kept only when it
     does not worsen the full-buffer loss.
 
-    ``features`` are SparseRows (or a dense matrix). Each mini-batch
-    updates only the w1 columns it touches, in a transposed working copy
-    that replaces ``model.w1`` when the update is kept; the model's
-    other weights are updated in place.
+    Each mini-batch of ``rows`` (SparseRows) updates only the w1 columns
+    it touches, in a transposed working copy that replaces ``model.w1``
+    when the update is kept; the model's other weights are updated in
+    place.
     """
-    rows = as_sparse_rows(features)
     targets = np.asarray(targets, dtype=np.float64)
     # the original w1 array is never written, so it is its own saved copy
     saved = (model.w1, model.b1.copy(), model.w2.copy(), model.b2)
@@ -420,11 +419,12 @@ class _Rollout(NamedTuple):
 
 
 class Generator:
-    """Holds the mutable run state; ``generate`` below is the entry point.
+    """Holds the mutable run state; ``Generator(...).run`` is the entry
+    point, and config.seed fixes the run.
 
     :param library: building blocks, in file order.
     :param templates: reaction templates, in file order.
-    :param scorers: reward scorers keyed by ScorerKind.
+    :param scorers: reward scorers keyed by ScorerKind, all four present.
     :param solvent: solvent the rewards are evaluated in.
     :param config: run parameters.
     :param index: the CompatibilityIndex of library and templates, when
@@ -432,6 +432,9 @@ class Generator:
     """
 
     def __init__(self, library: BlockLibrary, templates, scorers, solvent, config, index=None):
+        missing = [kind.value for kind in PROPERTY_ORDER if kind not in scorers]
+        if missing:
+            raise GeneratorError(f"missing reward scorers: {missing}")
         self.config = config
         self.templates = tuple(templates)
         self.blocks = library.blocks
@@ -446,7 +449,7 @@ class Generator:
         self.value_models = _init_value_models(config)
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.tau = config.tau_init
-        self.weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
+        self.weights = UNIFORM_WEIGHTS
         self.similarity_window = collections.deque(maxlen=config.window)
         self.success_window = collections.deque(maxlen=config.window)
         # each block's packed row in library order, then an all-zero row
@@ -562,6 +565,11 @@ class Generator:
         self._refresh_values()
 
     def run(self, progress=None) -> GenerationResult:
+        """Run the full generation loop and return molecules plus run logs.
+
+        :param progress: optional callback invoked as progress(done, total)
+            before each rollout; purely informational.
+        """
         config = self.config
         emitted: dict[str, GeneratedMolecule] = {}
         # packed fingerprints of the emitted molecules in rows [:len(emitted)]
@@ -644,33 +652,6 @@ class Generator:
         )
 
 
-def generate(
-    config: GenerationConfig,
-    library: BlockLibrary,
-    templates,
-    scorers,
-    solvent: SolventFeatures,
-    progress=None,
-    index: CompatibilityIndex | None = None,
-) -> GenerationResult:
-    """Run the full generation loop and return molecules plus run logs.
-
-    :param config: generation parameters; config.seed fixes the run.
-    :param library: ingested building blocks.
-    :param templates: ingested reaction templates.
-    :param scorers: reward scorers keyed by ScorerKind (all four present).
-    :param solvent: solvent context for the learned scorers.
-    :param progress: optional callback invoked as progress(done, total)
-        before each rollout; purely informational.
-    :param index: the CompatibilityIndex of library and templates, if
-        already built.
-    """
-    missing = [kind.value for kind in PROPERTY_ORDER if kind not in scorers]
-    if missing:
-        raise GeneratorError(f"missing reward scorers: {missing}")
-    return Generator(library, templates, scorers, solvent, config, index).run(progress)
-
-
 def uniform_baseline(
     library: BlockLibrary,
     templates,
@@ -690,7 +671,6 @@ def uniform_baseline(
         raise GeneratorError("no template has compatible blocks for every role")
     blocks = library.blocks
     stack = property_stack(scorers)
-    uniform_weights = tuple(1.0 / N_PROPERTIES for _ in range(N_PROPERTIES))
     out = []
     for sample_idx in range(n_samples):
         template = index.templates[viable[rng.randrange(len(viable))]]
@@ -704,7 +684,7 @@ def uniform_baseline(
         product_index = rng.randrange(len(result.products))
         product = result.products[product_index]
         scores, combined = reward(
-            product, morgan_fingerprints([product]), stack, uniform_weights, solvent
+            product, morgan_fingerprints([product]), stack, UNIFORM_WEIGHTS, solvent
         )
         out.append(
             GeneratedMolecule(
@@ -712,7 +692,7 @@ def uniform_baseline(
                 route=(RouteStep(template.id, tuple(blocks[k].id for k in chosen), product_index),),
                 scores=scores,
                 combined=combined,
-                weights=uniform_weights,
+                weights=UNIFORM_WEIGHTS,
                 rollout=sample_idx,
             )
         )
@@ -733,7 +713,7 @@ def replay_route(route, library: BlockLibrary, templates) -> str:
         for name in step.inputs:
             if name == PREV_MARKER:
                 if previous is None:
-                    raise GeneratorError("route uses @prev in its first step")
+                    raise GeneratorError(f"route uses {PREV_MARKER} in its first step")
                 reactants.append(previous)
             else:
                 block = blocks.get(name)

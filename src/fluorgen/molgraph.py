@@ -14,6 +14,10 @@ from enum import Enum
 
 
 SUPPORTED_ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "Si")
+# the symbols a reader must try before their one-letter prefixes
+TWO_LETTER_ELEMENTS = tuple(symbol for symbol in SUPPORTED_ELEMENTS if len(symbol) == 2)
+# lowercase aromatic symbol -> element, for SMILES and role patterns alike
+AROMATIC_SYMBOLS = {"b": "B", "c": "C", "n": "N", "o": "O", "p": "P", "s": "S"}
 
 ATOMIC_NUMBER = {
     "B": 5, "C": 6, "N": 7, "O": 8, "F": 9, "Si": 14,
@@ -30,7 +34,7 @@ _FILL_VALENCES = {
 # (pentavalent nitro-style nitrogen being the common real-world case).
 _TOLERATED_MAX = {"N": 5}
 
-_AROMATIC_CAPABLE = frozenset(("B", "C", "N", "O", "P", "S"))
+_AROMATIC_CAPABLE = frozenset(AROMATIC_SYMBOLS.values())
 
 
 class MoleculeError(ValueError):

@@ -19,9 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from fluorgen.molgraph import SUPPORTED_ELEMENTS, BondOrder, MolecularGraph
+from fluorgen.molgraph import (
+    AROMATIC_SYMBOLS,
+    SUPPORTED_ELEMENTS,
+    TWO_LETTER_ELEMENTS,
+    BondOrder,
+    MolecularGraph,
+)
 
-_AROMATIC_LETTERS = {"b": "B", "c": "C", "n": "N", "o": "O", "p": "P", "s": "S"}
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
 # bond kind -> target bond orders it accepts
 _KIND_ORDERS = {
@@ -191,7 +196,7 @@ def parse_pattern(text: str) -> PatternQuery:
             i += consumed
         elif ch.isupper():
             two = text[i: i + 2]
-            if two in ("Cl", "Br", "Si"):
+            if two in TWO_LETTER_ELEMENTS:
                 atoms.append(AtomPattern(elements=((two, False),)))
                 attach(len(atoms) - 1)
                 i += 2
@@ -201,8 +206,8 @@ def parse_pattern(text: str) -> PatternQuery:
                 i += 1
             else:
                 raise PatternError(f"unsupported primitive {ch!r}", i)
-        elif ch in _AROMATIC_LETTERS:
-            atoms.append(AtomPattern(elements=((_AROMATIC_LETTERS[ch], True),)))
+        elif ch in AROMATIC_SYMBOLS:
+            atoms.append(AtomPattern(elements=((AROMATIC_SYMBOLS[ch], True),)))
             attach(len(atoms) - 1)
             i += 1
         else:
@@ -236,12 +241,14 @@ def _parse_bracket_pattern(text: str, start: int) -> tuple[AtomPattern, int]:
     for part in body.split(";"):
         if not part:
             raise PatternError("empty primitive", offset)
-        if _looks_like_element_list(part):
+        # an element list: one symbol, or alternatives joined by ','; H, D
+        # and R are no element symbol, so they fall through to primitives
+        if "," in part or part in SUPPORTED_ELEMENTS or part in AROMATIC_SYMBOLS:
             for sym in part.split(","):
-                if sym in ("Cl", "Br", "Si") or (len(sym) == 1 and sym in SUPPORTED_ELEMENTS):
+                if sym in SUPPORTED_ELEMENTS:
                     elements.append((sym, False))
-                elif sym in _AROMATIC_LETTERS:
-                    elements.append((_AROMATIC_LETTERS[sym], True))
+                elif sym in AROMATIC_SYMBOLS:
+                    elements.append((AROMATIC_SYMBOLS[sym], True))
                 else:
                     raise PatternError(f"unsupported primitive {sym!r}", offset)
         elif part[0] == "D":
@@ -282,20 +289,6 @@ def _parse_bracket_pattern(text: str, start: int) -> tuple[AtomPattern, int]:
         ),
         end - start + 1,
     )
-
-
-def _looks_like_element_list(part: str) -> bool:
-    pieces = part.split(",")
-    if len(pieces) > 1:
-        return True
-    p = pieces[0]
-    if p in ("Cl", "Br", "Si"):
-        return True
-    if len(p) == 1 and (p in SUPPORTED_ELEMENTS or p in _AROMATIC_LETTERS):
-        # Bare 'H', 'R', 'D' never reach here: H/R are not in the supported
-        # element set and D is not an element at all.
-        return p not in ("H",)
-    return False
 
 
 def match_pattern(

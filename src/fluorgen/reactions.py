@@ -32,9 +32,25 @@ _ORDER_NAMES = {
 
 MAX_ARITY = 3
 
+# A route (docs/formats.md) writes a step as template(input,...)->product
+# and joins steps with ';', naming the previous step's product PREV_MARKER;
+# no block or template id may contain a delimiter, nor a block id be the
+# marker.
+PREV_MARKER = "@prev"
+ROUTE_DELIMITERS = ",;()"
+
 
 class ReactionFormatError(ValueError):
     """Bad template or building-block file content."""
+
+
+def _check_id(kind: str, ident: str, path: str, lineno: int):
+    """Reject an id holding a route delimiter."""
+    reserved = [ch for ch in ROUTE_DELIMITERS if ch in ident]
+    if reserved:
+        raise ReactionFormatError(
+            f"{path}:{lineno}: {kind} id {ident!r} contains {reserved[0]!r}, a route delimiter"
+        )
 
 
 AtomRef = tuple[int, int]  # (role index, pattern node index)
@@ -219,8 +235,8 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
     """Read a tab-separated ``id<TAB>smiles`` file.
 
     Lines starting with '#' and blank lines are ignored. Unparseable
-    SMILES are skipped and reported; duplicate ids or an empty result
-    raise ReactionFormatError.
+    SMILES are skipped and reported; duplicate ids, ids a route could not
+    hold, or an empty result raise ReactionFormatError.
     """
     parsed: list[tuple[str, MolecularGraph]] = []
     rejected: list[str] = []
@@ -237,6 +253,9 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
             block_id, smiles = parts[0].strip(), parts[1].strip()
             if block_id in seen_ids:
                 raise ReactionFormatError(f"line {lineno}: duplicate block id {block_id!r}")
+            _check_id("block", block_id, path, lineno)
+            if block_id == PREV_MARKER:
+                raise ReactionFormatError(f"{path}:{lineno}: block id {PREV_MARKER!r} is reserved")
             try:
                 graph = parse_smiles(smiles)
             except SmilesError as exc:
@@ -301,6 +320,7 @@ def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:
                     fail(lineno, "reaction line needs exactly one id")
                 if fields[1] in seen_ids:
                     fail(lineno, f"duplicate reaction id {fields[1]!r}")
+                _check_id("reaction", fields[1], path, lineno)
                 seen_ids.add(fields[1])
                 current_id = fields[1]
             elif current_id is None:

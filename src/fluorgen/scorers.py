@@ -228,14 +228,13 @@ def as_sparse_rows(features) -> SparseRows:
     return features if isinstance(features, SparseRows) else SparseRows.from_dense(features)
 
 
-def loss_and_grads(model: MlpModel, features, labels, grads: bool = True):
+def loss_and_grads(model: MlpModel, rows: SparseRows, labels, grads: bool = True):
     """Batch loss plus gradients for every parameter.
 
     SIGMOID uses mean binary cross-entropy computed from the logit
     (softplus form, no probability clipping needed); LINEAR uses mean
-    squared error. ``features`` is a SparseRows or a dense
-    (n, input_dim) matrix. The first layer reads ``model.w1.T`` only at
-    the rows' nonzero leading columns, as a CSR product; in training
+    squared error. The first layer reads ``model.w1.T`` only at the
+    rows' nonzero leading columns, as a CSR product; in training
     ``model.w1`` is the transposed view of an (input, hidden) working
     copy, so those reads are contiguous rows.
 
@@ -246,7 +245,6 @@ def loss_and_grads(model: MlpModel, features, labels, grads: bool = True):
     column's gradient is zero. With ``grads=False`` only the loss is
     computed, over the uncompacted CSR block, and the dict is None.
     """
-    rows = as_sparse_rows(features)
     if rows.width != model.input_dim:
         raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
     y = np.asarray(labels, dtype=np.float64)
@@ -626,7 +624,7 @@ class CvReport:
             handle.write(f"summary\t{self.summary()}\n")
 
 
-def run_cv(dataset, config: TrainConfig, folds: int = 10, split_seed: int = 0):
+def run_cv(dataset, config: TrainConfig, folds: int, split_seed: int):
     """Train on every fold of a TaskDataset; AUC for the classification
     task, MAE for the regression tasks, reported per fold. Returns the
     report and the per-fold models in fold order."""

@@ -14,8 +14,10 @@ from __future__ import annotations
 import heapq
 
 from fluorgen.molgraph import (
-    SUPPORTED_ELEMENTS,
+    AROMATIC_SYMBOLS,
     ATOMIC_NUMBER,
+    SUPPORTED_ELEMENTS,
+    TWO_LETTER_ELEMENTS,
     Atom,
     Bond,
     BondOrder,
@@ -24,8 +26,6 @@ from fluorgen.molgraph import (
 )
 
 _ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
-_AROMATIC_ORGANIC = {"b": "B", "c": "C", "n": "N", "o": "O", "p": "P", "s": "S"}
-_TWO_LETTER = ("Cl", "Br", "Si")
 _BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE,
                "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
 
@@ -164,7 +164,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             i += consumed
         elif ch.isupper():
             sym = text[i: i + 2]
-            if sym == "Cl" or sym == "Br":
+            if sym in TWO_LETTER_ELEMENTS and sym in _ORGANIC_SUBSET:
                 add_atom(Atom(index=len(atoms), element=sym), i)
                 i += 2
             elif ch in _ORGANIC_SUBSET:
@@ -172,10 +172,8 @@ def parse_smiles(text: str) -> MolecularGraph:
                 i += 1
             else:
                 raise SmilesError(f"unknown element {ch!r}", i)
-        elif ch in _AROMATIC_ORGANIC:
-            add_atom(
-                Atom(index=len(atoms), element=_AROMATIC_ORGANIC[ch], aromatic=True), i
-            )
+        elif ch in AROMATIC_SYMBOLS:
+            add_atom(Atom(index=len(atoms), element=AROMATIC_SYMBOLS[ch], aromatic=True), i)
             i += 1
         elif ch.isspace():
             raise SmilesError("whitespace inside SMILES", i)
@@ -213,14 +211,14 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
     element = None
     aromatic = False
     two = text[i: i + 2]
-    if two in _TWO_LETTER:
+    if two in TWO_LETTER_ELEMENTS:
         element = two
         i += 2
     elif text[i].isupper() and text[i] in SUPPORTED_ELEMENTS:
         element = text[i]
         i += 1
-    elif text[i] in _AROMATIC_ORGANIC:
-        element = _AROMATIC_ORGANIC[text[i]]
+    elif text[i] in AROMATIC_SYMBOLS:
+        element = AROMATIC_SYMBOLS[text[i]]
         aromatic = True
         i += 1
     else:

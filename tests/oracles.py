@@ -17,7 +17,6 @@ import numpy as np
 
 from fluorgen.filters import ClusterAssignment, distance_matrix
 from fluorgen.fingerprints import (
-    _BOND_CODE,
     _HASH_SEED,
     FEATURE_DIM,
     FP_BITS,
@@ -151,7 +150,7 @@ def morgan_fingerprint_loop(graph: MolecularGraph) -> Fingerprint:
         for i in range(n):
             pairs = []
             for j, bond in graph.neighbors(i):
-                pairs.append((_BOND_CODE[bond.order], inv[j]))
+                pairs.append((bond.order.value, inv[j]))
             if not pairs:
                 continue
             pairs.sort()
@@ -327,8 +326,6 @@ def reward_loop(graph, fingerprint, scorers, weights, solvent, sparse_order=Fals
     calls, then binarized, clamped and weighted as generator.reward does.
     With sparse_order the three model scores come from score_rows_loop
     instead, in the order score_rows sums."""
-    from fluorgen.generator import SP2_TARGET, VISIBLE_MAX_NM, VISIBLE_MIN_NM
-
     kinds = (ScorerKind.PLQY_PROB, ScorerKind.ABS_NM, ScorerKind.EM_NM, ScorerKind.SP2_SIZE)
     plqy, absorption, emission, sp2 = (
         score_property(scorers[kind], graph, fingerprint, solvent) for kind in kinds
@@ -338,9 +335,9 @@ def reward_loop(graph, fingerprint, scorers, weights, solvent, sparse_order=Fals
         plqy, absorption, emission = score_rows_loop(models, pack([fingerprint]), solvent)[0]
     scores = (
         plqy,
-        1.0 if VISIBLE_MIN_NM <= absorption <= VISIBLE_MAX_NM else 0.0,
-        1.0 if VISIBLE_MIN_NM <= emission <= VISIBLE_MAX_NM else 0.0,
-        min(sp2 / SP2_TARGET, 1.0),
+        1.0 if 420.0 <= absorption <= 750.0 else 0.0,
+        1.0 if 420.0 <= emission <= 750.0 else 0.0,
+        min(sp2 / 12, 1.0),
     )
     combined = float(sum(w * m for w, m in zip(weights, scores)))
     return scores, combined
@@ -816,7 +813,7 @@ def train_value_model_dense(model, features, targets, config, rng) -> bool:
     return True
 
 
-def run_cv_dense(dataset, config, folds: int = 10, split_seed: int = 0):
+def run_cv_dense(dataset, config, folds: int, split_seed: int):
     """run_cv oracle on a dense feature matrix: each molecule fingerprinted
     from its SMILES on its own, the (n, 2052) matrix laid out by
     feature_matrix, training rows made by SparseRows.from_dense and each

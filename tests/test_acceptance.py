@@ -28,7 +28,7 @@ from fluorgen.fingerprints import (
 from fluorgen.filters import FilterThresholds, run_filters
 from fluorgen.generator import (
     GenerationConfig,
-    generate,
+    Generator,
     replay_route,
     sample_child,
     softmax_probabilities,
@@ -45,6 +45,7 @@ from fluorgen.scorers import (
     MlpModel,
     PropertyScorer,
     ScorerKind,
+    SparseRows,
     TrainConfig,
     loss_and_grads,
     mlp_train,
@@ -145,7 +146,7 @@ RUN_CONFIG = GenerationConfig(
 @pytest.fixture(scope="module")
 def enriched_run(library, templates, proxy_scorers):
     start = time.perf_counter()
-    result = generate(RUN_CONFIG, library, templates, proxy_scorers, WATER)
+    result = Generator(library, templates, proxy_scorers, WATER, RUN_CONFIG).run()
     seconds = time.perf_counter() - start
     baseline = uniform_baseline(
         library, templates, RUN_CONFIG.n_rollouts, 1, proxy_scorers, WATER)
@@ -283,9 +284,10 @@ def test_03_gradient_check_both_heads(report):
             if head is Head.SIGMOID
             else rng.normal(0.0, 1.0, 6)
         )
-        _, analytic = loss_and_grads(model, features, labels)
+        rows = SparseRows.from_dense(features)
+        _, analytic = loss_and_grads(model, rows, labels)
         analytic["w1"] = dense_w1_gradient(analytic, model)
-        numeric = _finite_difference_grads(model, features, labels)
+        numeric = _finite_difference_grads(model, rows, labels)
         for key in ("w1", "b1", "w2", "b2"):
             a = np.asarray(analytic[key], dtype=float)
             f = np.asarray(numeric[key], dtype=float)
@@ -455,7 +457,7 @@ def test_08_determinism_and_replay(enriched_run, library, templates, tmp_path, r
     for run_dir in ("a", "b"):
         directory = tmp_path / run_dir
         directory.mkdir()
-        result = generate(config, library, templates, scorers, WATER)
+        result = Generator(library, templates, scorers, WATER, config).run()
         write_molecules(result.molecules, str(directory / "molecules.tsv"))
         write_run_log(result.log, str(directory / "run_log.tsv"))
         write_reaction_usage(

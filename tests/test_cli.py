@@ -455,6 +455,21 @@ class TestGenerate:
         assert calls["reactions"] == one_table
         assert calls["generator"] < one_table
 
+    @pytest.mark.parametrize("block_id", ["a,b", reactions.PREV_MARKER])
+    def test_block_id_a_route_cannot_hold_is_code_two(self, block_id, tmp_path, capsys):
+        constant_checkpoints(tmp_path / "ckpt")
+        blocks = tmp_path / "blocks.tsv"
+        blocks.write_text(
+            (REPO_DATA / "building_blocks.tsv").read_text() + f"{block_id}\tc1ccccc1N\n"
+        )
+        line = len(blocks.read_text().splitlines())
+        config_path = write_config(tmp_path, blocks=blocks)
+        assert main(["--config", str(config_path), "generate"]) == 2
+        err = capsys.readouterr().err
+        assert f"{blocks}:{line}: block id {block_id!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "molecules.tsv").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [

@@ -240,8 +240,8 @@ class TestSplits:
             assert len(split.train) == 80
 
     def test_deterministic_under_seed(self):
-        assert split_cv(40, seed=9) == split_cv(40, seed=9)
-        assert split_cv(40, seed=9) != split_cv(40, seed=10)
+        assert split_cv(40, folds=10, seed=9) == split_cv(40, folds=10, seed=9)
+        assert split_cv(40, folds=10, seed=9) != split_cv(40, folds=10, seed=10)
 
     def test_minimum_size(self):
         splits = split_cv(10, folds=10, seed=0)

@@ -1,6 +1,7 @@
 """Tests for the rollout engine: node values, sampling, rewards, the
 adaptive controllers, and end-to-end generation runs."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from fluorgen import generator
 from fluorgen import scorers as scorers_module
+from fluorgen.filters import run_filters
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
@@ -28,6 +30,7 @@ from fluorgen.fingerprints import (
     unpack,
 )
 from fluorgen.generator import (
+    UNIFORM_WEIGHTS,
     GeneratedMolecule,
     GenerationConfig,
     Generator,
@@ -35,7 +38,6 @@ from fluorgen.generator import (
     ReplayBuffer,
     RouteStep,
     format_route,
-    generate,
     node_features,
     parse_route,
     replay_route,
@@ -51,8 +53,11 @@ from fluorgen.generator import (
     write_reaction_usage,
     write_run_log,
 )
+from fluorgen.molgraph import sp2_network_size
 from fluorgen.patterns import parse_pattern
 from fluorgen.reactions import (
+    PREV_MARKER,
+    ROUTE_DELIMITERS,
     CompatibilityIndex,
     ReactionTemplate,
     apply_reaction,
@@ -133,7 +138,7 @@ def blocks_by_id(library):
 @pytest.fixture(scope="module")
 def small_run(library, templates):
     config = GenerationConfig(n_rollouts=60, train_interval=10, window=20, seed=7)
-    return generate(config, library, templates, const_scorers(), WATER)
+    return Generator(library, templates, const_scorers(), WATER, config).run()
 
 
 class TestNodeFeatures:
@@ -418,6 +423,34 @@ class TestReward:
         assert got[1] == pytest.approx(combined, rel=0.0, abs=1e-12)
 
 
+class TestRewardAgreesWithFilter:
+    """A molecule's reward counts as a success on all four properties
+    exactly when run_filters keeps it at default thresholds, on each side
+    of every boundary: PLQY 0.5, the 420-750 nm window and sp2 size 12."""
+
+    # SMILES -> sp2 network size, one on each side of the sp2 boundary
+    MOLECULES = {"c1ccsc1-c1ccccc1": 11, "c1ccccc1-c1ccccc1": 12}
+    WAVELENGTHS = (419.99, 420.0, 750.0, 750.01)
+
+    # PLQY probability 0.5, just below it and well above it
+    @pytest.mark.parametrize("plqy_logit", [0.0, -1e-12, 3.0])
+    def test_successes_equal_filter_survival(self, plqy_logit):
+        outcomes = set()
+        for smiles, sp2 in self.MOLECULES.items():
+            graph = parse_smiles(smiles)
+            assert sp2_network_size(graph) == sp2
+            words = pack([morgan_fingerprint(graph)])
+            for absorption, emission in itertools.product(self.WAVELENGTHS, repeat=2):
+                scorers = const_scorers(plqy_logit, absorption, emission)
+                scores, _ = reward(graph, words, property_stack(scorers), UNIFORM_WEIGHTS, WATER)
+                success = all(generator._successes(scores))
+                survivors, _, _ = run_filters([smiles], scorers, WATER)
+                assert success == (survivors == (smiles,)), (smiles, absorption, emission)
+                outcomes.add(success)
+        # the logit just below 0 fails everywhere; the others pass somewhere
+        assert outcomes == ({False} if plqy_logit < 0 else {False, True})
+
+
 class TestTemperatureController:
     CONFIG = GenerationConfig()
 
@@ -441,18 +474,18 @@ class TestTemperatureController:
 
 class TestWeightController:
     def test_equal_rates_give_uniform(self):
-        assert tune_weights((0.3, 0.3, 0.3, 0.3)) == pytest.approx((0.25,) * 4)
-        assert tune_weights((1.0, 1.0, 1.0, 1.0)) == pytest.approx((0.25,) * 4)
+        assert tune_weights((0.3, 0.3, 0.3, 0.3), floor=0.05) == pytest.approx((0.25,) * 4)
+        assert tune_weights((1.0, 1.0, 1.0, 1.0), floor=0.05) == pytest.approx((0.25,) * 4)
 
     def test_one_failing_property_dominates(self):
-        weights = tune_weights((0.0, 1.0, 1.0, 1.0))
+        weights = tune_weights((0.0, 1.0, 1.0, 1.0), floor=0.05)
         assert weights == pytest.approx((0.85, 0.05, 0.05, 0.05))
 
     def test_simplex_floor_and_ordering_always_hold(self):
         rng = random.Random(5)
         for _ in range(300):
             rates = tuple(rng.random() for _ in range(4))
-            weights = tune_weights(rates)
+            weights = tune_weights(rates, floor=0.05)
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)
             assert min(weights) >= 0.05 - 1e-12
             for i in range(4):
@@ -625,21 +658,23 @@ class TestValueTraining:
     def test_update_reduces_buffer_loss(self):
         model = self.make_model()
         features, targets = self.make_data()
-        before, _ = loss_and_grads(model, features, targets)
+        rows = SparseRows.from_dense(features)
+        before, _ = loss_and_grads(model, rows, targets)
         config = GenerationConfig(value_epochs=8, value_lr=0.05)
-        train_value_model(model, features, targets, config, np.random.default_rng(2))
-        after, _ = loss_and_grads(model, features, targets)
+        train_value_model(model, rows, targets, config, np.random.default_rng(2))
+        after, _ = loss_and_grads(model, rows, targets)
         assert after < before
 
     def test_harmful_update_is_reverted(self):
         model = self.make_model()
         features, targets = self.make_data()
-        before, _ = loss_and_grads(model, features, targets)
+        rows = SparseRows.from_dense(features)
+        before, _ = loss_and_grads(model, rows, targets)
         saved_w2 = model.w2.copy()
         config = GenerationConfig(value_lr=1e8, value_epochs=1)
         with np.errstate(all="ignore"):
-            train_value_model(model, features, targets, config, np.random.default_rng(2))
-        after, _ = loss_and_grads(model, features, targets)
+            train_value_model(model, rows, targets, config, np.random.default_rng(2))
+        after, _ = loss_and_grads(model, rows, targets)
         assert after <= before
         assert np.array_equal(model.w2, saved_w2)
 
@@ -929,12 +964,12 @@ class TestDegenerateRuns:
         library, templates = write_mini_corpus(tmp_path, "m\tC\n", DEAD_END_ONLY)
         config = GenerationConfig(n_rollouts=5, seed=0)
         with pytest.raises(GeneratorError, match="dead-ended"):
-            generate(config, library, templates, const_scorers(), WATER)
+            Generator(library, templates, const_scorers(), WATER, config).run()
 
     def test_dead_rollouts_logged_not_fatal_when_zero_requested(self, tmp_path):
         library, templates = write_mini_corpus(tmp_path, "m\tC\n", DEAD_END_ONLY)
         config = GenerationConfig(n_rollouts=0, seed=0)
-        result = generate(config, library, templates, const_scorers(), WATER)
+        result = Generator(library, templates, const_scorers(), WATER, config).run()
         assert result.molecules == ()
         assert result.log == ()
 
@@ -942,7 +977,7 @@ class TestDegenerateRuns:
         scorers = const_scorers()
         del scorers[ScorerKind.EM_NM]
         with pytest.raises(GeneratorError, match="missing reward scorers"):
-            generate(GenerationConfig(n_rollouts=1), library, templates, scorers, WATER)
+            Generator(library, templates, scorers, WATER, GenerationConfig(n_rollouts=1))
 
 
 class TestGenerationRun:
@@ -1040,8 +1075,8 @@ class TestDeterminism:
     CONFIG = GenerationConfig(n_rollouts=30, train_interval=5, window=10, seed=11)
 
     def test_equal_runs_produce_equal_results(self, library, templates):
-        first = generate(self.CONFIG, library, templates, const_scorers(), WATER)
-        second = generate(self.CONFIG, library, templates, const_scorers(), WATER)
+        first = Generator(library, templates, const_scorers(), WATER, self.CONFIG).run()
+        second = Generator(library, templates, const_scorers(), WATER, self.CONFIG).run()
         assert [m.smiles for m in first.molecules] == [m.smiles for m in second.molecules]
         assert first.log == second.log
         assert first.reaction_usage == second.reaction_usage
@@ -1049,7 +1084,7 @@ class TestDeterminism:
     def test_output_files_are_byte_identical(self, tmp_path, library, templates):
         paths = {}
         for tag in ("a", "b"):
-            result = generate(self.CONFIG, library, templates, const_scorers(), WATER)
+            result = Generator(library, templates, const_scorers(), WATER, self.CONFIG).run()
             base = tmp_path / tag
             base.mkdir()
             write_molecules(result.molecules, base / "molecules.tsv")
@@ -1060,11 +1095,11 @@ class TestDeterminism:
             assert (paths["a"] / name).read_bytes() == (paths["b"] / name).read_bytes()
 
     def test_different_seed_changes_output(self, library, templates):
-        first = generate(self.CONFIG, library, templates, const_scorers(), WATER)
+        first = Generator(library, templates, const_scorers(), WATER, self.CONFIG).run()
         other_config = GenerationConfig(
             n_rollouts=30, train_interval=5, window=10, seed=12
         )
-        second = generate(other_config, library, templates, const_scorers(), WATER)
+        second = Generator(library, templates, const_scorers(), WATER, other_config).run()
         assert [m.smiles for m in first.molecules] != [m.smiles for m in second.molecules]
 
 
@@ -1079,6 +1114,27 @@ class TestRouteCodec:
             RouteStep("amide", ("acid", "amine"), 0),
             RouteStep("suzuki", ("boronic", "@prev"), 1),
         )
+        assert parse_route(format_route(route)) == route
+
+    # any id that ingestion accepts: no route delimiter; the marker may
+    # stand for an input
+    route_ids = st.text(st.characters(exclude_characters=ROUTE_DELIMITERS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.builds(
+                RouteStep,
+                template_id=route_ids,
+                inputs=st.lists(route_ids | st.just(PREV_MARKER), min_size=1, max_size=3).map(tuple),
+                product_index=st.integers(0, 1000),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_round_trips_any_route_of_accepted_ids(self, steps):
+        route = tuple(steps)
         assert parse_route(format_route(route)) == route
 
     def test_malformed_step_rejected(self):

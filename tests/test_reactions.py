@@ -439,6 +439,32 @@ class TestFileParsing:
         with pytest.raises(ReactionFormatError, match="duplicate block id"):
             ingest_building_blocks(str(path))
 
+    @pytest.mark.parametrize("block_id", ["a,b", "a;b", "a(b", "a)b", "@prev", ",", "(x)"])
+    def test_block_id_a_route_cannot_hold_names_file_and_line(self, block_id, tmp_path):
+        path = tmp_path / "blocks.tsv"
+        path.write_text(f"# blocks\nok\tCC\n{block_id}\tCCC\n")
+        with pytest.raises(ReactionFormatError) as caught:
+            ingest_building_blocks(str(path))
+        assert str(caught.value).startswith(f"{path}:3: block id {block_id!r}")
+
+    @pytest.mark.parametrize("template_id", ["r,1", "r;1", "r(1", "r)1"])
+    def test_template_id_a_route_cannot_hold_names_file_and_line(self, template_id, tmp_path):
+        text = (
+            "reaction ok\narity 1\nrole 0 C\nedit delete_atom 0.0\nend\n"
+            f"reaction {template_id}\narity 1\nrole 0 C\nedit delete_atom 0.0\nend\n"
+        )
+        path = self.write(tmp_path, text)
+        with pytest.raises(ReactionFormatError) as caught:
+            ingest_reaction_templates(path)
+        assert str(caught.value).startswith(f"{path}:6: reaction id {template_id!r}")
+
+    def test_marker_is_a_fine_template_id_and_near_misses_fine_block_ids(self, tmp_path):
+        text = "reaction @prev\narity 1\nrole 0 C\nedit delete_atom 0.0\nend\n"
+        assert [t.id for t in ingest_reaction_templates(self.write(tmp_path, text))] == ["@prev"]
+        path = tmp_path / "blocks.tsv"
+        path.write_text("@prev2\tCC\na->b\tCCC\na b\tCCCC\n")
+        assert [b.id for b in ingest_building_blocks(str(path)).blocks] == ["@prev2", "a->b", "a b"]
+
     def test_block_file_bad_smiles_reported(self, tmp_path):
         path = tmp_path / "blocks.tsv"
         path.write_text("a\tCC\nb\tC(C\nc\tnot smiles\n")

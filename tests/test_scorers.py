@@ -169,9 +169,10 @@ class TestGradients:
             if head is Head.SIGMOID
             else np.array([0.2, -1.0, 0.7, 2.0, 0.0])
         )
-        _, analytic = loss_and_grads(model, features, labels)
+        rows = SparseRows.from_dense(features)
+        _, analytic = loss_and_grads(model, rows, labels)
         analytic["w1"] = dense_w1_gradient(analytic, model)
-        numeric = self.finite_difference(model, features, labels)
+        numeric = self.finite_difference(model, rows, labels)
         for key in ("w1", "b1", "w2", "b2"):
             a = np.asarray(analytic[key], dtype=float)
             f = np.asarray(numeric[key], dtype=float)
@@ -182,12 +183,13 @@ class TestGradients:
         model = make_model(input_dim=6, hidden=4, head=Head.LINEAR, seed=5)
         features = random_batch(20, 6, seed=6)
         labels = np.linspace(-1, 1, 20)
-        loss0, grads = loss_and_grads(model, features, labels)
+        rows = SparseRows.from_dense(features)
+        loss0, grads = loss_and_grads(model, rows, labels)
         grads["w1"] = dense_w1_gradient(grads, model)
         for key, grad in grads.items():
             current = getattr(model, key)
             setattr(model, key, current - 0.01 * grad)
-        loss1, _ = loss_and_grads(model, features, labels)
+        loss1, _ = loss_and_grads(model, rows, labels)
         assert loss1 < loss0
 
 
@@ -242,7 +244,9 @@ class TestTraining:
             features, labels, Head.LINEAR, config,
             val_features=val_features, val_labels=val_labels,
         )
-        final_val, _ = loss_and_grads(result.model, val_features, val_labels)
+        final_val, _ = loss_and_grads(
+            result.model, SparseRows.from_dense(val_features), val_labels
+        )
         assert final_val == pytest.approx(min(result.val_losses))
         assert result.best_epoch == int(np.argmin(result.val_losses))
 
@@ -529,7 +533,8 @@ class TestSparseKernel:
     @given(sparse_problems())
     def test_matches_dense_oracle(self, problem):
         model, features, labels = problem
-        loss, grads = loss_and_grads(model, SparseRows.from_dense(features), labels)
+        rows = SparseRows.from_dense(features)
+        loss, grads = loss_and_grads(model, rows, labels)
         want_loss, want = loss_and_grads_dense(model, features, labels)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         columns, _ = grads["w1"]
@@ -542,7 +547,7 @@ class TestSparseKernel:
         for key in ("b1", "w2"):
             np.testing.assert_allclose(grads[key], want[key], rtol=0, atol=1e-12)
         assert grads["b2"] == pytest.approx(want["b2"], rel=0, abs=1e-12)
-        full, none = loss_and_grads(model, features, labels, grads=False)
+        full, none = loss_and_grads(model, rows, labels, grads=False)
         assert none is None
         assert full == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
 
@@ -591,7 +596,9 @@ class TestSparseKernel:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ScorerError, match="wide rows"):
-            loss_and_grads(make_model(input_dim=6), np.ones((2, 7)), np.zeros(2))
+            loss_and_grads(
+                make_model(input_dim=6), SparseRows.from_dense(np.ones((2, 7))), np.zeros(2)
+            )
 
     def test_untouched_columns_keep_their_initial_weights(self):
         """Momentum is kept only for the live columns, those the training

@@ -1,8 +1,13 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private name is used somewhere in the package.
 
 Read with ast, nothing imported: a name counts as used when it appears
 as a name anywhere in the module (annotations included). The package's
 ``__init__`` re-exports the names in its ``__all__``; those are exempt.
+A private name (``_x``, assigned, or defined by ``def`` or ``class``) is
+used when the package reads it, as a name, an attribute or an import,
+anywhere but in its own definition; a table left behind when its
+replacement lands is not.
 """
 
 import ast
@@ -73,3 +78,73 @@ def test_detector_flags_what_it_should():
         "        return sys\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "field")]
+
+
+def private_definitions(tree):
+    """(line, name) for each module-level private assignment, function or
+    class; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def references(tree):
+    """Every name the module reads: loaded names, attribute names and the
+    names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unused_private_names(sources: dict[str, str]):
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {ref for tree in trees.values() for ref in references(tree)}
+    return [
+        (module, line, name)
+        for module, tree in trees.items()
+        for line, name in private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_no_unused_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    unused = unused_private_names(sources)
+    assert unused == [], [f"{module}:{line}: {name}" for module, line, name in unused]
+
+
+def test_private_detector_flags_what_it_should():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "_TABLE = {'c': 'C'}\n"
+            "_LEFT_BEHIND = ('Cl', 'Br')\n"
+            "_x, (_y, _z) = 1, (2, 3)\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    _LEFT_BEHIND = 1\n"
+            "    return _TABLE\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "print(_x, b._remote, _helper())\n"
+        ),
+        "b.py": "from a import _y\n_remote: int = 0\n_orphan: int = 0\n",
+    }
+    assert unused_private_names(sources) == [
+        ("a.py", 3, "_LEFT_BEHIND"),
+        ("a.py", 4, "_z"),
+        ("a.py", 9, "_Unused"),
+        ("b.py", 3, "_orphan"),
+    ]
