@@ -240,6 +240,8 @@ def cmd_generate(config: RunConfig) -> int:
     _ensure_dir(config.paths.output_dir)
     scorers = _load_scorers(config)
     library = ingest_building_blocks(config.paths.blocks)
+    for report in library.rejected:
+        print(f"warning: {config.paths.blocks}: {report}", file=sys.stderr)
     templates = ingest_reaction_templates(config.paths.reactions)
     # one compatibility table serves the run and the baseline
     index = CompatibilityIndex(library, tuple(templates))

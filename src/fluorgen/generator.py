@@ -51,6 +51,7 @@ from fluorgen.scorers import (
     property_stack,
     score_rows,
 )
+from fluorgen.smiles import write_canonical_smiles
 
 PROPERTY_ORDER = PROPERTY_MODELS + (ScorerKind.SP2_SIZE,)
 N_PROPERTIES = len(PROPERTY_ORDER)
@@ -515,7 +516,7 @@ class Generator:
         node = self.block_words[first_block]
         path = [node]
         open_roles = range(1, template.arity)
-        product = product_smiles = product_row = None
+        product = product_row = None
         route = []
         for step in range(self.config.max_steps):
             if step:
@@ -550,13 +551,14 @@ class Generator:
                 return None
             product_index = self.rng.randrange(len(result.products))
             product = result.products[product_index]
-            product_smiles = result.smiles[product_index]
             product_row = morgan_fingerprints([product])
             names = tuple(PREV_MARKER if k < 0 else self.blocks[k].id for k in inputs)
             route.append(RouteStep(template.id, names, product_index))
             path.append(product_row[0])
 
-        return _Rollout(product, product_smiles, product_row, tuple(route), tuple(path))
+        return _Rollout(
+            product, write_canonical_smiles(product), product_row, tuple(route), tuple(path)
+        )
 
     def _train_values(self):
         rows, targets = self.buffer.rows(self.solvent)
@@ -688,7 +690,7 @@ def uniform_baseline(
         )
         out.append(
             GeneratedMolecule(
-                smiles=result.smiles[product_index],
+                smiles=write_canonical_smiles(product),
                 route=(RouteStep(template.id, tuple(blocks[k].id for k in chosen), product_index),),
                 scores=scores,
                 combined=combined,
@@ -704,7 +706,6 @@ def replay_route(route, library: BlockLibrary, templates) -> str:
     templates_by_id = {t.id: t for t in templates}
     blocks = {b.id: b for b in library.blocks}
     previous: MolecularGraph | None = None
-    previous_smiles = ""
     for step in route:
         template = templates_by_id.get(step.template_id)
         if template is None:
@@ -727,10 +728,9 @@ def replay_route(route, library: BlockLibrary, templates) -> str:
                 f"got {len(result.products)} products"
             )
         previous = result.products[step.product_index]
-        previous_smiles = result.smiles[step.product_index]
     if previous is None:
         raise GeneratorError("empty route")
-    return previous_smiles
+    return write_canonical_smiles(previous)
 
 
 # file output; all numbers use %.6g so reruns are byte-identical

@@ -8,6 +8,7 @@ once constructed; anything that "edits" a molecule builds a new graph.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -122,7 +123,10 @@ class MolecularGraph:
     graphs (multi-fragment molecules) are fine.
     """
 
-    __slots__ = ("atoms", "bonds", "_neighbors", "_implicit_h", "_ring_atom")
+    __slots__ = (
+        "atoms", "bonds", "_neighbors", "_implicit_h", "_ring_atom", "_kind_counts",
+        "_canonical_smiles",
+    )
 
     def __init__(self, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...]):
         atoms = tuple(atoms)
@@ -159,7 +163,11 @@ class MolecularGraph:
         self.bonds = bonds
         self._neighbors = tuple(tuple(adj) for adj in neighbors)
         self._implicit_h = tuple(self._derive_implicit_h(i) for i in range(n))
+        # filled on first use: ring flags by in_ring, (element, aromatic)
+        # counts by kind_counts, the string by smiles.write_canonical_smiles
         self._ring_atom: tuple[bool, ...] | None = None
+        self._kind_counts: collections.Counter | None = None
+        self._canonical_smiles: str | None = None
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -242,6 +250,15 @@ class MolecularGraph:
         if self._ring_atom is None:
             self._ring_atom = tuple(self._ring_atoms_from_bridges())
         return self._ring_atom[index]
+
+    def kind_counts(self) -> collections.Counter:
+        """Number of atoms of each (element, aromatic) kind; 0 for a kind
+        the graph lacks."""
+        if self._kind_counts is None:
+            self._kind_counts = collections.Counter(
+                (atom.element, atom.aromatic) for atom in self.atoms
+            )
+        return self._kind_counts
 
     def _ring_atoms_from_bridges(self) -> list[bool]:
         # Tarjan bridge finding, iterative so deep chains cannot overflow the

@@ -17,6 +17,7 @@ nodes) is built once, when the query is made, and every match reuses it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from fluorgen.molgraph import (
@@ -97,12 +98,17 @@ class PatternQuery:
     in bond order, so every node after the first touches an earlier one.
     Step k holds the query node, its AtomPattern and its (earlier
     neighbour, BondPattern) pairs in bond order.
+
+    ``needs`` holds ((element, aromatic), count) pairs: how many nodes
+    allow that kind alone. An injective match maps them to as many
+    distinct target atoms of the kind, so a graph with fewer has none.
     """
 
     text: str
     atoms: tuple[AtomPattern, ...]
     bonds: tuple[BondPattern, ...]
     plan: tuple[PlanStep, ...] = field(init=False, repr=False, compare=False)
+    needs: tuple[tuple[tuple[str, bool], int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -125,6 +131,12 @@ class PatternQuery:
             for pos, q in enumerate(order)
         )
         object.__setattr__(self, "plan", plan)
+        needs = Counter(
+            atom.elements[0]
+            for atom in self.atoms
+            if atom.elements is not None and len(atom.elements) == 1
+        )
+        object.__setattr__(self, "needs", tuple(needs.items()))
 
 
 def parse_pattern(text: str) -> PatternQuery:
@@ -298,8 +310,13 @@ def match_pattern(
 
     Entry k of a result tuple is the target atom matched to query node k.
     Results are sorted; passing ``limit`` stops the search early once that
-    many mappings exist (used for cheap any-match checks).
+    many mappings exist (used for cheap any-match checks). A graph short
+    of an atom kind the query needs is rejected before any search.
     """
+    counts = graph.kind_counts()
+    for kind, need in query.needs:
+        if counts[kind] < need:
+            return []
     plan = query.plan
     n_query = len(plan)
     results: list[tuple[int, ...]] = []

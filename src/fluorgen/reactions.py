@@ -6,6 +6,8 @@ set charge, set aromatic flag). Applying a template takes one molecule per
 role, enumerates the pattern matches, and runs the edits on the disjoint
 union for every match combination. Products that violate valence rules
 are dropped and counted; survivors are deduplicated by canonical SMILES.
+Block and product strings are written when first read: a reaction with one
+valid match combination writes none.
 
 File formats for template and building-block libraries are documented in
 docs/formats.md.
@@ -98,8 +100,12 @@ class ReactionTemplate:
 @dataclass(frozen=True)
 class ReactionResult:
     products: tuple[MolecularGraph, ...]
-    smiles: tuple[str, ...]  # canonical SMILES of each product, same order
     skipped: int  # match combinations whose edits produced an invalid molecule
+
+    @property
+    def smiles(self) -> tuple[str, ...]:
+        """Canonical SMILES of each product, same order."""
+        return tuple(write_canonical_smiles(product) for product in self.products)
 
 
 def apply_reaction(
@@ -111,7 +117,9 @@ def apply_reaction(
     outcomes (valence violations, edit conflicts such as adding a bond
     that already exists) are skipped and counted. Products come back
     deduplicated and sorted by canonical SMILES, so the result does not
-    depend on reactant atom ordering; ``smiles`` holds those strings.
+    depend on reactant atom ordering; ``smiles`` holds those strings. A
+    lone valid combination needs no string, and its product's is written
+    when ``smiles`` is read.
     """
     if len(reactants) != template.arity:
         raise ValueError(
@@ -142,7 +150,7 @@ def apply_reaction(
         for bond in mol.bonds:
             base_bonds.append(Bond(bond.a1 + offset, bond.a2 + offset, bond.order))
 
-    products: dict[str, MolecularGraph] = {}
+    valid: list[MolecularGraph] = []
     skipped = 0
     for combo in itertools.product(*all_matches):
         def resolve(ref: AtomRef) -> int:
@@ -201,24 +209,29 @@ def apply_reaction(
             skipped += 1
             continue
         try:
-            product = MolecularGraph(tuple(kept), tuple(kept_bonds))
-            smiles = write_canonical_smiles(product)
+            valid.append(MolecularGraph(tuple(kept), tuple(kept_bonds)))
         except MoleculeError:
             skipped += 1
-            continue
-        products.setdefault(smiles, product)
 
-    keys = tuple(sorted(products))
+    if len(valid) < 2:
+        return ReactionResult(products=tuple(valid), skipped=skipped)
+    products: dict[str, MolecularGraph] = {}
+    for product in valid:
+        products.setdefault(write_canonical_smiles(product), product)
     return ReactionResult(
-        products=tuple(products[key] for key in keys), smiles=keys, skipped=skipped
+        products=tuple(products[key] for key in sorted(products)), skipped=skipped
     )
 
 
 @dataclass(frozen=True)
 class BuildingBlock:
     id: str
-    smiles: str  # canonical
     graph: MolecularGraph
+
+    @property
+    def smiles(self) -> str:
+        """Canonical SMILES, written when first read."""
+        return write_canonical_smiles(self.graph)
 
 
 @dataclass(frozen=True)
@@ -238,7 +251,7 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
     SMILES are skipped and reported; duplicate ids, ids a route could not
     hold, or an empty result raise ReactionFormatError.
     """
-    parsed: list[tuple[str, MolecularGraph]] = []
+    blocks: list[BuildingBlock] = []
     rejected: list[str] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as handle:
@@ -252,7 +265,7 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
                 continue
             block_id, smiles = parts[0].strip(), parts[1].strip()
             if block_id in seen_ids:
-                raise ReactionFormatError(f"line {lineno}: duplicate block id {block_id!r}")
+                raise ReactionFormatError(f"{path}:{lineno}: duplicate block id {block_id!r}")
             _check_id("block", block_id, path, lineno)
             if block_id == PREV_MARKER:
                 raise ReactionFormatError(f"{path}:{lineno}: block id {PREV_MARKER!r} is reserved")
@@ -262,15 +275,11 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
                 rejected.append(f"line {lineno}: {block_id}: {exc}")
                 continue
             seen_ids.add(block_id)
-            parsed.append((block_id, graph))
-    if not parsed:
+            blocks.append(BuildingBlock(id=block_id, graph=graph))
+    if not blocks:
         raise ReactionFormatError(f"{path}: no valid building blocks")
-    blocks = tuple(
-        BuildingBlock(id=block_id, smiles=write_canonical_smiles(graph), graph=graph)
-        for block_id, graph in parsed
-    )
     words = morgan_fingerprints(block.graph for block in blocks)
-    return BlockLibrary(blocks=blocks, words=words, rejected=tuple(rejected))
+    return BlockLibrary(blocks=tuple(blocks), words=words, rejected=tuple(rejected))
 
 
 def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:

@@ -280,12 +280,15 @@ def write_canonical_smiles(graph: MolecularGraph) -> str:
     kept, so isomorphic graphs serialize identically. The search is exact
     and has no leaf budget: branches that graph automorphisms prove
     equivalent are skipped, never cut off. Fragments are sorted and joined
-    with dots.
+    with dots. The string is kept on the graph, so a graph is searched
+    at most once.
     """
-    if len(graph) == 0:
-        raise ValueError("cannot write SMILES for an empty graph")
-    pieces = [_fragment_canonical(graph, comp) for comp in connected_components(graph)]
-    return ".".join(sorted(pieces))
+    if graph._canonical_smiles is None:
+        if len(graph) == 0:
+            raise ValueError("cannot write SMILES for an empty graph")
+        pieces = [_fragment_canonical(graph, comp) for comp in connected_components(graph)]
+        graph._canonical_smiles = ".".join(sorted(pieces))
+    return graph._canonical_smiles
 
 
 def connected_components(graph: MolecularGraph) -> list[list[int]]:

@@ -12,6 +12,7 @@ import collections
 import heapq
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,8 +33,11 @@ from fluorgen.fingerprints import (
 )
 from fluorgen.molgraph import (
     ATOMIC_NUMBER,
+    Bond,
+    BondOrder,
     Hybridization,
     MolecularGraph,
+    MoleculeError,
     perceive_hybridization,
 )
 from fluorgen.scorers import (
@@ -50,7 +54,12 @@ from fluorgen.scorers import (
     roc_auc,
     score_property,
 )
-from fluorgen.smiles import _atom_token, _bond_symbol, connected_components
+from fluorgen.smiles import (
+    _atom_token,
+    _bond_symbol,
+    connected_components,
+    write_canonical_smiles,
+)
 
 
 class UnionFind:
@@ -505,6 +514,80 @@ def compatibility_table(library, templates) -> dict[tuple[str, int], tuple[str, 
         for template in templates
         for role, pattern in enumerate(template.roles)
     }
+
+
+def apply_reaction_every_combination(template, reactants):
+    """Reaction application that canonicalizes every valid combination.
+
+    Each match combination (from the per-call matcher) is edited on the
+    disjoint union of the reactants; every valid product is written to
+    canonical SMILES at once and kept under its string, first combination
+    first. Returns (products, smiles, skipped) with the strings sorted,
+    which reactions.apply_reaction must reproduce while writing strings
+    only where it needs them.
+    """
+    all_matches = [
+        match_pattern_per_call(role, mol) for role, mol in zip(template.roles, reactants)
+    ]
+    offsets = list(itertools.accumulate([0] + [len(mol) for mol in reactants[:-1]]))
+    base_atoms = [
+        replace(atom, index=atom.index + offset, hybridization=None)
+        for mol, offset in zip(reactants, offsets)
+        for atom in mol.atoms
+    ]
+    base_bonds = {
+        (min(b.a1, b.a2) + offset, max(b.a1, b.a2) + offset): b.order
+        for mol, offset in zip(reactants, offsets)
+        for b in mol.bonds
+    }
+    products: dict[str, MolecularGraph] = {}
+    skipped = 0
+    for combo in itertools.product(*all_matches):
+        atoms = list(base_atoms)
+        bonds: dict[tuple[int, int], BondOrder] = dict(base_bonds)
+        deleted: set[int] = set()
+        ok = True
+        for edit in template.edits:
+            u = offsets[edit.a[0]] + combo[edit.a[0]][edit.a[1]]
+            v = None if edit.b is None else offsets[edit.b[0]] + combo[edit.b[0]][edit.b[1]]
+            key = None if v is None else (min(u, v), max(u, v))
+            if u in deleted or v in deleted:
+                ok = False
+            elif edit.kind == "add_bond":
+                ok = u != v and key not in bonds
+                bonds[key] = edit.order
+            elif edit.kind == "remove_bond":
+                ok = bonds.pop(key, None) is not None
+            elif edit.kind == "delete_atom":
+                deleted.add(u)
+            elif edit.kind == "set_charge":
+                atoms[u] = replace(atoms[u], formal_charge=edit.charge)
+            elif edit.kind == "set_aromatic":
+                atoms[u] = replace(atoms[u], aromatic=edit.aromatic)
+            else:
+                raise ValueError(f"unknown edit kind {edit.kind!r}")
+            if not ok:
+                break
+        kept = [idx for idx in range(len(atoms)) if idx not in deleted]
+        if not ok or not kept:
+            skipped += 1
+            continue
+        remap = {idx: pos for pos, idx in enumerate(kept)}
+        try:
+            product = MolecularGraph(
+                tuple(replace(atoms[idx], index=remap[idx]) for idx in kept),
+                tuple(
+                    Bond(remap[a], remap[b], order)
+                    for (a, b), order in sorted(bonds.items())
+                    if a not in deleted and b not in deleted
+                ),
+            )
+        except MoleculeError:
+            skipped += 1
+            continue
+        products.setdefault(write_canonical_smiles(product), product)
+    keys = tuple(sorted(products))
+    return tuple(products[key] for key in keys), keys, skipped
 
 
 def canonical_smiles_exhaustive(graph: MolecularGraph) -> str:

@@ -470,6 +470,32 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "molecules.tsv").exists()
 
+    def test_rejected_block_lines_are_warned_about(self, tmp_path, capsys):
+        constant_checkpoints(tmp_path / "ckpt")
+        shipped = (REPO_DATA / "building_blocks.tsv").read_text()
+        blocks = tmp_path / "blocks.tsv"
+        blocks.write_text(shipped + "b\tC1CC\nc\n")
+        first_bad = len(shipped.splitlines()) + 1
+        outputs = {}
+        for name, path in (("clean", REPO_DATA / "building_blocks.tsv"), ("bad", blocks)):
+            config_path = write_config(
+                tmp_path, blocks=path, output_dir=tmp_path / name, n_rollouts=5,
+                baseline_samples=5,
+            )
+            assert main(["--config", str(config_path), "generate"]) == 0
+            outputs[name] = [
+                (tmp_path / name / file).read_bytes()
+                for file in ("molecules.tsv", "run_log.tsv", "reaction_usage.tsv", "baseline.tsv")
+            ]
+            err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: {blocks}: line {first_bad}: b: unmatched ring closure 1 (offset 1)",
+            f"warning: {blocks}: line {first_bad + 1}: expected 'id<TAB>smiles'",
+        ]
+        # the rejected lines are dropped, and nothing else changes
+        assert outputs["bad"] == outputs["clean"]
+
     @pytest.mark.parametrize(
         "edit, message",
         [

@@ -1,6 +1,7 @@
 """Tests for the rollout engine: node values, sampling, rewards, the
 adaptive controllers, and end-to-end generation runs."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -1101,6 +1102,38 @@ class TestDeterminism:
         )
         second = Generator(library, templates, const_scorers(), WATER, other_config).run()
         assert [m.smiles for m in first.molecules] != [m.smiles for m in second.molecules]
+
+
+class TestPinnedOutputs:
+    """The four output files of one fixed run, held to digests taken
+    before reactions and set-up stopped writing strings nobody reads. A
+    change that moves the trajectory on purpose updates the digests and
+    says so in CHANGES.md."""
+
+    DIGESTS = {
+        "molecules.tsv": "bad35f5135195b8bfc4aa3411b6fb703310877fb80c6f689ddac3f9a8a5f2fc6",
+        "run_log.tsv": "2809f9d57d2cff95173c1ebd584a32a7b67cec1bfc81159f1a54300a1085501e",
+        "reaction_usage.tsv": "3be54dc5c1a7a7b4471838c906d6eff2ee93219f0fa3f5f3af1d538c54dfe7cc",
+        "baseline.tsv": "0f9ed0631c2b2d5fda1c8472e6f8b5cbf9329f8b7e554cb7c7f3e77cb7350b02",
+    }
+
+    def test_output_digests(self, tmp_path, library, templates):
+        config = GenerationConfig(
+            n_rollouts=120, buffer_capacity=40, train_interval=10, max_steps=3, window=20, seed=5
+        )
+        result = Generator(library, templates, const_scorers(), WATER, config).run()
+        # the 40-slot buffer wraps, and some molecules take three steps
+        assert max(len(m.route) for m in result.molecules) == 3
+        write_molecules(result.molecules, tmp_path / "molecules.tsv")
+        write_run_log(result.log, tmp_path / "run_log.tsv")
+        write_reaction_usage(result.reaction_usage, tmp_path / "reaction_usage.tsv")
+        baseline = uniform_baseline(library, templates, 30, 3, const_scorers(), WATER)
+        write_molecules(baseline, tmp_path / "baseline.tsv")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
 
 
 class TestRouteCodec:

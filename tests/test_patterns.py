@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from fluorgen.patterns import (
     has_match,
     parse_pattern,
 )
+from fluorgen.reactions import ingest_building_blocks, ingest_reaction_templates
 from fluorgen.smiles import parse_smiles
 
 from oracles import all_injections_matching, match_pattern_per_call
 from randmol import random_molecule
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def matches(pattern, smiles):
@@ -212,3 +217,68 @@ class TestCompiledPlan:
                     query, graph, limit=2
                 )
                 assert has_match(query, graph) == bool(want)
+
+
+class TestCountPrefilter:
+    """match_pattern rejects a graph short of an atom kind the query needs
+    before it searches; the per-call oracle has no such check, so any
+    result the prefilter changed would show as a mismatch."""
+
+    @staticmethod
+    def assert_equals_oracle(query, graph):
+        for limit in (None, 1):
+            assert match_pattern(query, graph, limit) == match_pattern_per_call(
+                query, graph, limit
+            )
+
+    def test_needs_count_single_kind_nodes(self):
+        assert dict(parse_pattern("[c]B([O;H1])[O;H1]").needs) == {
+            ("C", True): 1, ("B", False): 1, ("O", False): 2,
+        }
+        # alternatives and element-free nodes need nothing
+        assert parse_pattern("[C,N]~[D2]").needs == ()
+        assert dict(parse_pattern("[C,c]C(=O)O").needs) == {("C", False): 1, ("O", False): 2}
+
+    def test_random_graphs_equal_oracle(self):
+        rng = np.random.default_rng(4242)
+        queries = [parse_pattern(text) for text in TestCompiledPlan.PATTERNS]
+        for _ in range(150):
+            graph = random_molecule(rng)
+            for query in queries:
+                self.assert_equals_oracle(query, graph)
+
+    def test_every_shipped_block_against_every_shipped_role(self):
+        library = ingest_building_blocks(str(DATA / "building_blocks.tsv"))
+        templates = ingest_reaction_templates(str(DATA / "reactions.txt"))
+        rejected = 0
+        for template in templates:
+            for role in template.roles:
+                for block in library.blocks:
+                    counts = block.graph.kind_counts()
+                    rejected += any(counts[kind] < need for kind, need in role.needs)
+                    self.assert_equals_oracle(role, block.graph)
+        assert rejected > 0  # the prefilter is exercised, not just present
+
+    @pytest.mark.parametrize(
+        "pattern, smiles, expected",
+        [
+            # suzuki's boronic acid role needs two [O;H1]: one short, then met
+            ("[c]B([O;H1])[O;H1]", "c1ccccc1B(O)C", 0),
+            ("[c]B([O;H1])[O;H1]", "c1ccccc1B(O)O", 2),
+            # the only O is used twice over: met by count, not by structure
+            ("[c]B([O;H1])[O;H1]", "c1ccccc1B(O)F", 0),
+            # aromaticity is part of the kind
+            ("[c]Br", "CBr", 0),
+            ("[c]Br", "c1ccccc1Br", 1),
+            # a need met exactly by a repeated node
+            ("CC", "CC", 2),
+            ("CCC", "CC", 0),
+            ("ClCBr", "ClCBr", 1),
+            ("ClCBr", "ClCCl", 0),
+        ],
+    )
+    def test_boundary_graphs(self, pattern, smiles, expected):
+        query = parse_pattern(pattern)
+        graph = parse_smiles(smiles)
+        assert len(match_pattern(query, graph)) == expected
+        self.assert_equals_oracle(query, graph)

@@ -6,12 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from oracles import compatibility_table
+from oracles import apply_reaction_every_combination, compatibility_table
 from randmol import permute_graph
 
+from fluorgen import smiles as smiles_module
 from fluorgen.fingerprints import FP_WORDS, morgan_fingerprint, pack
 from fluorgen.molgraph import BondOrder
-from fluorgen.patterns import parse_pattern
+from fluorgen.patterns import has_match, parse_pattern
 from fluorgen.reactions import (
     CompatibilityIndex,
     EditOp,
@@ -435,9 +436,10 @@ class TestFileParsing:
 
     def test_block_file_duplicate_id(self, tmp_path):
         path = tmp_path / "blocks.tsv"
-        path.write_text("a\tCC\na\tCCC\n")
-        with pytest.raises(ReactionFormatError, match="duplicate block id"):
+        path.write_text("# blocks\na\tCC\nb\tCCO\na\tCCC\n")
+        with pytest.raises(ReactionFormatError) as caught:
             ingest_building_blocks(str(path))
+        assert str(caught.value) == f"{path}:4: duplicate block id 'a'"
 
     @pytest.mark.parametrize("block_id", ["a,b", "a;b", "a(b", "a)b", "@prev", ",", "(x)"])
     def test_block_id_a_route_cannot_hold_names_file_and_line(self, block_id, tmp_path):
@@ -485,3 +487,106 @@ class TestFileParsing:
         path.write_text("# only comments\n")
         with pytest.raises(ReactionFormatError, match="no valid building blocks"):
             ingest_building_blocks(str(path))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(graph id, component) of every canonical search from here on."""
+    calls = []
+    original = smiles_module._fragment_canonical
+
+    def counted(graph, subset):
+        calls.append((id(graph), tuple(subset)))
+        return original(graph, subset)
+
+    monkeypatch.setattr(smiles_module, "_fragment_canonical", counted)
+    return calls
+
+
+class TestDeferredCanonicalization:
+    """apply_reaction writes strings only to order two or more valid
+    combinations; blocks and lone products are written when read. The
+    results must equal an application that writes every combination."""
+
+    @staticmethod
+    def assert_equals_oracle(template, reactants):
+        result = apply_reaction(template, reactants)
+        products, smiles, skipped = apply_reaction_every_combination(template, reactants)
+        assert [(p.atoms, p.bonds) for p in result.products] == [
+            (p.atoms, p.bonds) for p in products
+        ]
+        assert result.smiles == smiles
+        assert result.skipped == skipped
+        return result
+
+    def test_shipped_templates_random_blocks_and_two_step_products(self, templates, library):
+        import random
+
+        rng = random.Random(19)
+        index = CompatibilityIndex(library, tuple(templates.values()))
+        viable = index.viable_templates()
+        second_steps = 0
+        for template_id in viable * 6:
+            template = templates[template_id]
+            chosen = [
+                library.blocks[rng.choice(index.compatible_blocks(template_id, role))].graph
+                for role in range(template.arity)
+            ]
+            result = self.assert_equals_oracle(template, chosen)
+            if not result.products:
+                continue
+            product = result.products[rng.randrange(len(result.products))]
+            # react the product again through each role it fits (@prev)
+            for follow in templates.values():
+                if follow.arity > 1 and follow.id not in viable:
+                    continue
+                for role, pattern in enumerate(follow.roles):
+                    if not has_match(pattern, product):
+                        continue
+                    reactants = [
+                        product if k == role else library.blocks[
+                            rng.choice(index.compatible_blocks(follow.id, k))
+                        ].graph
+                        for k in range(follow.arity)
+                    ]
+                    self.assert_equals_oracle(follow, reactants)
+                    second_steps += 1
+        assert second_steps > 50
+
+    def test_worked_multi_combination_cases(self, templates):
+        cases = [
+            ("knorr_pyrazole", "CNN", "CC(=O)CC(=O)c1ccccc1"),  # two products
+            ("suzuki", "OB(O)c1ccccc1", "Brc1ccc(Br)cc1"),  # four combinations, one product
+            ("amide", "OC(=O)c1ccccc1", "Nc1ccccc1"),  # one combination
+        ]
+        for name, *smiles in cases:
+            self.assert_equals_oracle(templates[name], [parse_smiles(s) for s in smiles])
+
+    def test_ingest_writes_no_string(self, searches):
+        library = ingest_building_blocks(str(DATA / "building_blocks.tsv"))
+        assert searches == []
+        for block in library.blocks:
+            assert block.smiles == write_canonical_smiles(block.graph)
+        with open(DATA / "building_blocks.tsv", encoding="utf-8") as handle:
+            rows = [line.split("\t") for line in handle if line.strip() and line[0] != "#"]
+        assert [b.smiles for b in library.blocks] == [canon(text.strip()) for _, text in rows]
+
+    def test_each_graph_searched_at_most_once(self, templates, library, searches):
+        for block in library.blocks:
+            assert block.smiles == block.smiles
+        assert len(searches) == len(set(searches))
+        block_searches = len(searches)
+
+        lone = apply_reaction(
+            templates["amide"], [parse_smiles("OC(=O)c1ccccc1"), parse_smiles("Nc1ccccc1")]
+        )
+        assert len(searches) == block_searches  # nothing written until read
+        assert lone.smiles == lone.smiles == (canon("O=C(Nc1ccccc1)c1ccccc1"),)
+
+        pair = apply_reaction(
+            templates["knorr_pyrazole"], [parse_smiles("CNN"), parse_smiles("CC(=O)CC(=O)c1ccccc1")]
+        )
+        written = len(searches)
+        assert len(pair.smiles) == 2
+        assert len(searches) == written  # ordering the pair wrote both already
+        assert len(searches) == len(set(searches))
