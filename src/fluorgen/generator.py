@@ -47,9 +47,9 @@ from fluorgen.scorers import (
     ScorerKind,
     ScoreStack,
     SparseRows,
-    loss_and_grads,
     property_stack,
     score_rows,
+    update_nets,
 )
 from fluorgen.smiles import write_canonical_smiles
 
@@ -371,40 +371,12 @@ def _init_value_models(config: GenerationConfig) -> list[MlpModel]:
 
 
 def train_value_model(model, rows: SparseRows, targets, config, rng) -> None:
-    """A few epochs of SGD on the buffer; the update is kept only when it
-    does not worsen the full-buffer loss.
-
-    Each mini-batch of ``rows`` (SparseRows) updates only the w1 columns
-    it touches, in a transposed working copy that replaces ``model.w1``
-    when the update is kept; the model's other weights are updated in
-    place.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    # the original w1 array is never written, so it is its own saved copy
-    saved = (model.w1, model.b1.copy(), model.w2.copy(), model.b2)
-    w1t = np.ascontiguousarray(model.w1.T)
-    model.w1 = w1t.T
-    # with w1t C-ordered, the full-buffer CSR products read it uncopied
-    before, _ = loss_and_grads(model, rows, targets, grads=False)
-    n = len(rows)
-    for _ in range(config.value_epochs):
-        order = rng.permutation(n)
-        epoch_rows, epoch_targets = rows.take(order), targets[order]
-        for start in range(0, n, config.value_batch):
-            stop = start + config.value_batch
-            _, grads = loss_and_grads(
-                model, epoch_rows.slice(start, stop), epoch_targets[start:stop]
-            )
-            columns, grad_rows = grads["w1"]
-            w1t[columns] -= config.value_lr * grad_rows
-            model.b1 -= config.value_lr * grads["b1"]
-            model.w2 -= config.value_lr * grads["w2"]
-            model.b2 -= config.value_lr * grads["b2"]
-    after, _ = loss_and_grads(model, rows, targets, grads=False)
-    if not np.isfinite(after) or after > before:
-        model.w1, model.b1, model.w2, model.b2 = saved
-    else:
-        model.w1 = np.ascontiguousarray(w1t.T)
+    """update_nets for one value net: a few epochs of SGD on the buffer,
+    kept only when the update does not worsen the full-buffer loss."""
+    update_nets(
+        [model], rows, np.reshape(targets, (-1, 1)), config.value_epochs, config.value_batch,
+        config.value_lr, rng,
+    )
 
 
 class _Rollout(NamedTuple):
@@ -562,8 +534,11 @@ class Generator:
 
     def _train_values(self):
         rows, targets = self.buffer.rows(self.solvent)
-        for k, model in enumerate(self.value_models):
-            train_value_model(model, rows, targets[:, k], self.config, self.np_rng)
+        config = self.config
+        update_nets(
+            self.value_models, rows, targets, config.value_epochs, config.value_batch,
+            config.value_lr, self.np_rng,
+        )
         self._refresh_values()
 
     def run(self, progress=None) -> GenerationResult:

@@ -8,7 +8,6 @@ once constructed; anything that "edits" a molecule builds a new graph.
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -124,7 +123,7 @@ class MolecularGraph:
     """
 
     __slots__ = (
-        "atoms", "bonds", "_neighbors", "_implicit_h", "_ring_atom", "_kind_counts",
+        "atoms", "bonds", "_neighbors", "_implicit_h", "_ring_atom", "_atoms_by_kind",
         "_canonical_smiles",
     )
 
@@ -163,10 +162,11 @@ class MolecularGraph:
         self.bonds = bonds
         self._neighbors = tuple(tuple(adj) for adj in neighbors)
         self._implicit_h = tuple(self._derive_implicit_h(i) for i in range(n))
-        # filled on first use: ring flags by in_ring, (element, aromatic)
-        # counts by kind_counts, the string by smiles.write_canonical_smiles
+        # filled on first use: ring flags by in_ring, atoms by (element,
+        # aromatic) kind by atoms_by_kind, the string by
+        # smiles.write_canonical_smiles
         self._ring_atom: tuple[bool, ...] | None = None
-        self._kind_counts: collections.Counter | None = None
+        self._atoms_by_kind: dict[tuple[str, bool], tuple[int, ...]] | None = None
         self._canonical_smiles: str | None = None
 
     def __len__(self) -> int:
@@ -251,14 +251,15 @@ class MolecularGraph:
             self._ring_atom = tuple(self._ring_atoms_from_bridges())
         return self._ring_atom[index]
 
-    def kind_counts(self) -> collections.Counter:
-        """Number of atoms of each (element, aromatic) kind; 0 for a kind
-        the graph lacks."""
-        if self._kind_counts is None:
-            self._kind_counts = collections.Counter(
-                (atom.element, atom.aromatic) for atom in self.atoms
-            )
-        return self._kind_counts
+    def atoms_by_kind(self) -> dict[tuple[str, bool], tuple[int, ...]]:
+        """The indices of the atoms of each (element, aromatic) kind the
+        graph has, ascending."""
+        if self._atoms_by_kind is None:
+            by_kind: dict[tuple[str, bool], list[int]] = {}
+            for atom in self.atoms:
+                by_kind.setdefault((atom.element, atom.aromatic), []).append(atom.index)
+            self._atoms_by_kind = {kind: tuple(found) for kind, found in by_kind.items()}
+        return self._atoms_by_kind
 
     def _ring_atoms_from_bridges(self) -> list[bool]:
         # Tarjan bridge finding, iterative so deep chains cannot overflow the

@@ -311,13 +311,20 @@ def match_pattern(
     Entry k of a result tuple is the target atom matched to query node k.
     Results are sorted; passing ``limit`` stops the search early once that
     many mappings exist (used for cheap any-match checks). A graph short
-    of an atom kind the query needs is rejected before any search.
+    of an atom kind the query needs is rejected before any search, and the
+    first query node tries only the atoms of the kinds it allows, in
+    ascending order.
     """
-    counts = graph.kind_counts()
+    by_kind = graph.atoms_by_kind()
     for kind, need in query.needs:
-        if counts[kind] < need:
+        if len(by_kind.get(kind, ())) < need:
             return []
     plan = query.plan
+    kinds = plan[0][1].elements
+    if kinds is None:
+        seeds = range(len(graph))
+    else:
+        seeds = sorted({j for kind in kinds for j in by_kind.get(kind, ())})
     n_query = len(plan)
     results: list[tuple[int, ...]] = []
     mapping = [0] * n_query  # target atom of each query node mapped so far
@@ -331,7 +338,7 @@ def match_pattern(
         if mapped_nbrs:
             candidates = sorted(j for j, _ in graph.neighbors(mapping[mapped_nbrs[0][0]]))
         else:
-            candidates = range(len(graph))
+            candidates = seeds
         for j in candidates:
             if j in used or not atom.matches(graph, j):
                 continue

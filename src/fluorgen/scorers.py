@@ -13,11 +13,18 @@ model so scoring never depends on outside state.
 Training reads rows sparsely. A fingerprint row holds about 35 on-bits
 out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
 form plus the four solvent values, made from packed words by
-SparseRows.from_words. loss_and_grads computes the first layer over only
-the columns a mini-batch touches, against a transposed (input, hidden)
-working copy of w1, and returns the w1 gradient for those columns alone;
-full-set losses are one CSR product. Checkpoints keep w1 as (hidden,
-input). The dense form of the kernel is the test referee
+SparseRows.from_words. Every net trains in one SGD loop that runs several
+independent nets in lockstep: once per fit each net's live columns (those
+its training rows touch, plus the solvent columns) get their own slice of
+one stacked (rows, hidden) working copy of w1, and a step stacks every
+net's mini-batch, so the first layer is one CSR product and its gradient
+one CSC product over the rows the step touches, while the small dense
+products stay per net with the shapes a net alone would use. No net's
+bits depend on the nets trained with it. train_nets trains the folds of
+a cross-validation task this way, mlp_train is its one-job form, and
+update_nets retrains the rollout's four value nets; loss_and_grads is
+the one-net pass. Checkpoints keep w1 as (hidden, input). The per-net
+sparse loops and the dense kernel are the test referees
 (tests/oracles.py).
 
 Scoring reads rows sparsely too. Every batch of fingerprints is scored by
@@ -34,6 +41,7 @@ the referee behind score_property, the one-molecule form.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -63,6 +71,19 @@ _CHECKPOINT_ARRAYS = ("head", "w1", "b1", "w2", "b2", "norm_mean", "norm_std", "
 # of generate at 116.4-116.6 MB and of filter at 140.8-140.9 MB, against
 # 116.5-116.8 and 141.1 MB with 64-row blocks.
 SCORE_BLOCK_ROWS = 64
+
+# Nets train side by side while their working copies (the live w1 rows,
+# their velocity and the best epoch's copy) fit in this many bytes; more
+# train in groups, one after another. Ten folds of a ChemFluor-size task
+# (2,052 live columns, hidden 300) would take 148 MB; groups of three take
+# 44 MB.
+STACK_BYTES = 48 * 2**20
+
+# A step writes its touched w1 rows in blocks of about this many bytes, so
+# no temporary outgrows the cache. ``w[rows] -= lr * g`` over 2,300 touched
+# rows at hidden 300 took 1.4 ms in 109-row blocks against 6.0 ms in one
+# piece; at hidden 64 (500 rows, one block) the two were within 3%.
+UPDATE_BLOCK_BYTES = 2**18
 
 
 class ScorerError(ValueError):
@@ -228,65 +249,286 @@ def as_sparse_rows(features) -> SparseRows:
     return features if isinstance(features, SparseRows) else SparseRows.from_dense(features)
 
 
+class _NetStack:
+    """One-hidden-layer nets of one head and hidden size, trained side by
+    side.
+
+    ``w1t`` holds the first-layer weights of every net as rows of one
+    (rows, hidden) array, and ``b1``, ``w2`` and ``b2`` stack the rest, one
+    row or entry per net. Net g reads its solvent columns at rows
+    ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``. A batch stacks the rows
+    of several nets, as ``batch`` lays them out: its indices are w1t rows,
+    its solvent values are normalized, and ``parts`` names each net's
+    (net, low, high) span of it, in net order. Every net's rows meet only that net's w1t rows, so run
+    and step make the same float operations per net, in the same order,
+    as the net alone.
+
+    ``velocity`` is None for plain SGD (``w -= lr * g``); otherwise it
+    holds the momentum ``m`` and the velocities of the live w1t rows (the
+    first ``bounds[-1]``) and of b1, w2 and b2, and a step makes
+    ``v *= m; v -= lr * g; w += v``.
+    """
+
+    def __init__(self, w1t, solvent_at, b1, w2, b2, sigmoid: bool):
+        self.w1t, self.solvent_at = w1t, solvent_at
+        self.b1, self.w2, self.b2, self.sigmoid = b1, w2, b2, sigmoid
+        self.velocity = None
+        # a pass's hidden and dz1 arrays, grown to the largest batch seen
+        self._hidden = self._dz1 = np.empty((0, w1t.shape[1]))
+        self._touched = np.zeros(len(w1t), dtype=bool)
+
+    @classmethod
+    def of(cls, model: MlpModel) -> _NetStack:
+        """One model, its weights read in place: w1t is ``model.w1.T`` and a
+        batch's indices are input columns."""
+        return cls(
+            model.w1.T, [model.input_dim - SOLVENT_DIM], model.b1[np.newaxis],
+            model.w2[np.newaxis], np.array([model.b2]), model.head is Head.SIGMOID,
+        )
+
+    @classmethod
+    def build(cls, models, row_sets, momentum=None) -> _NetStack:
+        """Copies of the models' weights, laid out once per fit: net g's
+        live columns (the bit columns its first row set touches, ascending,
+        then its solvent columns) at w1t rows ``bounds[g]:bounds[g + 1]``,
+        and below every net's live rows the columns only its other row
+        sets touch, which no step writes. ``live[g]`` are net g's live
+        columns and ``slots[g]`` the w1t row of each column it reads."""
+        if len({model.head for model in models}) > 1:
+            raise ScorerError("stacked nets differ in head")
+        width = models[0].input_dim
+        solvent_columns = np.arange(width - SOLVENT_DIM, width)
+        live, held = [], []
+        for k, sets in enumerate(row_sets):
+            if k and sets is row_sets[k - 1]:
+                # the rows of the net before: the same columns
+                live.append(live[-1])
+                held.append(held[-1])
+                continue
+            bits = np.unique(sets[0].indices)
+            seen = np.unique(np.concatenate([rows.indices for rows in sets]))
+            live.append(np.concatenate([bits, solvent_columns]))
+            held.append(np.setdiff1d(seen, bits, assume_unique=True))
+        bounds = np.cumsum([0] + [len(columns) for columns in live]).tolist()
+        held_bounds = np.cumsum([bounds[-1]] + [len(columns) for columns in held]).tolist()
+        w1t = np.empty((held_bounds[-1], models[0].hidden_dim))
+        slots = np.zeros((len(models), width), dtype=np.int32)
+        for g, model in enumerate(models):
+            for columns, low, high in ((live[g], *bounds[g : g + 2]),
+                                       (held[g], *held_bounds[g : g + 2])):
+                w1t[low:high] = model.w1[:, columns].T
+                slots[g, columns] = np.arange(low, high)
+        stack = cls(
+            w1t, [high - SOLVENT_DIM for high in bounds[1:]], np.array([m.b1 for m in models]),
+            np.array([m.w2 for m in models]), np.array([m.b2 for m in models], dtype=np.float64),
+            models[0].head is Head.SIGMOID,
+        )
+        if momentum is not None:
+            stack.velocity = (
+                momentum, np.zeros((bounds[-1], w1t.shape[1])), np.zeros_like(stack.b1),
+                np.zeros_like(stack.w2), np.zeros_like(stack.b2),
+            )
+        stack.bounds, stack.live, stack.slots = bounds, live, slots
+        stack.norm_mean = np.array([model.norm_mean for model in models])
+        stack.norm_std = np.array([model.norm_std for model in models])
+        return stack
+
+    def batch(self, rows: SparseRows, ids, nets) -> SparseRows:
+        """``rows.take(ids)`` laid out for run, row k read by net
+        ``nets[k]``: its indices mapped to that net's w1t rows, its
+        solvent values normalized by that net's statistics."""
+        taken = rows.take(ids)
+        width = self.slots.shape[1]
+        indices = self.slots.ravel()[np.repeat(nets * width, np.diff(taken.indptr)) + taken.indices]
+        solvent = (taken.solvent - self.norm_mean[nets]) / self.norm_std[nets]
+        return SparseRows(taken.indptr, indices, taken.data, solvent, len(self.w1t) + SOLVENT_DIM)
+
+    def net_w1(self, g: int, w1: np.ndarray, w1t_rows=None) -> np.ndarray:
+        """A (hidden, input) copy of ``w1`` with net g's live columns set
+        from its w1t rows (or from ``w1t_rows``, a saved copy of them)."""
+        low, high = self.bounds[g], self.bounds[g + 1]
+        out = w1.copy()
+        out[:, self.live[g]] = (self.w1t if w1t_rows is None else w1t_rows)[low:high].T
+        return out
+
+    def run(self, batch: SparseRows, labels, parts, grads: bool = True):
+        """Each part's mean loss and, with ``grads``, the gradients.
+
+        SIGMOID uses mean binary cross-entropy computed from the logit
+        (softplus form, no probability clipping needed); LINEAR uses mean
+        squared error. The first layer of every net is one CSR product
+        against w1t, and the w1 gradient one CSC product, compacted to the
+        w1t rows the batch touches; the solvent term, ``hidden @ w2``, the
+        means and the other gradients are per part.
+
+        Returns (losses, grads): grads is None without ``grads``, else
+        (touched w1t rows, their gradient rows, then per part the solvent
+        rows' gradient, the b1, w2 and b2 gradients).
+        """
+        n = len(batch)
+        w1t = self.w1t
+        if len(self._hidden) < n:
+            self._hidden = np.empty((n, w1t.shape[1]))
+        hidden = self._hidden[:n]
+        nets = [g for g, _, _ in parts]
+        sizes = [high - low for _, low, high in parts]
+        lead = csr_array((batch.data, batch.indices, batch.indptr), shape=(n, len(w1t)))
+        z1 = lead @ w1t
+        for g, low, high in parts:
+            at = self.solvent_at[g]
+            z1[low:high] += batch.solvent[low:high] @ w1t[at : at + SOLVENT_DIM]
+        # elementwise steps run on the whole batch, each row against its
+        # own net's b1, w2 and b2
+        z1 += np.repeat(self.b1[nets], sizes, axis=0)
+        np.maximum(z1, 0.0, out=hidden)
+        z2 = np.empty(n)
+        for g, low, high in parts:
+            np.matmul(hidden[low:high], self.w2[g], out=z2[low:high])
+        z2 += np.repeat(self.b2[nets], sizes)
+        count = np.repeat(sizes, sizes)
+        if self.sigmoid:
+            terms = np.logaddexp(0.0, z2) - labels * z2
+            dz2 = (1.0 / (1.0 + np.exp(-z2)) - labels) / count
+        else:
+            diff = z2 - labels
+            terms = diff * diff
+            dz2 = 2.0 * diff / count
+        # a mean is the pairwise sum over the part, then one division
+        losses = [float(terms[low:high].sum()) / (high - low) for _, low, high in parts]
+        if not grads:
+            return losses, None
+        if len(self._dz1) < n:
+            self._dz1 = np.empty((n, w1t.shape[1]))
+        dz1 = self._dz1[:n]
+        np.multiply(dz2[:, np.newaxis], np.repeat(self.w2[nets], sizes, axis=0), out=dz1)
+        dz1 *= z1 > 0.0
+        width = w1t.shape[1]
+        grad_solvent = np.empty((len(parts), SOLVENT_DIM, width))
+        grad_b1 = np.empty((len(parts), width))
+        grad_w2 = np.empty((len(parts), width))
+        grad_b2 = np.empty(len(parts))
+        for k, (g, low, high) in enumerate(parts):
+            np.matmul(hidden[low:high].T, dz2[low:high], out=grad_w2[k])
+            grad_b2[k] = dz2[low:high].sum()
+            dz1[low:high].sum(axis=0, out=grad_b1[k])
+            np.matmul(batch.solvent[low:high].T, dz1[low:high], out=grad_solvent[k])
+        # compact to the touched rows; a mask finds them faster than sorting
+        touched = self._touched
+        touched[batch.indices] = True
+        columns = np.flatnonzero(touched)
+        indices = (np.cumsum(touched, dtype=np.int32) - 1)[batch.indices]
+        touched[columns] = False
+        # the same three arrays, read as CSC, are the transposed block
+        lead_t = csc_array((batch.data, indices, batch.indptr), shape=(len(columns), n))
+        return losses, (columns, lead_t @ dz1, grad_solvent, grad_b1, grad_w2, grad_b2)
+
+    def step(self, parts, grads, learning_rate: float) -> None:
+        """One update of the nets in ``parts`` from run's gradients."""
+        columns, rows, solvent, b1, w2, b2 = grads
+        nets = [g for g, _, _ in parts]
+        if self.velocity is None:
+            _subtract_rows(self.w1t, columns, learning_rate, rows)
+            for k, g in enumerate(nets):
+                at = self.solvent_at[g]
+                self.w1t[at : at + SOLVENT_DIM] -= learning_rate * solvent[k]
+            for weights, grad in ((self.b1, b1), (self.w2, w2), (self.b2, b2)):
+                weights[nets] -= learning_rate * grad
+            return
+        momentum, velocity, *others = self.velocity
+        # each net's live rows, adjacent nets' rows merged
+        spans = []
+        for g in nets:
+            if spans and spans[-1][1] == self.bounds[g]:
+                spans[-1][1] = self.bounds[g + 1]
+            else:
+                spans.append([self.bounds[g], self.bounds[g + 1]])
+        for low, high in spans:
+            velocity[low:high] *= momentum
+        _subtract_rows(velocity, columns, learning_rate, rows)
+        for k, g in enumerate(nets):
+            at = self.solvent_at[g]
+            velocity[at : at + SOLVENT_DIM] -= learning_rate * solvent[k]
+        for low, high in spans:
+            self.w1t[low:high] += velocity[low:high]
+        for weights, speed, grad in zip((self.b1, self.w2, self.b2), others, (b1, w2, b2)):
+            speed[nets] = momentum * speed[nets] - learning_rate * grad
+            weights[nets] += speed[nets]
+
+
+def _subtract_rows(target, columns, scale: float, rows) -> None:
+    """``target[columns] -= scale * rows`` in blocks of about
+    UPDATE_BLOCK_BYTES, so each block's gather, product and scatter stay
+    in cache; every element makes the same two float operations."""
+    block = max(1, UPDATE_BLOCK_BYTES // (8 * target.shape[1]))
+    for start in range(0, len(columns), block):
+        stop = start + block
+        target[columns[start:stop]] -= scale * rows[start:stop]
+
+
 def loss_and_grads(model: MlpModel, rows: SparseRows, labels, grads: bool = True):
-    """Batch loss plus gradients for every parameter.
+    """Batch loss plus gradients for every parameter, for one model.
 
-    SIGMOID uses mean binary cross-entropy computed from the logit
-    (softplus form, no probability clipping needed); LINEAR uses mean
-    squared error. The first layer reads ``model.w1.T`` only at the
-    rows' nonzero leading columns, as a CSR product; in training
-    ``model.w1`` is the transposed view of an (input, hidden) working
-    copy, so those reads are contiguous rows.
-
-    Returns (loss, dict with keys w1, b1, w2, b2). The w1 entry is a
-    (columns, rows) pair: the input columns the batch touches (its
-    nonzero leading columns, then the solvent columns) and the gradient
-    of ``w1.T`` at them, shape (len(columns), hidden); every other
-    column's gradient is zero. With ``grads=False`` only the loss is
-    computed, over the uncompacted CSR block, and the dict is None.
+    The first layer reads ``model.w1.T`` only at the rows' nonzero leading
+    columns, as a CSR product. Returns (loss, dict with keys w1, b1, w2,
+    b2). The w1 entry is a (columns, rows) pair: the input columns the
+    batch touches (its nonzero leading columns, then the solvent columns)
+    and the gradient of ``w1.T`` at them, shape (len(columns), hidden);
+    every other column's gradient is zero. With ``grads=False`` only the
+    loss is computed and the dict is None.
     """
     if rows.width != model.input_dim:
         raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
-    y = np.asarray(labels, dtype=np.float64)
-    n = len(rows)
-    w1t = model.w1.T
-    n_lead = rows.width - SOLVENT_DIM
-    if grads:
-        # compact to the touched columns; a mask over the leading block
-        # finds them faster than sorting the indices
-        touched = np.zeros(n_lead, dtype=bool)
-        touched[rows.indices] = True
-        columns = np.flatnonzero(touched)
-        indices = (np.cumsum(touched, dtype=np.int32) - 1)[rows.indices]
-        weights = w1t[columns]
-    else:
-        indices, weights = rows.indices, w1t[:n_lead]
-    lead = csr_array((rows.data, indices, rows.indptr), shape=(n, len(weights)))
-    solvent = (rows.solvent - model.norm_mean) / model.norm_std
-    z1 = lead @ weights + solvent @ w1t[n_lead:] + model.b1
-    hidden = np.maximum(z1, 0.0)
-    z2 = hidden @ model.w2 + model.b2
-    if model.head is Head.SIGMOID:
-        loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
-        dz2 = (1.0 / (1.0 + np.exp(-z2)) - y) / n
-    else:
-        diff = z2 - y
-        loss = float(np.mean(diff * diff))
-        dz2 = 2.0 * diff / n
-    if not grads:
-        return loss, None
-    grad_w2 = hidden.T @ dz2
-    grad_b2 = float(np.sum(dz2))
-    d_hidden = np.outer(dz2, model.w2)
-    dz1 = d_hidden * (z1 > 0.0)
-    # the same three arrays, read as CSC, are the transposed block
-    lead_t = csc_array((rows.data, indices, rows.indptr), shape=(len(columns), n))
-    grad_w1 = (
-        np.concatenate([columns, np.arange(n_lead, rows.width)]),
-        np.concatenate([lead_t @ dz1, solvent.T @ dz1]),
+    batch = SparseRows(
+        rows.indptr, rows.indices, rows.data,
+        (rows.solvent - model.norm_mean) / model.norm_std, rows.width,
     )
-    grad_b1 = dz1.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    y = np.asarray(labels, dtype=np.float64)
+    (loss,), out = _NetStack.of(model).run(batch, y, [(0, 0, len(rows))], grads)
+    if out is None:
+        return loss, None
+    columns, bit_rows, solvent, b1, w2, b2 = out
+    grad_w1 = (
+        np.concatenate([columns, np.arange(rows.width - SOLVENT_DIM, rows.width)]),
+        np.concatenate([bit_rows, solvent[0]]),
+    )
+    return loss, {"w1": grad_w1, "b1": b1[0], "w2": w2[0], "b2": float(b2[0])}
+
+
+def _concat_rows(parts) -> SparseRows:
+    indptr = np.zeros(sum(len(rows) for rows in parts) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([np.diff(rows.indptr) for rows in parts]), out=indptr[1:])
+    return SparseRows(
+        indptr,
+        np.concatenate([rows.indices for rows in parts]),
+        np.concatenate([rows.data for rows in parts]),
+        np.concatenate([rows.solvent for rows in parts]),
+        parts[0].width,
+    )
+
+
+def _epoch_plan(orders: dict, offsets, batch_size: int):
+    """One epoch of lockstep mini-batches. ``orders`` maps each training
+    net, ascending, to its permutation of its rows, which start at
+    ``offsets[net]`` of the rows they are taken from. Returns the row ids
+    in step order, the net of each, and each step's (first position,
+    parts), a part being (net, low, high) counted from that position;
+    step k holds batch k of every net that has one."""
+    ids, steps, at = [], [], 0
+    longest = max(len(order) for order in orders.values())
+    for begin in range(0, longest, batch_size):
+        start, parts = at, []
+        for g, order in orders.items():
+            chunk = order[begin : begin + batch_size]
+            if len(chunk):
+                ids.append(chunk + offsets[g])
+                parts.append((g, at - start, at - start + len(chunk)))
+                at += len(chunk)
+        steps.append((start, parts))
+    nets = np.repeat(
+        [g for _, parts in steps for g, _, _ in parts],
+        [high - low for _, parts in steps for _, low, high in parts],
+    )
+    return np.concatenate(ids), nets, steps
 
 
 @dataclass(frozen=True)
@@ -297,6 +539,203 @@ class TrainResult:
     best_epoch: int
 
 
+@dataclass(frozen=True)
+class TrainJob:
+    """One net's data for train_nets: training rows and labels, and the
+    validation rows and labels that pick its best epoch. Build it with
+    TrainJob.of, which checks the lengths."""
+
+    rows: SparseRows
+    labels: np.ndarray
+    val_rows: SparseRows
+    val_labels: np.ndarray
+
+    @classmethod
+    def of(cls, features, labels, val_features=None, val_labels=None) -> TrainJob:
+        """Features are SparseRows or dense matrices; with no validation
+        set the training set doubles as one."""
+        rows = as_sparse_rows(features)
+        labels = np.asarray(labels, dtype=np.float64)
+        if len(rows) == 0:
+            raise ScorerError("empty training set")
+        if labels.shape != (len(rows),):
+            raise ScorerError("features and labels differ in length")
+        if val_features is None and val_labels is None:
+            return cls(rows, labels, rows, labels)
+        if val_features is None:
+            raise ScorerError(f"{np.size(val_labels)} validation labels but no validation rows")
+        val_rows = as_sparse_rows(val_features)
+        if val_labels is None:
+            raise ScorerError(f"{len(val_rows)} validation rows but no validation labels")
+        val_labels = np.asarray(val_labels, dtype=np.float64)
+        if val_labels.shape != (len(val_rows),):
+            raise ScorerError(
+                f"{len(val_rows)} validation rows but {val_labels.size} validation labels"
+            )
+        if len(val_rows) == 0:
+            raise ScorerError("empty validation set")
+        if val_rows.width != rows.width:
+            raise ScorerError(f"expected {rows.width}-wide validation rows, got {val_rows.width}")
+        return cls(rows, labels, val_rows, val_labels)
+
+
+def _groups(jobs, hidden: int):
+    """Consecutive runs of jobs whose working copies (w1t, its velocity and
+    the best epoch's copy over each net's live rows) fit STACK_BYTES."""
+    group, size = [], 0
+    for job in jobs:
+        need = 3 * 8 * hidden * (len(np.unique(job.rows.indices)) + SOLVENT_DIM)
+        if group and size + need > STACK_BYTES:
+            yield group
+            group, size = [], 0
+        group.append(job)
+        size += need
+    if group:
+        yield group
+
+
+def train_nets(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
+    """Mini-batch SGD with momentum for each TrainJob, keeping each net's
+    best-validation weights; one TrainResult per job, in job order.
+
+    Every net starts from the same draws of config.seed and shuffles its
+    rows with its own generator, continued from those draws, one
+    permutation per epoch, so a net's result does not depend on the jobs
+    trained with it: same inputs give bit-identical weights. The nets take
+    their mini-batches in lockstep, step k of an epoch holding batch k of
+    every net that has one, and a net whose validation loss has not
+    improved for more than config.patience epochs leaves. A non-finite
+    loss aborts with a diverging-rate diagnostic naming the epoch of the
+    first job, in job order, that diverged.
+
+    Only the live columns train, those some training row of the net
+    touches plus the solvent columns: every other column's velocity stays
+    zero and would move nothing.
+    """
+    results = []
+    for group in _groups(jobs, config.hidden_dim):
+        results.extend(_train_group(group, head, config))
+    return results
+
+
+def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
+    if len({job.rows.width for job in jobs}) > 1:
+        raise ScorerError("jobs differ in row width")
+    rng = np.random.default_rng(config.seed)
+    hidden = config.hidden_dim
+    w1 = rng.normal(0.0, config.weight_init_scale, (hidden, jobs[0].rows.width))
+    w2 = rng.normal(0.0, config.weight_init_scale, hidden)
+    rngs = [copy.deepcopy(rng) for _ in jobs]
+    models, targets = [], []
+    for job in jobs:
+        # Regression targets train standardized so one learning rate serves
+        # both heads; the transform is folded back into w2/b2 at the end.
+        mean, scale = 0.0, 1.0
+        if head is Head.LINEAR:
+            mean = float(job.labels.mean())
+            spread = float(job.labels.std())
+            scale = spread if spread > 0.0 else 1.0
+        # (x - 0.0) / 1.0 is x, bit for bit, so classification labels pass
+        targets.append((mean, scale, (job.labels - mean) / scale, (job.val_labels - mean) / scale))
+        std = job.rows.solvent.std(axis=0)
+        models.append(MlpModel(
+            w1=w1, b1=np.zeros(hidden), w2=w2, b2=0.0, head=head,
+            norm_mean=job.rows.solvent.mean(axis=0), norm_std=np.where(std > 0.0, std, 1.0),
+            seed=config.seed,
+        ))
+    stack = _NetStack.build(models, [(job.rows, job.val_rows) for job in jobs], config.momentum)
+
+    def laid_out(sets):
+        # every job's rows, stacked and laid out for run once per fit
+        rows = _concat_rows(sets)
+        nets = np.repeat(np.arange(len(sets)), [len(part) for part in sets])
+        return stack.batch(rows, np.arange(len(rows)), nets)
+
+    train, val = laid_out([job.rows for job in jobs]), laid_out([job.val_rows for job in jobs])
+    labels = np.concatenate([t[2] for t in targets])
+    offsets = np.cumsum([0] + [len(job.rows) for job in jobs]).tolist()
+    val_labels = np.concatenate([t[3] for t in targets])
+    val_offsets = np.cumsum([0] + [len(job.val_rows) for job in jobs]).tolist()
+    best = (stack.w1t[: stack.bounds[-1]].copy(), stack.b1.copy(), stack.w2.copy(), stack.b2.copy())
+    best_loss = [float("inf")] * len(jobs)
+    best_epoch = [0] * len(jobs)
+    stale = [0] * len(jobs)
+    train_losses = [[] for _ in jobs]
+    val_losses = [[] for _ in jobs]
+    active = list(range(len(jobs)))
+    # (net, epoch) of the first net, in job order, whose loss went
+    # non-finite: the nets after it leave, those before it train on
+    diverged = None
+    for epoch in range(config.epochs):
+        if not active:
+            break
+        orders = {g: rngs[g].permutation(len(jobs[g].rows)) for g in active}
+        ids, _, steps = _epoch_plan(orders, offsets, config.batch_size)
+        epoch_rows, epoch_labels = train.take(ids), labels[ids]
+        epoch_loss = dict.fromkeys(active, 0.0)
+        for start, parts in steps:
+            if diverged is not None:
+                parts = [part for part in parts if part[0] < diverged[0]]
+            while parts:
+                # parts are in net order, so the nets still training are a
+                # prefix of the step's rows
+                stop = start + parts[-1][2]
+                losses, grads = stack.run(
+                    epoch_rows.slice(start, stop), epoch_labels[start:stop], parts
+                )
+                bad = [g for (g, _, _), loss in zip(parts, losses) if not np.isfinite(loss)]
+                if not bad:
+                    stack.step(parts, grads, config.learning_rate)
+                    for (g, low, high), loss in zip(parts, losses):
+                        epoch_loss[g] += loss * (high - low)
+                    break
+                # the nets from the diverging one on leave, and the step is
+                # run again without them
+                diverged = (bad[0], epoch)
+                active = [g for g in active if g < bad[0]]
+                parts = [part for part in parts if part[0] < bad[0]]
+        if not active:
+            break
+        # every training net's validation loss in one pass: one step whose
+        # batch holds each net's whole validation set
+        ids, _, [(_, parts)] = _epoch_plan(
+            {g: np.arange(len(jobs[g].val_rows)) for g in active}, val_offsets, len(val_labels)
+        )
+        losses, _ = stack.run(val.take(ids), val_labels[ids], parts, grads=False)
+        for g, val_loss in zip(list(active), losses):
+            scale = targets[g][1]
+            train_losses[g].append(epoch_loss[g] / len(jobs[g].rows) * scale**2)
+            if not np.isfinite(val_loss):
+                diverged = (g, epoch)
+                active = [h for h in active if h < g]
+                break
+            val_losses[g].append(val_loss * scale**2)
+            if val_loss < best_loss[g]:
+                best_loss[g] = val_loss
+                low, high = stack.bounds[g], stack.bounds[g + 1]
+                best[0][low:high] = stack.w1t[low:high]
+                for saved, weights in zip(best[1:], (stack.b1, stack.w2, stack.b2)):
+                    saved[g] = weights[g]
+                best_epoch[g] = epoch
+                stale[g] = 0
+            else:
+                stale[g] += 1
+                if stale[g] > config.patience:
+                    active.remove(g)
+    if diverged is not None:
+        raise ScorerError(f"loss diverged at epoch {diverged[1]}; lower the learning rate")
+    results = []
+    for g, model in enumerate(models):
+        mean, scale = targets[g][:2]
+        model.w1 = stack.net_w1(g, w1, best[0])
+        model.b1, model.w2, model.b2 = best[1][g].copy(), best[2][g].copy(), float(best[3][g])
+        if head is Head.LINEAR:
+            model.w2 = model.w2 * scale
+            model.b2 = model.b2 * scale + mean
+        results.append(TrainResult(model, tuple(train_losses[g]), tuple(val_losses[g]), best_epoch[g]))
+    return results
+
+
 def mlp_train(
     features,
     labels: np.ndarray,
@@ -305,121 +744,59 @@ def mlp_train(
     val_features=None,
     val_labels: np.ndarray | None = None,
 ) -> TrainResult:
-    """Mini-batch SGD with momentum, keeping the best-validation weights.
+    """train_nets for one job: mini-batch SGD with momentum, keeping the
+    best-validation weights. Features are SparseRows or dense matrices;
+    when no validation set is given the training set doubles as one."""
+    job = TrainJob.of(features, labels, val_features, val_labels)
+    return train_nets([job], head, config)[0]
 
-    Features are SparseRows or dense matrices. When no validation set is
-    given the training set doubles as one. Deterministic under
-    config.seed: same inputs give bit-identical weights. A non-finite
-    loss aborts with a diverging-rate diagnostic.
 
-    Training updates an (input, hidden) copy of w1 in place: each
-    mini-batch writes its gradient only to the columns it touches, and
-    the momentum step ``v *= m; v[cols] -= lr * g; w1 += v`` makes the
-    same float operations per element as ``v = m * v - lr * g``. Velocity
-    is kept only for the live columns, those some training row touches
-    plus the solvent columns: every other column's velocity stays zero
-    and would move nothing.
+def update_nets(models, rows: SparseRows, targets, epochs: int, batch_size: int,
+                learning_rate: float, rng) -> list[bool]:
+    """A few epochs of plain SGD for each model on the same rows, column k
+    of the (n, len(models)) ``targets`` for model k; an update is kept
+    only when it does not worsen that model's full-set loss, and is
+    otherwise dropped. Returns whether each update was kept.
+
+    Every model's permutations, one per epoch, are drawn from ``rng`` up
+    front, all of model 0's first; the models then train in lockstep.
+    A kept update replaces ``w1`` with a new array and ``b1``, ``w2`` and
+    ``b2`` with new values; a dropped one leaves the model as it was.
     """
-    rows = as_sparse_rows(features)
-    labels = np.asarray(labels, dtype=np.float64)
-    if len(rows) == 0:
-        raise ScorerError("empty training set")
-    if len(rows) != len(labels):
-        raise ScorerError("features and labels differ in length")
-    if val_features is None:
-        val_rows, val_labels = rows, labels
-    else:
-        val_rows = as_sparse_rows(val_features)
-    val_labels = np.asarray(val_labels, dtype=np.float64)
-
-    # Regression targets train standardized so one learning rate serves
-    # both heads; the transform is folded back into w2/b2 at the end.
-    target_mean, target_std = 0.0, 1.0
-    if head is Head.LINEAR:
-        target_mean = float(labels.mean())
-        spread = float(labels.std())
-        target_std = spread if spread > 0.0 else 1.0
-        labels = (labels - target_mean) / target_std
-        val_labels = (val_labels - target_mean) / target_std
-
-    rng = np.random.default_rng(config.seed)
-    std = rows.solvent.std(axis=0)
-    w1t = rng.normal(0.0, config.weight_init_scale, (config.hidden_dim, rows.width)).T.copy()
-    model = MlpModel(
-        w1=w1t.T,
-        b1=np.zeros(config.hidden_dim),
-        w2=rng.normal(0.0, config.weight_init_scale, config.hidden_dim),
-        b2=0.0,
-        head=head,
-        norm_mean=rows.solvent.mean(axis=0),
-        norm_std=np.where(std > 0.0, std, 1.0),
-        seed=config.seed,
-    )
-    solvent_columns = np.arange(rows.width - SOLVENT_DIM, rows.width)
-    live = np.concatenate([np.unique(rows.indices), solvent_columns])
-    live_slot = np.zeros(rows.width, dtype=np.intp)
-    live_slot[live] = np.arange(len(live))
-    velocity_w1 = np.zeros((len(live), config.hidden_dim))
-    velocity = {"b1": np.zeros_like(model.b1), "w2": np.zeros_like(model.w2), "b2": 0.0}
-
-    def snapshot():
-        return (w1t.copy(), model.b1.copy(), model.w2.copy(), model.b2)
-
-    best = snapshot()
-    best_loss = float("inf")
-    best_epoch = 0
-    stale = 0
-    train_losses = []
-    val_losses = []
+    targets = np.asarray(targets, dtype=np.float64)
     n = len(rows)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_rows, epoch_labels = rows.take(order), labels[order]
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            batch_labels = epoch_labels[start:stop]
-            loss, grads = loss_and_grads(model, epoch_rows.slice(start, stop), batch_labels)
-            if not np.isfinite(loss):
-                raise ScorerError(
-                    f"loss diverged at epoch {epoch}; lower the learning rate"
-                )
-            epoch_loss += loss * len(batch_labels)
-            columns, grad_rows = grads["w1"]
-            velocity_w1 *= config.momentum
-            velocity_w1[live_slot[columns]] -= config.learning_rate * grad_rows
-            w1t[live] += velocity_w1
-            for key in velocity:
-                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
-            model.b1 += velocity["b1"]
-            model.w2 += velocity["w2"]
-            model.b2 += velocity["b2"]
-        # reported losses are in the caller's target units
-        train_losses.append(epoch_loss / n * target_std**2)
-        val_loss, _ = loss_and_grads(model, val_rows, val_labels, grads=False)
-        if not np.isfinite(val_loss):
-            raise ScorerError(f"loss diverged at epoch {epoch}; lower the learning rate")
-        val_losses.append(val_loss * target_std**2)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best = snapshot()
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
-    best_w1t, model.b1, model.w2, model.b2 = best
-    model.w1 = np.ascontiguousarray(best_w1t.T)
-    if head is Head.LINEAR:
-        model.w2 = model.w2 * target_std
-        model.b2 = model.b2 * target_std + target_mean
-    return TrainResult(
-        model=model,
-        train_losses=tuple(train_losses),
-        val_losses=tuple(val_losses),
-        best_epoch=best_epoch,
-    )
+    orders = [[rng.permutation(n) for _ in range(epochs)] for _ in models]
+    stack = _NetStack.build(models, [(rows,)] * len(models))
+    # every net reads the same rows
+    offsets = [0] * len(models)
+
+    def full_losses():
+        # one net at a time, so no pass holds more than the rows
+        return [
+            stack.run(stack.batch(rows, np.arange(n), np.full(n, k)), targets[:, k],
+                      [(k, 0, n)], grads=False)[0][0]
+            for k in range(len(models))
+        ]
+
+    before = full_losses()
+    for epoch in range(epochs):
+        ids, nets, steps = _epoch_plan(
+            {k: order[epoch] for k, order in enumerate(orders)}, offsets, batch_size
+        )
+        epoch_rows, epoch_labels = stack.batch(rows, ids, nets), targets[ids, nets]
+        for start, parts in steps:
+            stop = start + parts[-1][2]
+            _, grads = stack.run(epoch_rows.slice(start, stop), epoch_labels[start:stop], parts)
+            stack.step(parts, grads, learning_rate)
+    after = full_losses()
+    kept = []
+    for k, model in enumerate(models):
+        kept.append(bool(np.isfinite(after[k]) and not after[k] > before[k]))
+        if kept[-1]:
+            model.w1 = stack.net_w1(k, model.w1)
+            model.b1, model.w2 = stack.b1[k].copy(), stack.w2[k].copy()
+            model.b2 = float(stack.b2[k])
+    return kept
 
 
 def roc_auc(scores, labels) -> float:
@@ -636,18 +1013,17 @@ def run_cv(dataset, config: TrainConfig, folds: int, split_seed: int):
     models = []
     solvents = np.reshape([s.as_tuple() for s in dataset.solvents], (-1, SOLVENT_DIM))
     rows = SparseRows.from_words(dataset.words, solvents)
-    for split in split_cv(len(dataset), folds=folds, seed=split_seed):
-        train_idx = np.array(split.train)
-        val_idx = np.array(split.val)
-        test_idx = np.array(split.test)
-        result = mlp_train(
-            rows.take(train_idx),
-            dataset.labels[train_idx],
-            head,
-            config,
-            val_features=rows.take(val_idx),
-            val_labels=dataset.labels[val_idx],
+    splits = split_cv(len(dataset), folds=folds, seed=split_seed)
+    # made as train_nets reaches them, so only one group's copies exist
+    jobs = (
+        TrainJob.of(
+            rows.take(split.train), dataset.labels[list(split.train)],
+            rows.take(split.val), dataset.labels[list(split.val)],
         )
+        for split in splits
+    )
+    for split, result in zip(splits, train_nets(jobs, head, config)):
+        test_idx = np.array(split.test)
         test_rows = feature_rows(dataset.words[test_idx], solvents[test_idx])
         predictions = forward_batch(result.model, test_rows)
         truth = dataset.labels[test_idx]

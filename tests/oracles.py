@@ -15,6 +15,7 @@ import random
 from dataclasses import replace
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 
 from fluorgen.filters import ClusterAssignment, distance_matrix
 from fluorgen.fingerprints import (
@@ -48,6 +49,7 @@ from fluorgen.scorers import (
     TrainResult,
     ScorerKind,
     _normalize,
+    as_sparse_rows,
     forward_batch,
     mae,
     mlp_train,
@@ -893,6 +895,179 @@ def train_value_model_dense(model, features, targets, config, rng) -> bool:
     if not np.isfinite(after) or after > before:
         model.w1, model.b1, model.w2, model.b2 = saved
         return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# one net at a time: the referees for the stacked trainer. These are the
+# sparse per-net loops the stacked trainer replaced; every result of
+# scorers.train_nets and scorers.update_nets must equal theirs byte for byte.
+
+
+def loss_and_grads_one_net(model: MlpModel, rows, labels, grads: bool = True):
+    """The per-net sparse kernel: the batch's touched columns gathered from
+    ``model.w1.T``, one CSR product forward and one CSC product back."""
+    if rows.width != model.input_dim:
+        raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
+    y = np.asarray(labels, dtype=np.float64)
+    n = len(rows)
+    w1t = model.w1.T
+    n_lead = rows.width - SOLVENT_DIM
+    if grads:
+        touched = np.zeros(n_lead, dtype=bool)
+        touched[rows.indices] = True
+        columns = np.flatnonzero(touched)
+        indices = (np.cumsum(touched, dtype=np.int32) - 1)[rows.indices]
+        weights = w1t[columns]
+    else:
+        indices, weights = rows.indices, w1t[:n_lead]
+    lead = csr_array((rows.data, indices, rows.indptr), shape=(n, len(weights)))
+    solvent = (rows.solvent - model.norm_mean) / model.norm_std
+    z1 = lead @ weights + solvent @ w1t[n_lead:] + model.b1
+    hidden = np.maximum(z1, 0.0)
+    z2 = hidden @ model.w2 + model.b2
+    if model.head is Head.SIGMOID:
+        loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+        dz2 = (1.0 / (1.0 + np.exp(-z2)) - y) / n
+    else:
+        diff = z2 - y
+        loss = float(np.mean(diff * diff))
+        dz2 = 2.0 * diff / n
+    if not grads:
+        return loss, None
+    grad_w2 = hidden.T @ dz2
+    grad_b2 = float(np.sum(dz2))
+    d_hidden = np.outer(dz2, model.w2)
+    dz1 = d_hidden * (z1 > 0.0)
+    lead_t = csc_array((rows.data, indices, rows.indptr), shape=(len(columns), n))
+    grad_w1 = (
+        np.concatenate([columns, np.arange(n_lead, rows.width)]),
+        np.concatenate([lead_t @ dz1, solvent.T @ dz1]),
+    )
+    grad_b1 = dz1.sum(axis=0)
+    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+
+
+def mlp_train_one_net(features, labels, head, config, val_features=None, val_labels=None):
+    """Mini-batch SGD with momentum for one net: a full-width (input,
+    hidden) working copy of w1, velocity kept for its live columns and
+    written back through ``w1t[live] += v``, early stopping on the
+    validation loss, the best epoch's weights returned."""
+    rows = as_sparse_rows(features)
+    labels = np.asarray(labels, dtype=np.float64)
+    if val_features is None:
+        val_rows, val_labels = rows, labels
+    else:
+        val_rows = as_sparse_rows(val_features)
+    val_labels = np.asarray(val_labels, dtype=np.float64)
+    target_mean, target_std = 0.0, 1.0
+    if head is Head.LINEAR:
+        target_mean = float(labels.mean())
+        spread = float(labels.std())
+        target_std = spread if spread > 0.0 else 1.0
+        labels = (labels - target_mean) / target_std
+        val_labels = (val_labels - target_mean) / target_std
+    rng = np.random.default_rng(config.seed)
+    std = rows.solvent.std(axis=0)
+    w1t = rng.normal(0.0, config.weight_init_scale, (config.hidden_dim, rows.width)).T.copy()
+    model = MlpModel(
+        w1=w1t.T,
+        b1=np.zeros(config.hidden_dim),
+        w2=rng.normal(0.0, config.weight_init_scale, config.hidden_dim),
+        b2=0.0,
+        head=head,
+        norm_mean=rows.solvent.mean(axis=0),
+        norm_std=np.where(std > 0.0, std, 1.0),
+        seed=config.seed,
+    )
+    solvent_columns = np.arange(rows.width - SOLVENT_DIM, rows.width)
+    live = np.concatenate([np.unique(rows.indices), solvent_columns])
+    live_slot = np.zeros(rows.width, dtype=np.intp)
+    live_slot[live] = np.arange(len(live))
+    velocity_w1 = np.zeros((len(live), config.hidden_dim))
+    velocity = {"b1": np.zeros_like(model.b1), "w2": np.zeros_like(model.w2), "b2": 0.0}
+
+    def snapshot():
+        return (w1t.copy(), model.b1.copy(), model.w2.copy(), model.b2)
+
+    best = snapshot()
+    best_loss, best_epoch, stale = float("inf"), 0, 0
+    train_losses, val_losses = [], []
+    n = len(rows)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_rows, epoch_labels = rows.take(order), labels[order]
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            stop = start + config.batch_size
+            batch_labels = epoch_labels[start:stop]
+            loss, grads = loss_and_grads_one_net(
+                model, epoch_rows.slice(start, stop), batch_labels
+            )
+            if not np.isfinite(loss):
+                raise ScorerError(f"loss diverged at epoch {epoch}; lower the learning rate")
+            epoch_loss += loss * len(batch_labels)
+            columns, grad_rows = grads["w1"]
+            velocity_w1 *= config.momentum
+            velocity_w1[live_slot[columns]] -= config.learning_rate * grad_rows
+            w1t[live] += velocity_w1
+            for key in velocity:
+                velocity[key] = config.momentum * velocity[key] - config.learning_rate * grads[key]
+            model.b1 += velocity["b1"]
+            model.w2 += velocity["w2"]
+            model.b2 += velocity["b2"]
+        train_losses.append(epoch_loss / n * target_std**2)
+        val_loss, _ = loss_and_grads_one_net(model, val_rows, val_labels, grads=False)
+        if not np.isfinite(val_loss):
+            raise ScorerError(f"loss diverged at epoch {epoch}; lower the learning rate")
+        val_losses.append(val_loss * target_std**2)
+        if val_loss < best_loss:
+            best_loss = val_loss
+            best = snapshot()
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    best_w1t, model.b1, model.w2, model.b2 = best
+    model.w1 = np.ascontiguousarray(best_w1t.T)
+    if head is Head.LINEAR:
+        model.w2 = model.w2 * target_std
+        model.b2 = model.b2 * target_std + target_mean
+    return TrainResult(model, tuple(train_losses), tuple(val_losses), best_epoch)
+
+
+def train_value_model_one_net(model, rows, targets, config, rng) -> bool:
+    """Plain SGD for one value net on its own full-width working copy of
+    w1, its permutations drawn as it goes; the update is kept only when the
+    full-buffer loss does not rise. Returns whether it was kept."""
+    targets = np.asarray(targets, dtype=np.float64)
+    saved = (model.w1, model.b1.copy(), model.w2.copy(), model.b2)
+    # a copy even when w1.T is contiguous already (hidden 1), so the saved
+    # w1 is never written
+    w1t = model.w1.T.copy()
+    model.w1 = w1t.T
+    before, _ = loss_and_grads_one_net(model, rows, targets, grads=False)
+    n = len(rows)
+    for _ in range(config.value_epochs):
+        order = rng.permutation(n)
+        epoch_rows, epoch_targets = rows.take(order), targets[order]
+        for start in range(0, n, config.value_batch):
+            stop = start + config.value_batch
+            _, grads = loss_and_grads_one_net(
+                model, epoch_rows.slice(start, stop), epoch_targets[start:stop]
+            )
+            columns, grad_rows = grads["w1"]
+            w1t[columns] -= config.value_lr * grad_rows
+            model.b1 -= config.value_lr * grads["b1"]
+            model.w2 -= config.value_lr * grads["w2"]
+            model.b2 -= config.value_lr * grads["b2"]
+    after, _ = loss_and_grads_one_net(model, rows, targets, grads=False)
+    if not np.isfinite(after) or after > before:
+        model.w1, model.b1, model.w2, model.b2 = saved
+        return False
+    model.w1 = np.ascontiguousarray(w1t.T)
     return True
 
 

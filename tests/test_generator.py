@@ -1,6 +1,7 @@
 """Tests for the rollout engine: node values, sampling, rewards, the
 adaptive controllers, and end-to-end generation runs."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -73,9 +74,11 @@ from fluorgen.scorers import (
     ScorerKind,
     ScoreStack,
     SparseRows,
+    forward_batch,
     loss_and_grads,
     property_stack,
     score_rows,
+    update_nets,
 )
 from fluorgen.smiles import parse_smiles
 
@@ -87,9 +90,9 @@ from oracles import (
     reward_loop,
     sparse_rows_to_dense,
     train_value_model_dense,
+    train_value_model_one_net,
 )
 from randmol import random_molecule
-from test_tracing import tracing  # noqa: F401  (the perfbench tracer, a fixture)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -633,6 +636,11 @@ class TestSparseReplayBuffer:
         assert held * 10 <= dense, (held, dense)
 
 
+def loss_free_outputs(model, rows):
+    """A value net's outputs on rows: targets it already fits exactly."""
+    return forward_batch(model, sparse_rows_to_dense(rows))
+
+
 class TestValueTraining:
     @staticmethod
     def make_model(seed=0, hidden=16):
@@ -701,6 +709,67 @@ class TestValueTraining:
             np.testing.assert_allclose(getattr(model, key), getattr(oracle, key), rtol=1e-12, atol=1e-12)
         assert model.b2 == pytest.approx(oracle.b2, rel=1e-12, abs=1e-12)
         assert model.w1.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 90),
+        batch=st.integers(1, 40),
+        epochs=st.integers(1, 4),
+        hidden=st.integers(1, 12),
+    )
+    def test_stacked_retrain_equals_sequential_referees(self, seed, n, batch, epochs, hidden):
+        """update_nets on four value nets equals four sequential referee
+        calls on one rng, in the same retrain one net keeping its update
+        and one, its weights blown up, reverting: weights, the kept flags
+        and the rng's state afterwards."""
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64)
+        for _ in range(4):
+            words &= rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64)
+        rows = SparseRows.from_words(words, WATER.as_tuple())
+        models = [self.make_model(seed=seed % 1000 + k, hidden=hidden) for k in range(4)]
+        # the third net's weights blown up, the fourth's output beyond any
+        # finite loss, so its update is reverted
+        models[2].w1 *= 1e4
+        models[2].w2 *= 1e4
+        models[3].b2 = 1e200
+        # the first net's targets are its own outputs nudged, so a small
+        # step can only help it
+        targets = rng.normal(0.5, 0.2, (n, 4))
+        targets[:, 0] = loss_free_outputs(models[0], rows) + 0.01
+        referees = copy.deepcopy(models)
+        config = GenerationConfig(value_epochs=epochs, value_lr=0.05, value_batch=batch)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            kept = update_nets(models, rows, targets, epochs, batch, 0.05, got_rng)
+            want = [
+                train_value_model_one_net(model, rows, targets[:, k], config, want_rng)
+                for k, model in enumerate(referees)
+            ]
+        assert kept == want
+        assert want[0] and not want[3]
+        for got_model, want_model in zip(models, referees):
+            for key in ("w1", "b1", "w2"):
+                a, b = getattr(got_model, key), getattr(want_model, key)
+                assert a.tobytes() == b.tobytes(), key
+            assert np.float64(got_model.b2).tobytes() == np.float64(want_model.b2).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_reverted_update_leaves_w1_at_hidden_one(self):
+        """With one hidden unit w1.T is contiguous already, so a working
+        copy must still be a copy: a reverted update leaves w1 as it was."""
+        model = self.make_model(hidden=1)
+        model.b2 = 1e200  # no finite loss, so the update is reverted
+        saved = model.w1.copy()
+        features, targets = self.make_data()
+        with np.errstate(all="ignore"):
+            train_value_model(
+                model, SparseRows.from_dense(features), targets, GenerationConfig(),
+                np.random.default_rng(2),
+            )
+        assert model.w1.tobytes() == saved.tobytes()
+        assert model.b2 == 1e200
 
     def test_kept_and_reverted_both_occur_in_oracle_cases(self):
         outcomes = set()
@@ -795,19 +864,28 @@ class TestValueTraining:
         assert np.array_equal(engine.block_outputs, current())
 
 
-def test_traced_retrain_counts_one_call_per_value_net(tracing, library, templates):
-    """The retrain reaches train_value_model through the generator module,
-    where the benchmark's tracer wraps it: once per value net."""
+def test_retrain_equals_four_sequential_referee_calls(library, templates):
+    """The retrain trains the four value nets in one update_nets call; it
+    equals the per-net referee called on each net in turn, on one rng:
+    weights, and the rng's state afterwards."""
     engine = Generator(library, templates, const_scorers(), WATER, GenerationConfig(seed=4))
-    for row in engine.block_words[:-1]:
-        engine.buffer.append(row, (0.9, 0.1, 0.5, 0.3))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        engine._train_values()
-    finally:
-        tracer.remove()
-    assert tracer.calls["generator.train_value_model"] == 4
+    for k, row in enumerate(engine.block_words[:-1]):
+        engine.buffer.append(row, (0.9, 0.1 * (k % 3), 0.5, 0.3))
+    rows, targets = engine.buffer.rows(WATER)
+    referees = copy.deepcopy(engine.value_models)
+    rng = copy.deepcopy(engine.np_rng)
+    engine._train_values()
+    kept = [
+        train_value_model_one_net(model, rows, targets[:, k], engine.config, rng)
+        for k, model in enumerate(referees)
+    ]
+    assert all(kept)
+    for got, want in zip(engine.value_models, referees):
+        for key in ("w1", "b1", "w2"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+        assert np.float64(got.b2).tobytes() == np.float64(want.b2).tobytes()
+        assert got.w1.flags.c_contiguous
+    assert engine.np_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluorgen.patterns import (
+    AtomPattern,
     PatternError,
     match_pattern,
     has_match,
@@ -254,10 +255,32 @@ class TestCountPrefilter:
         for template in templates:
             for role in template.roles:
                 for block in library.blocks:
-                    counts = block.graph.kind_counts()
-                    rejected += any(counts[kind] < need for kind, need in role.needs)
+                    by_kind = block.graph.atoms_by_kind()
+                    rejected += any(len(by_kind.get(kind, ())) < need for kind, need in role.needs)
                     self.assert_equals_oracle(role, block.graph)
         assert rejected > 0  # the prefilter is exercised, not just present
+
+    def test_first_node_tries_only_its_kinds(self, monkeypatch):
+        """The first query node is tried on the graph's atoms of the kinds
+        it allows, in ascending order, and on no other atom."""
+        graph = parse_smiles("c1ccccc1CC(=O)NCCBr")
+        tried = []
+        original = AtomPattern.matches
+
+        def recording(pattern, target, index):
+            if pattern is query.plan[0][1]:
+                tried.append(index)
+            return original(pattern, target, index)
+
+        monkeypatch.setattr(AtomPattern, "matches", recording)
+        for text, kinds in (("[N,Br]C", {"N", "Br"}), ("C(=O)N", {"C"}), ("[D1]C", None)):
+            query = parse_pattern(text)
+            tried.clear()
+            match_pattern(query, graph)
+            atoms = graph.atoms
+            want = [a.index for a in atoms if kinds is None or (a.element in kinds and not a.aromatic)]
+            assert tried == want, text
+            self.assert_equals_oracle(query, graph)
 
     @pytest.mark.parametrize(
         "pattern, smiles, expected",

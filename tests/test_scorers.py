@@ -1,5 +1,8 @@
+import ast
+import hashlib
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from fluorgen.fingerprints import (
     morgan_fingerprint,
     pack,
 )
+from fluorgen import cli, scorers
 from fluorgen.scorers import (
     Head,
     MlpModel,
@@ -30,6 +34,7 @@ from fluorgen.scorers import (
     ScoreStack,
     SparseRows,
     TrainConfig,
+    TrainJob,
     forward_batch,
     load_model,
     loss_and_grads,
@@ -40,6 +45,7 @@ from fluorgen.scorers import (
     save_model,
     score_property,
     score_rows,
+    train_nets,
 )
 from fluorgen.smiles import parse_smiles
 
@@ -47,6 +53,7 @@ from oracles import (
     dense_w1_gradient,
     loss_and_grads_dense,
     mlp_train_dense,
+    mlp_train_one_net,
     run_cv_dense,
     score_rows_loop,
     sparse_rows_to_dense,
@@ -651,3 +658,218 @@ class TestSparseKernel:
                     )
                 assert got.model.b2 == pytest.approx(want.model.b2, rel=1e-12, abs=1e-12)
                 assert got.model.w1.flags.c_contiguous
+
+
+@st.composite
+def stacked_problems(draw):
+    """Jobs for train_nets: fold sizes that straddle a batch boundary, so
+    nets take different step counts per epoch, a patience small enough
+    that nets stop at different epochs, and validation rows that touch
+    columns no training row of their job touches."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    head = draw(st.sampled_from([Head.SIGMOID, Head.LINEAR]))
+    batch = draw(st.integers(2, 8))
+    width = draw(st.integers(SOLVENT_DIM + 4, 40))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 8)),
+        hidden_dim=draw(st.integers(1, 6)),
+        batch_size=batch,
+        patience=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.05, 0.5])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    rng = np.random.default_rng(seed)
+    lead = width - SOLVENT_DIM
+    jobs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = max(1, draw(st.integers(1, 3)) * batch + draw(st.integers(-1, 1)))
+        n_val = draw(st.integers(1, 8))
+        features = np.where(rng.random((n + n_val, width)) < 0.25, 1.0, 0.0)
+        if draw(st.booleans()):
+            features *= rng.normal(0, 2, features.shape)  # values other than 1
+        features[:, -SOLVENT_DIM:] = rng.normal(0.5, 0.3, (n + n_val, SOLVENT_DIM))
+        # training rows leave some leading columns to the validation rows
+        features[:n, np.flatnonzero(rng.random(lead) < 0.3)] = 0.0
+        if head is Head.SIGMOID:
+            labels = (rng.random(n + n_val) < 0.5).astype(float)
+        else:
+            labels = rng.normal(rng.normal(0, 100), rng.uniform(0.1, 50), n + n_val)
+        jobs.append((features[:n], labels[:n], features[n:], labels[n:]))
+    return jobs, head, config
+
+
+def assert_results_equal(got, want):
+    """Models, losses and best epoch, byte for byte."""
+    assert got.best_epoch == want.best_epoch
+    for key in ("train_losses", "val_losses"):
+        a, b = np.array(getattr(got, key)), np.array(getattr(want, key))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    for key in ("w1", "b1", "w2", "norm_mean", "norm_std"):
+        a, b = getattr(got.model, key), getattr(want.model, key)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    assert np.float64(got.model.b2).tobytes() == np.float64(want.model.b2).tobytes()
+    assert (got.model.head, got.model.seed) == (want.model.head, want.model.seed)
+    assert got.model.w1.flags.c_contiguous
+
+
+class TestStackedTraining:
+    @settings(max_examples=80, deadline=None)
+    @given(stacked_problems(), st.sampled_from([None, 1, 3000]))
+    def test_equals_one_net_referees(self, problem, stack_bytes):
+        """train_nets on G jobs gives what G separate runs of the per-net
+        referee give, under any grouping of the jobs."""
+        jobs, head, config = problem
+        wants, error = [], None
+        with np.errstate(all="ignore"):
+            for features, labels, val_features, val_labels in jobs:
+                try:
+                    wants.append(
+                        mlp_train_one_net(features, labels, head, config, val_features, val_labels)
+                    )
+                except ScorerError as exc:
+                    error = str(exc)
+                    break
+            bound = scorers.STACK_BYTES if stack_bytes is None else stack_bytes
+            with mock.patch.object(scorers, "STACK_BYTES", bound):
+                if error is not None:
+                    # the first job to diverge, in job order, names the epoch
+                    with pytest.raises(ScorerError) as caught:
+                        train_nets([TrainJob.of(*job) for job in jobs], head, config)
+                    assert str(caught.value) == error
+                    return
+                got = train_nets([TrainJob.of(*job) for job in jobs], head, config)
+        assert len(got) == len(jobs)
+        for result, want in zip(got, wants):
+            assert_results_equal(result, want)
+
+    def test_nets_that_part_ways_equal_referees(self):
+        """Fold sizes 15, 16 and 17 at batch 8 take 2, 2 and 3 steps an
+        epoch, and with patience 1 the nets stop at different epochs."""
+        rng = np.random.default_rng(11)
+        config = TrainConfig(epochs=30, hidden_dim=5, batch_size=8, patience=1, seed=3)
+        jobs = []
+        for n in (15, 16, 17):
+            features = random_batch(n + 6, 20, int(rng.integers(1000)))
+            labels = rng.normal(0, 1, n + 6)
+            jobs.append((features[:n], labels[:n], features[n:], labels[n:]))
+        got = train_nets([TrainJob.of(*job) for job in jobs], Head.LINEAR, config)
+        wants = [mlp_train_one_net(f, y, Head.LINEAR, config, vf, vy) for f, y, vf, vy in jobs]
+        assert len({len(want.val_losses) for want in wants}) > 1
+        assert max(len(want.val_losses) for want in wants) < config.epochs
+        for result, want in zip(got, wants):
+            assert_results_equal(result, want)
+
+    def test_divergence_names_the_first_job_that_diverged(self):
+        """The jobs diverge at different epochs; the error names the epoch
+        of the first job, in job order, as training the jobs one after
+        another would."""
+        rng = np.random.default_rng(6)
+        config = TrainConfig(hidden_dim=8, epochs=20, learning_rate=1.0, seed=6)
+        features = rng.normal(0, 1, (20, 8))
+        jobs = []
+        for scale in (1.0, 40.0, 3.0):
+            scaled = features.copy()
+            scaled[:, :4] *= scale
+            jobs.append((scaled, rng.normal(0, 1, 20)))
+        messages = []
+        with np.errstate(all="ignore"):
+            for job in jobs:
+                with pytest.raises(ScorerError, match="diverged") as caught:
+                    mlp_train_one_net(*job, Head.LINEAR, config)
+                messages.append(str(caught.value))
+            # job 0 diverges last: the stacked run must keep it training
+            epochs = [int(message.split()[4].rstrip(";")) for message in messages]
+            assert epochs[0] > max(epochs[1:]) and len(set(epochs)) == 3, epochs
+            for first in range(len(jobs)):
+                with pytest.raises(ScorerError) as caught:
+                    train_nets([TrainJob.of(*job) for job in jobs[first:]], Head.LINEAR, config)
+                assert str(caught.value) == messages[first]
+
+    @pytest.mark.parametrize(
+        "val_features, val_labels, message",
+        [
+            (np.ones((10, 8)), None, "10 validation rows but no validation labels"),
+            (np.ones((10, 8)), np.zeros(1), "10 validation rows but 1 validation labels"),
+            (np.ones((10, 8)), np.zeros(11), "10 validation rows but 11 validation labels"),
+            (None, np.zeros(3), "3 validation labels but no validation rows"),
+            (np.ones((0, 8)), np.zeros(0), "empty validation set"),
+            (np.ones((4, 9)), np.zeros(4), "expected 8-wide validation rows, got 9"),
+        ],
+    )
+    def test_validation_set_checked(self, val_features, val_labels, message):
+        features, labels = random_batch(12, 8, 1), np.zeros(12)
+        config = TrainConfig(hidden_dim=3, epochs=2)
+        with pytest.raises(ScorerError, match=message):
+            mlp_train(features, labels, Head.LINEAR, config, val_features, val_labels)
+        with pytest.raises(ScorerError, match=message):
+            TrainJob.of(features, labels, val_features, val_labels)
+
+
+class TestPinnedTrainOutputs:
+    """fluorgen train on the benchmark's seed-1 CSV: the three cv_*.txt
+    files and the three checkpoints, held to digests taken before the
+    folds of a task trained side by side. A change that moves them on
+    purpose updates the digests and says so in CHANGES.md."""
+
+    DIGESTS = {
+        "bench": {
+            "cv_plqy_class.txt": "de790dc962c0892ecb08da726a6ea5169492a1ff1271d625550d52d67044260a",
+            "cv_abs_reg.txt": "b888b2b316170bcb4445744e1dac9cbd77a2248e7cfc88be61642d734b63df03",
+            "cv_em_reg.txt": "2d3ef0ce8c0835b9e99b5eea91617369fb27e30410215458fccf3bedf8b7c2bf",
+            "checkpoints/plqy_class.npz":
+                "ee9da103053296d25910235571e56c7c88596909205654cb92f60a2f08440117",
+            "checkpoints/abs_reg.npz":
+                "33e2a61e2d0c0903c329b4e05c17bcb958986e17e27117eb367adacb5b8429bd",
+            "checkpoints/em_reg.npz":
+                "e48fad8deeb0d6ca77c3a8fb737e244d7a02c3ebd97d7529958b5bc44ed4e6d7",
+        },
+        "four_folds": {
+            "cv_plqy_class.txt": "b5ed7291c35ec36a37f705c5a12e4be96d27a8d45a14ccfae8fd03cf4f81a162",
+            "cv_abs_reg.txt": "d0d67a41c15919a9dbf1a7b7d52b74bff6030f6b6a346897eed9a9c825195df3",
+            "cv_em_reg.txt": "92c17bb71fc80b36aa31e9645cbabe029de9b80ccce52a91b172d534bf6c69bb",
+            "checkpoints/plqy_class.npz":
+                "636e9dace245cec3c44e8e2fe62e352f9ea4ef7210b765bdfe8c47bf2e095c7c",
+            "checkpoints/abs_reg.npz":
+                "ae96167040def715beef07d8c3bd905859222a861f9ed4e4e2d2abab17098183",
+            "checkpoints/em_reg.npz":
+                "ba23da8c1028ff52154dc9ccbbf71197c09b486d0ac868fcd26ace112f6b006f",
+        },
+    }
+
+    @staticmethod
+    def benchmark_train_config() -> dict:
+        """perfbench/run.py's TRAIN_CONFIG, read without importing the
+        benchmark (which sets process-wide environment variables)."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and node.targets[0].id == "TRAIN_CONFIG":
+                return ast.literal_eval(node.value)
+        raise AssertionError("perfbench/run.py has no TRAIN_CONFIG")
+
+    @pytest.mark.parametrize("name", ["bench", "four_folds"])
+    def test_output_digests(self, name, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.delenv("FLUORGEN_OUTPUT_DIR", raising=False)
+        import inputs
+
+        inputs.build_train(1, str(tmp_path))
+        train = self.benchmark_train_config()
+        assert train == {
+            "folds": 3, "epochs": 20, "hidden_dim": 64, "patience": 20, "batch_size": 32,
+        }
+        if name == "four_folds":
+            train = dict(train, folds=4, patience=2)
+        out = tmp_path / "out"
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[paths]\ndataset = {tmp_path / 'chemfluor.csv'}\n"
+            f"checkpoint_dir = {out / 'checkpoints'}\noutput_dir = {out}\n[train]\n"
+            + "".join(f"{key} = {value}\n" for key, value in train.items())
+        )
+        assert cli.main(["--config", str(ini), "train"]) == 0
+        digests = {
+            relative: hashlib.sha256((out / relative).read_bytes()).hexdigest()
+            for relative in self.DIGESTS[name]
+        }
+        assert digests == self.DIGESTS[name]
