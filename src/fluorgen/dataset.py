@@ -89,7 +89,7 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
             raise DatasetError(f"unknown column mapping keys: {sorted(unknown)}")
         headers.update(column_map)
 
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         first = handle.readline()
         if not first.strip():
             raise DatasetError(f"{path}: empty file")

@@ -272,7 +272,7 @@ def select_representatives(assignment: ClusterAssignment, words: np.ndarray):
     """Per cluster: members ranked by distance to the medoid, medoid
     first. Input for the human picking one molecule per cluster."""
     labels = np.asarray(assignment.labels)
-    distances = 1.0 - tanimoto_matrix(words[list(assignment.medoids)], words)
+    distances = _distances(words[list(assignment.medoids)], words)
     ranked = []
     for cluster, medoid in enumerate(assignment.medoids):
         # members ascend, so the stable sort breaks distance ties by index

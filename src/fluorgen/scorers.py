@@ -14,18 +14,20 @@ Training reads rows sparsely. A fingerprint row holds about 35 on-bits
 out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
 form plus the four solvent values, made from packed words by
 SparseRows.from_words. Every net trains in one SGD loop that runs several
-independent nets in lockstep: once per fit each net's live columns (those
-its training rows touch, plus the solvent columns) get their own slice of
-one stacked (rows, hidden) working copy of w1, and a step stacks every
-net's mini-batch, so the first layer is one CSR product and its gradient
-one CSC product over the rows the step touches, while the small dense
-products stay per net with the shapes a net alone would use. No net's
-bits depend on the nets trained with it. train_nets trains the folds of
-a cross-validation task this way, mlp_train is its one-job form, and
-update_nets retrains the rollout's four value nets; loss_and_grads is
-the one-net pass. Checkpoints keep w1 as (hidden, input). The per-net
-sparse loops and the dense kernel are the test referees
-(tests/oracles.py).
+independent nets in lockstep. One constructor, _NetStack, sets up a fit:
+each net's live columns (those its training rows touch, plus the solvent
+columns) get their own slice of one stacked (rows, hidden) working copy
+of w1, and each of the fit's row sets is laid out once, every net's rows
+mapped to its slice and normalized by its statistics. A step takes every
+net's mini-batch from the laid rows, so the first layer is one CSR
+product and its gradient one CSC product over the rows the step
+touches, while the small dense products stay per net with the shapes a
+net alone would use. No net's bits depend on the nets trained with it.
+train_nets trains the folds of a cross-validation task this way,
+mlp_train is its one-job form, update_nets retrains the rollout's four
+value nets, and loss_and_grads is the one-net pass. Checkpoints keep w1
+as (hidden, input). The per-net sparse loops and the dense kernel are
+the test referees (tests/oracles.py).
 
 Scoring reads rows sparsely too. Every batch of fingerprints is scored by
 one loop, score_rows, on packed rows against a ScoreStack, the bit
@@ -107,15 +109,19 @@ class MlpModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.w1.shape[0] != self.b1.shape[0] or self.w1.shape[0] != self.w2.shape[0]:
-            raise ScorerError("inconsistent layer dimensions")
+        arrays = (self.w1, self.b1, self.w2, self.norm_mean, self.norm_std)
+        scalars = (self.b2, self.seed)
+        if any(np.asarray(value).dtype.kind not in "iuf" for value in (*arrays, *scalars)):
+            raise ScorerError("non-numeric model parameter")
+        if any(np.ndim(value) != 0 for value in scalars):
+            raise ScorerError("b2 and seed must be scalars")
+        if self.w1.ndim != 2 or not self.b1.shape == self.w2.shape == (self.hidden_dim,):
+            raise ScorerError(f"inconsistent w1, b1, w2 shapes {[a.shape for a in arrays[:3]]}")
         if self.norm_mean.shape != (SOLVENT_DIM,) or self.norm_std.shape != (SOLVENT_DIM,):
             raise ScorerError("normalization parameters must cover the solvent columns")
-        for arr in (self.w1, self.b1, self.w2, self.norm_mean, self.norm_std):
-            if not np.all(np.isfinite(arr)):
-                raise ScorerError("non-finite model parameter")
-        if not np.isfinite(self.b2):
+        if not all(np.all(np.isfinite(arr)) for arr in (*arrays, self.b2)):
             raise ScorerError("non-finite model parameter")
+        self.b2, self.seed = float(self.b2), int(self.seed)
 
     @property
     def input_dim(self) -> int:
@@ -250,18 +256,24 @@ def as_sparse_rows(features) -> SparseRows:
 
 
 class _NetStack:
-    """One-hidden-layer nets of one head and hidden size, trained side by
-    side.
+    """Copies of one-hidden-layer nets of one head and hidden size, trained
+    side by side, and their row sets laid out once for run.
 
     ``w1t`` holds the first-layer weights of every net as rows of one
-    (rows, hidden) array, and ``b1``, ``w2`` and ``b2`` stack the rest, one
-    row or entry per net. Net g reads its solvent columns at rows
-    ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``. A batch stacks the rows
-    of several nets, as ``batch`` lays them out: its indices are w1t rows,
-    its solvent values are normalized, and ``parts`` names each net's
-    (net, low, high) span of it, in net order. Every net's rows meet only that net's w1t rows, so run
-    and step make the same float operations per net, in the same order,
-    as the net alone.
+    (rows, hidden) array: net g's live columns (the bit columns its first
+    row set touches, ascending, then its solvent columns) at rows
+    ``bounds[g]:bounds[g + 1]``, and below every net's live rows the
+    columns only its other row sets touch, which no step writes.
+    ``live[g]`` are net g's live columns; ``b1``, ``w2`` and ``b2`` stack
+    the rest, one row or entry per net. Net g reads its solvent columns at
+    rows ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``.
+
+    ``laid[p]`` is row-set position p of every net, net after net, as run
+    reads a batch: each row's indices mapped to its net's w1t rows, its
+    solvent values normalized by its net's statistics. ``parts`` name
+    each net's (net, low, high) span of a batch, in net order. Every
+    net's rows meet only that net's w1t rows, so run and step make the
+    same float operations per net, in the same order, as the net alone.
 
     ``velocity`` is None for plain SGD (``w -= lr * g``); otherwise it
     holds the momentum ``m`` and the velocities of the live w1t rows (the
@@ -269,31 +281,7 @@ class _NetStack:
     ``v *= m; v -= lr * g; w += v``.
     """
 
-    def __init__(self, w1t, solvent_at, b1, w2, b2, sigmoid: bool):
-        self.w1t, self.solvent_at = w1t, solvent_at
-        self.b1, self.w2, self.b2, self.sigmoid = b1, w2, b2, sigmoid
-        self.velocity = None
-        # a pass's hidden and dz1 arrays, grown to the largest batch seen
-        self._hidden = self._dz1 = np.empty((0, w1t.shape[1]))
-        self._touched = np.zeros(len(w1t), dtype=bool)
-
-    @classmethod
-    def of(cls, model: MlpModel) -> _NetStack:
-        """One model, its weights read in place: w1t is ``model.w1.T`` and a
-        batch's indices are input columns."""
-        return cls(
-            model.w1.T, [model.input_dim - SOLVENT_DIM], model.b1[np.newaxis],
-            model.w2[np.newaxis], np.array([model.b2]), model.head is Head.SIGMOID,
-        )
-
-    @classmethod
-    def build(cls, models, row_sets, momentum=None) -> _NetStack:
-        """Copies of the models' weights, laid out once per fit: net g's
-        live columns (the bit columns its first row set touches, ascending,
-        then its solvent columns) at w1t rows ``bounds[g]:bounds[g + 1]``,
-        and below every net's live rows the columns only its other row
-        sets touch, which no step writes. ``live[g]`` are net g's live
-        columns and ``slots[g]`` the w1t row of each column it reads."""
+    def __init__(self, models, row_sets, momentum=None):
         if len({model.head for model in models}) > 1:
             raise ScorerError("stacked nets differ in head")
         width = models[0].input_dim
@@ -311,37 +299,35 @@ class _NetStack:
             held.append(np.setdiff1d(seen, bits, assume_unique=True))
         bounds = np.cumsum([0] + [len(columns) for columns in live]).tolist()
         held_bounds = np.cumsum([bounds[-1]] + [len(columns) for columns in held]).tolist()
-        w1t = np.empty((held_bounds[-1], models[0].hidden_dim))
-        slots = np.zeros((len(models), width), dtype=np.int32)
+        self.w1t = np.empty((held_bounds[-1], models[0].hidden_dim))
+        laid = [[] for _ in row_sets[0]]
         for g, model in enumerate(models):
+            slots = np.zeros(width, dtype=np.int32)
             for columns, low, high in ((live[g], *bounds[g : g + 2]),
                                        (held[g], *held_bounds[g : g + 2])):
-                w1t[low:high] = model.w1[:, columns].T
-                slots[g, columns] = np.arange(low, high)
-        stack = cls(
-            w1t, [high - SOLVENT_DIM for high in bounds[1:]], np.array([m.b1 for m in models]),
-            np.array([m.w2 for m in models]), np.array([m.b2 for m in models], dtype=np.float64),
-            models[0].head is Head.SIGMOID,
-        )
+                self.w1t[low:high] = model.w1[:, columns].T
+                slots[columns] = np.arange(low, high)
+            for out, rows in zip(laid, row_sets[g]):
+                out.append(SparseRows(
+                    rows.indptr, slots[rows.indices], rows.data,
+                    (rows.solvent - model.norm_mean) / model.norm_std, len(self.w1t) + SOLVENT_DIM,
+                ))
+        self.laid = [_concat_rows(sets) for sets in laid]
+        self.bounds, self.live = bounds, live
+        self.solvent_at = [high - SOLVENT_DIM for high in bounds[1:]]
+        self.b1 = np.array([model.b1 for model in models])
+        self.w2 = np.array([model.w2 for model in models])
+        self.b2 = np.array([model.b2 for model in models], dtype=np.float64)
+        self.sigmoid = models[0].head is Head.SIGMOID
+        self.velocity = None
         if momentum is not None:
-            stack.velocity = (
-                momentum, np.zeros((bounds[-1], w1t.shape[1])), np.zeros_like(stack.b1),
-                np.zeros_like(stack.w2), np.zeros_like(stack.b2),
+            self.velocity = (
+                momentum, np.zeros((bounds[-1], self.w1t.shape[1])), np.zeros_like(self.b1),
+                np.zeros_like(self.w2), np.zeros_like(self.b2),
             )
-        stack.bounds, stack.live, stack.slots = bounds, live, slots
-        stack.norm_mean = np.array([model.norm_mean for model in models])
-        stack.norm_std = np.array([model.norm_std for model in models])
-        return stack
-
-    def batch(self, rows: SparseRows, ids, nets) -> SparseRows:
-        """``rows.take(ids)`` laid out for run, row k read by net
-        ``nets[k]``: its indices mapped to that net's w1t rows, its
-        solvent values normalized by that net's statistics."""
-        taken = rows.take(ids)
-        width = self.slots.shape[1]
-        indices = self.slots.ravel()[np.repeat(nets * width, np.diff(taken.indptr)) + taken.indices]
-        solvent = (taken.solvent - self.norm_mean[nets]) / self.norm_std[nets]
-        return SparseRows(taken.indptr, indices, taken.data, solvent, len(self.w1t) + SOLVENT_DIM)
+        # a pass's hidden and dz1 arrays, grown to the largest batch seen
+        self._hidden = self._dz1 = np.empty((0, self.w1t.shape[1]))
+        self._touched = np.zeros(len(self.w1t), dtype=bool)
 
     def net_w1(self, g: int, w1: np.ndarray, w1t_rows=None) -> np.ndarray:
         """A (hidden, input) copy of ``w1`` with net g's live columns set
@@ -468,7 +454,7 @@ def _subtract_rows(target, columns, scale: float, rows) -> None:
 def loss_and_grads(model: MlpModel, rows: SparseRows, labels, grads: bool = True):
     """Batch loss plus gradients for every parameter, for one model.
 
-    The first layer reads ``model.w1.T`` only at the rows' nonzero leading
+    The first layer reads a copy of w1 at the rows' nonzero leading
     columns, as a CSR product. Returns (loss, dict with keys w1, b1, w2,
     b2). The w1 entry is a (columns, rows) pair: the input columns the
     batch touches (its nonzero leading columns, then the solvent columns)
@@ -478,17 +464,14 @@ def loss_and_grads(model: MlpModel, rows: SparseRows, labels, grads: bool = True
     """
     if rows.width != model.input_dim:
         raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
-    batch = SparseRows(
-        rows.indptr, rows.indices, rows.data,
-        (rows.solvent - model.norm_mean) / model.norm_std, rows.width,
-    )
+    stack = _NetStack([model], [(rows,)])
     y = np.asarray(labels, dtype=np.float64)
-    (loss,), out = _NetStack.of(model).run(batch, y, [(0, 0, len(rows))], grads)
+    (loss,), out = stack.run(stack.laid[0], y, [(0, 0, len(rows))], grads)
     if out is None:
         return loss, None
-    columns, bit_rows, solvent, b1, w2, b2 = out
+    touched, bit_rows, solvent, b1, w2, b2 = out
     grad_w1 = (
-        np.concatenate([columns, np.arange(rows.width - SOLVENT_DIM, rows.width)]),
+        np.concatenate([stack.live[0][touched], np.arange(rows.width - SOLVENT_DIM, rows.width)]),
         np.concatenate([bit_rows, solvent[0]]),
     )
     return loss, {"w1": grad_w1, "b1": b1[0], "w2": w2[0], "b2": float(b2[0])}
@@ -510,9 +493,9 @@ def _epoch_plan(orders: dict, offsets, batch_size: int):
     """One epoch of lockstep mini-batches. ``orders`` maps each training
     net, ascending, to its permutation of its rows, which start at
     ``offsets[net]`` of the rows they are taken from. Returns the row ids
-    in step order, the net of each, and each step's (first position,
-    parts), a part being (net, low, high) counted from that position;
-    step k holds batch k of every net that has one."""
+    in step order and each step's (first position, parts), a part being
+    (net, low, high) counted from that position; step k holds batch k of
+    every net that has one."""
     ids, steps, at = [], [], 0
     longest = max(len(order) for order in orders.values())
     for begin in range(0, longest, batch_size):
@@ -524,11 +507,7 @@ def _epoch_plan(orders: dict, offsets, batch_size: int):
                 parts.append((g, at - start, at - start + len(chunk)))
                 at += len(chunk)
         steps.append((start, parts))
-    nets = np.repeat(
-        [g for _, parts in steps for g, _, _ in parts],
-        [high - low for _, parts in steps for _, low, high in parts],
-    )
-    return np.concatenate(ids), nets, steps
+    return np.concatenate(ids), steps
 
 
 @dataclass(frozen=True)
@@ -643,15 +622,8 @@ def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
             norm_mean=job.rows.solvent.mean(axis=0), norm_std=np.where(std > 0.0, std, 1.0),
             seed=config.seed,
         ))
-    stack = _NetStack.build(models, [(job.rows, job.val_rows) for job in jobs], config.momentum)
-
-    def laid_out(sets):
-        # every job's rows, stacked and laid out for run once per fit
-        rows = _concat_rows(sets)
-        nets = np.repeat(np.arange(len(sets)), [len(part) for part in sets])
-        return stack.batch(rows, np.arange(len(rows)), nets)
-
-    train, val = laid_out([job.rows for job in jobs]), laid_out([job.val_rows for job in jobs])
+    stack = _NetStack(models, [(job.rows, job.val_rows) for job in jobs], config.momentum)
+    train, val = stack.laid
     labels = np.concatenate([t[2] for t in targets])
     offsets = np.cumsum([0] + [len(job.rows) for job in jobs]).tolist()
     val_labels = np.concatenate([t[3] for t in targets])
@@ -670,7 +642,7 @@ def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
         if not active:
             break
         orders = {g: rngs[g].permutation(len(jobs[g].rows)) for g in active}
-        ids, _, steps = _epoch_plan(orders, offsets, config.batch_size)
+        ids, steps = _epoch_plan(orders, offsets, config.batch_size)
         epoch_rows, epoch_labels = train.take(ids), labels[ids]
         epoch_loss = dict.fromkeys(active, 0.0)
         for start, parts in steps:
@@ -698,7 +670,7 @@ def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
             break
         # every training net's validation loss in one pass: one step whose
         # batch holds each net's whole validation set
-        ids, _, [(_, parts)] = _epoch_plan(
+        ids, [(_, parts)] = _epoch_plan(
             {g: np.arange(len(jobs[g].val_rows)) for g in active}, val_offsets, len(val_labels)
         )
         losses, _ = stack.run(val.take(ids), val_labels[ids], parts, grads=False)
@@ -763,27 +735,29 @@ def update_nets(models, rows: SparseRows, targets, epochs: int, batch_size: int,
     A kept update replaces ``w1`` with a new array and ``b1``, ``w2`` and
     ``b2`` with new values; a dropped one leaves the model as it was.
     """
-    targets = np.asarray(targets, dtype=np.float64)
     n = len(rows)
     orders = [[rng.permutation(n) for _ in range(epochs)] for _ in models]
-    stack = _NetStack.build(models, [(rows,)] * len(models))
-    # every net reads the same rows
-    offsets = [0] * len(models)
+    stack = _NetStack(models, [(rows,)] * len(models))
+    # one laid copy of the rows per net, net after net, read against the
+    # targets in the same order
+    [laid] = stack.laid
+    labels = np.asarray(targets, dtype=np.float64).T.ravel()
+    offsets = [k * n for k in range(len(models))]
 
     def full_losses():
         # one net at a time, so no pass holds more than the rows
         return [
-            stack.run(stack.batch(rows, np.arange(n), np.full(n, k)), targets[:, k],
-                      [(k, 0, n)], grads=False)[0][0]
-            for k in range(len(models))
+            stack.run(laid.slice(low, low + n), labels[low : low + n], [(k, 0, n)],
+                      grads=False)[0][0]
+            for k, low in enumerate(offsets)
         ]
 
     before = full_losses()
     for epoch in range(epochs):
-        ids, nets, steps = _epoch_plan(
+        ids, steps = _epoch_plan(
             {k: order[epoch] for k, order in enumerate(orders)}, offsets, batch_size
         )
-        epoch_rows, epoch_labels = stack.batch(rows, ids, nets), targets[ids, nets]
+        epoch_rows, epoch_labels = laid.take(ids), labels[ids]
         for start, parts in steps:
             stop = start + parts[-1][2]
             _, grads = stack.run(epoch_rows.slice(start, stop), epoch_labels[start:stop], parts)
@@ -951,10 +925,12 @@ def save_model(model: MlpModel, path: str):
 
 def load_model(path: str) -> MlpModel:
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as npz:
+            data = {key: npz[key] for key in npz.files}
     except Exception as exc:
         raise ScorerError(f"cannot read checkpoint {path}: {exc}") from None
-    if "version" not in data or int(data["version"]) != _CHECKPOINT_VERSION:
+    version = data.get("version")
+    if version is None or version.shape != () or version.item() != _CHECKPOINT_VERSION:
         raise ScorerError(f"{path}: unsupported checkpoint version")
     missing = [key for key in _CHECKPOINT_ARRAYS if key not in data]
     if missing:
@@ -962,16 +938,19 @@ def load_model(path: str) -> MlpModel:
     head = str(data["head"])
     if head not in {h.value for h in Head}:
         raise ScorerError(f"{path}: unknown head {head!r}")
-    return MlpModel(
-        w1=data["w1"],
-        b1=data["b1"],
-        w2=data["w2"],
-        b2=float(data["b2"]),
-        head=Head(head),
-        norm_mean=data["norm_mean"],
-        norm_std=data["norm_std"],
-        seed=int(data["seed"]),
-    )
+    try:
+        return MlpModel(
+            w1=data["w1"],
+            b1=data["b1"],
+            w2=data["w2"],
+            b2=data["b2"],
+            head=Head(head),
+            norm_mean=data["norm_mean"],
+            norm_std=data["norm_std"],
+            seed=data["seed"],
+        )
+    except ScorerError as exc:
+        raise ScorerError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

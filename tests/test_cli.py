@@ -501,6 +501,17 @@ class TestGenerate:
         [
             (lambda arrays: arrays.update(head=np.str_("foo")), "unknown head 'foo'"),
             (lambda arrays: arrays.pop("w1"), "lacks w1"),
+            (lambda arrays: arrays.update(w1=arrays["w1"][:, 0]), "w1, b1, w2 shapes"),
+            (lambda arrays: arrays.update(w1=arrays["w1"][..., None]), "w1, b1, w2 shapes"),
+            (lambda arrays: arrays.update(b1=arrays["b1"][:, None]), "w1, b1, w2 shapes"),
+            (lambda arrays: arrays.update(w2=arrays["w2"][:, None]), "w1, b1, w2 shapes"),
+            (lambda arrays: arrays.update(norm_std=np.array(["a", "b", "c", "d"])), "non-numeric"),
+            (lambda arrays: arrays.update(b2=np.array([1.0, 2.0])), "must be scalars"),
+            (lambda arrays: arrays.update(seed=np.str_("x")), "non-numeric"),
+            (lambda arrays: arrays.update(seed=np.array([1, 2])), "must be scalars"),
+            (lambda arrays: arrays.update(version=np.array([1, 1])), "unsupported checkpoint"),
+            (lambda arrays: arrays.update(version=np.str_("x")), "unsupported checkpoint"),
+            (lambda arrays: arrays.update(w1=arrays["w1"].astype(object)), "cannot read"),
         ],
     )
     def test_malformed_checkpoint_is_code_two(self, edit, message, tmp_path, capsys):

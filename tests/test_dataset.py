@@ -90,6 +90,15 @@ class TestIngestion:
         b = ingest_chemfluor(write_file(tmp_path, [HEADER] + shuffled, name="b.csv"))
         assert a.records == b.records
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join([HEADER] + ROWS).encode() + b"\n")
+        marked = ingest_chemfluor(str(path))
+        plain = ingest_chemfluor(write_file(tmp_path, [HEADER] + ROWS, name="plain.csv"))
+        assert marked == plain
+        assert len(marked.records) == 4
+
     def test_bad_smiles_rejected_and_reported(self, tmp_path):
         lines = [HEADER, "C((,0.6,0.7,0.8,0.9,0.4,,", "CCO,0.6,0.7,0.8,0.9,0.4,,"]
         result = ingest_chemfluor(write_file(tmp_path, lines))

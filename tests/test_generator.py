@@ -722,13 +722,17 @@ class TestValueTraining:
         """update_nets on four value nets equals four sequential referee
         calls on one rng, in the same retrain one net keeping its update
         and one, its weights blown up, reverting: weights, the kept flags
-        and the rng's state afterwards."""
+        and the rng's state afterwards. Every net normalizes the rows'
+        own solvent values with its own statistics."""
         rng = np.random.default_rng(seed)
         words = rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64)
         for _ in range(4):
             words &= rng.integers(0, 2**64, (n, FP_WORDS), dtype=np.uint64)
-        rows = SparseRows.from_words(words, WATER.as_tuple())
+        rows = SparseRows.from_words(words, rng.normal(0.5, 0.3, (n, 4)))
         models = [self.make_model(seed=seed % 1000 + k, hidden=hidden) for k in range(4)]
+        for model in models:
+            model.norm_mean = rng.normal(0.5, 0.2, 4)
+            model.norm_std = rng.uniform(0.2, 2.0, 4)
         # the third net's weights blown up, the fourth's output beyond any
         # finite loss, so its update is reverted
         models[2].w1 *= 1e4

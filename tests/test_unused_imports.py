@@ -7,7 +7,9 @@ as a name anywhere in the module (annotations included). The package's
 A private name (``_x``, assigned, or defined by ``def`` or ``class``) is
 used when the package reads it, as a name, an attribute or an import,
 anywhere but in its own definition; a table left behind when its
-replacement lands is not.
+replacement lands is not. Methods count too: every method of a private
+class, and every private method of any class, must be read somewhere,
+so an alternate constructor left behind is flagged.
 """
 
 import ast
@@ -80,9 +82,14 @@ def test_detector_flags_what_it_should():
     assert unused_imports(source) == [(2, "os"), (4, "field")]
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_definitions(tree):
     """(line, name) for each module-level private assignment, function or
-    class; dunder names are not private."""
+    class, and for each method of a module-level class that is private or
+    belongs to a private class; dunder names are not private."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -92,8 +99,16 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if private(name):
                 yield node.lineno, name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("__")
+                    and (private(node.name) or private(item.name))
+                ):
+                    yield item.lineno, item.name
 
 
 def references(tree):
@@ -139,6 +154,21 @@ def test_private_detector_flags_what_it_should():
             "class _Unused:\n"
             "    pass\n"
             "print(_x, b._remote, _helper())\n"
+            "class _Stack:\n"
+            "    def __init__(self):\n"
+            "        self.run()\n"
+            "    def run(self):\n"
+            "        pass\n"
+            "    @classmethod\n"
+            "    def of(cls):\n"
+            "        return cls()\n"
+            "class Public:\n"
+            "    def method(self):\n"
+            "        return self._kept()\n"
+            "    def _kept(self):\n"
+            "        return _Stack()\n"
+            "    def _dead(self):\n"
+            "        pass\n"
         ),
         "b.py": "from a import _y\n_remote: int = 0\n_orphan: int = 0\n",
     }
@@ -146,5 +176,7 @@ def test_private_detector_flags_what_it_should():
         ("a.py", 3, "_LEFT_BEHIND"),
         ("a.py", 4, "_z"),
         ("a.py", 9, "_Unused"),
+        ("a.py", 18, "of"),
+        ("a.py", 25, "_dead"),
         ("b.py", 3, "_orphan"),
     ]
