@@ -107,20 +107,29 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
                 resolved[logical] = actual
         if missing:
             raise DatasetError(f"{path}: missing columns {missing}")
-        rows = list(reader)
+        # each row with its line in the file, blank lines counted
+        rows = [(reader.line_num, row) for row in reader]
 
     rejected: list[str] = []
     groups: dict[tuple, dict[str, list[float]]] = {}
-    for lineno, row in enumerate(rows, start=2):  # header is line 1
+    # raw text -> (canonical SMILES, None), or (None, parse error) when it
+    # does not parse: strings only, so no graph or traceback outlives the
+    # text's first row
+    known: dict[str, tuple[str | None, str | None]] = {}
+    for lineno, row in rows:
         def cell(logical):
             value = row.get(resolved[logical])
             return value.strip() if value is not None else ""
 
         raw_smiles = cell("smiles")
-        try:
-            graph = parse_smiles(raw_smiles)
-        except SmilesError as exc:
-            rejected.append(f"line {lineno}: bad SMILES {raw_smiles!r}: {exc}")
+        if raw_smiles not in known:
+            try:
+                known[raw_smiles] = (write_canonical_smiles(parse_smiles(raw_smiles)), None)
+            except SmilesError as exc:
+                known[raw_smiles] = (None, str(exc))
+        smiles, error = known[raw_smiles]
+        if error is not None:
+            rejected.append(f"line {lineno}: bad SMILES {raw_smiles!r}: {error}")
             continue
 
         try:
@@ -133,7 +142,7 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
             else:
                 raise DatasetError("partial solvent features")
             # the record's own checks reject a row without a valid measurement
-            record = ChemFluorRecord(write_canonical_smiles(graph), solvent, *measurements)
+            record = ChemFluorRecord(smiles, solvent, *measurements)
         except DatasetError as exc:
             rejected.append(f"line {lineno}: {exc}")
             continue

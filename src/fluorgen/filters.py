@@ -319,24 +319,30 @@ def write_similarity_histogram(chunks, path) -> dict[str, np.ndarray]:
     the counts over HISTOGRAM_BINS, summed across the chunks.
 
     The pairs of a clustering take few distinct values, so each distinct
-    value is formatted once. Values are read HISTOGRAM_CHUNK at a time,
-    so only one chunk is ever held as Python floats. Keying by float is
-    exact here: the one pair of unequal strings a float key merges, 0 and
-    -0, cannot occur, since no similarity is negative zero.
+    value is formatted once. Values are read HISTOGRAM_CHUNK at a time:
+    a block is written as one join of its distinct values' lines, picked
+    by np.unique's inverse. Keying by float is exact here: the one pair
+    of unequal strings a float key merges, 0 and -0, cannot occur, since
+    no similarity is negative zero.
     """
     counts = {kind: np.zeros(len(HISTOGRAM_BINS) - 1, dtype=np.int64) for kind in HISTOGRAM_KINDS}
-    lines: dict[str, dict[float, str]] = {kind: {} for kind in HISTOGRAM_KINDS}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("kind\tsimilarity\n")
+    lines: dict[str, dict[float, bytes]] = {kind: {} for kind in HISTOGRAM_KINDS}
+    with open(path, "wb") as handle:
+        handle.write(b"kind\tsimilarity\n")
         for kind, values in chunks:
             values = np.asarray(values, dtype=np.float64)
             counts[kind] += np.histogram(values, HISTOGRAM_BINS)[0]
             formatted = lines[kind]
             for start in range(0, len(values), HISTOGRAM_CHUNK):
-                chunk = values[start : start + HISTOGRAM_CHUNK].tolist()
-                for value in set(chunk).difference(formatted):
-                    formatted[value] = f"{kind}\t{format(value, '.6g')}\n"
-                handle.writelines(map(formatted.__getitem__, chunk))
+                distinct, inverse = np.unique(
+                    values[start : start + HISTOGRAM_CHUNK], return_inverse=True
+                )
+                block = []
+                for value in distinct.tolist():
+                    if value not in formatted:
+                        formatted[value] = f"{kind}\t{format(value, '.6g')}\n".encode()
+                    block.append(formatted[value])
+                handle.write(b"".join(map(block.__getitem__, inverse.tolist())))
     return counts
 
 

@@ -113,6 +113,34 @@ def _fill_hydrogens(element: str, charge: int, used: int) -> int:
     return 0
 
 
+def _bond_order_sum(element: str, k: int, other: int, explicit_h: int, charge: int) -> int:
+    """MolecularGraph.bond_order_sum's rule for an atom with k aromatic
+    bonds and the order sum ``other`` of its other bonds."""
+    if k == 0:
+        return other
+    if element in ("C", "B"):
+        contrib = k + 1
+    elif element in ("N", "P"):
+        pyridine_like = k == 2 and other == 0 and explicit_h == 0 and charge == 0
+        contrib = k + 1 if pyridine_like else k
+    else:
+        contrib = k
+    return other + contrib
+
+
+@functools.cache
+def _valence(element: str, charge: int, explicit_h: int, k: int, other: int):
+    """(used valence, maximum valence, implicit hydrogens) of an atom with
+    k aromatic bonds and the order sum ``other`` of its other bonds."""
+    used = _bond_order_sum(element, k, other, explicit_h, charge) + explicit_h
+    if explicit_h > 0 or charge != 0:
+        # Bracket-style atoms state their hydrogen count outright.
+        implicit = 0
+    else:
+        implicit = _fill_hydrogens(element, charge, used)
+    return used, max_valence(element, charge), implicit
+
+
 class MolecularGraph:
     """Immutable heavy-atom graph with derived hydrogen counts.
 
@@ -147,21 +175,45 @@ class MolecularGraph:
         n = len(atoms)
         seen_pairs = set()
         neighbors: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+        # per atom: aromatic bonds, and the order sum of the others
+        aromatic_bonds = [0] * n
+        other_orders = [0] * n
+        aromatic = BondOrder.AROMATIC
         for bond in bonds:
-            if not (0 <= bond.a1 < n and 0 <= bond.a2 < n):
-                raise MoleculeError(f"bond references missing atom ({bond.a1}, {bond.a2})")
-            if bond.a1 == bond.a2:
-                raise MoleculeError(f"self-bond on atom {bond.a1}", atom_index=bond.a1)
-            pair = (min(bond.a1, bond.a2), max(bond.a1, bond.a2))
+            a1, a2 = bond.a1, bond.a2
+            if not (0 <= a1 < n and 0 <= a2 < n):
+                raise MoleculeError(f"bond references missing atom ({a1}, {a2})")
+            if a1 == a2:
+                raise MoleculeError(f"self-bond on atom {a1}", atom_index=a1)
+            pair = (a1, a2) if a1 < a2 else (a2, a1)
             if pair in seen_pairs:
                 raise MoleculeError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
             seen_pairs.add(pair)
-            neighbors[bond.a1].append((bond.a2, bond))
-            neighbors[bond.a2].append((bond.a1, bond))
+            neighbors[a1].append((a2, bond))
+            neighbors[a2].append((a1, bond))
+            if bond.order is aromatic:
+                aromatic_bonds[a1] += 1
+                aromatic_bonds[a2] += 1
+            else:
+                order = bond.order.value
+                other_orders[a1] += order
+                other_orders[a2] += order
+        implicit_h = []
+        for atom, k, other in zip(atoms, aromatic_bonds, other_orders):
+            used, top, implicit = _valence(
+                atom.element, atom.formal_charge, atom.explicit_h, k, other
+            )
+            if used > top:
+                raise MoleculeError(
+                    f"valence {used} on {atom.element} (charge {atom.formal_charge}) "
+                    f"exceeds maximum {top}",
+                    atom_index=atom.index,
+                )
+            implicit_h.append(implicit)
         self.atoms = atoms
         self.bonds = bonds
         self._neighbors = tuple(tuple(adj) for adj in neighbors)
-        self._implicit_h = tuple(self._derive_implicit_h(i) for i in range(n))
+        self._implicit_h = tuple(implicit_h)
         # filled on first use: ring flags by in_ring, atoms by (element,
         # aromatic) kind by atoms_by_kind, the string by
         # smiles.write_canonical_smiles
@@ -194,7 +246,6 @@ class MolecularGraph:
     def _order_sum(self, index: int, explicit_h: int, charge: int) -> int:
         # bond_order_sum's rule, for the atom read with the given hydrogen
         # count and charge
-        element = self.atoms[index].element
         k = 0
         other = 0
         for _, bond in self._neighbors[index]:
@@ -202,31 +253,7 @@ class MolecularGraph:
                 k += 1
             else:
                 other += bond.order.value
-        if k == 0:
-            return other
-        if element in ("C", "B"):
-            contrib = k + 1
-        elif element in ("N", "P"):
-            pyridine_like = k == 2 and other == 0 and explicit_h == 0 and charge == 0
-            contrib = k + 1 if pyridine_like else k
-        else:
-            contrib = k
-        return other + contrib
-
-    def _derive_implicit_h(self, index: int) -> int:
-        atom = self.atoms[index]
-        used = self.bond_order_sum(index) + atom.explicit_h
-        top = max_valence(atom.element, atom.formal_charge)
-        if used > top:
-            raise MoleculeError(
-                f"valence {used} on {atom.element} (charge {atom.formal_charge}) "
-                f"exceeds maximum {top}",
-                atom_index=index,
-            )
-        if atom.explicit_h > 0 or atom.formal_charge != 0:
-            # Bracket-style atoms state their hydrogen count outright.
-            return 0
-        return _fill_hydrogens(atom.element, atom.formal_charge, used)
+        return _bond_order_sum(self.atoms[index].element, k, other, explicit_h, charge)
 
     def bare_implicit_h(self, index: int) -> int:
         """Hydrogens a reader infers for this atom written bare, without

@@ -140,15 +140,19 @@ def apply_reaction(
         offsets.append(total)
         total += len(mol)
 
+    # the reactants side by side, hybridization unset; bonds keyed by
+    # their (low, high) atom pair
     base_atoms: list[Atom] = []
-    base_bonds: list[Bond] = []
+    base_bonds: dict[tuple[int, int], BondOrder] = {}
     for mol, offset in zip(reactants, offsets):
         for atom in mol.atoms:
-            base_atoms.append(
-                replace(atom, index=atom.index + offset, hybridization=None)
-            )
+            base_atoms.append(Atom(
+                atom.index + offset, atom.element, atom.aromatic, atom.formal_charge,
+                atom.explicit_h,
+            ))
         for bond in mol.bonds:
-            base_bonds.append(Bond(bond.a1 + offset, bond.a2 + offset, bond.order))
+            a1, a2 = bond.a1 + offset, bond.a2 + offset
+            base_bonds[(a1, a2) if a1 < a2 else (a2, a1)] = bond.order
 
     valid: list[MolecularGraph] = []
     skipped = 0
@@ -158,9 +162,7 @@ def apply_reaction(
             return offsets[role] + combo[role][node]
 
         atoms = list(base_atoms)
-        bonds: dict[tuple[int, int], BondOrder] = {
-            (min(b.a1, b.a2), max(b.a1, b.a2)): b.order for b in base_bonds
-        }
+        bonds = dict(base_bonds)
         deleted: set[int] = set()
         ok = True
         for edit in template.edits:
@@ -199,7 +201,9 @@ def apply_reaction(
             if idx in deleted:
                 continue
             remap[idx] = len(kept)
-            kept.append(replace(atom, index=len(kept)))
+            kept.append(Atom(
+                len(kept), atom.element, atom.aromatic, atom.formal_charge, atom.explicit_h
+            ))
         kept_bonds = []
         for (a, b), order in sorted(bonds.items()):
             if a in deleted or b in deleted:

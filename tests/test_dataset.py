@@ -107,6 +107,49 @@ class TestIngestion:
         assert "bad SMILES" in result.rejected[0]
         assert "line 2" in result.rejected[0]
 
+    def test_rejected_rows_numbered_by_file_line(self, tmp_path):
+        # csv skips the blank line 3; the bad row is still line 4
+        lines = [HEADER, "CCO,0.6,0.7,0.8,0.9,0.4,,", "", "C((,0.6,0.7,0.8,0.9,0.4,,",
+                 "CCN,0.6,0.7,0.8,0.9,1.4,,"]
+        result = ingest_chemfluor(write_file(tmp_path, lines))
+        assert len(result.records) == 1
+        assert [line.split(":")[0] for line in result.rejected] == ["line 4", "line 5"]
+
+    def test_each_distinct_text_parsed_and_canonicalized_once(self, tmp_path, monkeypatch):
+        from fluorgen import dataset
+
+        calls = {"parse": [], "canonical": 0}
+
+        def counting_parse(text):
+            calls["parse"].append(text)
+            return parse_smiles(text)
+
+        def counting_canonical(graph):
+            calls["canonical"] += 1
+            return write_canonical_smiles(graph)
+
+        monkeypatch.setattr(dataset, "parse_smiles", counting_parse)
+        monkeypatch.setattr(dataset, "write_canonical_smiles", counting_canonical)
+        lines = [
+            HEADER,
+            "CCO,0.6,0.7,0.8,0.9,0.4,,",
+            "C((,0.6,0.7,0.8,0.9,0.4,,",
+            " CCO ,0.1,0.7,0.8,0.9,0.5,,",
+            "OCC,0.6,0.7,0.8,0.9,0.6,,",
+            "C((,0.1,0.7,0.8,0.9,0.4,,",
+            "CCO,0.2,0.7,0.8,0.9,,,",
+            "C((,0.2,0.7,0.8,0.9,0.4,,",
+            "c1ccccc1,0.6,0.7,0.8,0.9,0.4,,",
+        ]
+        result = ingest_chemfluor(write_file(tmp_path, lines))
+        assert sorted(calls["parse"]) == ["C((", "CCO", "OCC", "c1ccccc1"]
+        assert calls["canonical"] == 3
+        assert len(result.records) == 3  # OCC is CCO in line 2's solvent
+        bad = [line for line in result.rejected if "bad SMILES" in line]
+        assert [line.split(":")[0] for line in bad] == ["line 3", "line 6", "line 8"]
+        assert len({line.split(":", 1)[1] for line in bad}) == 1
+        assert len(result.rejected) == 4  # and CCO's row without a measurement
+
     def test_bad_rows_rejected(self, tmp_path):
         lines = [
             HEADER,

@@ -809,11 +809,14 @@ class TestStackedTraining:
 class TestPinnedTrainOutputs:
     """fluorgen train on the benchmark's seed-1 CSV: the three cv_*.txt
     files and the three checkpoints, held to digests taken before the
-    folds of a task trained side by side. A change that moves them on
-    purpose updates the digests and says so in CHANGES.md."""
+    folds of a task trained side by side, and rejected_rows.txt, held to
+    one taken before ingest read each distinct SMILES once. A change that
+    moves them on purpose updates the digests and says so in CHANGES.md."""
 
     DIGESTS = {
         "bench": {
+            "rejected_rows.txt":
+                "650728458651a5de811b7e498e3739f4997c7cf714715dd386a1d812a57e208e",
             "cv_plqy_class.txt": "de790dc962c0892ecb08da726a6ea5169492a1ff1271d625550d52d67044260a",
             "cv_abs_reg.txt": "b888b2b316170bcb4445744e1dac9cbd77a2248e7cfc88be61642d734b63df03",
             "cv_em_reg.txt": "2d3ef0ce8c0835b9e99b5eea91617369fb27e30410215458fccf3bedf8b7c2bf",
@@ -825,6 +828,8 @@ class TestPinnedTrainOutputs:
                 "e48fad8deeb0d6ca77c3a8fb737e244d7a02c3ebd97d7529958b5bc44ed4e6d7",
         },
         "four_folds": {
+            "rejected_rows.txt":
+                "650728458651a5de811b7e498e3739f4997c7cf714715dd386a1d812a57e208e",
             "cv_plqy_class.txt": "b5ed7291c35ec36a37f705c5a12e4be96d27a8d45a14ccfae8fd03cf4f81a162",
             "cv_abs_reg.txt": "d0d67a41c15919a9dbf1a7b7d52b74bff6030f6b6a346897eed9a9c825195df3",
             "cv_em_reg.txt": "92c17bb71fc80b36aa31e9645cbabe029de9b80ccce52a91b172d534bf6c69bb",

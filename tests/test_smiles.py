@@ -1,9 +1,12 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fluorgen.molgraph import BondOrder
+from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph, MoleculeError
 from fluorgen.smiles import (
     SmilesError,
     connected_components,
@@ -316,3 +319,81 @@ class TestCanonicalSearchIsExact:
             shuffled = permute_graph(graph, list(rng.permutation(len(graph))))
             assert write_canonical_smiles(shuffled) == want
         assert write_canonical_smiles(parse_smiles(want)) == want
+
+
+class TestPinnedParserOutput:
+    """parse_smiles and MolecularGraph construction over the corpus, a
+    fixed randmol sample and seeded one-character mutants of both, held
+    to a digest taken before the graph build became one pass. Each line
+    records the atoms, bonds, neighbour order and implicit hydrogens of
+    a graph, or the error text and offset (atom index for graphs built
+    directly) of an input that fails."""
+
+    DIGEST = "296d10c2a65747e58d0bdea90d8d30a344fb9fb46bbd2497ca309ce5457a82fc"
+    # characters a mutant may insert or substitute
+    ALPHABET = "CNOSPBFIcnospb()[]=#-:/\\@+H.%0123l"
+
+    @staticmethod
+    def describe(graph) -> str:
+        bond_ids = {id(bond): k for k, bond in enumerate(graph.bonds)}
+        return repr((
+            [(a.index, a.element, a.aromatic, a.formal_charge, a.explicit_h, a.hybridization)
+             for a in graph.atoms],
+            [(b.a1, b.a2, b.order.value) for b in graph.bonds],
+            [[(j, bond_ids[id(bond)]) for j, bond in graph.neighbors(i)]
+             for i in range(len(graph))],
+            [graph.implicit_h(i) for i in range(len(graph))],
+        ))
+
+    def texts(self) -> list[str]:
+        graphs = [random_molecule(np.random.default_rng(seed)) for seed in range(150)]
+        graphs += [random_kekule_framework(np.random.default_rng(seed)) for seed in range(20)]
+        graphs += [random_cubic_molecule(np.random.default_rng(seed)) for seed in range(20)]
+        bases = list(CORPUS) + [write_canonical_smiles(graph) for graph in graphs]
+        rng = random.Random(22)
+        texts = list(bases)
+        for text in bases:
+            for _ in range(4):
+                at = rng.randrange(len(text) + 1)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    texts.append(text[:at] + text[at + 1:])
+                elif kind == 1:
+                    texts.append(text[:at] + rng.choice(self.ALPHABET) + text[at:])
+                else:
+                    texts.append(text[:at] + rng.choice(self.ALPHABET) + text[at + 1:])
+        return texts
+
+    # graphs built directly, one per MoleculeError the constructor raises
+    BAD_GRAPHS = [
+        ((Atom(1, "C"),), ()),
+        ((Atom(0, "C"), Atom(1, "Xe")), ()),
+        ((Atom(0, "C"), Atom(1, "N", explicit_h=-1)), ()),
+        ((Atom(0, "C"), Atom(1, "F", aromatic=True)), ()),
+        ((Atom(0, "C"), Atom(1, "C")), (Bond(0, 2, BondOrder.SINGLE),)),
+        ((Atom(0, "C"), Atom(1, "C")), (Bond(1, 1, BondOrder.SINGLE),)),
+        ((Atom(0, "C"), Atom(1, "C")),
+         (Bond(0, 1, BondOrder.SINGLE), Bond(1, 0, BondOrder.DOUBLE))),
+        ((Atom(0, "C"), Atom(1, "O"), Atom(2, "C")),
+         (Bond(0, 1, BondOrder.DOUBLE), Bond(1, 2, BondOrder.DOUBLE))),
+        ((Atom(0, "C", aromatic=True), Atom(1, "C", aromatic=True), Atom(2, "C")),
+         (Bond(0, 1, BondOrder.AROMATIC), Bond(0, 2, BondOrder.TRIPLE))),
+    ]
+
+    def test_parser_output_digest(self):
+        lines = []
+        failures = 0
+        for text in self.texts():
+            try:
+                lines.append(f"{text!r} {self.describe(parse_smiles(text))}")
+            except SmilesError as exc:
+                failures += 1
+                lines.append(f"{text!r} ! {exc} @{exc.offset}")
+        for atoms, bonds in self.BAD_GRAPHS:
+            with pytest.raises(MoleculeError) as err:
+                MolecularGraph(atoms, bonds)
+            lines.append(f"{atoms!r} {bonds!r} ! {err.value} @{err.value.atom_index}")
+        assert len(lines) == 1459
+        assert 300 < failures < 1000
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
