@@ -167,7 +167,7 @@ def _read_molecule_smiles(
     _ensure_exists(path, hint)
     smiles_list = []
     lines = []
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle, delimiter="\t")
         if reader.fieldnames is None or "smiles" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a tab-delimited file with a smiles column")
@@ -182,7 +182,7 @@ def _read_reference_smiles(path: str) -> tuple[list[str], list[int]]:
     _ensure_exists(path, "novelty reference file")
     smiles_list = []
     lines = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if line and not line.startswith("#"):

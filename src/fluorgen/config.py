@@ -108,7 +108,7 @@ def _read(path: str | None) -> dict[str, dict[str, str]]:
     # no section is special, so a [DEFAULT] section is rejected as unknown
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -113,6 +113,8 @@ class GenerationConfig:
             raise GeneratorError("need 0 < tau_min <= tau_init <= tau_max")
         if not 0.0 < self.target_similarity < 1.0:
             raise GeneratorError("target_similarity must lie in (0,1)")
+        if self.weight_floor < 0.0:
+            raise GeneratorError("weight_floor must be non-negative")
         if self.weight_floor * N_PROPERTIES > 1.0:
             raise GeneratorError("weight_floor too large for the simplex")
         for name in ("eta", "window", "train_interval", "max_steps",
@@ -324,6 +326,8 @@ def tune_weights(success_rates, floor: float) -> tuple[float, ...]:
     consistent.
     """
     count = len(success_rates)
+    if floor < 0.0:
+        raise GeneratorError("floor must be non-negative")
     if floor * count > 1.0:
         raise GeneratorError("floor too large for the simplex")
     demand = [max(0.0, 1.0 - r) for r in success_rates]

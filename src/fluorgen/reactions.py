@@ -258,7 +258,7 @@ def ingest_building_blocks(path: str) -> BlockLibrary:
     blocks: list[BuildingBlock] = []
     rejected: list[str] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -319,7 +319,7 @@ def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:
         roles = {}
         edits = []
 
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -13,21 +13,21 @@ model so scoring never depends on outside state.
 Training reads rows sparsely. A fingerprint row holds about 35 on-bits
 out of 2,048, so training rows are SparseRows: the on-bit columns in CSR
 form plus the four solvent values, made from packed words by
-SparseRows.from_words. Every net trains in one SGD loop that runs several
-independent nets in lockstep. One constructor, _NetStack, sets up a fit:
-each net's live columns (those its training rows touch, plus the solvent
-columns) get their own slice of one stacked (rows, hidden) working copy
-of w1, and each of the fit's row sets is laid out once, every net's rows
-mapped to its slice and normalized by its statistics. A step takes every
-net's mini-batch from the laid rows, so the first layer is one CSR
-product and its gradient one CSC product over the rows the step
-touches, while the small dense products stay per net with the shapes a
-net alone would use. No net's bits depend on the nets trained with it.
-train_nets trains the folds of a cross-validation task this way,
-mlp_train is its one-job form, update_nets retrains the rollout's four
-value nets, and loss_and_grads is the one-net pass. Checkpoints keep w1
-as (hidden, input). The per-net sparse loops and the dense kernel are
-the test referees (tests/oracles.py).
+SparseRows.from_words. Every net trains in one SGD loop, _NetStack.epoch,
+that runs several independent nets in lockstep. One constructor,
+_NetStack, sets up a fit: each net's live columns (those any of its rows
+touch, plus the solvent columns) get their own slice of one stacked
+(rows, hidden) working copy of w1, and each of the fit's row sets is
+laid out once, every net's rows mapped to its slice and normalized by
+its statistics. In a step the first layer is one CSR product and its
+gradient one CSC product over the rows the step touches, while the
+small dense products stay per net with the shapes a net alone would
+use. No net's bits depend on the nets trained with it. train_nets
+trains the folds of a cross-validation task this way, mlp_train is its
+one-job form, update_nets retrains the rollout's four value nets, and
+loss_and_grads is the one-net pass. Checkpoints keep w1 as (hidden,
+input). The per-net sparse loops and the dense kernel are the test
+referees (tests/oracles.py).
 
 Scoring reads rows sparsely too. Every batch of fingerprints is scored by
 one loop, score_rows, on packed rows against a ScoreStack, the bit
@@ -260,25 +260,26 @@ class _NetStack:
     side by side, and their row sets laid out once for run.
 
     ``w1t`` holds the first-layer weights of every net as rows of one
-    (rows, hidden) array: net g's live columns (the bit columns its first
-    row set touches, ascending, then its solvent columns) at rows
-    ``bounds[g]:bounds[g + 1]``, and below every net's live rows the
-    columns only its other row sets touch, which no step writes.
-    ``live[g]`` are net g's live columns; ``b1``, ``w2`` and ``b2`` stack
-    the rest, one row or entry per net. Net g reads its solvent columns at
-    rows ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``.
+    (rows, hidden) array: net g's live columns (the bit columns any of
+    its row sets touches, ascending, then its solvent columns) at rows
+    ``bounds[g]:bounds[g + 1]``. ``live[g]`` are net g's live columns;
+    ``b1``, ``w2`` and ``b2`` stack the rest, one row or entry per net.
+    Net g reads its solvent columns at rows
+    ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``.
 
     ``laid[p]`` is row-set position p of every net, net after net, as run
     reads a batch: each row's indices mapped to its net's w1t rows, its
     solvent values normalized by its net's statistics. ``parts`` name
     each net's (net, low, high) span of a batch, in net order. Every
-    net's rows meet only that net's w1t rows, so run and step make the
-    same float operations per net, in the same order, as the net alone.
+    net's rows meet only that net's w1t rows, and the mapping keeps each
+    row's columns in order, so run and step make the same float
+    operations per net, in the same order, as the net alone.
 
     ``velocity`` is None for plain SGD (``w -= lr * g``); otherwise it
-    holds the momentum ``m`` and the velocities of the live w1t rows (the
-    first ``bounds[-1]``) and of b1, w2 and b2, and a step makes
-    ``v *= m; v -= lr * g; w += v``.
+    holds the momentum ``m`` and the velocities of every w1t row and of
+    b1, w2 and b2, and a step makes ``v *= m; v -= lr * g; w += v``. A
+    column only validation rows touch never has a gradient, so its
+    velocity stays 0 and ``w += 0.0`` leaves it as it was.
     """
 
     def __init__(self, models, row_sets, momentum=None):
@@ -286,27 +287,21 @@ class _NetStack:
             raise ScorerError("stacked nets differ in head")
         width = models[0].input_dim
         solvent_columns = np.arange(width - SOLVENT_DIM, width)
-        live, held = [], []
+        live = []
         for k, sets in enumerate(row_sets):
-            if k and sets is row_sets[k - 1]:
-                # the rows of the net before: the same columns
-                live.append(live[-1])
-                held.append(held[-1])
-                continue
-            bits = np.unique(sets[0].indices)
-            seen = np.unique(np.concatenate([rows.indices for rows in sets]))
-            live.append(np.concatenate([bits, solvent_columns]))
-            held.append(np.setdiff1d(seen, bits, assume_unique=True))
+            # the rows of the net before have the same columns
+            if not (k and sets is row_sets[k - 1]):
+                bits = np.unique(np.concatenate([rows.indices for rows in sets]))
+                columns = np.concatenate([bits, solvent_columns])
+            live.append(columns)
         bounds = np.cumsum([0] + [len(columns) for columns in live]).tolist()
-        held_bounds = np.cumsum([bounds[-1]] + [len(columns) for columns in held]).tolist()
-        self.w1t = np.empty((held_bounds[-1], models[0].hidden_dim))
+        self.w1t = np.empty((bounds[-1], models[0].hidden_dim))
         laid = [[] for _ in row_sets[0]]
         for g, model in enumerate(models):
+            low, high = bounds[g], bounds[g + 1]
+            self.w1t[low:high] = model.w1[:, live[g]].T
             slots = np.zeros(width, dtype=np.int32)
-            for columns, low, high in ((live[g], *bounds[g : g + 2]),
-                                       (held[g], *held_bounds[g : g + 2])):
-                self.w1t[low:high] = model.w1[:, columns].T
-                slots[columns] = np.arange(low, high)
+            slots[live[g]] = np.arange(low, high)
             for out, rows in zip(laid, row_sets[g]):
                 out.append(SparseRows(
                     rows.indptr, slots[rows.indices], rows.data,
@@ -322,7 +317,7 @@ class _NetStack:
         self.velocity = None
         if momentum is not None:
             self.velocity = (
-                momentum, np.zeros((bounds[-1], self.w1t.shape[1])), np.zeros_like(self.b1),
+                momentum, np.zeros_like(self.w1t), np.zeros_like(self.b1),
                 np.zeros_like(self.w2), np.zeros_like(self.b2),
             )
         # a pass's hidden and dz1 arrays, grown to the largest batch seen
@@ -440,6 +435,39 @@ class _NetStack:
             speed[nets] = momentum * speed[nets] - learning_rate * grad
             weights[nets] += speed[nets]
 
+    def epoch(self, laid: SparseRows, labels, orders: dict, offsets, batch_size: int,
+              learning_rate: float):
+        """One epoch of lockstep mini-batch steps. ``orders`` maps each
+        training net, ascending, to its permutation of its rows, which
+        start at ``offsets[net]`` of ``laid`` and ``labels``; step k holds
+        batch k of every net that has one, and the epoch's rows are taken
+        from ``laid`` once. Returns each net's sum of batch loss times
+        batch size, added in step order, and the nets that had a
+        non-finite batch loss."""
+        ids, steps, at = [], [], 0
+        longest = max(len(order) for order in orders.values())
+        for begin in range(0, longest, batch_size):
+            start, parts = at, []
+            for g, order in orders.items():
+                chunk = order[begin : begin + batch_size]
+                if len(chunk):
+                    ids.append(chunk + offsets[g])
+                    parts.append((g, at - start, at - start + len(chunk)))
+                    at += len(chunk)
+            steps.append((start, parts))
+        ids = np.concatenate(ids)
+        rows, labels = laid.take(ids), labels[ids]
+        sums, diverged = dict.fromkeys(orders, 0.0), set()
+        for start, parts in steps:
+            stop = start + parts[-1][2]
+            losses, grads = self.run(rows.slice(start, stop), labels[start:stop], parts)
+            self.step(parts, grads, learning_rate)
+            for (g, low, high), loss in zip(parts, losses):
+                sums[g] += loss * (high - low)
+                if not np.isfinite(loss):
+                    diverged.add(g)
+        return sums, diverged
+
 
 def _subtract_rows(target, columns, scale: float, rows) -> None:
     """``target[columns] -= scale * rows`` in blocks of about
@@ -487,27 +515,6 @@ def _concat_rows(parts) -> SparseRows:
         np.concatenate([rows.solvent for rows in parts]),
         parts[0].width,
     )
-
-
-def _epoch_plan(orders: dict, offsets, batch_size: int):
-    """One epoch of lockstep mini-batches. ``orders`` maps each training
-    net, ascending, to its permutation of its rows, which start at
-    ``offsets[net]`` of the rows they are taken from. Returns the row ids
-    in step order and each step's (first position, parts), a part being
-    (net, low, high) counted from that position; step k holds batch k of
-    every net that has one."""
-    ids, steps, at = [], [], 0
-    longest = max(len(order) for order in orders.values())
-    for begin in range(0, longest, batch_size):
-        start, parts = at, []
-        for g, order in orders.items():
-            chunk = order[begin : begin + batch_size]
-            if len(chunk):
-                ids.append(chunk + offsets[g])
-                parts.append((g, at - start, at - start + len(chunk)))
-                at += len(chunk)
-        steps.append((start, parts))
-    return np.concatenate(ids), steps
 
 
 @dataclass(frozen=True)
@@ -563,7 +570,8 @@ def _groups(jobs, hidden: int):
     the best epoch's copy over each net's live rows) fit STACK_BYTES."""
     group, size = [], 0
     for job in jobs:
-        need = 3 * 8 * hidden * (len(np.unique(job.rows.indices)) + SOLVENT_DIM)
+        bits = np.unique(np.concatenate([job.rows.indices, job.val_rows.indices]))
+        need = 3 * 8 * hidden * (len(bits) + SOLVENT_DIM)
         if group and size + need > STACK_BYTES:
             yield group
             group, size = [], 0
@@ -583,21 +591,22 @@ def train_nets(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
     trained with it: same inputs give bit-identical weights. The nets take
     their mini-batches in lockstep, step k of an epoch holding batch k of
     every net that has one, and a net whose validation loss has not
-    improved for more than config.patience epochs leaves. A non-finite
-    loss aborts with a diverging-rate diagnostic naming the epoch of the
-    first job, in job order, that diverged.
+    improved for more than config.patience epochs leaves.
 
-    Only the live columns train, those some training row of the net
-    touches plus the solvent columns: every other column's velocity stays
-    zero and would move nothing.
+    Jobs train in groups that fit STACK_BYTES, one group after another. A
+    non-finite batch or validation loss ends training after its epoch e
+    with "job k: loss diverged at epoch e; ...", k the lowest index in
+    ``jobs`` of a net that diverged in that epoch; trained alone, job k
+    diverges at epoch e too. With one job a group, k is the first job to
+    diverge in job order.
     """
     results = []
     for group in _groups(jobs, config.hidden_dim):
-        results.extend(_train_group(group, head, config))
+        results.extend(_train_group(group, head, config, len(results)))
     return results
 
 
-def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
+def _train_group(jobs, head: Head, config: TrainConfig, first: int) -> list[TrainResult]:
     if len({job.rows.width for job in jobs}) > 1:
         raise ScorerError("jobs differ in row width")
     rng = np.random.default_rng(config.seed)
@@ -628,62 +637,33 @@ def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
     offsets = np.cumsum([0] + [len(job.rows) for job in jobs]).tolist()
     val_labels = np.concatenate([t[3] for t in targets])
     val_offsets = np.cumsum([0] + [len(job.val_rows) for job in jobs]).tolist()
-    best = (stack.w1t[: stack.bounds[-1]].copy(), stack.b1.copy(), stack.w2.copy(), stack.b2.copy())
+    # every net's whole validation set, one part each, in one pass
+    val_parts = [(g, val_offsets[g], val_offsets[g + 1]) for g in range(len(jobs))]
+    best = (stack.w1t.copy(), stack.b1.copy(), stack.w2.copy(), stack.b2.copy())
     best_loss = [float("inf")] * len(jobs)
     best_epoch = [0] * len(jobs)
     stale = [0] * len(jobs)
     train_losses = [[] for _ in jobs]
     val_losses = [[] for _ in jobs]
     active = list(range(len(jobs)))
-    # (net, epoch) of the first net, in job order, whose loss went
-    # non-finite: the nets after it leave, those before it train on
-    diverged = None
     for epoch in range(config.epochs):
         if not active:
             break
         orders = {g: rngs[g].permutation(len(jobs[g].rows)) for g in active}
-        ids, steps = _epoch_plan(orders, offsets, config.batch_size)
-        epoch_rows, epoch_labels = train.take(ids), labels[ids]
-        epoch_loss = dict.fromkeys(active, 0.0)
-        for start, parts in steps:
-            if diverged is not None:
-                parts = [part for part in parts if part[0] < diverged[0]]
-            while parts:
-                # parts are in net order, so the nets still training are a
-                # prefix of the step's rows
-                stop = start + parts[-1][2]
-                losses, grads = stack.run(
-                    epoch_rows.slice(start, stop), epoch_labels[start:stop], parts
-                )
-                bad = [g for (g, _, _), loss in zip(parts, losses) if not np.isfinite(loss)]
-                if not bad:
-                    stack.step(parts, grads, config.learning_rate)
-                    for (g, low, high), loss in zip(parts, losses):
-                        epoch_loss[g] += loss * (high - low)
-                    break
-                # the nets from the diverging one on leave, and the step is
-                # run again without them
-                diverged = (bad[0], epoch)
-                active = [g for g in active if g < bad[0]]
-                parts = [part for part in parts if part[0] < bad[0]]
-        if not active:
-            break
-        # every training net's validation loss in one pass: one step whose
-        # batch holds each net's whole validation set
-        ids, [(_, parts)] = _epoch_plan(
-            {g: np.arange(len(jobs[g].val_rows)) for g in active}, val_offsets, len(val_labels)
+        sums, diverged = stack.epoch(
+            train, labels, orders, offsets, config.batch_size, config.learning_rate
         )
-        losses, _ = stack.run(val.take(ids), val_labels[ids], parts, grads=False)
-        for g, val_loss in zip(list(active), losses):
+        losses, _ = stack.run(val, val_labels, val_parts, grads=False)
+        diverged.update(g for g in active if not np.isfinite(losses[g]))
+        if diverged:
+            k = first + min(diverged)
+            raise ScorerError(f"job {k}: loss diverged at epoch {epoch}; lower the learning rate")
+        for g in list(active):
             scale = targets[g][1]
-            train_losses[g].append(epoch_loss[g] / len(jobs[g].rows) * scale**2)
-            if not np.isfinite(val_loss):
-                diverged = (g, epoch)
-                active = [h for h in active if h < g]
-                break
-            val_losses[g].append(val_loss * scale**2)
-            if val_loss < best_loss[g]:
-                best_loss[g] = val_loss
+            train_losses[g].append(sums[g] / len(jobs[g].rows) * scale**2)
+            val_losses[g].append(losses[g] * scale**2)
+            if losses[g] < best_loss[g]:
+                best_loss[g] = losses[g]
                 low, high = stack.bounds[g], stack.bounds[g + 1]
                 best[0][low:high] = stack.w1t[low:high]
                 for saved, weights in zip(best[1:], (stack.b1, stack.w2, stack.b2)):
@@ -694,8 +674,6 @@ def _train_group(jobs, head: Head, config: TrainConfig) -> list[TrainResult]:
                 stale[g] += 1
                 if stale[g] > config.patience:
                     active.remove(g)
-    if diverged is not None:
-        raise ScorerError(f"loss diverged at epoch {diverged[1]}; lower the learning rate")
     results = []
     for g, model in enumerate(models):
         mean, scale = targets[g][:2]
@@ -754,14 +732,8 @@ def update_nets(models, rows: SparseRows, targets, epochs: int, batch_size: int,
 
     before = full_losses()
     for epoch in range(epochs):
-        ids, steps = _epoch_plan(
-            {k: order[epoch] for k, order in enumerate(orders)}, offsets, batch_size
-        )
-        epoch_rows, epoch_labels = laid.take(ids), labels[ids]
-        for start, parts in steps:
-            stop = start + parts[-1][2]
-            _, grads = stack.run(epoch_rows.slice(start, stop), epoch_labels[start:stop], parts)
-            stack.step(parts, grads, learning_rate)
+        stack.epoch(laid, labels, {k: order[epoch] for k, order in enumerate(orders)}, offsets,
+                    batch_size, learning_rate)
     after = full_losses()
     kept = []
     for k, model in enumerate(models):

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -309,6 +310,12 @@ class TestConfigValidation:
         assert captured.out == ""
         assert f"error: {key}" in captured.err
 
+    def test_negative_weight_floor_exits_two_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[generate]\nweight_floor = -0.5\n")
+        assert main(["--config", str(path), "--print-config"]) == 2
+        assert "error: weight_floor must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -373,6 +380,21 @@ class TestTrain:
         assert (
             main(["--config", str(config_path), "train", "--column", "smiles=Structure"])
             == 0
+        )
+
+    def test_diverging_learning_rate_exits_two_naming_the_job(self, tmp_path, capsys):
+        synthetic_csv(tmp_path / "chemfluor.csv")
+        config_path = write_config(tmp_path)
+        text = config_path.read_text().replace("[train]\n", "[train]\nlearning_rate = 1e9\n")
+        config_path.write_text(text)
+        with np.errstate(all="ignore"):
+            assert main(["--config", str(config_path), "train"]) == 2
+        # the task, then the fold that diverged and its epoch
+        assert re.search(
+            r"^error: (plqy_class|abs_reg|em_reg): job [0-2]: loss diverged at epoch [0-2]; "
+            r"lower the learning rate$",
+            capsys.readouterr().err,
+            re.MULTILINE,
         )
 
     def test_bad_column_flag(self, tmp_path, capsys):

@@ -501,6 +501,11 @@ class TestWeightController:
         with pytest.raises(GeneratorError):
             tune_weights((0.5, 0.5, 0.5, 0.5), floor=0.3)
 
+    def test_negative_floor_rejected(self):
+        # a floor below 0 would let two properties' weights reach 0
+        with pytest.raises(GeneratorError, match="floor must be non-negative"):
+            tune_weights((1.0, 1.0, 0.0, 0.0), floor=-0.5)
+
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
@@ -911,6 +916,7 @@ class TestConfigValidation:
             {"window": 0},
             {"train_interval": 0},
             {"max_steps": 0},
+            {"weight_floor": -0.5},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

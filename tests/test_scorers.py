@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -713,6 +714,17 @@ def assert_results_equal(got, want):
     assert got.model.w1.flags.c_contiguous
 
 
+def diverged_job(message: str, errors) -> int:
+    """The job k that a train_nets divergence error names, checked against
+    ``errors``, each job's one-net referee error or None: job k's referee
+    must diverge at the epoch the message names."""
+    match = re.fullmatch(r"job (\d+): (loss diverged at epoch \d+; .*)", message)
+    assert match, message
+    named = int(match[1])
+    assert errors[named] == match[2], (message, errors)
+    return named
+
+
 class TestStackedTraining:
     @settings(max_examples=80, deadline=None)
     @given(stacked_problems(), st.sampled_from([None, 1, 3000]))
@@ -720,23 +732,25 @@ class TestStackedTraining:
         """train_nets on G jobs gives what G separate runs of the per-net
         referee give, under any grouping of the jobs."""
         jobs, head, config = problem
-        wants, error = [], None
+        wants, errors = [], []
         with np.errstate(all="ignore"):
             for features, labels, val_features, val_labels in jobs:
                 try:
                     wants.append(
                         mlp_train_one_net(features, labels, head, config, val_features, val_labels)
                     )
+                    errors.append(None)
                 except ScorerError as exc:
-                    error = str(exc)
-                    break
+                    errors.append(str(exc))
             bound = scorers.STACK_BYTES if stack_bytes is None else stack_bytes
             with mock.patch.object(scorers, "STACK_BYTES", bound):
-                if error is not None:
-                    # the first job to diverge, in job order, names the epoch
+                if any(errors):
                     with pytest.raises(ScorerError) as caught:
                         train_nets([TrainJob.of(*job) for job in jobs], head, config)
-                    assert str(caught.value) == error
+                    named = diverged_job(str(caught.value), errors)
+                    if stack_bytes == 1:
+                        # one job a group: the first to diverge, in job order
+                        assert named == min(k for k, error in enumerate(errors) if error)
                     return
                 got = train_nets([TrainJob.of(*job) for job in jobs], head, config)
         assert len(got) == len(jobs)
@@ -761,9 +775,12 @@ class TestStackedTraining:
             assert_results_equal(result, want)
 
     def test_divergence_names_the_first_job_that_diverged(self):
-        """The jobs diverge at different epochs; the error names the epoch
-        of the first job, in job order, as training the jobs one after
-        another would."""
+        """The jobs diverge at different epochs, job 0 last. Trained as one
+        group, the run stops at the first epoch in which a job diverges and
+        names that job; with every job in its own group it names the first
+        job in job order, as training the jobs one after another would.
+        Either way the named job, trained alone, diverges at the named
+        epoch."""
         rng = np.random.default_rng(6)
         config = TrainConfig(hidden_dim=8, epochs=20, learning_rate=1.0, seed=6)
         features = rng.normal(0, 1, (20, 8))
@@ -778,13 +795,18 @@ class TestStackedTraining:
                 with pytest.raises(ScorerError, match="diverged") as caught:
                     mlp_train_one_net(*job, Head.LINEAR, config)
                 messages.append(str(caught.value))
-            # job 0 diverges last: the stacked run must keep it training
             epochs = [int(message.split()[4].rstrip(";")) for message in messages]
             assert epochs[0] > max(epochs[1:]) and len(set(epochs)) == 3, epochs
-            for first in range(len(jobs)):
-                with pytest.raises(ScorerError) as caught:
-                    train_nets([TrainJob.of(*job) for job in jobs[first:]], Head.LINEAR, config)
-                assert str(caught.value) == messages[first]
+            for stack_bytes in (scorers.STACK_BYTES, 1):
+                with mock.patch.object(scorers, "STACK_BYTES", stack_bytes):
+                    for first in range(len(jobs)):
+                        with pytest.raises(ScorerError) as caught:
+                            train_nets(
+                                [TrainJob.of(*job) for job in jobs[first:]], Head.LINEAR, config
+                            )
+                        named = diverged_job(str(caught.value), messages[first:])
+                        rest = epochs[first:]
+                        assert named == (0 if stack_bytes == 1 else rest.index(min(rest)))
 
     @pytest.mark.parametrize(
         "val_features, val_labels, message",
