@@ -37,7 +37,7 @@ from fluorgen.filters import (
     write_filter_report,
     write_similarity_histogram,
 )
-from fluorgen.fingerprints import morgan_fingerprints
+from fluorgen.fingerprints import FEATURE_DIM, morgan_fingerprints
 from fluorgen.generator import (
     Generator,
     GeneratorError,
@@ -54,6 +54,7 @@ from fluorgen.reactions import (
     ingest_reaction_templates,
 )
 from fluorgen.scorers import (
+    TASK_HEADS,
     PropertyScorer,
     ScorerError,
     ScorerKind,
@@ -155,7 +156,15 @@ def _load_scorers(config: RunConfig) -> dict:
         path = _checkpoint_path(config, task)
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint {path}; run 'fluorgen train' first")
-        scorers[kind] = PropertyScorer(kind, load_model(path))
+        model = load_model(path)
+        if model.head is not TASK_HEADS[task]:
+            raise ScorerError(
+                f"{path}: {task.value} needs a {TASK_HEADS[task].value} head, "
+                f"got {model.head.value}"
+            )
+        if model.input_dim != FEATURE_DIM:
+            raise ScorerError(f"{path}: expected a {FEATURE_DIM}-wide w1, got {model.input_dim}")
+        scorers[kind] = PropertyScorer(kind, model)
     return scorers
 
 

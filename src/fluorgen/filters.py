@@ -22,6 +22,8 @@ HISTOGRAM_BINS = np.linspace(0, 1, 101)
 HISTOGRAM_KINDS = ("intra", "inter")
 # rows per block of the across-cluster pair sweep
 PAIR_BLOCK = 8
+# k-medoids stops after this many assignment passes if it has not settled
+CLUSTER_ITERATIONS = 100
 
 
 class FilterError(ValueError):
@@ -185,11 +187,11 @@ def _farthest_point_seeds(words: np.ndarray, k: int, seed: int) -> list[int]:
     return seeds
 
 
-def cluster_tanimoto(words: np.ndarray, k: int, seed: int,
-                     max_iterations: int = 100) -> ClusterAssignment:
+def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """K-medoids in Tanimoto space: assign to the nearest medoid, then
     move each medoid to the member minimizing summed intra-cluster
-    distance, until assignments stop changing.
+    distance, until assignments stop changing or CLUSTER_ITERATIONS
+    passes have run.
 
     Distances are computed on demand from the packed words: one k x n
     block per assignment and one members x members block per medoid
@@ -203,7 +205,7 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int,
     labels = None
     trace = []
     molecules = np.arange(n)
-    for _ in range(max_iterations):
+    for _ in range(CLUSTER_ITERATIONS):
         to_medoids = _distances(words[medoids], words)
         new_labels = np.argmin(to_medoids, axis=0)
         for cluster, medoid in enumerate(medoids):

@@ -19,15 +19,21 @@ _NetStack, sets up a fit: each net's live columns (those any of its rows
 touch, plus the solvent columns) get their own slice of one stacked
 (rows, hidden) working copy of w1, and each of the fit's row sets is
 laid out once, every net's rows mapped to its slice and normalized by
-its statistics. In a step the first layer is one CSR product and its
-gradient one CSC product over the rows the step touches, while the
-small dense products stay per net with the shapes a net alone would
-use. No net's bits depend on the nets trained with it. train_nets
-trains the folds of a cross-validation task this way, mlp_train is its
-one-job form, update_nets retrains the rollout's four value nets, and
-loss_and_grads is the one-net pass. Checkpoints keep w1 as (hidden,
-input). The per-net sparse loops and the dense kernel are the test
-referees (tests/oracles.py).
+its statistics, with their labels and each net's span of them. The
+fits leave this layout to the stack: they hand it rows and labels, read
+back each net's losses, and have it save a net's weights (save) and
+write a net back into its model (store). In a step the first layer is
+one CSR product and its gradient one CSC product over the rows the step
+touches, while the small dense products stay per net with the shapes a
+net alone would use. No net's bits depend on the nets trained with it.
+train_nets trains the folds of a cross-validation task this way,
+mlp_train is its one-job form, update_nets retrains the rollout's four
+value nets, and loss_and_grads is the one-net pass. The per-net sparse
+loops and the dense kernel are the test referees (tests/oracles.py).
+
+Checkpoints keep w1 as (hidden, input). A loaded one is checked for
+shapes, dtypes, finite values and positive stdevs, and the commands
+check its head against TASK_HEADS and its width against FEATURE_DIM.
 
 Scoring reads rows sparsely too. Every batch of fingerprints is scored by
 one loop, score_rows, on packed rows against a ScoreStack, the bit
@@ -51,6 +57,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.stats import rankdata
 
+from fluorgen.dataset import Task, split_cv
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_BITS,
@@ -97,6 +104,11 @@ class Head(enum.Enum):
     LINEAR = "linear"
 
 
+# each task's head: the PLQY class is a probability, the wavelengths are
+# regressions in nm; training and loading checkpoints both follow it
+TASK_HEADS = {Task.PLQY_CLASS: Head.SIGMOID, Task.ABS_REG: Head.LINEAR, Task.EM_REG: Head.LINEAR}
+
+
 @dataclass
 class MlpModel:
     w1: np.ndarray  # (hidden, input)
@@ -105,7 +117,7 @@ class MlpModel:
     b2: float
     head: Head
     norm_mean: np.ndarray  # (4,) solvent column means
-    norm_std: np.ndarray  # (4,) solvent column stdevs, zeros replaced by 1
+    norm_std: np.ndarray  # (4,) solvent column stdevs, positive: zeros replaced by 1
     seed: int = 0
 
     def __post_init__(self):
@@ -121,6 +133,8 @@ class MlpModel:
             raise ScorerError("normalization parameters must cover the solvent columns")
         if not all(np.all(np.isfinite(arr)) for arr in (*arrays, self.b2)):
             raise ScorerError("non-finite model parameter")
+        if np.any(self.norm_std <= 0.0):
+            raise ScorerError(f"norm_std must be positive, got {self.norm_std.tolist()}")
         self.b2, self.seed = float(self.b2), int(self.seed)
 
     @property
@@ -159,6 +173,16 @@ class TrainConfig:
             raise ScorerError("momentum must be in [0,1)")
 
 
+# A fit's overflow is its divergence check's to report, and a sigmoid
+# whose exp overflows is 0, as it should be, so neither warns.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
+@np.errstate(**_QUIET)
+def _sigmoid(logits):
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
 def _normalize(model: MlpModel, features: np.ndarray) -> np.ndarray:
     out = np.array(features, dtype=np.float64, copy=True)
     out[..., -SOLVENT_DIM:] = (out[..., -SOLVENT_DIM:] - model.norm_mean) / model.norm_std
@@ -175,7 +199,7 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
     logits = hidden @ model.w2 + model.b2
     if model.head is Head.SIGMOID:
-        return 1.0 / (1.0 + np.exp(-logits))
+        return _sigmoid(logits)
     return logits
 
 
@@ -257,7 +281,7 @@ def as_sparse_rows(features) -> SparseRows:
 
 class _NetStack:
     """Copies of one-hidden-layer nets of one head and hidden size, trained
-    side by side, and their row sets laid out once for run.
+    side by side, and their rows and labels laid out once for run.
 
     ``w1t`` holds the first-layer weights of every net as rows of one
     (rows, hidden) array: net g's live columns (the bit columns any of
@@ -265,12 +289,15 @@ class _NetStack:
     ``bounds[g]:bounds[g + 1]``. ``live[g]`` are net g's live columns;
     ``b1``, ``w2`` and ``b2`` stack the rest, one row or entry per net.
     Net g reads its solvent columns at rows
-    ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``.
+    ``solvent_at[g]:solvent_at[g] + SOLVENT_DIM``. The fits do not read
+    this layout: save copies net g into a snapshot, and store writes net
+    g (or its snapshot) back into a model.
 
     ``laid[p]`` is row-set position p of every net, net after net, as run
     reads a batch: each row's indices mapped to its net's w1t rows, its
-    solvent values normalized by its net's statistics. ``parts`` name
-    each net's (net, low, high) span of a batch, in net order. Every
+    solvent values normalized by its net's statistics. ``labels[p]`` are
+    their labels in the same order, and ``spans[p]`` each net's (net,
+    start, stop) in ``laid[p]``, in net order, the parts run takes. Every
     net's rows meet only that net's w1t rows, and the mapping keeps each
     row's columns in order, so run and step make the same float
     operations per net, in the same order, as the net alone.
@@ -282,7 +309,7 @@ class _NetStack:
     velocity stays 0 and ``w += 0.0`` leaves it as it was.
     """
 
-    def __init__(self, models, row_sets, momentum=None):
+    def __init__(self, models, row_sets, label_sets, momentum=None):
         if len({model.head for model in models}) > 1:
             raise ScorerError("stacked nets differ in head")
         width = models[0].input_dim
@@ -308,6 +335,11 @@ class _NetStack:
                     (rows.solvent - model.norm_mean) / model.norm_std, len(self.w1t) + SOLVENT_DIM,
                 ))
         self.laid = [_concat_rows(sets) for sets in laid]
+        self.labels = [np.concatenate(labels, dtype=np.float64) for labels in zip(*label_sets)]
+        self.spans = []
+        for sets in laid:
+            ends = np.cumsum([0] + [len(rows) for rows in sets]).tolist()
+            self.spans.append(list(zip(range(len(sets)), ends, ends[1:])))
         self.bounds, self.live = bounds, live
         self.solvent_at = [high - SOLVENT_DIM for high in bounds[1:]]
         self.b1 = np.array([model.b1 for model in models])
@@ -320,18 +352,28 @@ class _NetStack:
                 momentum, np.zeros_like(self.w1t), np.zeros_like(self.b1),
                 np.zeros_like(self.w2), np.zeros_like(self.b2),
             )
-        # a pass's hidden and dz1 arrays, grown to the largest batch seen
-        self._hidden = self._dz1 = np.empty((0, self.w1t.shape[1]))
         self._touched = np.zeros(len(self.w1t), dtype=bool)
 
-    def net_w1(self, g: int, w1: np.ndarray, w1t_rows=None) -> np.ndarray:
-        """A (hidden, input) copy of ``w1`` with net g's live columns set
-        from its w1t rows (or from ``w1t_rows``, a saved copy of them)."""
+    def save(self, g: int, saved) -> None:
+        """Copy net g's weights into ``saved``, a (w1t, b1, w2, b2)
+        snapshot shaped like the stack's own arrays."""
         low, high = self.bounds[g], self.bounds[g + 1]
-        out = w1.copy()
-        out[:, self.live[g]] = (self.w1t if w1t_rows is None else w1t_rows)[low:high].T
-        return out
+        saved[0][low:high] = self.w1t[low:high]
+        for out, weights in zip(saved[1:], (self.b1, self.w2, self.b2)):
+            out[g] = weights[g]
 
+    def store(self, g: int, model: MlpModel, saved=None) -> None:
+        """Write net g's weights, or its copy in the snapshot ``saved``,
+        into ``model``: a new w1 array, ``model.w1`` with net g's live
+        columns replaced (the folds of a group share their first w1), and
+        new b1, w2 and b2."""
+        w1t, b1, w2, b2 = (self.w1t, self.b1, self.w2, self.b2) if saved is None else saved
+        low, high = self.bounds[g], self.bounds[g + 1]
+        w1 = model.w1.copy()
+        w1[:, self.live[g]] = w1t[low:high].T
+        model.w1, model.b1, model.w2, model.b2 = w1, b1[g].copy(), w2[g].copy(), float(b2[g])
+
+    @np.errstate(**_QUIET)
     def run(self, batch: SparseRows, labels, parts, grads: bool = True):
         """Each part's mean loss and, with ``grads``, the gradients.
 
@@ -348,9 +390,6 @@ class _NetStack:
         """
         n = len(batch)
         w1t = self.w1t
-        if len(self._hidden) < n:
-            self._hidden = np.empty((n, w1t.shape[1]))
-        hidden = self._hidden[:n]
         nets = [g for g, _, _ in parts]
         sizes = [high - low for _, low, high in parts]
         lead = csr_array((batch.data, batch.indices, batch.indptr), shape=(n, len(w1t)))
@@ -361,7 +400,8 @@ class _NetStack:
         # elementwise steps run on the whole batch, each row against its
         # own net's b1, w2 and b2
         z1 += np.repeat(self.b1[nets], sizes, axis=0)
-        np.maximum(z1, 0.0, out=hidden)
+        # the ReLU in place: z1 is not read again
+        hidden = np.maximum(z1, 0.0, out=z1)
         z2 = np.empty(n)
         for g, low, high in parts:
             np.matmul(hidden[low:high], self.w2[g], out=z2[low:high])
@@ -369,7 +409,7 @@ class _NetStack:
         count = np.repeat(sizes, sizes)
         if self.sigmoid:
             terms = np.logaddexp(0.0, z2) - labels * z2
-            dz2 = (1.0 / (1.0 + np.exp(-z2)) - labels) / count
+            dz2 = (_sigmoid(z2) - labels) / count
         else:
             diff = z2 - labels
             terms = diff * diff
@@ -378,11 +418,9 @@ class _NetStack:
         losses = [float(terms[low:high].sum()) / (high - low) for _, low, high in parts]
         if not grads:
             return losses, None
-        if len(self._dz1) < n:
-            self._dz1 = np.empty((n, w1t.shape[1]))
-        dz1 = self._dz1[:n]
-        np.multiply(dz2[:, np.newaxis], np.repeat(self.w2[nets], sizes, axis=0), out=dz1)
-        dz1 *= z1 > 0.0
+        dz1 = np.repeat(self.w2[nets], sizes, axis=0)
+        dz1 *= dz2[:, np.newaxis]
+        dz1 *= hidden > 0.0
         width = w1t.shape[1]
         grad_solvent = np.empty((len(parts), SOLVENT_DIM, width))
         grad_b1 = np.empty((len(parts), width))
@@ -403,6 +441,7 @@ class _NetStack:
         lead_t = csc_array((batch.data, indices, batch.indptr), shape=(len(columns), n))
         return losses, (columns, lead_t @ dz1, grad_solvent, grad_b1, grad_w2, grad_b2)
 
+    @np.errstate(**_QUIET)
     def step(self, parts, grads, learning_rate: float) -> None:
         """One update of the nets in ``parts`` from run's gradients."""
         columns, rows, solvent, b1, w2, b2 = grads
@@ -435,15 +474,13 @@ class _NetStack:
             speed[nets] = momentum * speed[nets] - learning_rate * grad
             weights[nets] += speed[nets]
 
-    def epoch(self, laid: SparseRows, labels, orders: dict, offsets, batch_size: int,
-              learning_rate: float):
-        """One epoch of lockstep mini-batch steps. ``orders`` maps each
-        training net, ascending, to its permutation of its rows, which
-        start at ``offsets[net]`` of ``laid`` and ``labels``; step k holds
-        batch k of every net that has one, and the epoch's rows are taken
-        from ``laid`` once. Returns each net's sum of batch loss times
-        batch size, added in step order, and the nets that had a
-        non-finite batch loss."""
+    def epoch(self, orders: dict, batch_size: int, learning_rate: float):
+        """One epoch of lockstep mini-batch steps on row-set position 0.
+        ``orders`` maps each training net, ascending, to its permutation
+        of its rows; step k holds batch k of every net that has one, and
+        the epoch's rows are taken from ``laid[0]`` once. Returns each
+        net's sum of batch loss times batch size, added in step order, and
+        the nets that had a non-finite batch loss."""
         ids, steps, at = [], [], 0
         longest = max(len(order) for order in orders.values())
         for begin in range(0, longest, batch_size):
@@ -451,12 +488,12 @@ class _NetStack:
             for g, order in orders.items():
                 chunk = order[begin : begin + batch_size]
                 if len(chunk):
-                    ids.append(chunk + offsets[g])
+                    ids.append(chunk + self.spans[0][g][1])
                     parts.append((g, at - start, at - start + len(chunk)))
                     at += len(chunk)
             steps.append((start, parts))
         ids = np.concatenate(ids)
-        rows, labels = laid.take(ids), labels[ids]
+        rows, labels = self.laid[0].take(ids), self.labels[0][ids]
         sums, diverged = dict.fromkeys(orders, 0.0), set()
         for start, parts in steps:
             stop = start + parts[-1][2]
@@ -492,9 +529,8 @@ def loss_and_grads(model: MlpModel, rows: SparseRows, labels, grads: bool = True
     """
     if rows.width != model.input_dim:
         raise ScorerError(f"expected {model.input_dim}-wide rows, got {rows.width}")
-    stack = _NetStack([model], [(rows,)])
-    y = np.asarray(labels, dtype=np.float64)
-    (loss,), out = stack.run(stack.laid[0], y, [(0, 0, len(rows))], grads)
+    stack = _NetStack([model], [(rows,)], [(labels,)])
+    (loss,), out = stack.run(stack.laid[0], stack.labels[0], stack.spans[0], grads)
     if out is None:
         return loss, None
     touched, bit_rows, solvent, b1, w2, b2 = out
@@ -631,14 +667,10 @@ def _train_group(jobs, head: Head, config: TrainConfig, first: int) -> list[Trai
             norm_mean=job.rows.solvent.mean(axis=0), norm_std=np.where(std > 0.0, std, 1.0),
             seed=config.seed,
         ))
-    stack = _NetStack(models, [(job.rows, job.val_rows) for job in jobs], config.momentum)
-    train, val = stack.laid
-    labels = np.concatenate([t[2] for t in targets])
-    offsets = np.cumsum([0] + [len(job.rows) for job in jobs]).tolist()
-    val_labels = np.concatenate([t[3] for t in targets])
-    val_offsets = np.cumsum([0] + [len(job.val_rows) for job in jobs]).tolist()
-    # every net's whole validation set, one part each, in one pass
-    val_parts = [(g, val_offsets[g], val_offsets[g + 1]) for g in range(len(jobs))]
+    stack = _NetStack(
+        models, [(job.rows, job.val_rows) for job in jobs], [t[2:] for t in targets],
+        config.momentum,
+    )
     best = (stack.w1t.copy(), stack.b1.copy(), stack.w2.copy(), stack.b2.copy())
     best_loss = [float("inf")] * len(jobs)
     best_epoch = [0] * len(jobs)
@@ -650,10 +682,9 @@ def _train_group(jobs, head: Head, config: TrainConfig, first: int) -> list[Trai
         if not active:
             break
         orders = {g: rngs[g].permutation(len(jobs[g].rows)) for g in active}
-        sums, diverged = stack.epoch(
-            train, labels, orders, offsets, config.batch_size, config.learning_rate
-        )
-        losses, _ = stack.run(val, val_labels, val_parts, grads=False)
+        sums, diverged = stack.epoch(orders, config.batch_size, config.learning_rate)
+        # every net's whole validation set in one pass
+        losses, _ = stack.run(stack.laid[1], stack.labels[1], stack.spans[1], grads=False)
         diverged.update(g for g in active if not np.isfinite(losses[g]))
         if diverged:
             k = first + min(diverged)
@@ -664,10 +695,7 @@ def _train_group(jobs, head: Head, config: TrainConfig, first: int) -> list[Trai
             val_losses[g].append(losses[g] * scale**2)
             if losses[g] < best_loss[g]:
                 best_loss[g] = losses[g]
-                low, high = stack.bounds[g], stack.bounds[g + 1]
-                best[0][low:high] = stack.w1t[low:high]
-                for saved, weights in zip(best[1:], (stack.b1, stack.w2, stack.b2)):
-                    saved[g] = weights[g]
+                stack.save(g, best)
                 best_epoch[g] = epoch
                 stale[g] = 0
             else:
@@ -677,8 +705,7 @@ def _train_group(jobs, head: Head, config: TrainConfig, first: int) -> list[Trai
     results = []
     for g, model in enumerate(models):
         mean, scale = targets[g][:2]
-        model.w1 = stack.net_w1(g, w1, best[0])
-        model.b1, model.w2, model.b2 = best[1][g].copy(), best[2][g].copy(), float(best[3][g])
+        stack.store(g, model, best)
         if head is Head.LINEAR:
             model.w2 = model.w2 * scale
             model.b2 = model.b2 * scale + mean
@@ -715,33 +742,23 @@ def update_nets(models, rows: SparseRows, targets, epochs: int, batch_size: int,
     """
     n = len(rows)
     orders = [[rng.permutation(n) for _ in range(epochs)] for _ in models]
-    stack = _NetStack(models, [(rows,)] * len(models))
-    # one laid copy of the rows per net, net after net, read against the
-    # targets in the same order
-    [laid] = stack.laid
-    labels = np.asarray(targets, dtype=np.float64).T.ravel()
-    offsets = [k * n for k in range(len(models))]
+    stack = _NetStack(
+        models, [(rows,)] * len(models), [(column,) for column in np.transpose(targets)]
+    )
 
     def full_losses():
-        # one net at a time, so no pass holds more than the rows
-        return [
-            stack.run(laid.slice(low, low + n), labels[low : low + n], [(k, 0, n)],
-                      grads=False)[0][0]
-            for k, low in enumerate(offsets)
-        ]
+        return stack.run(stack.laid[0], stack.labels[0], stack.spans[0], grads=False)[0]
 
     before = full_losses()
     for epoch in range(epochs):
-        stack.epoch(laid, labels, {k: order[epoch] for k, order in enumerate(orders)}, offsets,
-                    batch_size, learning_rate)
+        stack.epoch({k: order[epoch] for k, order in enumerate(orders)}, batch_size,
+                    learning_rate)
     after = full_losses()
     kept = []
     for k, model in enumerate(models):
         kept.append(bool(np.isfinite(after[k]) and not after[k] > before[k]))
         if kept[-1]:
-            model.w1 = stack.net_w1(k, model.w1)
-            model.b1, model.w2 = stack.b1[k].copy(), stack.w2[k].copy()
-            model.b2 = float(stack.b2[k])
+            stack.store(k, model)
     return kept
 
 
@@ -876,7 +893,7 @@ def score_rows(stack: ScoreStack, words: np.ndarray, solvent) -> np.ndarray:
         for k, (low, high) in enumerate(zip(stack.bounds, stack.bounds[1:])):
             out[start : start + len(block), k] = hidden[:, low:high].sum(axis=1)
     out += stack.b2
-    out[:, stack.sigmoid] = 1.0 / (1.0 + np.exp(-out[:, stack.sigmoid]))
+    out[:, stack.sigmoid] = _sigmoid(out[:, stack.sigmoid])
     return out
 
 
@@ -956,9 +973,7 @@ def run_cv(dataset, config: TrainConfig, folds: int, split_seed: int):
     """Train on every fold of a TaskDataset; AUC for the classification
     task, MAE for the regression tasks, reported per fold. Returns the
     report and the per-fold models in fold order."""
-    from fluorgen.dataset import Task, split_cv
-
-    head = Head.SIGMOID if dataset.task is Task.PLQY_CLASS else Head.LINEAR
+    head = TASK_HEADS[dataset.task]
     metric_name = "roc_auc" if head is Head.SIGMOID else "mae"
     metrics = []
     models = []

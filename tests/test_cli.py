@@ -3,6 +3,7 @@
 import os
 import random
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -387,7 +388,9 @@ class TestTrain:
         config_path = write_config(tmp_path)
         text = config_path.read_text().replace("[train]\n", "[train]\nlearning_rate = 1e9\n")
         config_path.write_text(text)
-        with np.errstate(all="ignore"):
+        # the divergence check reports the overflow; numpy does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["--config", str(config_path), "train"]) == 2
         # the task, then the fold that diverged and its epoch
         assert re.search(
@@ -396,6 +399,17 @@ class TestTrain:
             capsys.readouterr().err,
             re.MULTILINE,
         )
+
+    def test_large_learning_rate_warns_nothing(self, tmp_path):
+        """A fit that overflows on the way but ends finite exits 0, and
+        numpy warns of none of it."""
+        synthetic_csv(tmp_path / "chemfluor.csv")
+        config_path = write_config(tmp_path)
+        text = config_path.read_text().replace("[train]\n", "[train]\nlearning_rate = 1e3\n")
+        config_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(config_path), "train"]) == 0
 
     def test_bad_column_flag(self, tmp_path, capsys):
         synthetic_csv(tmp_path / "chemfluor.csv")
@@ -534,6 +548,11 @@ class TestGenerate:
             (lambda arrays: arrays.update(version=np.array([1, 1])), "unsupported checkpoint"),
             (lambda arrays: arrays.update(version=np.str_("x")), "unsupported checkpoint"),
             (lambda arrays: arrays.update(w1=arrays["w1"].astype(object)), "cannot read"),
+            (lambda arrays: arrays.update(head=np.str_("sigmoid")),
+             "abs_reg needs a linear head, got sigmoid"),
+            (lambda arrays: arrays.update(w1=np.zeros((4, 100))), "2052-wide w1, got 100"),
+            (lambda arrays: arrays.update(norm_std=np.array([0.0, 1.0, 1.0, 1.0])),
+             "norm_std must be positive"),
         ],
     )
     def test_malformed_checkpoint_is_code_two(self, edit, message, tmp_path, capsys):
@@ -626,6 +645,17 @@ class TestFilter:
         assert novelty_lines[0] == "smiles\tmax_similarity\tnovel"
         # biphenyl is identical to the reference: similarity 1, not novel
         assert novelty_lines[1].endswith("\t1\t0")
+
+    def test_linear_plqy_checkpoint_is_code_two(self, filter_setup, capsys):
+        """A linear PLQY "probability" of 500 would pass plqy_min."""
+        directory, config_path = filter_setup
+        path = directory / "ckpt" / "plqy_class.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(path, **{**arrays, "head": np.str_("linear"), "b2": np.float64(500.0)})
+        assert main(["--config", str(config_path), "filter"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: plqy_class needs a sigmoid head, got linear" in err
 
     def test_cluster_count_clamped_with_warning(self, tmp_path, capsys):
         constant_checkpoints(tmp_path / "ckpt")
