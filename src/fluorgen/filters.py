@@ -8,7 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints, tanimoto_matrix
+from fluorgen.fingerprints import (
+    SolventFeatures,
+    TanimotoIndex,
+    morgan_fingerprints,
+    tanimoto_matrix,
+)
 from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import property_stack, score_rows
 from fluorgen.smiles import SmilesError, parse_smiles
@@ -20,8 +25,11 @@ HISTOGRAM_CHUNK = 1 << 16
 # bin edges of the binned similarity histogram: 100 bins of width 0.01
 HISTOGRAM_BINS = np.linspace(0, 1, 101)
 HISTOGRAM_KINDS = ("intra", "inter")
-# rows per block of the across-cluster pair sweep
-PAIR_BLOCK = 8
+# Rows per block of the across-cluster pair sweep, one index query each.
+# On the benchmark's filter 32 rows swept 2 ms faster than 16, but each
+# block's chunk goes to the histogram writer whole, and a `fluorgen filter`
+# peaked 2 MB higher; 8 rows swept 6 ms slower.
+PAIR_BLOCK = 16
 # k-medoids stops after this many assignment passes if it has not settled
 CLUSTER_ITERATIONS = 100
 
@@ -157,12 +165,9 @@ class ClusterAssignment:
                 raise FilterError("medoid must belong to its own cluster")
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jaccard distances 1 - tanimoto of packed rows a against packed
-    rows b. tanimoto_matrix loops over a in 8-row blocks, so callers pass
-    the smaller side as a."""
-    out = tanimoto_matrix(a, b)
-    return np.subtract(1.0, out, out=out)
+def _distances(similarities: np.ndarray) -> np.ndarray:
+    """Jaccard distances 1 - tanimoto, in place of the similarities."""
+    return np.subtract(1.0, similarities, out=similarities)
 
 
 def distance_matrix(words: np.ndarray) -> np.ndarray:
@@ -171,17 +176,17 @@ def distance_matrix(words: np.ndarray) -> np.ndarray:
     Nothing in the package calls this any more: clustering reads distance
     blocks on demand. It stays as a public entry point, which the
     benchmark's tracer watches and the tests use as a reference."""
-    return _distances(words, words)
+    return _distances(tanimoto_matrix(words, words))
 
 
-def _farthest_point_seeds(words: np.ndarray, k: int, seed: int) -> list[int]:
+def _farthest_point_seeds(index: TanimotoIndex, words: np.ndarray, k: int, seed: int) -> list[int]:
     n = len(words)
     rng = random.Random(seed)
     seeds = [rng.randrange(n)]
     # distance to the nearest seed so far, folded in one seed row at a time
     nearest = np.full(n, np.inf)
     while len(seeds) < k:
-        np.minimum(nearest, _distances(words[seeds[-1:]], words)[0], out=nearest)
+        np.minimum(nearest, _distances(index.similarity(words[seeds[-1:]]))[0], out=nearest)
         nearest[seeds[-1]] = -1.0  # never reselect
         seeds.append(int(np.argmax(nearest)))  # argmax ties break to lowest index
     return seeds
@@ -193,20 +198,22 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     distance, until assignments stop changing or CLUSTER_ITERATIONS
     passes have run.
 
-    Distances are computed on demand from the packed words: one k x n
-    block per assignment and one members x members block per medoid
-    update, so memory is O(n k + largest cluster squared), never n x n."""
+    Distances are computed on demand: the seeds and every assignment
+    query one TanimotoIndex of the words, built once, for a k x n block,
+    and each medoid update takes one members x members tanimoto_matrix
+    block, so memory is O(n k + largest cluster squared), never n x n."""
     n = len(words)
     if n < k:
         raise FilterError(f"cannot form {k} clusters from {n} molecules")
     if k < 1:
         raise FilterError("k must be positive")
-    medoids = _farthest_point_seeds(words, k, seed)
+    index = TanimotoIndex(words)
+    medoids = _farthest_point_seeds(index, words, k, seed)
     labels = None
     trace = []
     molecules = np.arange(n)
     for _ in range(CLUSTER_ITERATIONS):
-        to_medoids = _distances(words[medoids], words)
+        to_medoids = _distances(index.similarity(words[medoids]))
         new_labels = np.argmin(to_medoids, axis=0)
         for cluster, medoid in enumerate(medoids):
             new_labels[medoid] = cluster  # a medoid stays home on distance ties
@@ -217,7 +224,7 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         for cluster in range(k):
             members = np.flatnonzero(labels == cluster)
             block = words[members]
-            within = _distances(block, block).sum(axis=1)
+            within = _distances(tanimoto_matrix(block, block)).sum(axis=1)
             medoids[cluster] = int(members[np.argmin(within)])
     return ClusterAssignment(
         k=k,
@@ -234,7 +241,8 @@ def cluster_similarity_histogram(assignment: ClusterAssignment, words: np.ndarra
 
     The intra pairs come from one members x members block per cluster,
     sorted into (i, j) order; the inter pairs are swept PAIR_BLOCK rows at
-    a time against the columns right of them, one chunk per block. So no
+    a time against the columns right of them, each block one query of a
+    TanimotoIndex of the words, and one chunk per block. So no
     n x n matrix and no array of all pairs is held. The length check runs
     at call time; the chunks are computed as they are read."""
     if len(assignment.labels) != len(words):
@@ -245,9 +253,10 @@ def cluster_similarity_histogram(assignment: ClusterAssignment, words: np.ndarra
 def _similarity_chunks(labels: np.ndarray, k: int, words: np.ndarray):
     yield "intra", _intra_similarities(labels, k, words)
     n = len(words)
+    index = TanimotoIndex(words)
     for start in range(0, n, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n)
-        similarities = tanimoto_matrix(words[start:stop], words[start + 1:])
+        similarities = index.similarity(words[start:stop], start + 1)
         rows = np.arange(start, stop)[:, None]
         columns = np.arange(start + 1, n)
         across = (columns > rows) & (labels[columns] != labels[rows])
@@ -274,7 +283,7 @@ def select_representatives(assignment: ClusterAssignment, words: np.ndarray):
     """Per cluster: members ranked by distance to the medoid, medoid
     first. Input for the human picking one molecule per cluster."""
     labels = np.asarray(assignment.labels)
-    distances = _distances(words[list(assignment.medoids)], words)
+    distances = _distances(TanimotoIndex(words).similarity(words[list(assignment.medoids)]))
     ranked = []
     for cluster, medoid in enumerate(assignment.medoids):
         # members ascend, so the stable sort breaks distance ties by index
@@ -288,7 +297,7 @@ def novelty(words: np.ndarray, references: np.ndarray) -> tuple[float, ...]:
     """Per packed row, the maximum Tanimoto similarity to any reference row."""
     if len(references) == 0:
         raise FilterError("reference set is empty")
-    best = tanimoto_matrix(words, references).max(axis=1)
+    best = TanimotoIndex(references).similarity(words).max(axis=1)
     return tuple(best.tolist())
 
 

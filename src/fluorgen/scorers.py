@@ -65,7 +65,7 @@ from fluorgen.fingerprints import (
     Fingerprint,
     build_feature_vector,
     feature_rows,
-    on_bits,
+    on_bit_rows,
 )
 from fluorgen.molgraph import MolecularGraph, sp2_network_size
 
@@ -239,9 +239,7 @@ class SparseRows:
     @classmethod
     def from_words(cls, words: np.ndarray, solvent_values) -> SparseRows:
         """The rows feature_rows(words, solvent_values) lays out densely."""
-        indptr = np.zeros(len(words) + 1, dtype=np.int32)
-        np.cumsum(np.bitwise_count(words).sum(axis=1), out=indptr[1:])
-        indices = on_bits(words).astype(np.int32)
+        indptr, indices = on_bit_rows(words)
         solvent = np.empty((len(words), SOLVENT_DIM))
         solvent[:] = solvent_values
         return cls(indptr, indices, np.ones(len(indices)), solvent, FEATURE_DIM)
@@ -329,7 +327,11 @@ class _NetStack:
             self.w1t[low:high] = model.w1[:, live[g]].T
             slots = np.zeros(width, dtype=np.int32)
             slots[live[g]] = np.arange(low, high)
-            for out, rows in zip(laid, row_sets[g]):
+            for p, (out, rows, labels) in enumerate(zip(laid, row_sets[g], label_sets[g])):
+                if len(labels) != len(rows):
+                    raise ScorerError(
+                        f"net {g}, row set {p}: {len(labels)} labels for {len(rows)} rows"
+                    )
                 out.append(SparseRows(
                     rows.indptr, slots[rows.indices], rows.data,
                     (rows.solvent - model.norm_mean) / model.norm_std, len(self.w1t) + SOLVENT_DIM,

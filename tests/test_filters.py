@@ -1,14 +1,19 @@
 """Tests for staged filtering, Tanimoto clustering, and novelty."""
 
+import ast
+import hashlib
 import itertools
 import random
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluorgen import cli
 from fluorgen.fingerprints import (
     FEATURE_DIM,
     FP_WORDS,
@@ -374,24 +379,31 @@ class TestClustering:
 
     def test_memory_stays_far_below_the_distance_matrix(self):
         """3,000 clustered fingerprints: one n x n float64 matrix is 72 MB.
-        Clustering plus the streamed histogram must peak far below it."""
+        Clustering, the streamed histogram, the representatives and novelty
+        against 200 references must peak far below it."""
         rng = random.Random(23)
         centers = [rng.sample(range(2048), 48) for _ in range(100)]
-        fingerprints = []
-        for _ in range(3000):
+
+        def near_center():
             bits = set(rng.choice(centers))
             bits.symmetric_difference_update(rng.sample(range(2048), 6))
-            fingerprints.append(Fingerprint(bits=sum(1 << bit for bit in bits)))
-        words = pack(fingerprints)
+            return Fingerprint(bits=sum(1 << bit for bit in bits))
+
+        words = pack([near_center() for _ in range(3000)])
+        references = pack([near_center() for _ in range(200)])
         tracemalloc.start()
         try:
             assignment = cluster_tanimoto(words, k=100, seed=0)
             pairs = sum(len(values) for _, values in
                         cluster_similarity_histogram(assignment, words))
+            ranked = select_representatives(assignment, words)
+            scores = novelty(words, references)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert pairs == 3000 * 2999 // 2
+        assert sum(len(members) for _, members in ranked) == 3000
+        assert len(scores) == 3000
         assert peak < 20 * 2**20
 
     def test_too_few_molecules_rejected(self):
@@ -595,3 +607,64 @@ class TestWriters:
         path = tmp_path / "hist.tsv"
         write_similarity_histogram([], path)
         assert path.read_text(encoding="utf-8") == "kind\tsimilarity\n"
+
+
+class TestPinnedFilterOutputs:
+    """fluorgen filter on the benchmark's seed-1 inputs and proxy
+    checkpoints: the seven files it writes and the molecules.tsv it reads
+    from its output directory, held to digests taken while every Tanimoto
+    of the filter was a popcount sweep. A change that moves them on
+    purpose updates the digests and says so in CHANGES.md."""
+
+    DIGESTS = {
+        "clusters.tsv": "1fb24288e7edb5338e7c4d39177f94fc0a7086b2521f010f36c7732629af1746",
+        "filter_report.tsv": "c6c530e1f59d90e70575253c9fd2235218ef058bed9c02bb6134d5f6f82faadd",
+        "molecules.tsv": "2cd740be5168de2cd9f1a50417ca87b9cc55097fee9590a68856ed383cfdcc71",
+        "novelty.tsv": "a917835da28ba0b5b8af5cf3217a9715ddb11c7088c285d3eaca7cc7b2941e1f",
+        "representatives.tsv":
+            "d5159e01af9ee26a5330ad96a2c376c980bef3df8834ea3048ae8ceddab2fb35",
+        "similarity_histogram.tsv":
+            "c21b50f0da32206110ce10316e0a9ab774e21518ea6f09469164dfddfedbac01",
+        "similarity_histogram_binned.tsv":
+            "67e23b49b0ce16c9ac724990cd959b616234dbe8f239cae5ba056e8bd5860990",
+        "survivors.tsv": "7b1403573465e525c25b8479cffe01870b332789950eafe1e3450ebc6016141f",
+    }
+
+    @staticmethod
+    def benchmark_clusters() -> int:
+        """perfbench/run.py's Filter.clusters, read without importing the
+        benchmark (which sets process-wide environment variables)."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == "Filter":
+                for item in node.body:
+                    if isinstance(item, ast.Assign) and item.targets[0].id == "clusters":
+                        return ast.literal_eval(item.value)
+        raise AssertionError("perfbench/run.py has no Filter.clusters")
+
+    def test_output_digests(self, tmp_path, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        monkeypatch.delenv("FLUORGEN_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(root)  # the checkpoints read the shipped library
+        import inputs
+
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        inputs.build_checkpoints(str(checkpoints))
+        inputs.build_filter(1, str(tmp_path))
+        assert self.benchmark_clusters() == 100
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(tmp_path / "molecules.tsv", out)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[paths]\ncheckpoint_dir = {checkpoints}\noutput_dir = {out}\n"
+            f"[filters]\nclusters = 100\nnovelty_references = {tmp_path / 'references.smi'}\n"
+        )
+        assert cli.main(["--config", str(ini), "filter"]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())
+        }
+        assert digests == self.DIGESTS

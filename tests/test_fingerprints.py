@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,9 @@ from fluorgen.fingerprints import (
     FP_BITS,
     FP_WORDS,
     MORGAN_CHUNK,
+    QUERY_TILE,
     Fingerprint,
+    TanimotoIndex,
     WATER,
     SolventFeatures,
     _hash_columns,
@@ -453,3 +457,49 @@ class TestPackedTanimoto:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             tanimoto_matrix(pack([Fingerprint(1)]), np.zeros((1, 2), dtype=np.uint64))
+
+
+@st.composite
+def indexed_sets(draw):
+    """(row bits of the indexed set, row bits of the queries), both drawn
+    from one small pool, so rows repeat. The pool holds the empty row,
+    dense random rows of about 1,024 bits and sparse rows; the query count
+    lands on both sides of QUERY_TILE."""
+    dense = st.integers(0, 2**32 - 1).map(lambda seed: random.Random(seed).getrandbits(FP_BITS))
+    sparse = st.sets(st.integers(0, FP_BITS - 1), max_size=60).map(
+        lambda on: sum(1 << k for k in on)
+    )
+    pool = draw(st.lists(st.just(0) | dense | sparse, min_size=1, max_size=6))
+    picks = st.sampled_from(pool)
+    rows = draw(st.lists(picks, max_size=12))
+    count = draw(
+        st.sampled_from([0, 1, QUERY_TILE - 1, QUERY_TILE, QUERY_TILE + 1])
+        | st.integers(0, 2 * QUERY_TILE + 1)
+    )
+    queries = draw(st.lists(picks, min_size=count, max_size=count))
+    return rows, queries
+
+
+class TestTanimotoIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(case=indexed_sets())
+    @example(case=([0, 0, ALL_BITS], [0] * (QUERY_TILE + 1) + [ALL_BITS]))
+    @example(case=([], [1, 0]))
+    @example(case=(EDGE_ROWS * 2, EDGE_ROWS * (QUERY_TILE // 4)))
+    def test_queries_equal_popcount_and_scalar_tanimoto(self, case):
+        """Every start from 0 to n, byte for byte: the same float64
+        matrix as tanimoto_matrix of the rows from start on, and each
+        value the scalar tanimoto of its pair."""
+        row_bits, query_bits = case
+        rows = [Fingerprint(bits) for bits in row_bits]
+        queries = [Fingerprint(bits) for bits in query_bits]
+        index = TanimotoIndex(pack(rows))
+        scalar = np.array(
+            [[tanimoto(q, r) for r in rows] for q in queries], dtype=np.float64
+        ).reshape(len(queries), len(rows))
+        for start in range(len(rows) + 1):
+            got = index.similarity(pack(queries), start)
+            assert got.dtype == np.float64
+            assert got.shape == (len(queries), len(rows) - start)
+            assert got.tobytes() == tanimoto_matrix(pack(queries), pack(rows[start:])).tobytes()
+            assert got.tobytes() == scalar[:, start:].tobytes()

@@ -608,6 +608,14 @@ class TestSparseKernel:
                 make_model(input_dim=6), SparseRows.from_dense(np.ones((2, 7))), np.zeros(2)
             )
 
+    @pytest.mark.parametrize("labels", [[1.0], [1.0, 2.0]], ids=["one", "two"])
+    def test_label_count_must_equal_row_count(self, labels):
+        """One label is not broadcast over five rows, and two fail with
+        the stack's message, not inside numpy."""
+        rows = SparseRows.from_dense(np.ones((5, 7)))
+        with pytest.raises(ScorerError, match=f"row set 0: {len(labels)} labels for 5 rows"):
+            loss_and_grads(make_model(input_dim=7), rows, labels, grads=False)
+
     def test_untouched_columns_keep_their_initial_weights(self):
         """Momentum is kept only for the live columns, those the training
         rows touch plus the solvent columns: every other w1 column stays
