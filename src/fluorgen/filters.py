@@ -201,7 +201,8 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     Distances are computed on demand: the seeds and every assignment
     query one TanimotoIndex of the words, built once, for a k x n block,
     and each medoid update takes one members x members tanimoto_matrix
-    block, so memory is O(n k + largest cluster squared), never n x n."""
+    block, so memory is O(n k + largest cluster squared), never n x n.
+    A pass updates only the clusters whose members changed."""
     n = len(words)
     if n < k:
         raise FilterError(f"cannot form {k} clusters from {n} molecules")
@@ -218,10 +219,17 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         for cluster, medoid in enumerate(medoids):
             new_labels[medoid] = cluster  # a medoid stays home on distance ties
         trace.append(float(to_medoids[new_labels, molecules].sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        if labels is None:
+            moved = range(k)
+        else:
+            # the same members give the same medoid, so only a cluster a
+            # molecule left or joined is updated
+            changed = new_labels != labels
+            if not changed.any():
+                break
+            moved = np.union1d(labels[changed], new_labels[changed]).tolist()
         labels = new_labels
-        for cluster in range(k):
+        for cluster in moved:
             members = np.flatnonzero(labels == cluster)
             block = words[members]
             within = _distances(tanimoto_matrix(block, block)).sum(axis=1)

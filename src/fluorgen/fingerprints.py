@@ -6,8 +6,9 @@ seed, so fingerprints are bit-exact across platforms and runs. They do
 not reproduce any other toolkit's bit positions and are not meant to.
 
 One numpy kernel, morgan_fingerprints, fingerprints a whole list of graphs
-at once; the hash is splitmix64, whose uint64 array arithmetic wraps
-exactly as the pinned scalar hash does.
+at once, from their integer columns (no Atom or Bond object is read); the
+hash is splitmix64, whose uint64 array arithmetic wraps exactly as the
+pinned scalar hash does.
 
 Width and radius are fixed (FP_BITS, FP_RADIUS); no caller picks others.
 The kernel returns packed rows of FP_WORDS uint64 words, the one form
@@ -32,11 +33,12 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from fluorgen.molgraph import ATOMIC_NUMBER, MolecularGraph
+from fluorgen.molgraph import MolecularGraph
 
 FP_BITS = 2048
 FP_RADIUS = 2
@@ -46,11 +48,13 @@ FEATURE_DIM = FP_BITS + SOLVENT_DIM
 
 _HASH_SEED = 0x52FD1E9A84C2B0F7
 
-# Molecules per kernel pass. A pass holds a few hundred bytes of numpy
-# temporaries per atom, and the heap keeps them after the pass ends, so the
-# chunk bounds what fingerprinting adds to a command's peak memory however
-# long the list is. 32 runs as fast as 128, whose passes left about 1.5 MB
-# more in `train`'s peak.
+# Molecules per kernel pass. A pass joins the graphs' columns and holds a
+# few hundred bytes of numpy temporaries per atom, and the heap keeps them
+# after the pass ends, so the chunk bounds what fingerprinting adds to a
+# command's peak memory however long the list is. With the columns read
+# whole, 32 still runs as fast as 64 or 128 (42 ms for the benchmark's
+# 1,500 filter inputs at each); 16 ran 25% slower. 128 left about 1.5 MB
+# more in `train`'s peak when graphs were read as objects.
 MORGAN_CHUNK = 32
 
 # 0-d arrays: numpy applies them to an array faster than it does scalars.
@@ -115,7 +119,9 @@ def morgan_fingerprints(graphs) -> np.ndarray:
     atom input order. A graph's fingerprint does not depend on the other
     graphs in the list. graphs may be any iterable; it is read one chunk at
     a time, so a generator that parses on the fly keeps at most
-    MORGAN_CHUNK graphs alive.
+    MORGAN_CHUNK graphs alive. A chunk joins its graphs' columns
+    (MolecularGraph.atomic_numbers and the rest) into one array each, so
+    no per-atom Python object is built or read.
     """
     pending = iter(graphs)
     blocks = [np.zeros((0, FP_WORDS), dtype="<u8")]
@@ -125,26 +131,26 @@ def morgan_fingerprints(graphs) -> np.ndarray:
 
 
 def _morgan_chunk(graphs: list[MolecularGraph]) -> np.ndarray:
-    # The graphs' atoms and bonds are concatenated; atom_mol says which
-    # graph an atom came from, and each bond keeps its index in its graph.
+    # The graphs' columns are concatenated; atom_mol says which graph an
+    # atom came from, and each bond keeps its index in its graph.
     n_mols = len(graphs)
     n_atoms = np.fromiter(map(len, graphs), np.intp, n_mols)
-    n_bonds = np.fromiter((len(g.bonds) for g in graphs), np.intp, n_mols)
+    n_bonds = np.fromiter((len(g.bond_orders) for g in graphs), np.intp, n_mols)
     n = int(n_atoms.sum())
     n_edges = int(n_bonds.sum())
+
+    def joined(column: str, dtype, count: int) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(map(attrgetter(column), graphs)), dtype, count)
+
     atom_mol = np.repeat(np.arange(n_mols), n_atoms)
-    atoms = list(chain.from_iterable(g.atoms for g in graphs))
-    bonds = list(chain.from_iterable(g.bonds for g in graphs))
-    element = np.fromiter((ATOMIC_NUMBER[a.element] for a in atoms), np.uint64, n)
-    charge = np.fromiter((a.formal_charge for a in atoms), np.int64, n).view(np.uint64)
-    aromatic = np.fromiter((a.aromatic for a in atoms), np.uint64, n)
-    hydrogens = np.fromiter(
-        (h for g in graphs for h in map(g.total_h, range(len(g)))), np.uint64, n
-    )
+    element = joined("atomic_numbers", np.uint64, n)
+    charge = joined("charges", np.int64, n).view(np.uint64)
+    aromatic = joined("aromatic", np.uint64, n)
+    hydrogens = joined("total_hs", np.uint64, n)
     first_atom = np.repeat(np.cumsum(n_atoms) - n_atoms, n_bonds)
-    a1 = np.fromiter((b.a1 for b in bonds), np.intp, n_edges) + first_atom
-    a2 = np.fromiter((b.a2 for b in bonds), np.intp, n_edges) + first_atom
-    code = np.fromiter((b.order.value for b in bonds), np.uint64, n_edges)
+    a1 = joined("bond_a1", np.intp, n_edges) + first_atom
+    a2 = joined("bond_a2", np.intp, n_edges) + first_atom
+    code = joined("bond_orders", np.uint64, n_edges)
     local_bond = np.arange(n_edges) - np.repeat(np.cumsum(n_bonds) - n_bonds, n_bonds)
 
     # Directed edges, both ways round each bond, laid out as a padded

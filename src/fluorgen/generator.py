@@ -32,7 +32,7 @@ from fluorgen.fingerprints import (
     morgan_fingerprints,
     tanimoto_matrix,
 )
-from fluorgen.molgraph import MolecularGraph, sp2_network_size
+from fluorgen.molgraph import MolecularGraph, is_digits, sp2_network_size
 from fluorgen.patterns import has_match
 from fluorgen.reactions import (
     PREV_MARKER,
@@ -729,7 +729,7 @@ def parse_route(text: str) -> tuple[RouteStep, ...]:
     for chunk in text.split(";"):
         head, _, index_text = chunk.rpartition("->")
         name, _, inner = head.partition("(")
-        if not inner.endswith(")") or not index_text.isdigit():
+        if not inner.endswith(")") or not is_digits(index_text):
             raise GeneratorError(f"bad route step {chunk!r}")
         steps.append(
             RouteStep(

@@ -23,6 +23,8 @@ ATOMIC_NUMBER = {
     "B": 5, "C": 6, "N": 7, "O": 8, "F": 9, "Si": 14,
     "P": 15, "S": 16, "Cl": 17, "Br": 35, "I": 53,
 }
+# atomic number -> element symbol; a graph's atoms hold atomic numbers
+SYMBOL = {number: symbol for symbol, number in ATOMIC_NUMBER.items()}
 
 # Valences used to fill implicit hydrogens, lowest consistent value wins.
 _FILL_VALENCES = {
@@ -34,7 +36,14 @@ _FILL_VALENCES = {
 # (pentavalent nitro-style nitrogen being the common real-world case).
 _TOLERATED_MAX = {"N": 5}
 
-_AROMATIC_CAPABLE = frozenset(AROMATIC_SYMBOLS.values())
+_AROMATIC_CAPABLE = frozenset(ATOMIC_NUMBER[symbol] for symbol in AROMATIC_SYMBOLS.values())
+
+
+def is_digits(text: str) -> bool:
+    """True when text is one or more of the ASCII digits 0-9, the only
+    digits the input readers take: str.isdigit alone also takes other
+    scripts' digits and superscripts, which int() reads or rejects."""
+    return text.isascii() and text.isdigit()
 
 
 class MoleculeError(ValueError):
@@ -129,9 +138,11 @@ def _bond_order_sum(element: str, k: int, other: int, explicit_h: int, charge: i
 
 
 @functools.cache
-def _valence(element: str, charge: int, explicit_h: int, k: int, other: int):
-    """(used valence, maximum valence, implicit hydrogens) of an atom with
-    k aromatic bonds and the order sum ``other`` of its other bonds."""
+def _valence(number: int, charge: int, explicit_h: int, k: int, other: int):
+    """(used valence, maximum valence, implicit hydrogens) of an atom of
+    that atomic number with k aromatic bonds and the order sum ``other``
+    of its other bonds."""
+    element = SYMBOL[number]
     used = _bond_order_sum(element, k, other, explicit_h, charge) + explicit_h
     if explicit_h > 0 or charge != 0:
         # Bracket-style atoms state their hydrogen count outright.
@@ -142,17 +153,30 @@ def _valence(element: str, charge: int, explicit_h: int, k: int, other: int):
 
 
 class MolecularGraph:
-    """Immutable heavy-atom graph with derived hydrogen counts.
+    """Immutable heavy-atom graph with derived hydrogen counts, held as
+    integer columns: atom i is entry i of ``atomic_numbers``, ``aromatic``,
+    ``charges``, ``explicit_hs`` and ``total_hs``; bond k joins
+    ``bond_a1[k]`` and ``bond_a2[k]`` with BondOrder value
+    ``bond_orders[k]``. ``hybridization`` holds the atoms' stated states,
+    or None when none states one.
 
-    Construction validates the structural invariants: contiguous atom
-    indices, bonds between distinct existing atoms, at most one bond per
-    atom pair, and element valences within the allowed range. Disconnected
-    graphs (multi-fragment molecules) are fine.
+    ``MolecularGraph(atoms, bonds)`` checks the objects' structure
+    (contiguous atom indices, supported elements, bonds between distinct
+    existing atoms, at most one per atom pair) and converts them to
+    columns; the SMILES reader and apply_reaction build from columns
+    (``from_columns``), whose structure holds by construction. Both end
+    in ``_build``, whose one pass over the bonds derives hydrogens, and
+    which checks hydrogen counts, aromatic elements and valences.
+    Disconnected graphs are fine. Atom and Bond objects and the neighbour
+    tuples are built on first use (or kept as given); the commands read
+    the columns and build none.
     """
 
     __slots__ = (
-        "atoms", "bonds", "_neighbors", "_implicit_h", "_ring_atom", "_atoms_by_kind",
-        "_canonical_smiles",
+        "atomic_numbers", "aromatic", "charges", "explicit_hs", "total_hs",
+        "bond_a1", "bond_a2", "bond_orders", "hybridization",
+        "_atoms", "_bonds", "_adjacency", "_neighbors", "_ring_atom",
+        "_atoms_by_kind", "_canonical_smiles",
     )
 
     def __init__(self, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...]):
@@ -166,19 +190,8 @@ class MolecularGraph:
                 )
             if atom.element not in _FILL_VALENCES:
                 raise MoleculeError(f"unsupported element {atom.element!r}", atom_index=pos)
-            if atom.explicit_h < 0:
-                raise MoleculeError("negative hydrogen count", atom_index=pos)
-            if atom.aromatic and atom.element not in _AROMATIC_CAPABLE:
-                raise MoleculeError(
-                    f"element {atom.element} cannot be aromatic", atom_index=pos
-                )
         n = len(atoms)
         seen_pairs = set()
-        neighbors: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
-        # per atom: aromatic bonds, and the order sum of the others
-        aromatic_bonds = [0] * n
-        other_orders = [0] * n
-        aromatic = BondOrder.AROMATIC
         for bond in bonds:
             a1, a2 = bond.a1, bond.a2
             if not (0 <= a1 < n and 0 <= a2 < n):
@@ -189,46 +202,118 @@ class MolecularGraph:
             if pair in seen_pairs:
                 raise MoleculeError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
             seen_pairs.add(pair)
-            neighbors[a1].append((a2, bond))
-            neighbors[a2].append((a1, bond))
-            if bond.order is aromatic:
+        self._build(
+            tuple(ATOMIC_NUMBER[atom.element] for atom in atoms),
+            tuple(atom.aromatic for atom in atoms),
+            tuple(atom.formal_charge for atom in atoms),
+            tuple(atom.explicit_h for atom in atoms),
+            tuple(bond.a1 for bond in bonds),
+            tuple(bond.a2 for bond in bonds),
+            tuple(bond.order.value for bond in bonds),
+        )
+        states = tuple(atom.hybridization for atom in atoms)
+        self.hybridization = states if any(states) else None
+        self._atoms = atoms
+        self._bonds = bonds
+
+    @classmethod
+    def from_columns(cls, atomic_numbers, aromatic, charges, explicit_hs,
+                     bond_a1, bond_a2, bond_orders) -> "MolecularGraph":
+        """A graph of columns whose atomic numbers are supported and whose
+        bonds join distinct existing atoms, at most one per pair: the
+        SMILES reader checks that as it reads, and a reaction's edits keep
+        it. The rest is checked as for MolecularGraph(atoms, bonds)."""
+        columns = (atomic_numbers, aromatic, charges, explicit_hs, bond_a1, bond_a2, bond_orders)
+        graph = cls.__new__(cls)
+        graph._build(*map(tuple, columns))
+        graph.hybridization = graph._atoms = graph._bonds = None
+        return graph
+
+    def _build(self, atomic_numbers, aromatic, charges, explicit_hs,
+               bond_a1, bond_a2, bond_orders) -> None:
+        n = len(atomic_numbers)
+        # per atom: aromatic bonds, and the order sum of the others
+        aromatic_bonds = [0] * n
+        other_orders = [0] * n
+        for a1, a2, order in zip(bond_a1, bond_a2, bond_orders):
+            if order == 4:  # BondOrder.AROMATIC
                 aromatic_bonds[a1] += 1
                 aromatic_bonds[a2] += 1
             else:
-                order = bond.order.value
                 other_orders[a1] += order
                 other_orders[a2] += order
-        implicit_h = []
-        for atom, k, other in zip(atoms, aromatic_bonds, other_orders):
-            used, top, implicit = _valence(
-                atom.element, atom.formal_charge, atom.explicit_h, k, other
-            )
+        total_hs = []
+        for pos, (number, is_aromatic, charge, explicit_h, k, other) in enumerate(
+            zip(atomic_numbers, aromatic, charges, explicit_hs, aromatic_bonds, other_orders)
+        ):
+            if explicit_h < 0:
+                raise MoleculeError("negative hydrogen count", atom_index=pos)
+            if is_aromatic and number not in _AROMATIC_CAPABLE:
+                raise MoleculeError(
+                    f"element {SYMBOL[number]} cannot be aromatic", atom_index=pos
+                )
+            used, top, implicit = _valence(number, charge, explicit_h, k, other)
             if used > top:
                 raise MoleculeError(
-                    f"valence {used} on {atom.element} (charge {atom.formal_charge}) "
+                    f"valence {used} on {SYMBOL[number]} (charge {charge}) "
                     f"exceeds maximum {top}",
-                    atom_index=atom.index,
+                    atom_index=pos,
                 )
-            implicit_h.append(implicit)
-        self.atoms = atoms
-        self.bonds = bonds
-        self._neighbors = tuple(tuple(adj) for adj in neighbors)
-        self._implicit_h = tuple(implicit_h)
-        # filled on first use: ring flags by in_ring, atoms by (element,
-        # aromatic) kind by atoms_by_kind, the string by
-        # smiles.write_canonical_smiles
-        self._ring_atom: tuple[bool, ...] | None = None
-        self._atoms_by_kind: dict[tuple[str, bool], tuple[int, ...]] | None = None
-        self._canonical_smiles: str | None = None
+            total_hs.append(explicit_h + implicit)
+        self.atomic_numbers, self.aromatic, self.charges, self.explicit_hs = (
+            atomic_numbers, aromatic, charges, explicit_hs
+        )
+        self.bond_a1, self.bond_a2, self.bond_orders = bond_a1, bond_a2, bond_orders
+        self.total_hs = tuple(total_hs)
+        # filled on first use by adjacency, neighbors, in_ring,
+        # atoms_by_kind and smiles.write_canonical_smiles
+        self._adjacency = self._neighbors = self._ring_atom = None
+        self._atoms_by_kind = self._canonical_smiles = None
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.atomic_numbers)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        # a graph built from columns states no hybridization
+        if self._atoms is None:
+            self._atoms = tuple(
+                Atom(index, SYMBOL[number], aromatic, charge, explicit_h)
+                for index, (number, aromatic, charge, explicit_h) in enumerate(zip(
+                    self.atomic_numbers, self.aromatic, self.charges, self.explicit_hs
+                ))
+            )
+        return self._atoms
+
+    @property
+    def bonds(self) -> tuple[Bond, ...]:
+        if self._bonds is None:
+            self._bonds = tuple(
+                Bond(a1, a2, BondOrder(order))
+                for a1, a2, order in zip(self.bond_a1, self.bond_a2, self.bond_orders)
+            )
+        return self._bonds
+
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per atom, its (neighbour, bond index) pairs in bond order."""
+        if self._adjacency is None:
+            links: list[list[tuple[int, int]]] = [[] for _ in range(len(self))]
+            for k, (a1, a2) in enumerate(zip(self.bond_a1, self.bond_a2)):
+                links[a1].append((a2, k))
+                links[a2].append((a1, k))
+            self._adjacency = tuple(map(tuple, links))
+        return self._adjacency
 
     def neighbors(self, index: int) -> tuple[tuple[int, Bond], ...]:
+        if self._neighbors is None:
+            bonds = self.bonds
+            self._neighbors = tuple(
+                tuple((nbr, bonds[k]) for nbr, k in adj) for adj in self.adjacency()
+            )
         return self._neighbors[index]
 
     def degree(self, index: int) -> int:
-        return len(self._neighbors[index])
+        return len(self.adjacency()[index])
 
     def bond_order_sum(self, index: int) -> int:
         """Bond-order sum over explicit bonds, aromatic system included.
@@ -240,37 +325,39 @@ class MolecularGraph:
         lone pair instead (count k), and nitrogen/phosphorus host a double
         bond only in the bare two-connected pyridine-like case.
         """
-        atom = self.atoms[index]
-        return self._order_sum(index, atom.explicit_h, atom.formal_charge)
+        return self._order_sum(index, self.explicit_hs[index], self.charges[index])
 
     def _order_sum(self, index: int, explicit_h: int, charge: int) -> int:
         # bond_order_sum's rule, for the atom read with the given hydrogen
         # count and charge
-        k = 0
-        other = 0
-        for _, bond in self._neighbors[index]:
-            if bond.order is BondOrder.AROMATIC:
-                k += 1
-            else:
-                other += bond.order.value
-        return _bond_order_sum(self.atoms[index].element, k, other, explicit_h, charge)
+        orders = [self.bond_orders[edge] for _, edge in self.adjacency()[index]]
+        k = orders.count(BondOrder.AROMATIC.value)
+        other = sum(orders) - k * BondOrder.AROMATIC.value
+        return _bond_order_sum(SYMBOL[self.atomic_numbers[index]], k, other, explicit_h, charge)
 
     def bare_implicit_h(self, index: int) -> int:
         """Hydrogens a reader infers for this atom written bare, without
         brackets: read with no explicit hydrogens and no charge."""
-        return _fill_hydrogens(self.atoms[index].element, 0, self._order_sum(index, 0, 0))
+        return _fill_hydrogens(
+            SYMBOL[self.atomic_numbers[index]], 0, self._order_sum(index, 0, 0)
+        )
 
     def implicit_h(self, index: int) -> int:
-        return self._implicit_h[index]
+        return self.total_hs[index] - self.explicit_hs[index]
 
     def total_h(self, index: int) -> int:
-        return self.atoms[index].explicit_h + self._implicit_h[index]
+        return self.total_hs[index]
+
+    def bond_index(self, a: int, b: int) -> int | None:
+        """The index of the bond between atoms a and b, None when unbonded."""
+        for nbr, edge in self.adjacency()[a]:
+            if nbr == b:
+                return edge
+        return None
 
     def bond_between(self, a: int, b: int) -> Bond | None:
-        for nbr, bond in self._neighbors[a]:
-            if nbr == b:
-                return bond
-        return None
+        edge = self.bond_index(a, b)
+        return None if edge is None else self.bonds[edge]
 
     def in_ring(self, index: int) -> bool:
         """True when the atom lies on some cycle (incident to a non-bridge edge)."""
@@ -282,17 +369,21 @@ class MolecularGraph:
         """The indices of the atoms of each (element, aromatic) kind the
         graph has, ascending."""
         if self._atoms_by_kind is None:
-            by_kind: dict[tuple[str, bool], list[int]] = {}
-            for atom in self.atoms:
-                by_kind.setdefault((atom.element, atom.aromatic), []).append(atom.index)
-            self._atoms_by_kind = {kind: tuple(found) for kind, found in by_kind.items()}
+            by_kind: dict[tuple[int, bool], list[int]] = {}
+            for index, kind in enumerate(zip(self.atomic_numbers, self.aromatic)):
+                by_kind.setdefault(kind, []).append(index)
+            self._atoms_by_kind = {
+                (SYMBOL[number], aromatic): tuple(found)
+                for (number, aromatic), found in by_kind.items()
+            }
         return self._atoms_by_kind
 
     def _ring_atoms_from_bridges(self) -> list[bool]:
         # Tarjan bridge finding, iterative so deep chains cannot overflow the
         # interpreter stack. Every non-bridge edge lies on a cycle, so its
         # endpoints are ring atoms.
-        n = len(self.atoms)
+        n = len(self)
+        links = self.adjacency()
         disc = [-1] * n
         low = [0] * n
         bridges: set[int] = set()
@@ -306,17 +397,16 @@ class MolecularGraph:
                 if pos == 0:
                     disc[node] = low[node] = timer[0]
                     timer[0] += 1
-                adj = self._neighbors[node]
+                adj = links[node]
                 descended = False
                 while pos < len(adj):
-                    nbr, bond = adj[pos]
+                    nbr, edge = adj[pos]
                     pos += 1
-                    eid = id(bond)
-                    if eid == parent_edge:
+                    if edge == parent_edge:
                         continue
                     if disc[nbr] == -1:
                         stack.append((node, parent_edge, pos))
-                        stack.append((nbr, eid, 0))
+                        stack.append((nbr, edge, 0))
                         descended = True
                         break
                     low[node] = min(low[node], disc[nbr])
@@ -328,35 +418,41 @@ class MolecularGraph:
                     if low[node] > disc[parent] and parent_edge != -1:
                         bridges.add(parent_edge)
         ring = [False] * n
-        for bond in self.bonds:
-            if id(bond) not in bridges:
-                ring[bond.a1] = True
-                ring[bond.a2] = True
+        for edge, (a1, a2) in enumerate(zip(self.bond_a1, self.bond_a2)):
+            if edge not in bridges:
+                ring[a1] = True
+                ring[a2] = True
         return ring
 
     def with_atoms(self, atoms: tuple[Atom, ...]) -> "MolecularGraph":
         return MolecularGraph(atoms, self.bonds)
 
 
-def _perceived_hybridization(graph: MolecularGraph, index: int) -> Hybridization:
-    # The rules of perceive_hybridization, for one atom.
-    atom = graph.atoms[index]
-    if atom.aromatic:
-        return Hybridization.SP2
-    doubles = 0
-    triples = 0
-    for _, bond in graph.neighbors(index):
-        if bond.order is BondOrder.DOUBLE:
-            doubles += 1
-        elif bond.order is BondOrder.TRIPLE:
-            triples += 1
-    if triples >= 1 or doubles >= 2:
-        return Hybridization.SP
-    if doubles == 1:
-        return Hybridization.SP2
-    if atom.element in ("F", "Cl", "Br", "I"):
-        return Hybridization.OTHER
-    return Hybridization.SP3
+_HALOGENS = frozenset(ATOMIC_NUMBER[symbol] for symbol in ("F", "Cl", "Br", "I"))
+
+
+def _multiple_bonds(graph: MolecularGraph) -> list[int]:
+    # per atom: its double bonds plus twice its triple bonds, so 1 means
+    # exactly one double bond and no triple, and 2 or more means sp
+    count = [0] * len(graph)
+    for a1, a2, order in zip(graph.bond_a1, graph.bond_a2, graph.bond_orders):
+        if order == 2 or order == 3:
+            count[a1] += order - 1
+            count[a2] += order - 1
+    return count
+
+
+def _perceived_states(graph: MolecularGraph) -> list[Hybridization]:
+    # The rules of perceive_hybridization, read off the columns.
+    return [
+        Hybridization.SP2 if aromatic or multiple == 1
+        else Hybridization.SP if multiple
+        else Hybridization.OTHER if number in _HALOGENS
+        else Hybridization.SP3
+        for number, aromatic, multiple in zip(
+            graph.atomic_numbers, graph.aromatic, _multiple_bonds(graph)
+        )
+    ]
 
 
 def perceive_hybridization(graph: MolecularGraph) -> MolecularGraph:
@@ -367,40 +463,48 @@ def perceive_hybridization(graph: MolecularGraph) -> MolecularGraph:
     one double bond makes sp2, and everything else defaults to sp3 for
     the usual organic elements or "other" for halogens. Idempotent.
     """
-    new_atoms = []
-    for atom in graph.atoms:
-        hyb = _perceived_hybridization(graph, atom.index)
-        new_atoms.append(atom if atom.hybridization is hyb else replace(atom, hybridization=hyb))
-    return graph.with_atoms(tuple(new_atoms))
+    return graph.with_atoms(tuple(
+        atom if atom.hybridization is state else replace(atom, hybridization=state)
+        for atom, state in zip(graph.atoms, _perceived_states(graph))
+    ))
 
 
 def sp2_network_size(graph: MolecularGraph) -> int:
     """Size of the largest connected cluster of sp2 atoms.
 
     Walks the subgraph induced by sp2-hybridized atoms (any bond order
-    connects two sp2 atoms) and reports the biggest component, a proxy for
-    the extent of the conjugated system. Perceives hybridization first if
-    the graph has none, reading the perceived states without building the
-    perceived graph. Returns 0 for molecules without sp2 atoms.
+    connects two sp2 atoms) on the bond columns and reports the biggest
+    component, a proxy for the extent of the conjugated system. The
+    states the atoms were built with are read as given when every atom
+    states one; otherwise hybridization is perceived from the columns,
+    as perceive_hybridization does, without building the perceived graph.
+    Returns 0 for molecules without sp2 atoms.
     """
-    if any(atom.hybridization is None for atom in graph.atoms):
-        states = [_perceived_hybridization(graph, i) for i in range(len(graph))]
+    states = graph.hybridization
+    if states is None or None in states:
+        is_sp2 = [
+            aromatic or multiple == 1
+            for aromatic, multiple in zip(graph.aromatic, _multiple_bonds(graph))
+        ]
     else:
-        states = [atom.hybridization for atom in graph.atoms]
-    is_sp2 = [state is Hybridization.SP2 for state in states]
+        is_sp2 = [state is Hybridization.SP2 for state in states]
+    adjacent: list[list[int]] = [[] for _ in is_sp2]
+    for a1, a2 in zip(graph.bond_a1, graph.bond_a2):
+        if is_sp2[a1] and is_sp2[a2]:
+            adjacent[a1].append(a2)
+            adjacent[a2].append(a1)
     best = 0
-    seen = [False] * len(graph.atoms)
-    for start in range(len(graph.atoms)):
-        if not is_sp2[start] or seen[start]:
+    seen = [False] * len(is_sp2)
+    for start, sp2 in enumerate(is_sp2):
+        if not sp2 or seen[start]:
             continue
         size = 0
         stack = [start]
         seen[start] = True
         while stack:
-            node = stack.pop()
             size += 1
-            for nbr, _ in graph.neighbors(node):
-                if is_sp2[nbr] and not seen[nbr]:
+            for nbr in adjacent[stack.pop()]:
+                if not seen[nbr]:
                     seen[nbr] = True
                     stack.append(nbr)
         best = max(best, size)

@@ -23,20 +23,22 @@ from dataclasses import dataclass, field
 from fluorgen.molgraph import (
     AROMATIC_SYMBOLS,
     SUPPORTED_ELEMENTS,
+    SYMBOL,
     TWO_LETTER_ELEMENTS,
     BondOrder,
     MolecularGraph,
+    is_digits,
 )
 
 _BOND_KINDS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic", "~": "any"}
-# bond kind -> target bond orders it accepts
+# bond kind -> the BondOrder values of the target bonds it accepts
 _KIND_ORDERS = {
-    "single": (BondOrder.SINGLE,),
-    "double": (BondOrder.DOUBLE,),
-    "triple": (BondOrder.TRIPLE,),
-    "aromatic": (BondOrder.AROMATIC,),
-    "default": (BondOrder.SINGLE, BondOrder.AROMATIC),
-    "any": tuple(BondOrder),
+    "single": (BondOrder.SINGLE.value,),
+    "double": (BondOrder.DOUBLE.value,),
+    "triple": (BondOrder.TRIPLE.value,),
+    "aromatic": (BondOrder.AROMATIC.value,),
+    "default": (BondOrder.SINGLE.value, BondOrder.AROMATIC.value),
+    "any": tuple(order.value for order in BondOrder),
 }
 
 
@@ -63,16 +65,17 @@ class AtomPattern:
     charge: int | None = None
 
     def matches(self, graph: MolecularGraph, index: int) -> bool:
-        atom = graph.atoms[index]
-        if self.elements is not None and (atom.element, atom.aromatic) not in self.elements:
+        if self.elements is not None and (
+            SYMBOL[graph.atomic_numbers[index]], graph.aromatic[index]
+        ) not in self.elements:
             return False
         if self.degree is not None and graph.degree(index) != self.degree:
             return False
-        if self.h_count is not None and graph.total_h(index) != self.h_count:
+        if self.h_count is not None and graph.total_hs[index] != self.h_count:
             return False
         if self.in_ring is not None and graph.in_ring(index) != self.in_ring:
             return False
-        if self.charge is not None and atom.formal_charge != self.charge:
+        if self.charge is not None and graph.charges[index] != self.charge:
             return False
         return True
 
@@ -84,7 +87,7 @@ class BondPattern:
     kind: str  # single | double | triple | aromatic | any | default
 
     def matches(self, order: BondOrder) -> bool:
-        return order in _KIND_ORDERS[self.kind]
+        return order.value in _KIND_ORDERS[self.kind]
 
 
 PlanStep = tuple[int, AtomPattern, tuple[tuple[int, BondPattern], ...]]
@@ -185,7 +188,7 @@ def parse_pattern(text: str) -> PatternQuery:
                 raise PatternError("unbalanced parenthesis", i)
             prev = branch_stack.pop()
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             if prev is None:
                 raise PatternError("ring closure before any atom", i)
             num = int(ch)
@@ -264,13 +267,13 @@ def _parse_bracket_pattern(text: str, start: int) -> tuple[AtomPattern, int]:
                 else:
                     raise PatternError(f"unsupported primitive {sym!r}", offset)
         elif part[0] == "D":
-            if len(part) < 2 or not part[1:].isdigit():
+            if not is_digits(part[1:]):
                 raise PatternError(f"unsupported primitive {part!r}", offset)
             degree = int(part[1:])
         elif part[0] == "H":
             if len(part) == 1:
                 h_count = 1
-            elif part[1:].isdigit():
+            elif is_digits(part[1:]):
                 h_count = int(part[1:])
             else:
                 raise PatternError(f"unsupported primitive {part!r}", offset)
@@ -282,7 +285,7 @@ def _parse_bracket_pattern(text: str, start: int) -> tuple[AtomPattern, int]:
             sign = 1 if part[0] == "+" else -1
             if len(part) == 1:
                 charge = sign
-            elif part[1:].isdigit():
+            elif is_digits(part[1:]):
                 charge = sign * int(part[1:])
             elif all(c == part[0] for c in part):
                 charge = sign * len(part)
@@ -330,21 +333,24 @@ def match_pattern(
     mapping = [0] * n_query  # target atom of each query node mapped so far
     used: set[int] = set()
 
+    links = graph.adjacency()
+    orders = graph.bond_orders
+
     def backtrack(pos: int) -> bool:
         if pos == n_query:
             results.append(tuple(mapping))
             return limit is not None and len(results) >= limit
         q, atom, mapped_nbrs = plan[pos]
         if mapped_nbrs:
-            candidates = sorted(j for j, _ in graph.neighbors(mapping[mapped_nbrs[0][0]]))
+            candidates = sorted(j for j, _ in links[mapping[mapped_nbrs[0][0]]])
         else:
             candidates = seeds
         for j in candidates:
             if j in used or not atom.matches(graph, j):
                 continue
             for nbr, bond in mapped_nbrs:
-                target_bond = graph.bond_between(j, mapping[nbr])
-                if target_bond is None or not bond.matches(target_bond.order):
+                edge = graph.bond_index(j, mapping[nbr])
+                if edge is None or orders[edge] not in _KIND_ORDERS[bond.kind]:
                     break
             else:
                 mapping[q] = j

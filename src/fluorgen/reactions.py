@@ -16,12 +16,12 @@ docs/formats.md.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from fluorgen.fingerprints import morgan_fingerprints
-from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph, MoleculeError
+from fluorgen.molgraph import BondOrder, MolecularGraph, MoleculeError, is_digits
 from fluorgen.patterns import PatternError, PatternQuery, has_match, match_pattern, parse_pattern
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
 
@@ -140,19 +140,22 @@ def apply_reaction(
         offsets.append(total)
         total += len(mol)
 
-    # the reactants side by side, hybridization unset; bonds keyed by
-    # their (low, high) atom pair
-    base_atoms: list[Atom] = []
-    base_bonds: dict[tuple[int, int], BondOrder] = {}
+    # the reactants side by side: their atom columns joined, and their
+    # bond orders keyed by (low, high) atom pair
+    numbers: list[int] = []
+    aromatic: list[bool] = []
+    charges: list[int] = []
+    hydrogens: list[int] = []
+    base_bonds: dict[tuple[int, int], int] = {}
     for mol, offset in zip(reactants, offsets):
-        for atom in mol.atoms:
-            base_atoms.append(Atom(
-                atom.index + offset, atom.element, atom.aromatic, atom.formal_charge,
-                atom.explicit_h,
-            ))
-        for bond in mol.bonds:
-            a1, a2 = bond.a1 + offset, bond.a2 + offset
-            base_bonds[(a1, a2) if a1 < a2 else (a2, a1)] = bond.order
+        numbers += mol.atomic_numbers
+        aromatic += mol.aromatic
+        charges += mol.charges
+        hydrogens += mol.explicit_hs
+        for a1, a2, order in zip(mol.bond_a1, mol.bond_a2, mol.bond_orders):
+            a1 += offset
+            a2 += offset
+            base_bonds[(a1, a2) if a1 < a2 else (a2, a1)] = order
 
     valid: list[MolecularGraph] = []
     skipped = 0
@@ -161,7 +164,8 @@ def apply_reaction(
             role, node = ref
             return offsets[role] + combo[role][node]
 
-        atoms = list(base_atoms)
+        atom_aromatic = list(aromatic)
+        atom_charges = list(charges)
         bonds = dict(base_bonds)
         deleted: set[int] = set()
         ok = True
@@ -176,7 +180,7 @@ def apply_reaction(
                 if u == v or key in bonds:
                     ok = False
                     break
-                bonds[key] = edit.order
+                bonds[key] = edit.order.value
             elif edit.kind == "remove_bond":
                 key = (min(u, v), max(u, v))
                 if key not in bonds:
@@ -186,34 +190,31 @@ def apply_reaction(
             elif edit.kind == "delete_atom":
                 deleted.add(u)
             elif edit.kind == "set_charge":
-                atoms[u] = replace(atoms[u], formal_charge=edit.charge)
+                atom_charges[u] = edit.charge
             elif edit.kind == "set_aromatic":
-                atoms[u] = replace(atoms[u], aromatic=edit.aromatic)
+                atom_aromatic[u] = edit.aromatic
             else:
                 raise ReactionFormatError(f"unknown edit kind {edit.kind!r}")
-        if not ok:
+        kept = [index for index in range(total) if index not in deleted]
+        if not ok or not kept:
             skipped += 1
             continue
-
-        remap = {}
-        kept: list[Atom] = []
-        for idx, atom in enumerate(atoms):
-            if idx in deleted:
-                continue
-            remap[idx] = len(kept)
-            kept.append(Atom(
-                len(kept), atom.element, atom.aromatic, atom.formal_charge, atom.explicit_h
-            ))
-        kept_bonds = []
-        for (a, b), order in sorted(bonds.items()):
-            if a in deleted or b in deleted:
-                continue
-            kept_bonds.append(Bond(remap[a], remap[b], order))
-        if not kept:
-            skipped += 1
-            continue
+        remap = {old: new for new, old in enumerate(kept)}
+        kept_bonds = [
+            (remap[a], remap[b], order)
+            for (a, b), order in sorted(bonds.items())
+            if a not in deleted and b not in deleted
+        ]
         try:
-            valid.append(MolecularGraph(tuple(kept), tuple(kept_bonds)))
+            valid.append(MolecularGraph.from_columns(
+                [numbers[index] for index in kept],
+                [atom_aromatic[index] for index in kept],
+                [atom_charges[index] for index in kept],
+                [hydrogens[index] for index in kept],
+                [a for a, _, _ in kept_bonds],
+                [b for _, b, _ in kept_bonds],
+                [order for _, _, order in kept_bonds],
+            ))
         except MoleculeError:
             skipped += 1
 
@@ -339,11 +340,11 @@ def ingest_reaction_templates(path: str) -> tuple[ReactionTemplate, ...]:
             elif current_id is None:
                 fail(lineno, f"{keyword!r} outside a reaction block")
             elif keyword == "arity":
-                if len(fields) != 2 or not fields[1].isdigit():
+                if len(fields) != 2 or not is_digits(fields[1]):
                     fail(lineno, "arity needs one integer")
                 arity = int(fields[1])
             elif keyword == "role":
-                if len(fields) != 3 or not fields[1].isdigit():
+                if len(fields) != 3 or not is_digits(fields[1]):
                     fail(lineno, "role line is 'role <index> <pattern>'")
                 idx = int(fields[1])
                 if idx in roles:
@@ -371,7 +372,7 @@ def _parse_edit(fields: list[str], lineno: int, path: str) -> EditOp:
 
     def ref(token: str) -> AtomRef:
         parts = token.split(".")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(is_digits, parts)):
             fail(f"bad atom reference {token!r}, expected role.node")
         return (int(parts[0]), int(parts[1]))
 
@@ -393,11 +394,10 @@ def _parse_edit(fields: list[str], lineno: int, path: str) -> EditOp:
     if kind == "set_charge":
         if len(fields) != 3:
             fail("set_charge needs a ref and an integer")
-        try:
-            charge = int(fields[2])
-        except ValueError:
-            fail(f"bad charge {fields[2]!r}")
-        return EditOp(kind=kind, a=ref(fields[1]), charge=charge)
+        text = fields[2]
+        if not is_digits(text[1:] if text[0] in "+-" else text):
+            fail(f"bad charge {text!r}")
+        return EditOp(kind=kind, a=ref(fields[1]), charge=int(text))
     if kind == "set_aromatic":
         if len(fields) != 3 or fields[2] not in ("on", "off"):
             fail("set_aromatic needs a ref and on/off")

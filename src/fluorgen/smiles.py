@@ -11,24 +11,33 @@ Parse errors report a 0-based character offset into the input string.
 
 from __future__ import annotations
 
-import functools
 import heapq
 
 from fluorgen.molgraph import (
     AROMATIC_SYMBOLS,
     ATOMIC_NUMBER,
     SUPPORTED_ELEMENTS,
+    SYMBOL,
     TWO_LETTER_ELEMENTS,
-    Atom,
-    Bond,
-    BondOrder,
     MolecularGraph,
     MoleculeError,
+    is_digits,
 )
 
 _ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
-_BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE,
-               "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
+# an organic-subset character -> (atomic number, aromatic); the two-letter
+# symbols, tried first, -> atomic number
+_ORGANIC_ATOMS = {
+    **{symbol: (ATOMIC_NUMBER[symbol], False) for symbol in _ORGANIC_SUBSET if len(symbol) == 1},
+    **{char: (ATOMIC_NUMBER[symbol], True) for char, symbol in AROMATIC_SYMBOLS.items()},
+}
+_TWO_LETTER_ORGANIC = {
+    symbol: ATOMIC_NUMBER[symbol] for symbol in TWO_LETTER_ELEMENTS if symbol in _ORGANIC_SUBSET
+}
+_TWO_LETTER_STARTS = frozenset(symbol[0] for symbol in _TWO_LETTER_ORGANIC)
+# bond symbol -> bond order value; the directional single bonds / and \
+# keep no geometry
+_BOND_CHARS = {"-": 1, "=": 2, "#": 3, ":": 4, "/": 1, "\\": 1}
 
 
 class SmilesError(ValueError):
@@ -51,137 +60,134 @@ def parse_smiles(text: str) -> MolecularGraph:
     Raises:
         SmilesError: on syntax problems, unknown elements, unbalanced
             parentheses, unmatched ring closures, or valence violations.
+
+    The graph's columns are filled as the text is read, with no Atom or
+    Bond. Only a ring closure can repeat a bond (any other bond joins the
+    atom just read), so the duplicate check reads each atom's chain
+    parent and the ring-closure pairs.
     """
     if not text or not text.strip():
         raise SmilesError("empty SMILES", 0)
-    atoms: list[Atom] = []
+    numbers: list[int] = []
+    aromatic: list[bool] = []
+    charges: list[int] = []
+    hydrogens: list[int] = []
     atom_offsets: list[int] = []
-    bonds: list[Bond] = []
-    bond_pairs: set[tuple[int, int]] = set()
-    prev_atom: int | None = None
-    pending: BondOrder | None = None
+    parent: list[int] = []  # the atom each atom was bonded to when read, or -1
+    bond_a1: list[int] = []
+    bond_a2: list[int] = []
+    orders: list[int] = []
+    closures: set[tuple[int, int]] = set()
+    prev_atom = -1
+    pending = 0  # order of a bond symbol not yet used, 0 for none
     pending_offset = 0
     branch_stack: list[tuple[int, int]] = []
-    ring_open: dict[int, tuple[int, BondOrder | None, int]] = {}
+    ring_open: dict[int, tuple[int, int, int]] = {}
     fragment_has_atom = False
     i = 0
     n = len(text)
 
-    def add_bond(a: int, b: int, order: BondOrder, offset: int) -> None:
-        if a == b:
-            raise SmilesError("ring closure bonds an atom to itself", offset)
-        pair = (a, b) if a < b else (b, a)
-        if pair in bond_pairs:
-            raise SmilesError("duplicate bond between the same atoms", offset)
-        bond_pairs.add(pair)
-        bonds.append(Bond(a, b, order))
-
-    def add_atom(atom: Atom, offset: int) -> None:
-        nonlocal prev_atom, pending, fragment_has_atom
-        atoms.append(atom)
-        atom_offsets.append(offset)
-        idx = atom.index
-        if prev_atom is not None:
-            order = pending
-            if order is None:
-                both_aromatic = atoms[prev_atom].aromatic and atom.aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            add_bond(prev_atom, idx, order, offset)
-        elif pending is not None:
-            raise SmilesError("bond symbol with no preceding atom", pending_offset)
-        pending = None
-        prev_atom = idx
-        fragment_has_atom = True
-
     while i < n:
         ch = text[i]
-        if ch in _BOND_CHARS:
-            if pending is not None:
+        if ch in _ORGANIC_ATOMS or ch == "[":
+            if ch == "[":
+                (number, is_aromatic, charge, h_count), width = _parse_bracket(text, i)
+            elif ch in _TWO_LETTER_STARTS and text[i: i + 2] in _TWO_LETTER_ORGANIC:
+                number, is_aromatic, width = _TWO_LETTER_ORGANIC[text[i: i + 2]], False, 2
+                charge = h_count = 0
+            else:
+                (number, is_aromatic), width = _ORGANIC_ATOMS[ch], 1
+                charge = h_count = 0
+            index = len(numbers)
+            numbers.append(number)
+            aromatic.append(is_aromatic)
+            charges.append(charge)
+            hydrogens.append(h_count)
+            atom_offsets.append(i)
+            if prev_atom >= 0:
+                if not pending:  # aromatic between aromatic atoms, else single
+                    pending = 4 if is_aromatic and aromatic[prev_atom] else 1
+                bond_a1.append(prev_atom)
+                bond_a2.append(index)
+                orders.append(pending)
+            elif pending:
+                raise SmilesError("bond symbol with no preceding atom", pending_offset)
+            parent.append(prev_atom)
+            pending = 0
+            prev_atom = index
+            fragment_has_atom = True
+            i += width
+        elif ch in _BOND_CHARS:
+            if pending:
                 raise SmilesError("two bond symbols in a row", i)
             pending = _BOND_CHARS[ch]
             pending_offset = i
             i += 1
-        elif ch in "/\\":
-            # Directional single bond; geometry is discarded.
-            if pending is not None:
-                raise SmilesError("two bond symbols in a row", i)
-            pending = BondOrder.SINGLE
-            pending_offset = i
-            i += 1
         elif ch == "(":
-            if prev_atom is None:
+            if prev_atom < 0:
                 raise SmilesError("branch before any atom", i)
-            if pending is not None:
+            if pending:
                 raise SmilesError("bond symbol before branch open", pending_offset)
             branch_stack.append((prev_atom, i))
             i += 1
         elif ch == ")":
             if not branch_stack:
                 raise SmilesError("unbalanced parenthesis", i)
-            if pending is not None:
+            if pending:
                 raise SmilesError("dangling bond before branch close", pending_offset)
             prev_atom, _ = branch_stack.pop()
             i += 1
         elif ch == ".":
             if branch_stack:
                 raise SmilesError("dot inside a branch", i)
-            if pending is not None:
+            if pending:
                 raise SmilesError("bond symbol before dot", pending_offset)
             if not fragment_has_atom:
                 raise SmilesError("empty fragment", i)
-            prev_atom = None
+            prev_atom = -1
             fragment_has_atom = False
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif "0" <= ch <= "9" or ch == "%":
             if ch == "%":
                 digits = text[i + 1: i + 3]
-                if len(digits) != 2 or not digits.isdigit():
+                if len(digits) != 2 or not is_digits(digits):
                     raise SmilesError("% ring closure needs two digits", i)
                 num = int(digits)
                 width = 3
             else:
                 num = int(ch)
                 width = 1
-            if prev_atom is None:
+            if prev_atom < 0:
                 raise SmilesError("ring closure before any atom", i)
             if num in ring_open:
-                other, other_order, other_off = ring_open.pop(num)
+                other, other_order, _ = ring_open.pop(num)
                 order = pending
-                if order is not None and other_order is not None and order is not other_order:
+                if order and other_order and order != other_order:
                     raise SmilesError("ring closure bond symbols disagree", i)
-                if order is None:
-                    order = other_order
-                if order is None:
-                    both = atoms[other].aromatic and atoms[prev_atom].aromatic
-                    order = BondOrder.AROMATIC if both else BondOrder.SINGLE
-                add_bond(other, prev_atom, order, i)
+                order = order or other_order
+                if not order:
+                    order = 4 if aromatic[other] and aromatic[prev_atom] else 1
+                if other == prev_atom:
+                    raise SmilesError("ring closure bonds an atom to itself", i)
+                pair = (other, prev_atom) if other < prev_atom else (prev_atom, other)
+                if parent[pair[1]] == pair[0] or pair in closures:
+                    raise SmilesError("duplicate bond between the same atoms", i)
+                closures.add(pair)
+                bond_a1.append(other)
+                bond_a2.append(prev_atom)
+                orders.append(order)
             else:
                 ring_open[num] = (prev_atom, pending, i)
-            pending = None
+            pending = 0
             i += width
-        elif ch == "[":
-            atom, consumed = _parse_bracket(text, i, len(atoms))
-            add_atom(atom, i)
-            i += consumed
         elif ch.isupper():
-            sym = text[i: i + 2]
-            if sym in TWO_LETTER_ELEMENTS and sym in _ORGANIC_SUBSET:
-                add_atom(_organic_atom(len(atoms), sym, False), i)
-                i += 2
-            elif ch in _ORGANIC_SUBSET:
-                add_atom(_organic_atom(len(atoms), ch, False), i)
-                i += 1
-            else:
-                raise SmilesError(f"unknown element {ch!r}", i)
-        elif ch in AROMATIC_SYMBOLS:
-            add_atom(_organic_atom(len(atoms), AROMATIC_SYMBOLS[ch], True), i)
-            i += 1
+            raise SmilesError(f"unknown element {ch!r}", i)
         elif ch.isspace():
             raise SmilesError("whitespace inside SMILES", i)
         else:
             raise SmilesError(f"unexpected character {ch!r}", i)
 
-    if pending is not None:
+    if pending:
         raise SmilesError("dangling bond at end of input", pending_offset)
     if branch_stack:
         raise SmilesError("unbalanced parenthesis", branch_stack[-1][1])
@@ -191,28 +197,24 @@ def parse_smiles(text: str) -> MolecularGraph:
     if not fragment_has_atom:
         raise SmilesError("empty fragment", n - 1)
     try:
-        return MolecularGraph(tuple(atoms), tuple(bonds))
+        return MolecularGraph.from_columns(
+            numbers, aromatic, charges, hydrogens, bond_a1, bond_a2, orders
+        )
     except MoleculeError as exc:
         offset = atom_offsets[exc.atom_index] if exc.atom_index is not None else 0
         raise SmilesError(str(exc), offset) from exc
 
 
-@functools.lru_cache(maxsize=4096)
-def _organic_atom(index: int, element: str, aromatic: bool) -> Atom:
-    # Atoms are immutable, so parsed graphs share one per (index, element,
-    # aromatic): a cache hit costs a tenth of a dataclass construction.
-    return Atom(index, element, aromatic)
-
-
-def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
+def _parse_bracket(text: str, start: int) -> tuple[tuple[int, bool, int, int], int]:
     """Parse one bracket atom beginning at ``text[start] == '['``.
 
-    Returns the atom and the number of characters consumed. Isotope labels
-    and chirality marks are skipped.
+    Returns the atom's (atomic number, aromatic, charge, hydrogen count)
+    and the number of characters consumed. Isotope labels and chirality
+    marks are skipped.
     """
     i = start + 1
     n = len(text)
-    while i < n and text[i].isdigit():
+    while i < n and "0" <= text[i] <= "9":
         i += 1  # isotope, discarded
     if i >= n:
         raise SmilesError("unterminated bracket atom", start)
@@ -237,7 +239,7 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
     if i < n and text[i] == "H":
         i += 1
         digits = ""
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             digits += text[i]
             i += 1
         h_count = int(digits) if digits else 1
@@ -247,7 +249,7 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
         symbol = text[i]
         i += 1
         digits = ""
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             digits += text[i]
             i += 1
         if digits:
@@ -259,13 +261,13 @@ def _parse_bracket(text: str, start: int, index: int) -> tuple[Atom, int]:
                 i += 1
     if i < n and text[i] == ":":
         i += 1
-        if i >= n or not text[i].isdigit():
+        if i >= n or not "0" <= text[i] <= "9":
             raise SmilesError("atom class expects digits", i if i < n else start)
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             i += 1  # atom map class, discarded
     if i >= n or text[i] != "]":
         raise SmilesError("unterminated bracket atom", start)
-    return Atom(index, element, aromatic, charge, h_count), i - start + 1
+    return (ATOMIC_NUMBER[element], aromatic, charge, h_count), i - start + 1
 
 
 # --- canonical writing -----------------------------------------------------
@@ -294,6 +296,7 @@ def write_canonical_smiles(graph: MolecularGraph) -> str:
 
 def connected_components(graph: MolecularGraph) -> list[list[int]]:
     """Atom index lists of the connected components, in first-atom order."""
+    links = graph.adjacency()
     seen = [False] * len(graph)
     comps = []
     for start in range(len(graph)):
@@ -305,7 +308,7 @@ def connected_components(graph: MolecularGraph) -> list[list[int]]:
         while stack:
             node = stack.pop()
             comp.append(node)
-            for nbr, _ in graph.neighbors(node):
+            for nbr, _ in links[node]:
                 if not seen[nbr]:
                     seen[nbr] = True
                     stack.append(nbr)
@@ -360,15 +363,20 @@ def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
       fix every atom of P, roots an image of an explored subtree and is
       skipped.
 
-    Atoms, bonds and tokens are read once into per-call tables indexed by
-    position in ``subset``.
+    The graph's columns, and the tokens, are read once into per-call
+    tables indexed by position in ``subset``.
     """
     n = len(subset)
     position = {atom: k for k, atom in enumerate(subset)}
-    bonds = [bond for bond in graph.bonds if bond.a1 in position]
-    ends = [(position[bond.a1], position[bond.a2]) for bond in bonds]
-    orders = [bond.order.value for bond in bonds]
-    symbols = [_bond_symbol(graph, bond) for bond in bonds]
+    aromatic = graph.aromatic
+    ends = []
+    orders = []
+    symbols = []
+    for a1, a2, order in zip(graph.bond_a1, graph.bond_a2, graph.bond_orders):
+        if a1 in position:
+            ends.append((position[a1], position[a2]))
+            orders.append(order)
+            symbols.append(_bond_symbol(order, aromatic[a1] and aromatic[a2]))
     tokens = [_atom_token(graph, atom) for atom in subset]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (order * n, neighbour)
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge)
@@ -379,9 +387,10 @@ def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
         links[a].append((b, edge))
         links[b].append((a, edge))
         order_at[a * n + b] = order_at[b * n + a] = order
+    degree = list(map(len, graph.adjacency()))
     initial = [
-        (ATOMIC_NUMBER[graph.atoms[atom].element], graph.atoms[atom].formal_charge,
-         graph.degree(atom), graph.total_h(atom), graph.atoms[atom].aromatic)
+        (graph.atomic_numbers[atom], graph.charges[atom], degree[atom],
+         graph.total_hs[atom], aromatic[atom])
         for atom in subset
     ]
 
@@ -532,27 +541,28 @@ def _digit_token(digit: int) -> str:
     return str(digit) if digit <= 9 else f"%{digit:02d}"
 
 
-def _bond_symbol(graph: MolecularGraph, bond: Bond) -> str:
-    a = graph.atoms[bond.a1]
-    b = graph.atoms[bond.a2]
-    if bond.order is BondOrder.SINGLE:
-        return "-" if (a.aromatic and b.aromatic) else ""
-    if bond.order is BondOrder.DOUBLE:
+def _bond_symbol(order: int, aromatic_ends: bool) -> str:
+    """The written symbol of a bond of that order value; aromatic_ends
+    says whether both its atoms are aromatic."""
+    if order == 1:
+        return "-" if aromatic_ends else ""
+    if order == 2:
         return "="
-    if bond.order is BondOrder.TRIPLE:
+    if order == 3:
         return "#"
-    return "" if (a.aromatic and b.aromatic) else ":"
+    return "" if aromatic_ends else ":"
 
 
 def _atom_token(graph: MolecularGraph, index: int) -> str:
-    atom = graph.atoms[index]
-    total_h = graph.total_h(index)
+    element = SYMBOL[graph.atomic_numbers[index]]
+    q = graph.charges[index]
+    total_h = graph.total_hs[index]
     bare_allowed = (
-        atom.formal_charge == 0
-        and atom.element in _ORGANIC_SUBSET
+        q == 0
+        and element in _ORGANIC_SUBSET
         and graph.bare_implicit_h(index) == total_h
     )
-    symbol = atom.element.lower() if atom.aromatic else atom.element
+    symbol = element.lower() if graph.aromatic[index] else element
     if bare_allowed:
         return symbol
     if total_h == 0:
@@ -561,7 +571,6 @@ def _atom_token(graph: MolecularGraph, index: int) -> str:
         h_part = "H"
     else:
         h_part = f"H{total_h}"
-    q = atom.formal_charge
     if q == 0:
         q_part = ""
     elif q == 1:

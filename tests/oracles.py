@@ -39,7 +39,6 @@ from fluorgen.molgraph import (
     Hybridization,
     MolecularGraph,
     MoleculeError,
-    perceive_hybridization,
 )
 from fluorgen.scorers import (
     Head,
@@ -86,9 +85,24 @@ class UnionFind:
 
 
 def sp2_network_size_unionfind(graph: MolecularGraph) -> int:
-    """Union-find oracle for the largest sp2-connected cluster."""
-    graph = perceive_hybridization(graph)
-    sp2 = [atom.hybridization is Hybridization.SP2 for atom in graph.atoms]
+    """Union-find oracle for the largest sp2-connected cluster, on the
+    Atom and Bond objects. The states the atoms carry are read when every
+    atom has one; otherwise an atom is sp2 when it is aromatic or has one
+    double bond and no triple bond, counted over its Bond objects."""
+    if all(atom.hybridization is not None for atom in graph.atoms):
+        sp2 = [atom.hybridization is Hybridization.SP2 for atom in graph.atoms]
+    else:
+        doubles = collections.Counter()
+        triples = collections.Counter()
+        for bond in graph.bonds:
+            if bond.order is BondOrder.DOUBLE:
+                doubles.update((bond.a1, bond.a2))
+            elif bond.order is BondOrder.TRIPLE:
+                triples.update((bond.a1, bond.a2))
+        sp2 = [
+            atom.aromatic or (doubles[atom.index] == 1 and triples[atom.index] == 0)
+            for atom in graph.atoms
+        ]
     uf = UnionFind(len(graph))
     for bond in graph.bonds:
         if sp2[bond.a1] and sp2[bond.a2]:
@@ -705,15 +719,19 @@ def _emit_exhaustive(graph: MolecularGraph, ranks: dict[int, int]) -> str:
             else:
                 digit = heapq.heappop(free_digits)
                 open_digit[bid] = digit
-                out.append(_bond_symbol(graph, bond) + (str(digit) if digit <= 9 else f"%{digit:02d}"))
+                out.append(bond_symbol(bond) + (str(digit) if digit <= 9 else f"%{digit:02d}"))
         return "".join(out)
+
+    def bond_symbol(bond) -> str:
+        aromatic_ends = graph.atoms[bond.a1].aromatic and graph.atoms[bond.a2].aromatic
+        return _bond_symbol(bond.order.value, aromatic_ends)
 
     def build(node: int) -> str:
         parts = [_atom_token(graph, node), ring_tokens(node)]
         kids = children[node]
         for pos, child in enumerate(kids):
             bond = graph.bond_between(node, child)
-            sub = _bond_symbol(graph, bond) + build(child)
+            sub = bond_symbol(bond) + build(child)
             parts.append("(" + sub + ")" if pos < len(kids) - 1 else sub)
         return "".join(parts)
 

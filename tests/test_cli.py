@@ -701,6 +701,18 @@ class TestFilter:
         assert f"{path}, line 3: 'C1CC': unmatched ring closure 1 (offset 1)" in err
         assert not (tmp_path / "out" / "survivors.tsv").exists()
 
+    def test_non_ascii_digit_names_its_line(self, tmp_path, capsys):
+        """A superscript two is no ring-closure digit: the row is named and
+        the command exits 2, with no traceback."""
+        constant_checkpoints(tmp_path / "ckpt")
+        path = tmp_path / "out" / "molecules.tsv"
+        molecules_file(path, ["c1ccccc1", "C²"])
+        config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "filter"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: 'C²': unexpected character '²' (offset 1)" in err
+        assert "Traceback" not in err
+
     def test_malformed_reference_names_its_line(self, filter_setup, capsys):
         directory, config_path = filter_setup
         references = directory / "refs.txt"

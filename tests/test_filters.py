@@ -43,7 +43,7 @@ from fluorgen.filters import (
     write_filter_report,
     write_similarity_histogram,
 )
-from fluorgen.molgraph import sp2_network_size
+from fluorgen.molgraph import Atom, sp2_network_size
 from fluorgen.scorers import Head, MlpModel, PropertyScorer, ScorerKind, score_rows
 from fluorgen.smiles import parse_smiles
 
@@ -253,6 +253,17 @@ class TestRunFilters:
         assert parsed == [BIPHENYL, ANTHRACENE, BUTANE]
         assert survivors == (BIPHENYL, ANTHRACENE, BIPHENYL, ANTHRACENE, BIPHENYL)
         assert np.array_equal(words, pack([morgan_fingerprint(parse_smiles(s)) for s in survivors]))
+
+    def test_filter_pass_builds_no_atom_or_bond(self, constructed_objects):
+        """Parsing, the sp2 count and fingerprinting read a graph's columns,
+        so the filter pass over the corpus constructs no Atom and no Bond."""
+        assert Atom(0, "C") and constructed_objects == ["Atom"]  # the counter counts
+        constructed_objects.clear()
+        survivors, report, _ = run_filters(
+            CORPUS, const_scorers(), WATER, FilterThresholds(sp2_min=6)
+        )
+        assert constructed_objects == []
+        assert 0 < len(survivors) < len(CORPUS) and report.rejected[0] > 0
 
     def test_unparsable_smiles_is_named(self):
         with pytest.raises(UnparsableSmiles, match=r"^'C1CC': unmatched ring closure 1") as caught:

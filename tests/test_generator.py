@@ -1264,6 +1264,12 @@ class TestRouteCodec:
         with pytest.raises(GeneratorError):
             parse_route("amide->1")
 
+    # digits of other scripts, and superscripts, are no product index
+    @pytest.mark.parametrize("index", ["\u0661", "²", "1²"])
+    def test_only_ascii_digit_index(self, index):
+        with pytest.raises(GeneratorError, match="bad route step"):
+            parse_route(f"amide(acid,amine)->{index}")
+
 
 class TestReplayErrors:
     def test_unknown_template(self, library, templates):

@@ -15,11 +15,12 @@ from fluorgen.molgraph import (
     perceive_hybridization,
     sp2_network_size,
 )
-from fluorgen.smiles import parse_smiles
+from fluorgen.fingerprints import morgan_fingerprints, pack
+from fluorgen.smiles import parse_smiles, write_canonical_smiles
 
 from corpus import CORPUS
-from oracles import sp2_network_size_unionfind
-from randmol import random_molecule
+from oracles import morgan_fingerprint_loop, sp2_network_size_unionfind
+from randmol import random_cubic_molecule, random_kekule_framework, random_molecule
 
 
 def hybs(smiles):
@@ -228,3 +229,69 @@ class TestRingMembership:
     def test_biphenyl_bridge_atoms_in_ring(self):
         graph = parse_smiles("c1ccc(-c2ccccc2)cc1")
         assert all(graph.in_ring(i) for i in range(len(graph)))
+
+
+COLUMNS = (
+    "atomic_numbers", "aromatic", "charges", "explicit_hs", "total_hs",
+    "bond_a1", "bond_a2", "bond_orders", "hybridization",
+)
+
+
+def columns(graph):
+    return [getattr(graph, name) for name in COLUMNS]
+
+
+class TestArrayForm:
+    """The column form against the object form. Each graph's columns equal
+    those of the graph rebuilt from its Atom and Bond objects, which a
+    parsed graph builds on first use; its sp2 count equals the union-find
+    oracle's on the objects; and the fingerprints of the graphs, taken in
+    chunks, equal the one-graph loop oracle's."""
+
+    @staticmethod
+    def check(graphs):
+        for graph in graphs:
+            rebuilt = MolecularGraph(graph.atoms, graph.bonds)
+            assert columns(rebuilt) == columns(graph)
+            assert [rebuilt.neighbors(i) for i in range(len(graph))] == [
+                graph.neighbors(i) for i in range(len(graph))
+            ]
+            assert sp2_network_size(graph) == sp2_network_size_unionfind(graph)
+        expected = pack([morgan_fingerprint_loop(graph) for graph in graphs])
+        assert np.array_equal(morgan_fingerprints(graphs), expected)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_and_their_parses(self, seed):
+        rng = np.random.default_rng(seed)
+        built = [
+            make(rng)
+            for make in (random_molecule, random_cubic_molecule, random_kekule_framework)
+            for _ in range(4)
+        ]
+        parsed = [parse_smiles(write_canonical_smiles(graph)) for graph in built]
+        assert all(graph._atoms is None for graph in parsed)
+        self.check(built + parsed)
+
+    def test_corpus(self):
+        self.check([parse_smiles(smiles) for smiles in CORPUS])
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_stated_states_are_kept(self, seed, data):
+        """States given on the atoms are kept in the column; with every
+        atom stating one, the sp2 count reads them as given."""
+        graph = random_molecule(np.random.default_rng(seed))
+        states = data.draw(st.lists(
+            st.sampled_from([*Hybridization, None]), min_size=len(graph), max_size=len(graph)
+        ))
+        stated = graph.with_atoms(tuple(
+            replace(atom, hybridization=state) for atom, state in zip(graph.atoms, states)
+        ))
+        assert stated.hybridization == (None if states == [None] * len(graph) else tuple(states))
+        assert sp2_network_size(stated) == sp2_network_size_unionfind(stated)
+        every = graph.with_atoms(tuple(
+            replace(atom, hybridization=state or Hybridization.SP2)
+            for atom, state in zip(graph.atoms, states)
+        ))
+        assert sp2_network_size(every) == sp2_network_size_unionfind(every)

@@ -92,6 +92,19 @@ class TestParsing:
             with pytest.raises(PatternError):
                 parse_pattern(bad)
 
+    # digits of other scripts, and superscripts, are no pattern digits
+    @pytest.mark.parametrize("text,message", [
+        ("C\u0661CC\u0661", "unsupported primitive '\u0661' (offset 1)"),
+        ("C²", "unsupported primitive '²' (offset 1)"),
+        ("[C;D²]", "unsupported primitive 'D²' (offset 3)"),
+        ("[C;H\u0661]", "unsupported primitive 'H\u0661' (offset 3)"),
+        ("[N;+²]", "unsupported primitive '+²' (offset 3)"),
+    ])
+    def test_only_ascii_digits(self, text, message):
+        with pytest.raises(PatternError) as err:
+            parse_pattern(text)
+        assert str(err.value) == message
+
 
 class TestMatching:
     def test_single_atom_all_carbons(self):

@@ -10,8 +10,8 @@ from oracles import apply_reaction_every_combination, compatibility_table
 from randmol import permute_graph
 
 from fluorgen import smiles as smiles_module
-from fluorgen.fingerprints import FP_WORDS, morgan_fingerprint, pack
-from fluorgen.molgraph import BondOrder
+from fluorgen.fingerprints import FP_WORDS, morgan_fingerprint, morgan_fingerprints, pack
+from fluorgen.molgraph import BondOrder, sp2_network_size
 from fluorgen.patterns import has_match, parse_pattern
 from fluorgen.reactions import (
     CompatibilityIndex,
@@ -55,6 +55,39 @@ class TestShippedLibrary:
     def test_every_template_viable(self, templates, library):
         index = CompatibilityIndex(library, tuple(templates.values()))
         assert sorted(index.viable_templates()) == sorted(templates)
+
+    def test_reactions_build_no_atom_or_bond(self, templates, constructed_objects):
+        """Matching, reaction edits, canonical strings, fingerprints and the
+        sp2 count read a graph's columns: ingesting the library, indexing
+        it and running each template on its first compatible blocks, then
+        on a product, constructs no Atom and no Bond."""
+        library = ingest_building_blocks(str(DATA / "building_blocks.tsv"))
+        index = CompatibilityIndex(library, tuple(templates.values()))
+        products = []
+        for template in templates.values():
+            reactants = [
+                library.blocks[index.compatible_blocks(template.id, role)[0]].graph
+                for role in range(template.arity)
+            ]
+            products += apply_reaction(template, reactants).products
+        # a second step, with a product in one role
+        product, template, role = next(
+            (product, template, role)
+            for product in products
+            for template in templates.values()
+            for role, pattern in enumerate(template.roles)
+            if has_match(pattern, product)
+        )
+        reactants = [
+            product if k == role else library.blocks[index.compatible_blocks(template.id, k)[0]].graph
+            for k in range(template.arity)
+        ]
+        products += apply_reaction(template, reactants).products
+        for product in products:
+            write_canonical_smiles(product)
+            sp2_network_size(product)
+        morgan_fingerprints(products)
+        assert len(products) > len(templates) and constructed_objects == []
 
     def test_compatible_blocks_for_acid_role(self, templates, library):
         index = CompatibilityIndex(library, tuple(templates.values()))
@@ -411,6 +444,27 @@ class TestFileParsing:
         text = "reaction a\narity 1\nrole 0 C\nedit delete_atom zero\nend\n"
         with pytest.raises(ReactionFormatError, match="bad atom reference"):
             ingest_reaction_templates(self.write(tmp_path, text))
+
+    # digits of other scripts, and superscripts, are no integers here
+    @pytest.mark.parametrize("line,message", [
+        ("arity \u0661", "arity needs one integer"),
+        ("role \u0660 C", "role line is 'role <index> <pattern>'"),
+        ("role ² C", "role line is 'role <index> <pattern>'"),
+        ("edit delete_atom 0.\u0660", "bad atom reference '0.\u0660', expected role.node"),
+        ("edit delete_atom ².0", "bad atom reference '².0', expected role.node"),
+        ("edit set_charge 0.0 \u0661", "bad charge '\u0661'"),
+        ("edit set_charge 0.0 +²", "bad charge '+²'"),
+    ])
+    def test_only_ascii_digits(self, tmp_path, line, message):
+        path = self.write(tmp_path, f"reaction a\narity 1\nrole 0 C\n{line}\nend\n")
+        with pytest.raises(ReactionFormatError) as err:
+            ingest_reaction_templates(path)
+        assert str(err.value) == f"{path}:4: {message}"
+
+    def test_signed_charge_accepted(self, tmp_path):
+        text = "reaction a\narity 1\nrole 0 N\nedit set_charge 0.0 +1\nend\n"
+        (template,) = ingest_reaction_templates(self.write(tmp_path, text))
+        assert template.edits[0].charge == 1
 
     def test_edit_outside_block(self, tmp_path):
         with pytest.raises(ReactionFormatError, match="outside a reaction block"):

@@ -135,6 +135,21 @@ class TestParseErrors:
         with pytest.raises(SmilesError, match=r"offset 1"):
             parse_smiles("C(")
 
+    # digits of other scripts, and superscripts, are no SMILES digits
+    @pytest.mark.parametrize("text,message", [
+        ("C²", "unexpected character '²' (offset 1)"),
+        ("C\u0661CC\u0661", "unexpected character '\u0661' (offset 1)"),
+        ("C%1²CC%1²", "% ring closure needs two digits (offset 1)"),
+        ("[CH²]", "unterminated bracket atom (offset 0)"),
+        ("[C+²]", "unterminated bracket atom (offset 0)"),
+        ("[13²C]", "unknown element in bracket: '²' (offset 3)"),
+        ("[CH4:²]", "atom class expects digits (offset 5)"),
+    ])
+    def test_only_ascii_digits(self, text, message):
+        with pytest.raises(SmilesError) as err:
+            parse_smiles(text)
+        assert str(err.value) == message
+
 
 class TestCanonicalWriting:
     def test_atom_order_independent(self):
