@@ -19,7 +19,6 @@ from fluorgen.dataset import (
     Task,
     curate_task,
     ingest_chemfluor,
-    record_fingerprints,
     write_rejection_report,
 )
 from fluorgen.filters import (
@@ -219,10 +218,9 @@ def cmd_train(config: RunConfig, column_map) -> int:
     write_rejection_report(
         result.rejected, os.path.join(config.paths.output_dir, "rejected_rows.txt")
     )
-    fingerprints = record_fingerprints(result.records)
     for task in CHECKPOINT_KINDS:
         try:
-            dataset = curate_task(result.records, task, fingerprints)
+            dataset = curate_task(result, task)
             report, models = run_cv(
                 dataset,
                 config.train,

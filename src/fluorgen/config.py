@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from fluorgen.filters import FilterThresholds
 from fluorgen.fingerprints import WATER, SolventFeatures
 from fluorgen.generator import GenerationConfig
+from fluorgen.molgraph import read_number
 from fluorgen.scorers import TrainConfig
 
 OUTPUT_DIR_ENV = "FLUORGEN_OUTPUT_DIR"
@@ -128,7 +129,9 @@ def _parse(section: str, key: str, kind, raw: str):
     if kind == "str":
         return raw
     try:
-        value = int(raw) if kind == "int" else float(raw)
+        value = read_number(raw)
+        if kind == "int":
+            value = int(raw)  # ASCII by now; int() refuses a point or an exponent
     except ValueError as exc:
         expected = "an integer" if kind == "int" else "a number"
         raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from exc

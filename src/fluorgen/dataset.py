@@ -3,10 +3,10 @@
 The input is delimited text (comma or tab, sniffed from the header) with
 one measurement row per molecule-solvent pair: SMILES, the four Catalan
 solvent descriptors, and up to three measured properties. Rows that fail
-to parse are reported, duplicate pairs are averaged, and task curation
-turns the surviving records into training arrays: packed fingerprint
-rows (one per distinct SMILES, shared by the three tasks), solvents and
-labels.
+to parse are reported, duplicate pairs are averaged, and each distinct
+SMILES is fingerprinted once; task curation turns the surviving records
+into training arrays: packed fingerprint rows (shared by the three
+tasks), solvents and labels.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints
+from fluorgen.molgraph import MolecularGraph, read_number
 from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
 
 
@@ -71,6 +72,9 @@ _MEASUREMENTS = ("plqy", "absorption_nm", "emission_nm")
 class IngestResult:
     records: tuple[ChemFluorRecord, ...]
     rejected: tuple[str, ...]
+    # record SMILES -> packed fingerprint row, shared by the three tasks;
+    # it follows from the records, so equality reads only those
+    fingerprints: dict[str, np.ndarray] = field(compare=False, repr=False)
 
 
 def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> IngestResult:
@@ -81,6 +85,8 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
     present. Records come back sorted by that key, so ingestion does not
     depend on row order. ``column_map`` renames logical columns
     (keys from: smiles, sp, sdp, sa, sb, plqy, absorption, emission).
+    Each record SMILES is fingerprinted once, from the first graph that
+    gave it.
     """
     headers = dict(_COLUMNS)
     if column_map:
@@ -113,9 +119,11 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
     rejected: list[str] = []
     groups: dict[tuple, dict[str, list[float]]] = {}
     # raw text -> (canonical SMILES, None), or (None, parse error) when it
-    # does not parse: strings only, so no graph or traceback outlives the
-    # text's first row
+    # does not parse: strings only, so no traceback outlives the text's
+    # first row
     known: dict[str, tuple[str | None, str | None]] = {}
+    # canonical SMILES -> the first graph that gave it
+    graphs: dict[str, MolecularGraph] = {}
     for lineno, row in rows:
         def cell(logical):
             value = row.get(resolved[logical])
@@ -124,9 +132,13 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
         raw_smiles = cell("smiles")
         if raw_smiles not in known:
             try:
-                known[raw_smiles] = (write_canonical_smiles(parse_smiles(raw_smiles)), None)
+                graph = parse_smiles(raw_smiles)
             except SmilesError as exc:
                 known[raw_smiles] = (None, str(exc))
+            else:
+                canonical = write_canonical_smiles(graph)
+                known[raw_smiles] = (canonical, None)
+                graphs.setdefault(canonical, graph)
         smiles, error = known[raw_smiles]
         if error is not None:
             rejected.append(f"line {lineno}: bad SMILES {raw_smiles!r}: {error}")
@@ -165,14 +177,19 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
         )
     if not records:
         raise DatasetError(f"{path}: zero valid rows")
-    return IngestResult(records=tuple(records), rejected=tuple(rejected))
+    distinct = list(dict.fromkeys(record.smiles for record in records))
+    return IngestResult(
+        records=tuple(records),
+        rejected=tuple(rejected),
+        fingerprints=dict(zip(distinct, morgan_fingerprints(graphs[s] for s in distinct))),
+    )
 
 
 def _parse_float(text: str, name: str) -> float | None:
     if not text:
         return None
     try:
-        value = float(text)
+        value = read_number(text)
     except ValueError:
         raise DatasetError(f"bad {name} value {text!r}") from None
     if not np.isfinite(value):
@@ -196,27 +213,14 @@ class TaskDataset:
         return len(self.smiles)
 
 
-def record_fingerprints(records) -> dict[str, np.ndarray]:
-    """Packed fingerprint row of every distinct record SMILES, computed
-    once so the three tasks can share it."""
-    distinct = list(dict.fromkeys(record.smiles for record in records))
-    return dict(zip(distinct, morgan_fingerprints(parse_smiles(s) for s in distinct)))
-
-
-def curate_task(
-    records, task: Task, fingerprints: dict[str, np.ndarray] | None = None
-) -> TaskDataset:
-    """Keep records complete for the task and build the training arrays.
+def curate_task(ingested: IngestResult, task: Task) -> TaskDataset:
+    """Keep the ingested records complete for the task and build the
+    training arrays from them and their fingerprints.
 
     A record qualifies when the solvent features and the task's
     measurement are present. PLQY classification labels are 1 only for
     PLQY strictly above 0.5; the regression tasks use nm values as-is.
-
-    :param fingerprints: record SMILES to packed row, as made by
-        ``record_fingerprints``; made here when not given.
     """
-    if fingerprints is None:
-        fingerprints = record_fingerprints(records)
     value_of = {
         Task.PLQY_CLASS: lambda r: r.plqy,
         Task.ABS_REG: lambda r: r.absorption_nm,
@@ -225,7 +229,7 @@ def curate_task(
     labels = []
     smiles = []
     solvents = []
-    for record in records:
+    for record in ingested.records:
         value = value_of(record)
         if value is None or record.solvent is None:
             continue
@@ -239,7 +243,7 @@ def curate_task(
         raise DatasetError(f"no records usable for task {task.value}")
     return TaskDataset(
         task=task,
-        words=np.stack([fingerprints[s] for s in smiles]),
+        words=np.stack([ingested.fingerprints[s] for s in smiles]),
         labels=np.asarray(labels, dtype=np.float64),
         smiles=tuple(smiles),
         solvents=tuple(solvents),

@@ -9,6 +9,7 @@ once constructed; anything that "edits" a molecule builds a new graph.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -46,6 +47,24 @@ def is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+# an optional sign, ASCII digits with at most one point, an optional
+# exponent; or nan, inf or infinity in any case, read so that a caller can
+# reject them as non-finite by name
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)",
+    re.IGNORECASE | re.ASCII,
+)
+
+
+def read_number(text: str) -> float:
+    """The value of a number written in the input readers' grammar;
+    ValueError for any other text. float() alone also takes other
+    scripts' digits, underscores and surrounding whitespace."""
+    if _NUMBER.fullmatch(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 class MoleculeError(ValueError):
     """Raised when atoms and bonds cannot form a chemically valid graph."""
 
@@ -71,7 +90,9 @@ class Hybridization(Enum):
 @dataclass(frozen=True)
 class Atom:
     """One heavy atom. ``explicit_h`` is the hydrogen count written in the
-    source (bracket atoms); implicit hydrogens live on the graph, not here."""
+    source (bracket atoms); implicit hydrogens live on the graph, not here.
+    ``hybridization`` is what perceive_hybridization assigns; no graph
+    reads it back."""
 
     index: int
     element: str
@@ -123,8 +144,16 @@ def _fill_hydrogens(element: str, charge: int, used: int) -> int:
 
 
 def _bond_order_sum(element: str, k: int, other: int, explicit_h: int, charge: int) -> int:
-    """MolecularGraph.bond_order_sum's rule for an atom with k aromatic
-    bonds and the order sum ``other`` of its other bonds."""
+    """Bond-order sum over the explicit bonds of an atom with k aromatic
+    bonds and the order sum ``other`` of its other bonds.
+
+    Aromatic bonds cannot be summed naively: a benzene carbon carries
+    three sigma bonds plus a share of the pi system. The share depends
+    on the element: carbon and boron host part of the ring double bond
+    (k aromatic bonds count k + 1), oxygen and sulfur always donate a
+    lone pair instead (count k), and nitrogen/phosphorus host a double
+    bond only in the bare two-connected pyridine-like case.
+    """
     if k == 0:
         return other
     if element in ("C", "B"):
@@ -157,8 +186,7 @@ class MolecularGraph:
     integer columns: atom i is entry i of ``atomic_numbers``, ``aromatic``,
     ``charges``, ``explicit_hs`` and ``total_hs``; bond k joins
     ``bond_a1[k]`` and ``bond_a2[k]`` with BondOrder value
-    ``bond_orders[k]``. ``hybridization`` holds the atoms' stated states,
-    or None when none states one.
+    ``bond_orders[k]``.
 
     ``MolecularGraph(atoms, bonds)`` checks the objects' structure
     (contiguous atom indices, supported elements, bonds between distinct
@@ -174,7 +202,7 @@ class MolecularGraph:
 
     __slots__ = (
         "atomic_numbers", "aromatic", "charges", "explicit_hs", "total_hs",
-        "bond_a1", "bond_a2", "bond_orders", "hybridization",
+        "bond_a1", "bond_a2", "bond_orders",
         "_atoms", "_bonds", "_adjacency", "_neighbors", "_ring_atom",
         "_atoms_by_kind", "_canonical_smiles",
     )
@@ -211,8 +239,6 @@ class MolecularGraph:
             tuple(bond.a2 for bond in bonds),
             tuple(bond.order.value for bond in bonds),
         )
-        states = tuple(atom.hybridization for atom in atoms)
-        self.hybridization = states if any(states) else None
         self._atoms = atoms
         self._bonds = bonds
 
@@ -226,7 +252,7 @@ class MolecularGraph:
         columns = (atomic_numbers, aromatic, charges, explicit_hs, bond_a1, bond_a2, bond_orders)
         graph = cls.__new__(cls)
         graph._build(*map(tuple, columns))
-        graph.hybridization = graph._atoms = graph._bonds = None
+        graph._atoms = graph._bonds = None
         return graph
 
     def _build(self, atomic_numbers, aromatic, charges, explicit_hs,
@@ -275,7 +301,6 @@ class MolecularGraph:
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
-        # a graph built from columns states no hybridization
         if self._atoms is None:
             self._atoms = tuple(
                 Atom(index, SYMBOL[number], aromatic, charge, explicit_h)
@@ -315,21 +340,9 @@ class MolecularGraph:
     def degree(self, index: int) -> int:
         return len(self.adjacency()[index])
 
-    def bond_order_sum(self, index: int) -> int:
-        """Bond-order sum over explicit bonds, aromatic system included.
-
-        Aromatic bonds cannot be summed naively: a benzene carbon carries
-        three sigma bonds plus a share of the pi system. The share depends
-        on the element: carbon and boron host part of the ring double bond
-        (k aromatic bonds count k + 1), oxygen and sulfur always donate a
-        lone pair instead (count k), and nitrogen/phosphorus host a double
-        bond only in the bare two-connected pyridine-like case.
-        """
-        return self._order_sum(index, self.explicit_hs[index], self.charges[index])
-
     def _order_sum(self, index: int, explicit_h: int, charge: int) -> int:
-        # bond_order_sum's rule, for the atom read with the given hydrogen
-        # count and charge
+        # _bond_order_sum for the atom read with the given hydrogen count
+        # and charge
         orders = [self.bond_orders[edge] for _, edge in self.adjacency()[index]]
         k = orders.count(BondOrder.AROMATIC.value)
         other = sum(orders) - k * BondOrder.AROMATIC.value
@@ -341,12 +354,6 @@ class MolecularGraph:
         return _fill_hydrogens(
             SYMBOL[self.atomic_numbers[index]], 0, self._order_sum(index, 0, 0)
         )
-
-    def implicit_h(self, index: int) -> int:
-        return self.total_hs[index] - self.explicit_hs[index]
-
-    def total_h(self, index: int) -> int:
-        return self.total_hs[index]
 
     def bond_index(self, a: int, b: int) -> int | None:
         """The index of the bond between atoms a and b, None when unbonded."""
@@ -474,20 +481,15 @@ def sp2_network_size(graph: MolecularGraph) -> int:
 
     Walks the subgraph induced by sp2-hybridized atoms (any bond order
     connects two sp2 atoms) on the bond columns and reports the biggest
-    component, a proxy for the extent of the conjugated system. The
-    states the atoms were built with are read as given when every atom
-    states one; otherwise hybridization is perceived from the columns,
-    as perceive_hybridization does, without building the perceived graph.
-    Returns 0 for molecules without sp2 atoms.
+    component, a proxy for the extent of the conjugated system.
+    Hybridization is perceived from the columns, as perceive_hybridization
+    does, without building the perceived graph. Returns 0 for molecules
+    without sp2 atoms.
     """
-    states = graph.hybridization
-    if states is None or None in states:
-        is_sp2 = [
-            aromatic or multiple == 1
-            for aromatic, multiple in zip(graph.aromatic, _multiple_bonds(graph))
-        ]
-    else:
-        is_sp2 = [state is Hybridization.SP2 for state in states]
+    is_sp2 = [
+        aromatic or multiple == 1
+        for aromatic, multiple in zip(graph.aromatic, _multiple_bonds(graph))
+    ]
     adjacent: list[list[int]] = [[] for _ in is_sp2]
     for a1, a2 in zip(graph.bond_a1, graph.bond_a2):
         if is_sp2[a1] and is_sp2[a2]:

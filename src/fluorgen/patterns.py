@@ -86,9 +86,6 @@ class BondPattern:
     a2: int
     kind: str  # single | double | triple | aromatic | any | default
 
-    def matches(self, order: BondOrder) -> bool:
-        return order.value in _KIND_ORDERS[self.kind]
-
 
 PlanStep = tuple[int, AtomPattern, tuple[tuple[int, BondPattern], ...]]
 

@@ -102,11 +102,6 @@ class ReactionResult:
     products: tuple[MolecularGraph, ...]
     skipped: int  # match combinations whose edits produced an invalid molecule
 
-    @property
-    def smiles(self) -> tuple[str, ...]:
-        """Canonical SMILES of each product, same order."""
-        return tuple(write_canonical_smiles(product) for product in self.products)
-
 
 def apply_reaction(
     template: ReactionTemplate, reactants: list[MolecularGraph]
@@ -117,9 +112,8 @@ def apply_reaction(
     outcomes (valence violations, edit conflicts such as adding a bond
     that already exists) are skipped and counted. Products come back
     deduplicated and sorted by canonical SMILES, so the result does not
-    depend on reactant atom ordering; ``smiles`` holds those strings. A
-    lone valid combination needs no string, and its product's is written
-    when ``smiles`` is read.
+    depend on reactant atom ordering. A lone valid combination needs no
+    string.
     """
     if len(reactants) != template.arity:
         raise ValueError(
@@ -244,9 +238,6 @@ class BlockLibrary:
     blocks: tuple[BuildingBlock, ...]
     words: np.ndarray  # (len(blocks), FP_WORDS) packed fingerprints, in block order
     rejected: tuple[str, ...]  # human-readable reports for skipped lines
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def ingest_building_blocks(path: str) -> BlockLibrary:

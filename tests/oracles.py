@@ -36,7 +36,6 @@ from fluorgen.molgraph import (
     ATOMIC_NUMBER,
     Bond,
     BondOrder,
-    Hybridization,
     MolecularGraph,
     MoleculeError,
 )
@@ -86,23 +85,19 @@ class UnionFind:
 
 def sp2_network_size_unionfind(graph: MolecularGraph) -> int:
     """Union-find oracle for the largest sp2-connected cluster, on the
-    Atom and Bond objects. The states the atoms carry are read when every
-    atom has one; otherwise an atom is sp2 when it is aromatic or has one
+    Atom and Bond objects: an atom is sp2 when it is aromatic or has one
     double bond and no triple bond, counted over its Bond objects."""
-    if all(atom.hybridization is not None for atom in graph.atoms):
-        sp2 = [atom.hybridization is Hybridization.SP2 for atom in graph.atoms]
-    else:
-        doubles = collections.Counter()
-        triples = collections.Counter()
-        for bond in graph.bonds:
-            if bond.order is BondOrder.DOUBLE:
-                doubles.update((bond.a1, bond.a2))
-            elif bond.order is BondOrder.TRIPLE:
-                triples.update((bond.a1, bond.a2))
-        sp2 = [
-            atom.aromatic or (doubles[atom.index] == 1 and triples[atom.index] == 0)
-            for atom in graph.atoms
-        ]
+    doubles = collections.Counter()
+    triples = collections.Counter()
+    for bond in graph.bonds:
+        if bond.order is BondOrder.DOUBLE:
+            doubles.update((bond.a1, bond.a2))
+        elif bond.order is BondOrder.TRIPLE:
+            triples.update((bond.a1, bond.a2))
+    sp2 = [
+        atom.aromatic or (doubles[atom.index] == 1 and triples[atom.index] == 0)
+        for atom in graph.atoms
+    ]
     uf = UnionFind(len(graph))
     for bond in graph.bonds:
         if sp2[bond.a1] and sp2[bond.a2]:
@@ -150,7 +145,7 @@ def morgan_fingerprint_loop(graph: MolecularGraph) -> Fingerprint:
                     ATOMIC_NUMBER[atom.element],
                     graph.degree(i),
                     atom.formal_charge,
-                    graph.total_h(i),
+                    graph.total_hs[i],
                     int(atom.aromatic),
                 )
             )
@@ -389,7 +384,7 @@ def graphs_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:
 
     def profile(g: MolecularGraph, i: int):
         a = g.atoms[i]
-        return (a.element, a.aromatic, a.formal_charge, g.total_h(i), g.degree(i))
+        return (a.element, a.aromatic, a.formal_charge, g.total_hs[i], g.degree(i))
 
     if sorted(profile(g1, i) for i in range(len(g1))) != sorted(
         profile(g2, i) for i in range(len(g2))
@@ -462,12 +457,25 @@ def all_injections_matching(predicate_ok, query_edges, n_query: int, graph: Mole
     return sorted(results)
 
 
+# pattern bond kind -> the target bond orders it accepts, as the pattern
+# grammar states them
+BOND_KIND_ORDERS = {
+    "single": {BondOrder.SINGLE},
+    "double": {BondOrder.DOUBLE},
+    "triple": {BondOrder.TRIPLE},
+    "aromatic": {BondOrder.AROMATIC},
+    "default": {BondOrder.SINGLE, BondOrder.AROMATIC},
+    "any": set(BondOrder),
+}
+
+
 def match_pattern_per_call(query, graph: MolecularGraph, limit: int | None = None):
     """Pattern matcher that rebuilds its search plan on every call.
 
     The query's adjacency lists and its BFS visit order from node 0 are
-    derived from ``query.bonds`` here instead of read from ``query.plan``;
-    the backtracking is the same, so results and the early stop at
+    derived from ``query.bonds`` here instead of read from ``query.plan``,
+    and a query bond accepts the orders ``BOND_KIND_ORDERS`` gives its
+    kind; the backtracking is the same, so results and the early stop at
     ``limit`` must agree with patterns.match_pattern exactly.
     """
     n_query = len(query.atoms)
@@ -503,7 +511,7 @@ def match_pattern_per_call(query, graph: MolecularGraph, limit: int | None = Non
                 continue
             if all(
                 (target := graph.bond_between(j, mapping[nbr])) is not None
-                and bond.matches(target.order)
+                and target.order in BOND_KIND_ORDERS[bond.kind]
                 for nbr, bond in mapped_nbrs
             ):
                 mapping[q] = j
@@ -643,7 +651,7 @@ def _fragment_exhaustive(graph: MolecularGraph, subset: list[int]) -> str:
             ATOMIC_NUMBER[atom.element],
             atom.formal_charge,
             graph.degree(i),
-            graph.total_h(i),
+            graph.total_hs[i],
             atom.aromatic,
         )
     best: list[str | None] = [None]

@@ -12,11 +12,12 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from scipy.stats import fisher_exact, mannwhitneyu
 
 from fluorgen.dataset import Task, curate_task, ingest_chemfluor
 from fluorgen.fingerprints import (
@@ -27,6 +28,7 @@ from fluorgen.fingerprints import (
 )
 from fluorgen.filters import FilterThresholds, run_filters
 from fluorgen.generator import (
+    DYE_CRITERIA,
     GenerationConfig,
     Generator,
     replay_route,
@@ -54,7 +56,12 @@ from fluorgen.scorers import (
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
-from oracles import all_injections_matching, dense_w1_gradient, sp2_network_size_unionfind
+from oracles import (
+    BOND_KIND_ORDERS,
+    all_injections_matching,
+    dense_w1_gradient,
+    sp2_network_size_unionfind,
+)
 from randmol import permute_graph, random_molecule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -327,7 +334,7 @@ def test_04_chemfluor_cross_validation(report):
     config = TrainConfig()
     means = {}
     for task in Task:
-        dataset = curate_task(ingested.records, task)
+        dataset = curate_task(ingested, task)
         cv, _ = run_cv(dataset, config, folds=10, split_seed=0)
         means[task] = cv.mean
     seconds = time.perf_counter() - start
@@ -412,6 +419,48 @@ def test_06_generation_enrichment(enriched_run, report):
     assert p_plqy < 0.01
     assert p_sp2 < 0.01
     assert seconds < 600.0, f"generation took {seconds:.0f}s"
+
+
+def second_half(result):
+    """(passes all four DYE_CRITERIA, PLQY) of each molecule emitted in
+    the second half of a RUN_CONFIG run, read off its reward scores."""
+    return [
+        (m.scores[0] >= DYE_CRITERIA.plqy_min and m.scores[1] == 1.0
+         and m.scores[2] == 1.0 and m.scores[3] >= 1.0, m.scores[0])
+        for m in result.molecules
+        if m.rollout >= RUN_CONFIG.n_rollouts // 2
+    ]
+
+
+def test_06_value_learning_gate(enriched_run, library, templates, proxy_scorers, report):
+    """Retraining the value nets pays off. Over the second half of the
+    criterion-6 run, the share of molecules that pass all four
+    DYE_CRITERIA and their mean PLQY are higher than in the same run with
+    no retrain (a train interval past the last rollout), each by a
+    one-sided test at p < 0.01. A retrain that is silently broken, with
+    every update reverted or the block values left stale, reads no
+    higher than none."""
+    untrained = Generator(
+        library, templates, proxy_scorers, WATER,
+        replace(RUN_CONFIG, train_interval=RUN_CONFIG.n_rollouts + 1),
+    ).run()
+    trained_passes, trained_plqy = np.array(second_half(enriched_run["result"])).T
+    untrained_passes, untrained_plqy = np.array(second_half(untrained)).T
+    table = [
+        [int(passes.sum()), int(len(passes) - passes.sum())]
+        for passes in (trained_passes, untrained_passes)
+    ]
+    p_share = float(fisher_exact(table, alternative="greater").pvalue)
+    p_plqy = float(mannwhitneyu(trained_plqy, untrained_plqy, alternative="greater").pvalue)
+
+    ok = p_share < 0.01 and p_plqy < 0.01
+    report("6", "value learning gate", "PASS" if ok else "FAIL",
+           f"second-half all-four share {trained_passes.mean():.3f} vs "
+           f"{untrained_passes.mean():.3f} with no retrain (p {p_share:.1e}), "
+           f"plqy {trained_plqy.mean():.3f} vs {untrained_plqy.mean():.3f} "
+           f"(p {p_plqy:.1e})")
+    assert p_share < 0.01, "retraining did not raise the all-four share"
+    assert p_plqy < 0.01, "retraining did not raise PLQY"
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +599,12 @@ def test_10_matcher_equals_enumeration(report):
             continue
         query = queries[int(rng.integers(len(queries)))]
         got = match_pattern(query, graph)
-        edges = [(b.a1, b.a2, b.matches) for b in query.bonds]
         want = all_injections_matching(
             lambda q, i: query.atoms[q].matches(graph, i),
-            [(a, b, lambda bond, m=m: m(bond.order)) for a, b, m in edges],
+            [
+                (b.a1, b.a2, lambda bond, kind=b.kind: bond.order in BOND_KIND_ORDERS[kind])
+                for b in query.bonds
+            ],
             len(query.atoms),
             graph,
         )

@@ -3,8 +3,10 @@
 import os
 import random
 import re
+import sys
 import warnings
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,39 @@ class TestConfigLoading:
             load_config(path)
 
     @pytest.mark.parametrize(
+        "section,key,value,expected",
+        [
+            ("filters", "clusters", "\u0661\u0660", "an integer"),  # Arabic-Indic 10
+            ("filters", "cluster_seed", "1_0", "an integer"),
+            ("train", "epochs", "\uff13", "an integer"),  # fullwidth 3
+            ("filters", "plqy_min", "\u0660.\u0665", "a number"),  # Arabic-Indic 0.5
+            ("train", "learning_rate", "1_0e-3", "a number"),
+            ("generate", "eta", "0.0\u0665", "a number"),  # 0.0 and Arabic-Indic 5
+        ],
+    )
+    def test_number_outside_the_ascii_grammar_rejected(self, section, key, value, expected,
+                                                       tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected {expected}, got"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section,key,value,field,read",
+        [
+            ("filters", "clusters", "+7", "clustering.clusters", 7),
+            ("filters", "plqy_min", "+.5", "thresholds.plqy_min", 0.5),
+            ("filters", "window_max_nm", "7.5E2", "thresholds.window_max_nm", 750.0),
+            ("train", "learning_rate", "1e-3", "train.learning_rate", 0.001),
+            ("generate", "solvent_sa", "-0.", "solvent.sa", 0.0),
+        ],
+    )
+    def test_number_grammar_accepted(self, section, key, value, field, read, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert attrgetter(field)(load_config(path)) == read
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[DEFAULT]\nn_rolouts = 3\n",
@@ -410,6 +445,24 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--config", str(config_path), "train"]) == 0
+
+    def test_each_molecule_parsed_once(self, tmp_path, monkeypatch):
+        """train parses each distinct SMILES text once, at ingest, and
+        fingerprints those graphs: no later step parses again."""
+        from fluorgen.smiles import parse_smiles
+
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_smiles(text)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("fluorgen.")]:
+            if getattr(module, "parse_smiles", None) is parse_smiles:
+                monkeypatch.setattr(module, "parse_smiles", counting)
+        synthetic_csv(tmp_path / "chemfluor.csv")
+        assert main(["--config", str(write_config(tmp_path)), "train"]) == 0
+        assert len(parsed) == len(set(parsed)) == 10
 
     def test_bad_column_flag(self, tmp_path, capsys):
         synthetic_csv(tmp_path / "chemfluor.csv")

@@ -13,7 +13,6 @@ from fluorgen.dataset import (
     Task,
     curate_task,
     ingest_chemfluor,
-    record_fingerprints,
     split_cv,
     write_rejection_report,
 )
@@ -164,6 +163,32 @@ class TestIngestion:
         assert len(result.records) == 1
         assert len(result.rejected) == 5
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1_0", "bad absorption value '1_0'"),
+            ("\u0661.\u0665", "bad absorption value '\u0661.\u0665'"),  # Arabic-Indic 1.5
+            ("\uff12\uff15\uff10", "bad absorption value '\uff12\uff15\uff10'"),  # fullwidth 250
+            ("2.5e2_0", "bad absorption value '2.5e2_0'"),
+            ("nan", "non-finite absorption value 'nan'"),
+            ("-Infinity", "non-finite absorption value '-Infinity'"),
+        ],
+    )
+    def test_number_outside_the_ascii_grammar_rejected(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            f"{HEADER}\nCCN,0.6,0.7,0.8,0.9,0.4,,\nCCO,0.6,0.7,0.8,0.9,,{text},\n",
+            encoding="utf-8",
+        )
+        result = ingest_chemfluor(str(path))
+        assert [record.smiles for record in result.records] == ["CCN"]
+        assert result.rejected == (f"line 3: {message}",)
+
+    @pytest.mark.parametrize("text", ["+250", "2.5E2", "250.", ".25e3"])
+    def test_number_grammar_accepted(self, tmp_path, text):
+        result = ingest_chemfluor(write_file(tmp_path, [HEADER, f"CCO,0.6,0.7,0.8,0.9,,{text},"]))
+        assert result.records[0].absorption_nm == 250.0
+
     def test_missing_solvent_allowed_at_ingest(self, tmp_path):
         lines = [HEADER, "CCO,,,,,0.4,,"]
         result = ingest_chemfluor(write_file(tmp_path, lines))
@@ -210,11 +235,11 @@ class TestIngestion:
 
 
 class TestCuration:
-    def records(self, tmp_path):
-        return ingest_chemfluor(write_file(tmp_path, [HEADER] + ROWS)).records
+    def ingested(self, tmp_path):
+        return ingest_chemfluor(write_file(tmp_path, [HEADER] + ROWS))
 
     def test_plqy_classification_labels(self, tmp_path):
-        dataset = curate_task(self.records(tmp_path), Task.PLQY_CLASS)
+        dataset = curate_task(self.ingested(tmp_path), Task.PLQY_CLASS)
         assert len(dataset) == 3  # the solvent-less CCO row never had PLQY anyway
         by_smiles = dict(zip(dataset.smiles, dataset.labels))
         naphthalene = write_canonical_smiles(parse_smiles("c1ccc2ccccc2c1"))
@@ -222,26 +247,24 @@ class TestCuration:
 
     def test_label_boundary_is_strict(self, tmp_path):
         lines = [HEADER, "CCO,0.6,0.7,0.8,0.9,0.5,,"]
-        records = ingest_chemfluor(write_file(tmp_path, lines)).records
-        dataset = curate_task(records, Task.PLQY_CLASS)
+        dataset = curate_task(ingest_chemfluor(write_file(tmp_path, lines)), Task.PLQY_CLASS)
         assert dataset.labels.tolist() == [0.0]
 
     def test_regression_tasks_filter_on_their_measurement(self, tmp_path):
-        records = self.records(tmp_path)
-        abs_ds = curate_task(records, Task.ABS_REG)
-        em_ds = curate_task(records, Task.EM_REG)
+        ingested = self.ingested(tmp_path)
+        abs_ds = curate_task(ingested, Task.ABS_REG)
+        em_ds = curate_task(ingested, Task.EM_REG)
         assert len(abs_ds) == 4
         assert len(em_ds) == 2
         assert set(em_ds.labels.tolist()) == {290.0, 330.0}
 
     def test_missing_solvent_dropped(self, tmp_path):
         lines = [HEADER, "CCO,,,,,0.4,,", "CCC,0.6,0.7,0.8,0.9,0.8,,"]
-        records = ingest_chemfluor(write_file(tmp_path, lines)).records
-        dataset = curate_task(records, Task.PLQY_CLASS)
+        dataset = curate_task(ingest_chemfluor(write_file(tmp_path, lines)), Task.PLQY_CLASS)
         assert len(dataset) == 1
 
     def test_feature_layout(self, tmp_path):
-        dataset = curate_task(self.records(tmp_path), Task.ABS_REG)
+        dataset = curate_task(self.ingested(tmp_path), Task.ABS_REG)
         assert dataset.words.shape == (4, FP_WORDS)
         features = feature_rows(dataset.words, [s.as_tuple() for s in dataset.solvents])
         assert features.shape == (4, 2052)
@@ -251,22 +274,23 @@ class TestCuration:
             assert features[i, 2048:].tolist() == list(dataset.solvents[i].as_tuple())
 
     def test_shared_fingerprints_give_the_same_arrays(self, tmp_path):
-        records = self.records(tmp_path)
-        fingerprints = record_fingerprints(records)
-        assert set(fingerprints) == {r.smiles for r in records}
-        for smiles, row in fingerprints.items():
+        """Ingest fingerprints each record SMILES once, from the first row's
+        graph, and every task reads those rows: they equal the fingerprint
+        of the canonical string's own parse."""
+        ingested = self.ingested(tmp_path)
+        assert set(ingested.fingerprints) == {r.smiles for r in ingested.records}
+        for smiles, row in ingested.fingerprints.items():
             assert np.array_equal(row, pack([morgan_fingerprint(parse_smiles(smiles))])[0])
         for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
-            shared = curate_task(records, task, fingerprints)
-            alone = curate_task(records, task)
-            assert np.array_equal(shared.words, alone.words)
-            assert np.array_equal(shared.labels, alone.labels)
+            dataset = curate_task(ingested, task)
+            for smiles, row in zip(dataset.smiles, dataset.words):
+                assert np.array_equal(row, ingested.fingerprints[smiles])
 
     def test_empty_curation_raises(self, tmp_path):
         lines = [HEADER, "CCO,0.6,0.7,0.8,0.9,,250,"]
-        records = ingest_chemfluor(write_file(tmp_path, lines)).records
+        ingested = ingest_chemfluor(write_file(tmp_path, lines))
         with pytest.raises(DatasetError, match="no records usable"):
-            curate_task(records, Task.EM_REG)
+            curate_task(ingested, Task.EM_REG)
 
 
 class TestSplits:

@@ -13,7 +13,7 @@ from fluorgen.patterns import (
 from fluorgen.reactions import ingest_building_blocks, ingest_reaction_templates
 from fluorgen.smiles import parse_smiles
 
-from oracles import all_injections_matching, match_pattern_per_call
+from oracles import BOND_KIND_ORDERS, all_injections_matching, match_pattern_per_call
 from randmol import random_molecule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -179,12 +179,12 @@ class TestAgainstBruteForce:
                 continue
             query = queries[int(rng.integers(len(queries)))]
             got = match_pattern(query, graph)
-            edges = [
-                (b.a1, b.a2, b.matches) for b in query.bonds
-            ]
             want = all_injections_matching(
                 lambda q, i: query.atoms[q].matches(graph, i),
-                [(a, b, lambda bond, m=m: m(bond.order)) for a, b, m in edges],
+                [
+                    (b.a1, b.a2, lambda bond, kind=b.kind: bond.order in BOND_KIND_ORDERS[kind])
+                    for b in query.bonds
+                ],
                 len(query.atoms),
                 graph,
             )

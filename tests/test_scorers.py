@@ -492,14 +492,13 @@ class TestCrossValidation:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import inputs
 
-        from fluorgen.dataset import curate_task, ingest_chemfluor, record_fingerprints
+        from fluorgen.dataset import curate_task, ingest_chemfluor
 
         inputs.build_train(1, str(tmp_path))
-        records = ingest_chemfluor(str(tmp_path / "chemfluor.csv")).records
-        fingerprints = record_fingerprints(records)
+        ingested = ingest_chemfluor(str(tmp_path / "chemfluor.csv"))
         config = TrainConfig(epochs=6, hidden_dim=16, patience=3, seed=2)
         for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
-            dataset = curate_task(records, task, fingerprints)
+            dataset = curate_task(ingested, task)
             report, models = run_cv(dataset, config, folds=4, split_seed=3)
             want_metrics, want_models = run_cv_dense(dataset, config, folds=4, split_seed=3)
             assert report.fold_metrics == want_metrics
@@ -642,14 +641,13 @@ class TestSparseKernel:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import inputs
 
-        from fluorgen.dataset import curate_task, ingest_chemfluor, record_fingerprints, split_cv
+        from fluorgen.dataset import curate_task, ingest_chemfluor, split_cv
 
         inputs.build_train(1, str(tmp_path))
-        records = ingest_chemfluor(str(tmp_path / "chemfluor.csv")).records
-        fingerprints = record_fingerprints(records)
+        ingested = ingest_chemfluor(str(tmp_path / "chemfluor.csv"))
         config = TrainConfig(epochs=20, hidden_dim=64, patience=20, batch_size=32)
         for task in (Task.PLQY_CLASS, Task.ABS_REG, Task.EM_REG):
-            dataset = curate_task(records, task, fingerprints)
+            dataset = curate_task(ingested, task)
             features = feature_rows(dataset.words, [s.as_tuple() for s in dataset.solvents])
             head = Head.SIGMOID if task is Task.PLQY_CLASS else Head.LINEAR
             for split in split_cv(len(dataset), folds=3, seed=0):

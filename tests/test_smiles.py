@@ -77,7 +77,7 @@ class TestParsing:
     def test_isotope_discarded(self):
         a = parse_smiles("[13CH4]")
         assert a.atoms[0].element == "C"
-        assert a.total_h(0) == 4
+        assert a.total_hs[0] == 4
 
     def test_bracket_charges(self):
         assert parse_smiles("[NH4+]").atoms[0].formal_charge == 1
@@ -323,7 +323,7 @@ class TestCanonicalSearchIsExact:
 
     @staticmethod
     def _site(arm, rng) -> int:
-        sites = [i for i in range(len(arm)) if arm.implicit_h(i) > 0]
+        sites = [i for i in range(len(arm)) if arm.total_hs[i] > arm.explicit_hs[i]]
         assume(sites)
         return int(sites[rng.integers(len(sites))])
 
@@ -357,7 +357,7 @@ class TestPinnedParserOutput:
             [(b.a1, b.a2, b.order.value) for b in graph.bonds],
             [[(j, bond_ids[id(bond)]) for j, bond in graph.neighbors(i)]
              for i in range(len(graph))],
-            [graph.implicit_h(i) for i in range(len(graph))],
+            [total - explicit for total, explicit in zip(graph.total_hs, graph.explicit_hs)],
         ))
 
     def texts(self) -> list[str]:
