@@ -282,6 +282,13 @@ def cmd_filter(config: RunConfig) -> int:
     out = config.paths.output_dir
     molecules_path = os.path.join(out, "molecules.tsv")
     smiles_list, lines = _read_molecule_smiles(molecules_path)
+    references_path = config.clustering.novelty_references
+    if references_path:
+        # read before the stages, so a bad file fails whether or not any
+        # molecule survives them
+        references, reference_lines = _read_reference_smiles(references_path)
+        if not references:
+            raise ConfigError(f"novelty reference file {references_path} is empty")
     _ensure_dir(out)
     if not smiles_list:
         # the stages never run, so no checkpoints are needed
@@ -326,11 +333,7 @@ def cmd_filter(config: RunConfig) -> int:
                 flag = 1 if index == medoid else 0
                 handle.write(f"{cluster}\t{rank}\t{survivors[index]}\t{flag}\n")
 
-    if config.clustering.novelty_references:
-        references_path = config.clustering.novelty_references
-        references, reference_lines = _read_reference_smiles(references_path)
-        if not references:
-            raise ConfigError(f"novelty reference file {references_path} is empty")
+    if references_path:
         with _naming_bad_rows(references_path, references, reference_lines):
             reference_words = morgan_fingerprints(map(parse_molecule, references))
         scores = novelty(words, reference_words)

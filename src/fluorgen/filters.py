@@ -12,7 +12,9 @@ from fluorgen.fingerprints import (
     SolventFeatures,
     TanimotoIndex,
     morgan_fingerprints,
+    tanimoto_counts,
     tanimoto_matrix,
+    tanimoto_values,
 )
 from fluorgen.molgraph import sp2_network_size
 from fluorgen.scorers import property_stack, score_rows
@@ -20,7 +22,7 @@ from fluorgen.smiles import SmilesError, parse_smiles
 
 NOVELTY_THRESHOLD = 0.5
 
-# pair similarities converted to Python floats at a time when writing
+# pairs whose lines are joined into one write of the raw histogram
 HISTOGRAM_CHUNK = 1 << 16
 # bin edges of the binned similarity histogram: 100 bins of width 0.01
 HISTOGRAM_BINS = np.linspace(0, 1, 101)
@@ -243,48 +245,56 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
 
 
 def cluster_similarity_histogram(assignment: ClusterAssignment, words: np.ndarray):
-    """Every pairwise similarity i < j as (kind, float64 chunk) pairs in
-    file order: the within-cluster ("intra") pairs in (i, j) order, then
-    the across-cluster ("inter") pairs in (i, j) order.
+    """Every pair i < j as (kind, inter, union) chunks in file order: the
+    within-cluster ("intra") pairs in (i, j) order, then the
+    across-cluster ("inter") pairs in (i, j) order. inter and union are
+    equal-length int32 arrays of the pairs' intersection and union
+    popcounts; a pair's similarity is tanimoto_values(inter, union).
 
-    The intra pairs come from one members x members block per cluster,
-    sorted into (i, j) order; the inter pairs are swept PAIR_BLOCK rows at
-    a time against the columns right of them, each block one query of a
-    TanimotoIndex of the words, and one chunk per block. So no
-    n x n matrix and no array of all pairs is held. The length check runs
-    at call time; the chunks are computed as they are read."""
+    The intra pairs come from one members x members tanimoto_counts block
+    per cluster, sorted into (i, j) order; the inter pairs are swept
+    PAIR_BLOCK rows at a time against the columns right of them, each
+    block one pair_counts query of a TanimotoIndex of the words, and one
+    chunk per block. So no n x n matrix and no array of all pairs is held.
+    The length check runs at call time; the chunks are computed as they
+    are read."""
     if len(assignment.labels) != len(words):
         raise FilterError("assignment does not match the fingerprint list")
-    return _similarity_chunks(np.asarray(assignment.labels, dtype=np.intp), assignment.k, words)
+    return _pair_count_chunks(np.asarray(assignment.labels, dtype=np.intp), assignment.k, words)
 
 
-def _similarity_chunks(labels: np.ndarray, k: int, words: np.ndarray):
-    yield "intra", _intra_similarities(labels, k, words)
-    n = len(words)
+def _pair_count_chunks(labels: np.ndarray, k: int, words: np.ndarray):
+    # built first, so the bit columns it unpacks are freed before a chunk is held
     index = TanimotoIndex(words)
+    yield "intra", *_intra_counts(labels, k, words)
+    n = len(words)
     for start in range(0, n, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, n)
-        similarities = index.similarity(words[start:stop], start + 1)
+        inter, union = index.pair_counts(words[start:stop], start + 1)
         rows = np.arange(start, stop)[:, None]
         columns = np.arange(start + 1, n)
         across = (columns > rows) & (labels[columns] != labels[rows])
-        yield "inter", similarities[across]
+        yield "inter", inter[across], union[across]
 
 
-def _intra_similarities(labels: np.ndarray, k: int, words: np.ndarray) -> np.ndarray:
-    """Within-cluster similarities in (i, j) order, i < j: the upper
-    triangle of each cluster's members x members block, keyed i * n + j
-    and sorted."""
+def _intra_counts(labels: np.ndarray, k: int, words: np.ndarray):
+    """Within-cluster (inter, union) counts in (i, j) order, i < j: the
+    upper triangle of each cluster's members x members block, keyed
+    i * n + j and sorted."""
     n = len(words)
     keys = []
-    values = []
+    inters = []
+    unions = []
     for cluster in range(k):
         members = np.flatnonzero(labels == cluster)
         block = words[members]
-        upper = np.triu_indices(len(members), 1)
-        values.append(tanimoto_matrix(block, block)[upper])
-        keys.append(members[upper[0]] * n + members[upper[1]])
-    return np.concatenate(values)[np.argsort(np.concatenate(keys))]
+        upper = np.less.outer(np.arange(len(members)), np.arange(len(members)))
+        inter, union = tanimoto_counts(block, block)
+        inters.append(inter[upper])
+        unions.append(union[upper])
+        keys.append(np.add.outer(members * n, members)[upper])
+    order = np.argsort(np.concatenate(keys))
+    return np.concatenate(inters)[order], np.concatenate(unions)[order]
 
 
 def select_representatives(assignment: ClusterAssignment, words: np.ndarray):
@@ -332,36 +342,58 @@ def write_cluster_assignment(assignment: ClusterAssignment, names, path):
             handle.write(f"{name}\t{label}\t{flag}\n")
 
 
-def write_similarity_histogram(chunks, path) -> dict[str, np.ndarray]:
-    """One `kind similarity` row per value of the (kind, values) chunks,
-    in the order given, the value written with '.6g'. Returns per kind
-    the counts over HISTOGRAM_BINS, summed across the chunks.
+def _pair_keys(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """One integer per distinct (inter, union), inter <= union:
+    union * (union + 1) / 2 + inter, dense from (0, 0) at key 0. A union
+    is at most FP_BITS, so every key fits int32."""
+    return (union * (union + 1) >> 1) + inter
 
-    The pairs of a clustering take few distinct values, so each distinct
-    value is formatted once. Values are read HISTOGRAM_CHUNK at a time:
-    a block is written as one join of its distinct values' lines, picked
-    by np.unique's inverse. Keying by float is exact here: the one pair
-    of unequal strings a float key merges, 0 and -0, cannot occur, since
-    no similarity is negative zero.
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """The similarity of each _pair_keys key. The union is the largest u
+    with u * (u + 1) / 2 <= key, (isqrt(8 key + 1) - 1) // 2; the float
+    square root's floor is isqrt's while 8 key + 1 stays far below 2**52."""
+    union = (np.sqrt(8 * keys + 1).astype(np.int64) - 1) >> 1
+    return tanimoto_values(keys - (union * (union + 1) >> 1), union)
+
+
+def write_similarity_histogram(chunks, path) -> dict[str, np.ndarray]:
+    """One `kind similarity` row per pair of the (kind, inter, union)
+    chunks, in the order given, the similarity written with '.6g'.
+    Returns per kind the counts over HISTOGRAM_BINS, summed across the
+    chunks.
+
+    No float is sorted or formatted per pair. Each pair is keyed by
+    _pair_keys into a per-kind table that grows to the largest key seen:
+    a key's line is formatted the first time it occurs, and the table
+    counts the key's pairs. A chunk is written HISTOGRAM_CHUNK pairs at a
+    time, as one join of the lines its keys pick. The binned counts are
+    one histogram of the distinct keys' similarities, weighted by their
+    pair counts: the same floats the pairs have, so the same bins.
     """
-    counts = {kind: np.zeros(len(HISTOGRAM_BINS) - 1, dtype=np.int64) for kind in HISTOGRAM_KINDS}
-    lines: dict[str, dict[float, bytes]] = {kind: {} for kind in HISTOGRAM_KINDS}
+    totals = {kind: np.zeros(0, dtype=np.int64) for kind in HISTOGRAM_KINDS}
+    lines = {kind: np.empty(0, dtype=object) for kind in HISTOGRAM_KINDS}
     with open(path, "wb") as handle:
         handle.write(b"kind\tsimilarity\n")
-        for kind, values in chunks:
-            values = np.asarray(values, dtype=np.float64)
-            counts[kind] += np.histogram(values, HISTOGRAM_BINS)[0]
-            formatted = lines[kind]
-            for start in range(0, len(values), HISTOGRAM_CHUNK):
-                distinct, inverse = np.unique(
-                    values[start : start + HISTOGRAM_CHUNK], return_inverse=True
-                )
-                block = []
-                for value in distinct.tolist():
-                    if value not in formatted:
-                        formatted[value] = f"{kind}\t{format(value, '.6g')}\n".encode()
-                    block.append(formatted[value])
-                handle.write(b"".join(map(block.__getitem__, inverse.tolist())))
+        for kind, inter, union in chunks:
+            keys = _pair_keys(np.asarray(inter, np.int32), np.asarray(union, np.int32))
+            seen = np.bincount(keys)
+            grow = len(seen) - len(totals[kind])
+            if grow > 0:
+                totals[kind] = np.concatenate([totals[kind], np.zeros(grow, np.int64)])
+                lines[kind] = np.concatenate([lines[kind], np.empty(grow, object)])
+            total, line = totals[kind][: len(seen)], lines[kind]
+            new = np.flatnonzero((seen > 0) & (total == 0))
+            if len(new):
+                for key, value in zip(new.tolist(), _key_values(new).tolist()):
+                    line[key] = f"{kind}\t{format(value, '.6g')}\n".encode()
+            total += seen
+            for start in range(0, len(keys), HISTOGRAM_CHUNK):
+                handle.write(b"".join(line.take(keys[start : start + HISTOGRAM_CHUNK]).tolist()))
+    counts = {}
+    for kind, total in totals.items():
+        keys = np.flatnonzero(total)
+        counts[kind] = np.histogram(_key_values(keys), HISTOGRAM_BINS, weights=total[keys])[0]
     return counts
 
 

@@ -22,9 +22,12 @@ solvent descriptors (SP, SdP, SA, SB), 2,052 features in all. Fingerprint
 
 Tanimoto similarity has two kernels, and the caller picks by its shape: a
 set queried many times is a TanimotoIndex, built once, whose queries are
-CSR products over the rows' on-bits; a one-off block is tanimoto_matrix,
-a popcount sweep over the packed words. Both return the same float64
-values.
+CSR products over the rows' on-bits; a one-off block is tanimoto_counts,
+a popcount sweep over the packed words. Both count each pair's
+intersection and union as integers, and tanimoto_values divides them:
+tanimoto_matrix and TanimotoIndex.similarity give the same float64
+values. A caller that needs only distinct values, not floats, keys the
+counts.
 """
 
 from __future__ import annotations
@@ -260,32 +263,49 @@ def on_bit_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR form of (n, FP_WORDS) packed rows' on-bits: the (n + 1,)
     int32 row pointers and the on_bits column indices as int32."""
     indptr = np.zeros(len(words) + 1, dtype=np.int32)
-    np.cumsum(np.bitwise_count(words).sum(axis=1), out=indptr[1:])
+    np.cumsum(popcounts(words), out=indptr[1:])
     return indptr, on_bits(words).astype(np.int32)
+
+
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """The number of on-bits of each packed row, as int32."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+
+
+def tanimoto_values(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """The float64 similarities inter / union of integer counts, 1.0 where
+    union is 0 (two empty rows): the division tanimoto() makes."""
+    out = np.ones(inter.shape)
+    np.divide(inter, union, out=out, where=union != 0)
+    return out
+
+
+def tanimoto_counts(a: np.ndarray, b: np.ndarray, counts_b=None):
+    """The int32 (intersection, union) popcounts of every packed row of a
+    against every packed row of b, each a (len(a), len(b)) matrix.
+    counts_b, b's popcounts when the caller keeps them, saves counting b.
+
+    The popcount kernel, for one-off blocks: it ANDs 8 rows of a at a time
+    against all of b, so its temporaries are 8 x len(b) x FP_WORDS words.
+    A set queried many times is a TanimotoIndex.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("fingerprint lengths differ")
+    if counts_b is None:
+        counts_b = popcounts(b)
+    inter = np.empty((len(a), len(b)), dtype=np.int32)
+    block = 8
+    for start in range(0, len(a), block):
+        stop = start + block
+        np.bitwise_count(a[start:stop, None, :] & b).sum(axis=2, dtype=np.int32, out=inter[start:stop])
+    return inter, popcounts(a)[:, None] + counts_b - inter
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tanimoto similarity of every packed row of a against every packed
-    row of b, as a (len(a), len(b)) matrix; 1.0 where both rows are empty.
-
-    The popcount kernel, for one-off blocks: it ANDs 8 rows of a at a time
-    against all of b, so its temporaries are 8 x len(b) x FP_WORDS words.
-    A set queried many times is a TanimotoIndex. Intersection and union
-    are exact popcounts, so each value is the same division as tanimoto()
-    makes.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("fingerprint lengths differ")
-    counts_a = np.bitwise_count(a).sum(axis=1)
-    counts_b = np.bitwise_count(b).sum(axis=1)
-    out = np.ones((len(a), len(b)))
-    block = 8
-    for start in range(0, len(a), block):
-        stop = start + block
-        inter = np.bitwise_count(a[start:stop, None, :] & b).sum(axis=2)
-        union = counts_a[start:stop, None] + counts_b - inter
-        np.divide(inter, union, out=out[start:stop], where=union != 0)
-    return out
+    row of b, as a (len(a), len(b)) matrix; 1.0 where both rows are empty:
+    tanimoto_values of tanimoto_counts."""
+    return tanimoto_values(*tanimoto_counts(a, b))
 
 
 # Query rows per CSR product of a TanimotoIndex. A tile's bit columns are
@@ -302,37 +322,44 @@ class TanimotoIndex:
     A fingerprint sets about 37 of its 2,048 bits, so a query counts only
     the on-bits it shares with each row: one CSR product of the set's rows
     with the query rows' float32 bit columns, QUERY_TILE query rows at a
-    time. The counts are exact (each is at most FP_BITS, below 2**24), and
-    the union is the two popcounts less the intersection, so every value is
-    the division tanimoto_matrix makes.
+    time. The counts are exact (each is at most FP_BITS, below 2**24), so
+    pair_counts returns the integers tanimoto_counts does, and similarity
+    is their division.
     """
 
     def __init__(self, words: np.ndarray):
-        self.counts = np.bitwise_count(words).sum(axis=1)
+        self.popcounts = popcounts(words)
         indptr, indices = on_bit_rows(words)
         ones = np.ones(len(indices), dtype=np.float32)
         self.rows = csr_array((ones, indices, indptr), shape=(len(words), FP_BITS))
 
-    def similarity(self, a: np.ndarray, start: int = 0) -> np.ndarray:
-        """Tanimoto similarity of packed rows a against rows start: of the
-        set, as a (len(a), n - start) float64 matrix for a set of n rows,
-        the same as tanimoto_matrix(a, words[start:]). The suffix's column
-        indices and values are views of the set's."""
-        rows, counts = self.rows, self.counts[start:]
+    def pair_counts(self, a: np.ndarray, start: int = 0):
+        """The int32 (intersection, union) popcounts of packed rows a
+        against rows start: of the set, each a (len(a), n - start) matrix
+        for a set of n rows: tanimoto_counts(a, words[start:]). One CSR
+        product, whose bit columns are an FP_BITS x len(a) float32 block,
+        so a caller passes a tile of rows. The suffix's column indices and
+        values are views of the set's."""
+        rows, counts = self.rows, self.popcounts[start:]
         if start:
             low = rows.indptr[start]
             rows = csr_array(
                 (rows.data[low:], rows.indices[low:], rows.indptr[start:] - low),
                 shape=(len(counts), FP_BITS),
             )
-        counts_a = np.bitwise_count(a).sum(axis=1)
-        out = np.ones((len(a), len(counts)))
+        # bit k of a's rows in row k: unpack's columns, transposed
+        bits = np.unpackbits(np.ascontiguousarray(a.view(np.uint8).T), axis=0, bitorder="little")
+        inter = (rows @ bits.astype(np.float32)).T.astype(np.int32, order="C")
+        return inter, popcounts(a)[:, None] + counts - inter
+
+    def similarity(self, a: np.ndarray, start: int = 0) -> np.ndarray:
+        """Tanimoto similarity of packed rows a against rows start: of the
+        set, as a float64 matrix: tanimoto_values of pair_counts, taken
+        QUERY_TILE rows of a at a time."""
+        out = np.empty((len(a), len(self.popcounts) - start))
         for first in range(0, len(a), QUERY_TILE):
             last = first + QUERY_TILE
-            inter = (rows @ unpack(a[first:last]).T.astype(np.float32, order="C")).T
-            # int64 counts less float32 intersections: exact float64 unions
-            union = counts_a[first:last, None] + counts - inter
-            np.divide(inter, union, out=out[first:last], where=union != 0)
+            out[first:last] = tanimoto_values(*self.pair_counts(a[first:last], start))
         return out
 
 

@@ -30,7 +30,9 @@ from fluorgen.fingerprints import (
     SolventFeatures,
     build_feature_vector,
     morgan_fingerprints,
-    tanimoto_matrix,
+    popcounts,
+    tanimoto_counts,
+    tanimoto_values,
 )
 from fluorgen.molgraph import MolecularGraph, is_digits, sp2_network_size
 from fluorgen.patterns import has_match
@@ -553,8 +555,10 @@ class Generator:
         """
         config = self.config
         emitted: dict[str, GeneratedMolecule] = {}
-        # packed fingerprints of the emitted molecules in rows [:len(emitted)]
+        # packed fingerprints of the emitted molecules in rows [:len(emitted)],
+        # and their popcounts, so a rollout counts only the intersections
         emitted_words = np.empty((config.n_rollouts, FP_WORDS), dtype=np.uint64)
+        emitted_counts = np.empty(config.n_rollouts, dtype=np.int32)
         log: list[RolloutLog] = []
         for rollout_idx in range(config.n_rollouts):
             if progress is not None:
@@ -569,9 +573,10 @@ class Generator:
                 )
                 n_emitted = len(emitted)
                 if n_emitted:
-                    similarity = float(
-                        tanimoto_matrix(outcome.words, emitted_words[:n_emitted]).max()
+                    counts = tanimoto_counts(
+                        outcome.words, emitted_words[:n_emitted], emitted_counts[:n_emitted]
                     )
+                    similarity = float(tanimoto_values(*counts).max())
                 if outcome.smiles in emitted:
                     status = "duplicate"
                 else:
@@ -585,6 +590,7 @@ class Generator:
                         rollout=rollout_idx,
                     )
                     emitted_words[n_emitted] = outcome.words
+                    emitted_counts[n_emitted] = popcounts(outcome.words)[0]
 
                 self.success_window.append(_successes(scores))
                 if similarity is not None:

@@ -766,6 +766,18 @@ class TestFilter:
         assert f"{path}, line 3: 'C²': unexpected character '²' (offset 1)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("molecules", [["CCCC"], []], ids=["no-survivor", "no-molecule"])
+    def test_missing_references_fail_before_the_stages(self, molecules, tmp_path, capsys):
+        """A missing references file exits 2 and is named also when no
+        molecule reaches clustering."""
+        constant_checkpoints(tmp_path / "ckpt")
+        molecules_file(tmp_path / "out" / "molecules.tsv", molecules)
+        missing = tmp_path / "missing.smi"
+        config_path = write_config(tmp_path, novelty_references=missing)
+        assert main(["--config", str(config_path), "filter"]) == 2
+        assert f"novelty reference file: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "filter_report.tsv").exists()
+
     def test_malformed_reference_names_its_line(self, filter_setup, capsys):
         directory, config_path = filter_setup
         references = directory / "refs.txt"

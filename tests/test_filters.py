@@ -279,17 +279,24 @@ class TestRunFilters:
 
 
 def histogram_arrays(chunks):
-    """The streamed (kind, values) chunks joined into one float64 array
-    per kind, in HISTOGRAM_KINDS order; every intra chunk must come
-    before every inter chunk."""
+    """The streamed (kind, inter, union) chunks as one float64 array of
+    pair similarities per kind, in HISTOGRAM_KINDS order, each divided
+    here with Python floats (1.0 for an empty union); every intra chunk
+    must come before every inter chunk."""
     kinds = []
     parts = {kind: [] for kind in HISTOGRAM_KINDS}
-    for kind, values in chunks:
-        assert values.dtype == np.float64 and values.ndim == 1
+    for kind, inter, union in chunks:
+        assert inter.dtype == union.dtype == np.int32
+        assert inter.ndim == 1 and inter.shape == union.shape
         kinds.append(kind)
-        parts[kind].append(values)
+        parts[kind] += [i / u if u else 1.0 for i, u in zip(inter.tolist(), union.tolist())]
     assert kinds == sorted(kinds, key=HISTOGRAM_KINDS.index)
-    return tuple(np.concatenate(parts[kind] or [np.empty(0)]) for kind in HISTOGRAM_KINDS)
+    return tuple(np.array(parts[kind], dtype=np.float64) for kind in HISTOGRAM_KINDS)
+
+
+def similarity_line(kind, inter, union) -> str:
+    """The raw histogram line of one pair, by float division."""
+    return f"{kind}\t{format(inter / union if union else 1.0, '.6g')}\n"
 
 
 def block_fingerprint(core_bits, extra_bit):
@@ -388,10 +395,11 @@ class TestClustering:
         want = similarity_histogram_loop(assignment.labels, fingerprints)
         assert [values.tolist() for values in got] == [list(values) for values in want]
 
-    def test_memory_stays_far_below_the_distance_matrix(self):
+    def test_memory_stays_far_below_the_distance_matrix(self, tmp_path):
         """3,000 clustered fingerprints: one n x n float64 matrix is 72 MB.
-        Clustering, the streamed histogram, the representatives and novelty
-        against 200 references must peak far below it."""
+        Clustering, the streamed histogram written to its file, the
+        representatives and novelty against 200 references must peak far
+        below it."""
         rng = random.Random(23)
         centers = [rng.sample(range(2048), 48) for _ in range(100)]
 
@@ -405,14 +413,15 @@ class TestClustering:
         tracemalloc.start()
         try:
             assignment = cluster_tanimoto(words, k=100, seed=0)
-            pairs = sum(len(values) for _, values in
-                        cluster_similarity_histogram(assignment, words))
+            counts = write_similarity_histogram(
+                cluster_similarity_histogram(assignment, words), tmp_path / "hist.tsv"
+            )
             ranked = select_representatives(assignment, words)
             scores = novelty(words, references)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pairs == 3000 * 2999 // 2
+        assert sum(int(counts[kind].sum()) for kind in HISTOGRAM_KINDS) == 3000 * 2999 // 2
         assert sum(len(members) for _, members in ranked) == 3000
         assert len(scores) == 3000
         assert peak < 20 * 2**20
@@ -570,7 +579,7 @@ class TestWriters:
 
     def test_histogram_file(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram([("intra", (0.25, 0.5)), ("inter", (0.125,))], path)
+        write_similarity_histogram([("intra", (1, 2), (4, 4)), ("inter", (1,), (8,))], path)
         lines = path.read_text().splitlines()
         assert lines == [
             "kind\tsimilarity",
@@ -580,44 +589,101 @@ class TestWriters:
         ]
 
     def test_histogram_file_equals_per_value_format(self, tmp_path):
-        # repeated values, 1 and 0, values that '.6g' writes with an
-        # exponent, and values that round to the same six digits
-        special = [1.0, 0.0, 1e-05, 2.5e-07, 1 / 3, 2 / 3, 0.1234565, 0.1234575, 123456789.0]
+        # repeated values, 1 (two empty rows, and equal rows) and 0, the
+        # smallest nonzero similarity, which '.6g' writes with nine
+        # characters, and unequal values that round to the same six digits
+        special = [(0, 0), (7, 7), (0, 9), (1, 2048), (1, 3), (2, 3), (2, 6),
+                   (1499, 1501), (1500, 1502)]
+        assert 1499 / 1501 != 1500 / 1502
         rng = random.Random(8)
-        intra = tuple(rng.choice(special + [i / 97 for i in range(97)]) for _ in range(2000))
-        inter = tuple(special) + tuple(rng.random() for _ in range(300)) + intra[:500]
+        small = [(i, 97) for i in range(98)]
+        intra = [rng.choice(special + small) for _ in range(2000)]
+        inter = special + [(i, rng.randint(i, 2048)) for i in (rng.randint(0, 2048)
+                                                              for _ in range(300))]
+        inter += intra[:500]
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram([("intra", intra), ("inter", inter)], path)
+        write_similarity_histogram([("intra", *zip(*intra)), ("inter", *zip(*inter))], path)
         want = ["kind\tsimilarity\n"]
-        want += [f"intra\t{format(value, '.6g')}\n" for value in intra]
-        want += [f"inter\t{format(value, '.6g')}\n" for value in inter]
+        want += [similarity_line("intra", i, u) for i, u in intra]
+        want += [similarity_line("inter", i, u) for i, u in inter]
         assert path.read_text(encoding="utf-8") == "".join(want)
-        exponents = {"inter\t1e-05\n", "inter\t2.5e-07\n", "inter\t1.23457e+08\n"}
-        assert exponents | {"inter\t1\n", "inter\t0\n"} <= set(want)
+        assert {"inter\t1\n", "inter\t0\n", "inter\t0.000488281\n"} <= set(want)
+        assert want.count("inter\t0.998668\n") >= 2
 
     def test_histogram_file_across_chunks(self, tmp_path, monkeypatch):
-        """Chunks of 7 values, arrays and tuples alike, each kind split
-        over several streamed chunks: the same bytes as one row formatted
-        per value."""
+        """Chunks of 7 pairs, arrays and tuples alike, each kind split
+        over several streamed chunks and one chunk empty: the same bytes
+        as one row formatted per pair."""
         from fluorgen import filters
 
         monkeypatch.setattr(filters, "HISTOGRAM_CHUNK", 7)
         rng = random.Random(9)
-        intra = np.array([rng.choice([0.0, 1.0, 0.5, 1 / 3, 2.5e-07]) for _ in range(50)])
-        inter = tuple(rng.random() for _ in range(23)) + tuple(intra[:14])
+        values = [(0, 0), (3, 3), (1, 2), (1, 3), (1, 2000)]
+        intra = np.array([rng.choice(values) for _ in range(50)], dtype=np.int32)
+        inter = [(i, rng.randint(max(i, 1), 64)) for i in (rng.randint(0, 64) for _ in range(23))]
+        inter += intra[:14].tolist()
         path = tmp_path / "hist.tsv"
-        chunks = [("intra", intra[:20]), ("intra", intra[20:]), ("inter", inter[:5]),
-                  ("inter", ()), ("inter", inter[5:])]
-        write_similarity_histogram(chunks, path)
+        chunks = [("intra", intra[:20, 0], intra[:20, 1]),
+                  ("intra", intra[20:, 0], intra[20:, 1]),
+                  ("inter", *zip(*inter[:5])), ("inter", (), ()), ("inter", *zip(*inter[5:]))]
+        counts = write_similarity_histogram(chunks, path)
         want = ["kind\tsimilarity\n"]
-        want += [f"intra\t{format(float(value), '.6g')}\n" for value in intra]
-        want += [f"inter\t{format(float(value), '.6g')}\n" for value in inter]
+        want += [similarity_line("intra", i, u) for i, u in intra.tolist()]
+        want += [similarity_line("inter", i, u) for i, u in inter]
         assert path.read_text(encoding="utf-8") == "".join(want)
+        assert counts["intra"].sum() == 50 and counts["inter"].sum() == 37
+
+    def test_every_pair_up_to_union_256_equals_float_path(self, tmp_path):
+        """Every 0 <= inter <= union <= 256, so (0, 0) too, shuffled into
+        chunks of both kinds: each line and the binned counts equal those
+        of the pair's float division."""
+        pairs = [(i, u) for u in range(257) for i in range(u + 1)]
+        rng = random.Random(3)
+        chunks = []
+        floats = {kind: [] for kind in HISTOGRAM_KINDS}
+        want = ["kind\tsimilarity\n"]
+        for kind in HISTOGRAM_KINDS:
+            rng.shuffle(pairs)
+            for start in range(0, len(pairs), 4096):
+                block = np.array(pairs[start : start + 4096], dtype=np.int32)
+                chunks.append((kind, block[:, 0], block[:, 1]))
+            want += [similarity_line(kind, i, u) for i, u in pairs]
+            floats[kind] = [i / u if u else 1.0 for i, u in pairs]
+        path = tmp_path / "hist.tsv"
+        counts = write_similarity_histogram(chunks, path)
+        assert path.read_text(encoding="utf-8") == "".join(want)
+        for kind in HISTOGRAM_KINDS:
+            want_counts = np.histogram(floats[kind], HISTOGRAM_BINS)[0]
+            assert counts[kind].tolist() == want_counts.tolist()
+
+    def test_table_grows_mid_stream(self, tmp_path):
+        """A later chunk carries a key larger than any before it, and the
+        chunk after it repeats the small keys: lines and counts stay
+        those of the float path."""
+        chunks = [
+            ("intra", (0, 1, 2, 2), (2, 2, 2, 3)),
+            ("intra", (5, 1, 1000, 2047), (6, 2, 2000, 2048)),
+            ("intra", (1, 0, 5, 2), (2, 2, 6, 3)),
+            ("inter", (0,), (0,)),
+            ("inter", (17, 0), (100, 0)),
+        ]
+        path = tmp_path / "hist.tsv"
+        counts = write_similarity_histogram(chunks, path)
+        want = ["kind\tsimilarity\n"]
+        floats = {kind: [] for kind in HISTOGRAM_KINDS}
+        for kind, inter, union in chunks:
+            want += [similarity_line(kind, i, u) for i, u in zip(inter, union)]
+            floats[kind] += [i / u if u else 1.0 for i, u in zip(inter, union)]
+        assert path.read_text(encoding="utf-8") == "".join(want)
+        for kind in HISTOGRAM_KINDS:
+            want_counts = np.histogram(floats[kind], HISTOGRAM_BINS)[0]
+            assert counts[kind].tolist() == want_counts.tolist()
 
     def test_empty_histogram_file(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        write_similarity_histogram([], path)
+        counts = write_similarity_histogram([], path)
         assert path.read_text(encoding="utf-8") == "kind\tsimilarity\n"
+        assert [counts[kind].tolist() for kind in HISTOGRAM_KINDS] == [[0] * 100] * 2
 
 
 class TestPinnedFilterOutputs:

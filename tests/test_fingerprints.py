@@ -25,7 +25,9 @@ from fluorgen.fingerprints import (
     morgan_fingerprints,
     on_bits,
     pack,
+    popcounts,
     tanimoto,
+    tanimoto_counts,
     tanimoto_matrix,
     unpack,
 )
@@ -433,9 +435,15 @@ class TestPackedTanimoto:
         got = tanimoto_matrix(pack(a), pack(b))
         assert got.dtype == np.float64
         assert got.shape == (len(a), len(b))
+        inter, union = tanimoto_counts(pack(a), pack(b))
+        kept = tanimoto_counts(pack(a), pack(b), popcounts(pack(b)))
+        assert inter.dtype == union.dtype == np.int32
         for i, fa in enumerate(a):
             for j, fb in enumerate(b):
                 assert got[i, j] == tanimoto(fa, fb)
+                assert inter[i, j] == (fa.bits & fb.bits).bit_count()
+                assert union[i, j] == (fa.bits | fb.bits).bit_count()
+        assert [kept[0].tolist(), kept[1].tolist()] == [inter.tolist(), union.tolist()]
 
     @pytest.mark.parametrize(
         "low_bits, words", [(8, 1), (16, 1), (64, 1), (65, 2), (100, 2), (FP_BITS, 32)]
@@ -489,7 +497,8 @@ class TestTanimotoIndex:
     def test_queries_equal_popcount_and_scalar_tanimoto(self, case):
         """Every start from 0 to n, byte for byte: the same float64
         matrix as tanimoto_matrix of the rows from start on, and each
-        value the scalar tanimoto of its pair."""
+        value the scalar tanimoto of its pair; pair_counts, the same
+        integers as tanimoto_counts."""
         row_bits, query_bits = case
         rows = [Fingerprint(bits) for bits in row_bits]
         queries = [Fingerprint(bits) for bits in query_bits]
@@ -503,3 +512,7 @@ class TestTanimotoIndex:
             assert got.shape == (len(queries), len(rows) - start)
             assert got.tobytes() == tanimoto_matrix(pack(queries), pack(rows[start:])).tobytes()
             assert got.tobytes() == scalar[:, start:].tobytes()
+            counts = index.pair_counts(pack(queries), start)
+            want = tanimoto_counts(pack(queries), pack(rows[start:]))
+            assert [c.dtype for c in counts] == [np.int32, np.int32]
+            assert [c.tolist() for c in counts] == [c.tolist() for c in want]
