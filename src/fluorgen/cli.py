@@ -176,7 +176,8 @@ def _read_molecule_smiles(
     smiles_list = []
     lines = []
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
+        # a row shorter than the header reads its missing cells as ""
+        reader = csv.DictReader(handle, delimiter="\t", restval="")
         if reader.fieldnames is None or "smiles" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a tab-delimited file with a smiles column")
         for row in reader:

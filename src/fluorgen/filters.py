@@ -9,11 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from fluorgen.fingerprints import (
+    QUERY_TILE,
     SolventFeatures,
     TanimotoIndex,
     morgan_fingerprints,
+    popcounts,
     tanimoto_counts,
-    tanimoto_matrix,
     tanimoto_values,
 )
 from fluorgen.molgraph import sp2_network_size
@@ -178,7 +179,7 @@ def distance_matrix(words: np.ndarray) -> np.ndarray:
     Nothing in the package calls this any more: clustering reads distance
     blocks on demand. It stays as a public entry point, which the
     benchmark's tracer watches and the tests use as a reference."""
-    return _distances(tanimoto_matrix(words, words))
+    return _distances(tanimoto_values(*tanimoto_counts(words, words)))
 
 
 def _farthest_point_seeds(index: TanimotoIndex, words: np.ndarray, k: int, seed: int) -> list[int]:
@@ -202,9 +203,9 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
 
     Distances are computed on demand: the seeds and every assignment
     query one TanimotoIndex of the words, built once, for a k x n block,
-    and each medoid update takes one members x members tanimoto_matrix
-    block, so memory is O(n k + largest cluster squared), never n x n.
-    A pass updates only the clusters whose members changed."""
+    and each medoid update sums a QUERY_TILE x members tanimoto_counts
+    block at a time, so memory is O(n k) at any cluster size, never
+    n x n. A pass updates only the clusters whose members changed."""
     n = len(words)
     if n < k:
         raise FilterError(f"cannot form {k} clusters from {n} molecules")
@@ -234,7 +235,11 @@ def cluster_tanimoto(words: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         for cluster in moved:
             members = np.flatnonzero(labels == cluster)
             block = words[members]
-            within = _distances(tanimoto_matrix(block, block)).sum(axis=1)
+            within = np.empty(len(block))
+            for first in range(0, len(block), QUERY_TILE):
+                last = first + QUERY_TILE
+                tile = _distances(tanimoto_values(*tanimoto_counts(block[first:last], block)))
+                within[first:last] = tile.sum(axis=1)
             medoids[cluster] = int(members[np.argmin(within)])
     return ClusterAssignment(
         k=k,
@@ -251,62 +256,44 @@ def cluster_similarity_histogram(assignment: ClusterAssignment, words: np.ndarra
     equal-length int32 arrays of the pairs' intersection and union
     popcounts; a pair's similarity is tanimoto_values(inter, union).
 
-    The intra pairs come from one members x members tanimoto_counts block
-    per cluster, sorted into (i, j) order; the inter pairs are swept
-    PAIR_BLOCK rows at a time against the columns right of them, each
-    block one pair_counts query of a TanimotoIndex of the words, and one
-    chunk per block. So no n x n matrix and no array of all pairs is held.
-    The length check runs at call time; the chunks are computed as they
-    are read."""
+    Each kind is one sweep of PAIR_BLOCK rows at a time against the
+    columns right of them, each block one pair_counts query of a
+    TanimotoIndex of the words and one chunk: the pairs whose labels
+    agree, or differ. So no n x n matrix and no array of all pairs is
+    held, whatever the cluster sizes. The length check runs at call
+    time; the chunks are computed as they are read."""
     if len(assignment.labels) != len(words):
         raise FilterError("assignment does not match the fingerprint list")
-    return _pair_count_chunks(np.asarray(assignment.labels, dtype=np.intp), assignment.k, words)
+    return _pair_count_chunks(np.asarray(assignment.labels, dtype=np.intp), words)
 
 
-def _pair_count_chunks(labels: np.ndarray, k: int, words: np.ndarray):
-    # built first, so the bit columns it unpacks are freed before a chunk is held
+def _pair_count_chunks(labels: np.ndarray, words: np.ndarray):
     index = TanimotoIndex(words)
-    yield "intra", *_intra_counts(labels, k, words)
     n = len(words)
-    for start in range(0, n, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, n)
-        inter, union = index.pair_counts(words[start:stop], start + 1)
-        rows = np.arange(start, stop)[:, None]
-        columns = np.arange(start + 1, n)
-        across = (columns > rows) & (labels[columns] != labels[rows])
-        yield "inter", inter[across], union[across]
-
-
-def _intra_counts(labels: np.ndarray, k: int, words: np.ndarray):
-    """Within-cluster (inter, union) counts in (i, j) order, i < j: the
-    upper triangle of each cluster's members x members block, keyed
-    i * n + j and sorted."""
-    n = len(words)
-    keys = []
-    inters = []
-    unions = []
-    for cluster in range(k):
-        members = np.flatnonzero(labels == cluster)
-        block = words[members]
-        upper = np.less.outer(np.arange(len(members)), np.arange(len(members)))
-        inter, union = tanimoto_counts(block, block)
-        inters.append(inter[upper])
-        unions.append(union[upper])
-        keys.append(np.add.outer(members * n, members)[upper])
-    order = np.argsort(np.concatenate(keys))
-    return np.concatenate(inters)[order], np.concatenate(unions)[order]
+    for kind, kept in zip(HISTOGRAM_KINDS, (np.equal, np.not_equal)):
+        for start in range(0, n, PAIR_BLOCK):
+            stop = min(start + PAIR_BLOCK, n)
+            inter, union = index.pair_counts(words[start:stop], start + 1)
+            rows = np.arange(start, stop)[:, None]
+            columns = np.arange(start + 1, n)
+            pairs = (columns > rows) & kept(labels[columns], labels[rows])
+            yield kind, inter[pairs], union[pairs]
 
 
 def select_representatives(assignment: ClusterAssignment, words: np.ndarray):
     """Per cluster: members ranked by distance to the medoid, medoid
-    first. Input for the human picking one molecule per cluster."""
+    first. Input for the human picking one molecule per cluster. Each
+    row is counted against its own medoid's row only: n pairs, not k x n."""
     labels = np.asarray(assignment.labels)
-    distances = _distances(TanimotoIndex(words).similarity(words[list(assignment.medoids)]))
+    medoid_rows = words[np.asarray(assignment.medoids)[labels]]
+    inter = popcounts(words & medoid_rows)
+    union = popcounts(words) + popcounts(medoid_rows) - inter
+    distances = _distances(tanimoto_values(inter, union))
     ranked = []
     for cluster, medoid in enumerate(assignment.medoids):
         # members ascend, so the stable sort breaks distance ties by index
         members = np.flatnonzero(labels == cluster)
-        order = np.argsort(distances[cluster, members], kind="stable")
+        order = np.argsort(distances[members], kind="stable")
         ranked.append((medoid, tuple(members[order].tolist())))
     return tuple(ranked)
 

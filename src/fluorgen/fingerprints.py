@@ -20,14 +20,13 @@ model input row, one or many: the decoded bits followed by the four
 solvent descriptors (SP, SdP, SA, SB), 2,052 features in all. Fingerprint
 (one vector as a Python int) and pack serve the one-molecule entry points.
 
-Tanimoto similarity has two kernels, and the caller picks by its shape: a
-set queried many times is a TanimotoIndex, built once, whose queries are
-CSR products over the rows' on-bits; a one-off block is tanimoto_counts,
-a popcount sweep over the packed words. Both count each pair's
-intersection and union as integers, and tanimoto_values divides them:
-tanimoto_matrix and TanimotoIndex.similarity give the same float64
-values. A caller that needs only distinct values, not floats, keys the
-counts.
+Tanimoto similarity counts each pair's intersection and union as
+integers, and tanimoto_values is the one division of counts into float64
+values. A set queried many times is a TanimotoIndex, built once, whose
+queries are CSR products over the rows' on-bits; a one-off block, a
+tile of rows against a set, is tanimoto_counts, a popcount sweep over
+the packed words. Both give the same integers. A caller that needs only
+distinct values, not floats, keys the counts.
 """
 
 from __future__ import annotations
@@ -301,13 +300,6 @@ def tanimoto_counts(a: np.ndarray, b: np.ndarray, counts_b=None):
     return inter, popcounts(a)[:, None] + counts_b - inter
 
 
-def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tanimoto similarity of every packed row of a against every packed
-    row of b, as a (len(a), len(b)) matrix; 1.0 where both rows are empty:
-    tanimoto_values of tanimoto_counts."""
-    return tanimoto_values(*tanimoto_counts(a, b))
-
-
 # Query rows per CSR product of a TanimotoIndex. A tile's bit columns are
 # an FP_BITS x QUERY_TILE float32 block and its counts a rows x QUERY_TILE
 # one. On the benchmark's filter, 256-row tiles ran no faster and raised
@@ -352,14 +344,14 @@ class TanimotoIndex:
         inter = (rows @ bits.astype(np.float32)).T.astype(np.int32, order="C")
         return inter, popcounts(a)[:, None] + counts - inter
 
-    def similarity(self, a: np.ndarray, start: int = 0) -> np.ndarray:
-        """Tanimoto similarity of packed rows a against rows start: of the
+    def similarity(self, a: np.ndarray) -> np.ndarray:
+        """Tanimoto similarity of packed rows a against every row of the
         set, as a float64 matrix: tanimoto_values of pair_counts, taken
         QUERY_TILE rows of a at a time."""
-        out = np.empty((len(a), len(self.popcounts) - start))
+        out = np.empty((len(a), len(self.popcounts)))
         for first in range(0, len(a), QUERY_TILE):
             last = first + QUERY_TILE
-            out[first:last] = tanimoto_values(*self.pair_counts(a[first:last], start))
+            out[first:last] = tanimoto_values(*self.pair_counts(a[first:last]))
         return out
 
 

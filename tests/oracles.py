@@ -31,6 +31,8 @@ from fluorgen.fingerprints import (
     on_bits,
     pack,
     tanimoto,
+    tanimoto_counts,
+    tanimoto_values,
 )
 from fluorgen.molgraph import (
     ATOMIC_NUMBER,
@@ -219,6 +221,14 @@ def bits_to_array_loop(bits: int) -> np.ndarray:
         bits >>= 1
         index += 1
     return out
+
+
+def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tanimoto similarity of every packed row of a against every packed
+    row of b, as a (len(a), len(b)) matrix; 1.0 where both rows are empty:
+    tanimoto_values of the popcount kernel's counts, a referee for the
+    TanimotoIndex's CSR products."""
+    return tanimoto_values(*tanimoto_counts(a, b))
 
 
 def distance_matrix_loop(fingerprints) -> np.ndarray:

@@ -778,6 +778,18 @@ class TestFilter:
         assert f"novelty reference file: {missing}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "filter_report.tsv").exists()
 
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        """A row without a smiles cell reads it as empty, not as None."""
+        constant_checkpoints(tmp_path / "ckpt")
+        path = tmp_path / "out" / "molecules.tsv"
+        path.parent.mkdir(parents=True)
+        path.write_text("rollout\tsmiles\n0\n1\tc1ccccc1\n")
+        config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "filter"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 2: '': empty SMILES (offset 0)" in err
+        assert "None" not in err
+
     def test_malformed_reference_names_its_line(self, filter_setup, capsys):
         directory, config_path = filter_setup
         references = directory / "refs.txt"
@@ -815,6 +827,19 @@ class TestStats:
         assert main(["--config", str(config_path), "stats"]) == 0
         second = (tmp_path / "out" / "stats_histogram.tsv").read_bytes()
         assert first == second
+
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        """A baseline row without a smiles cell reads it as empty, not as
+        None."""
+        constant_checkpoints(tmp_path / "ckpt")
+        molecules_file(tmp_path / "out" / "molecules.tsv", ["CCO"])
+        baseline = tmp_path / "out" / "baseline.tsv"
+        baseline.write_text("rollout\tsmiles\n0\n")
+        config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert f"{baseline}, line 2: '': empty SMILES (offset 0)" in err
+        assert "None" not in err
 
     def test_missing_baseline_is_code_two(self, tmp_path, capsys):
         constant_checkpoints(tmp_path / "ckpt")

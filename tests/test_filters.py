@@ -354,17 +354,20 @@ class TestClustering:
 
     def test_packed_paths_equal_scalar_oracles(self):
         # dense and sparse rows, an empty row and repeats, so distance
-        # ties and both-empty pairs occur; sizes straddle the row block
+        # ties and both-empty pairs occur; sizes straddle the row block,
+        # and at k = 1 the 70 and 130 rows cross several PAIR_BLOCKs and
+        # the medoid update's QUERY_TILE
         rng = random.Random(11)
         pool = [0, 1 << 2047] + [rng.getrandbits(2048) for _ in range(3)]
         pool += [sum(1 << rng.randrange(2048) for _ in range(12)) for _ in range(3)]
         references = [Fingerprint(bits=rng.choice(pool)) for _ in range(5)]
-        for n in (1, 2, 8, 9, 17, 30):
+        for n, k in ((1, 1), (2, 2), (8, 4), (9, 4), (17, 4), (30, 4), (70, 1), (130, 1)):
             fingerprints = [Fingerprint(bits=rng.choice(pool)) for _ in range(n)]
             assert distance_matrix(pack(fingerprints)).tobytes() == (
                 distance_matrix_loop(fingerprints).tobytes()
             )
-            assignment = cluster_tanimoto(pack(fingerprints), k=min(4, n), seed=0)
+            assignment = cluster_tanimoto(pack(fingerprints), k=k, seed=0)
+            assert assignment == cluster_tanimoto_matrix(fingerprints, k=k, seed=0)
             histogram = histogram_arrays(cluster_similarity_histogram(assignment, pack(fingerprints)))
             oracle = similarity_histogram_loop(assignment.labels, fingerprints)
             for got, want in zip(histogram, oracle, strict=True):
@@ -381,7 +384,7 @@ class TestClustering:
         """Labels, medoids, objective floats and histogram values in order,
         exactly, against the full n x n matrix clustering. A small pool
         gives duplicates and distance ties, the empty set an empty row,
-        and sizes up to 40 straddle the 8-row blocks."""
+        and sizes up to 40 straddle the pair sweep's blocks of PAIR_BLOCK rows."""
         bit_sets = st.sets(st.integers(0, 63) | st.integers(0, 2047), max_size=16)
         pool = data.draw(st.lists(bit_sets, min_size=1, max_size=8))
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
@@ -395,11 +398,12 @@ class TestClustering:
         want = similarity_histogram_loop(assignment.labels, fingerprints)
         assert [values.tolist() for values in got] == [list(values) for values in want]
 
-    def test_memory_stays_far_below_the_distance_matrix(self, tmp_path):
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_memory_stays_far_below_the_distance_matrix(self, k, tmp_path):
         """3,000 clustered fingerprints: one n x n float64 matrix is 72 MB.
         Clustering, the streamed histogram written to its file, the
         representatives and novelty against 200 references must peak far
-        below it."""
+        below it, with one cluster holding every row or 100 small ones."""
         rng = random.Random(23)
         centers = [rng.sample(range(2048), 48) for _ in range(100)]
 
@@ -412,7 +416,7 @@ class TestClustering:
         references = pack([near_center() for _ in range(200)])
         tracemalloc.start()
         try:
-            assignment = cluster_tanimoto(words, k=100, seed=0)
+            assignment = cluster_tanimoto(words, k=k, seed=0)
             counts = write_similarity_histogram(
                 cluster_similarity_histogram(assignment, words), tmp_path / "hist.tsv"
             )

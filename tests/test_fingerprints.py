@@ -28,7 +28,7 @@ from fluorgen.fingerprints import (
     popcounts,
     tanimoto,
     tanimoto_counts,
-    tanimoto_matrix,
+    tanimoto_values,
     unpack,
 )
 from fluorgen.generator import node_features
@@ -36,7 +36,7 @@ from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph
 from fluorgen.smiles import parse_smiles
 
 from corpus import CORPUS
-from oracles import _mix64, bits_to_array_loop, morgan_fingerprint_loop, stable_hash
+from oracles import _mix64, bits_to_array_loop, morgan_fingerprint_loop, stable_hash, tanimoto_matrix
 from randmol import permute_graph, random_molecule
 
 
@@ -460,11 +460,11 @@ class TestPackedTanimoto:
 
     def test_empty_input_packs_to_zero_rows(self):
         assert pack([]).shape == (0, FP_WORDS)
-        assert tanimoto_matrix(pack([]), pack([Fingerprint(1)])).shape == (0, 1)
+        assert [c.shape for c in tanimoto_counts(pack([]), pack([Fingerprint(1)]))] == [(0, 1)] * 2
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            tanimoto_matrix(pack([Fingerprint(1)]), np.zeros((1, 2), dtype=np.uint64))
+            tanimoto_counts(pack([Fingerprint(1)]), np.zeros((1, 2), dtype=np.uint64))
 
 
 @st.composite
@@ -495,10 +495,11 @@ class TestTanimotoIndex:
     @example(case=([], [1, 0]))
     @example(case=(EDGE_ROWS * 2, EDGE_ROWS * (QUERY_TILE // 4)))
     def test_queries_equal_popcount_and_scalar_tanimoto(self, case):
-        """Every start from 0 to n, byte for byte: the same float64
-        matrix as tanimoto_matrix of the rows from start on, and each
-        value the scalar tanimoto of its pair; pair_counts, the same
-        integers as tanimoto_counts."""
+        """Byte for byte: similarity is the same float64 matrix as
+        tanimoto_matrix, and each value the scalar tanimoto of its pair;
+        for every start from 0 to n, pair_counts gives the same integers
+        as tanimoto_counts of the rows from start on, and their division
+        the scalar values."""
         row_bits, query_bits = case
         rows = [Fingerprint(bits) for bits in row_bits]
         queries = [Fingerprint(bits) for bits in query_bits]
@@ -506,13 +507,14 @@ class TestTanimotoIndex:
         scalar = np.array(
             [[tanimoto(q, r) for r in rows] for q in queries], dtype=np.float64
         ).reshape(len(queries), len(rows))
+        got = index.similarity(pack(queries))
+        assert got.dtype == np.float64
+        assert got.shape == (len(queries), len(rows))
+        assert got.tobytes() == tanimoto_matrix(pack(queries), pack(rows)).tobytes()
+        assert got.tobytes() == scalar.tobytes()
         for start in range(len(rows) + 1):
-            got = index.similarity(pack(queries), start)
-            assert got.dtype == np.float64
-            assert got.shape == (len(queries), len(rows) - start)
-            assert got.tobytes() == tanimoto_matrix(pack(queries), pack(rows[start:])).tobytes()
-            assert got.tobytes() == scalar[:, start:].tobytes()
             counts = index.pair_counts(pack(queries), start)
             want = tanimoto_counts(pack(queries), pack(rows[start:]))
             assert [c.dtype for c in counts] == [np.int32, np.int32]
             assert [c.tolist() for c in counts] == [c.tolist() for c in want]
+            assert tanimoto_values(*counts).tobytes() == scalar[:, start:].tobytes()
