@@ -20,7 +20,7 @@ import numpy as np
 
 from fluorgen.fingerprints import SolventFeatures, morgan_fingerprints
 from fluorgen.molgraph import MolecularGraph, read_number
-from fluorgen.smiles import SmilesError, parse_smiles, write_canonical_smiles
+from fluorgen.smiles import RingClosureError, SmilesError, parse_smiles, write_canonical_smiles
 
 
 class DatasetError(ValueError):
@@ -118,9 +118,9 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
 
     rejected: list[str] = []
     groups: dict[tuple, dict[str, list[float]]] = {}
-    # raw text -> (canonical SMILES, None), or (None, parse error) when it
-    # does not parse: strings only, so no traceback outlives the text's
-    # first row
+    # raw text -> (canonical SMILES, None), or (None, error) when it does
+    # not parse or has no canonical string: strings only, so no traceback
+    # outlives the text's first row
     known: dict[str, tuple[str | None, str | None]] = {}
     # canonical SMILES -> the first graph that gave it
     graphs: dict[str, MolecularGraph] = {}
@@ -133,10 +133,10 @@ def ingest_chemfluor(path: str, column_map: dict[str, str] | None = None) -> Ing
         if raw_smiles not in known:
             try:
                 graph = parse_smiles(raw_smiles)
-            except SmilesError as exc:
+                canonical = write_canonical_smiles(graph)
+            except (SmilesError, RingClosureError) as exc:
                 known[raw_smiles] = (None, str(exc))
             else:
-                canonical = write_canonical_smiles(graph)
                 known[raw_smiles] = (canonical, None)
                 graphs.setdefault(canonical, graph)
         smiles, error = known[raw_smiles]

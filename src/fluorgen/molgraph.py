@@ -167,7 +167,7 @@ def _bond_order_sum(element: str, k: int, other: int, explicit_h: int, charge: i
 
 
 @functools.cache
-def _valence(number: int, charge: int, explicit_h: int, k: int, other: int):
+def valence(number: int, charge: int, explicit_h: int, k: int, other: int):
     """(used valence, maximum valence, implicit hydrogens) of an atom of
     that atomic number with k aromatic bonds and the order sum ``other``
     of its other bonds."""
@@ -278,7 +278,7 @@ class MolecularGraph:
                 raise MoleculeError(
                     f"element {SYMBOL[number]} cannot be aromatic", atom_index=pos
                 )
-            used, top, implicit = _valence(number, charge, explicit_h, k, other)
+            used, top, implicit = valence(number, charge, explicit_h, k, other)
             if used > top:
                 raise MoleculeError(
                     f"valence {used} on {SYMBOL[number]} (charge {charge}) "
@@ -339,21 +339,6 @@ class MolecularGraph:
 
     def degree(self, index: int) -> int:
         return len(self.adjacency()[index])
-
-    def _order_sum(self, index: int, explicit_h: int, charge: int) -> int:
-        # _bond_order_sum for the atom read with the given hydrogen count
-        # and charge
-        orders = [self.bond_orders[edge] for _, edge in self.adjacency()[index]]
-        k = orders.count(BondOrder.AROMATIC.value)
-        other = sum(orders) - k * BondOrder.AROMATIC.value
-        return _bond_order_sum(SYMBOL[self.atomic_numbers[index]], k, other, explicit_h, charge)
-
-    def bare_implicit_h(self, index: int) -> int:
-        """Hydrogens a reader infers for this atom written bare, without
-        brackets: read with no explicit hydrogens and no charge."""
-        return _fill_hydrogens(
-            SYMBOL[self.atomic_numbers[index]], 0, self._order_sum(index, 0, 0)
-        )
 
     def bond_index(self, a: int, b: int) -> int | None:
         """The index of the bond between atoms a and b, None when unbonded."""

@@ -11,6 +11,7 @@ Parse errors report a 0-based character offset into the input string.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from fluorgen.molgraph import (
@@ -22,6 +23,7 @@ from fluorgen.molgraph import (
     MolecularGraph,
     MoleculeError,
     is_digits,
+    valence,
 )
 
 _ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -38,6 +40,8 @@ _TWO_LETTER_STARTS = frozenset(symbol[0] for symbol in _TWO_LETTER_ORGANIC)
 # bond symbol -> bond order value; the directional single bonds / and \
 # keep no geometry
 _BOND_CHARS = {"-": 1, "=": 2, "#": 3, ":": 4, "/": 1, "\\": 1}
+# ring-closure digit -> its written form, for digits 1-99
+_DIGITS = ("",) + tuple(str(digit) if digit <= 9 else f"%{digit:02d}" for digit in range(1, 100))
 
 
 class SmilesError(ValueError):
@@ -46,6 +50,11 @@ class SmilesError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+class RingClosureError(ValueError):
+    """The canonical form of a graph needs more than 99 ring-closure digits
+    open at once, more than SMILES can write."""
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -282,9 +291,16 @@ def write_canonical_smiles(graph: MolecularGraph) -> str:
     lexicographically smallest string over every leaf of that search is
     kept, so isomorphic graphs serialize identically. The search is exact
     and has no leaf budget: branches that graph automorphisms prove
-    equivalent are skipped, never cut off. Fragments are sorted and joined
-    with dots. The string is kept on the graph, so a graph is searched
-    at most once.
+    equivalent are skipped, never cut off. The ordered partition is held
+    as each atom's cell start, which is a strictly increasing function of
+    the dense class rank, so refinement splits the same cells into the
+    same ordered parts as dense-rank passes would. Fragments are sorted
+    and joined with dots. The string is kept on the graph, so a graph is
+    searched at most once.
+
+    Raises:
+        RingClosureError: when the string would need more than 99 ring
+            closures open at once.
     """
     if graph._canonical_smiles is None:
         if len(graph) == 0:
@@ -316,55 +332,127 @@ def connected_components(graph: MolecularGraph) -> list[list[int]]:
     return comps
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
+def _cells(keys: list) -> tuple[list[int], dict[int, list[int]]]:
+    """The ordered partition of atoms 0..n-1 by ascending key, as each
+    atom's cell start (the number of atoms in earlier cells) and start ->
+    members, ascending."""
+    start = [0] * len(keys)
+    cells: dict[int, list[int]] = {}
+    at = 0
+    previous = None
+    for pos, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        if keys[i] != previous:
+            at, previous = pos, keys[i]
+            cells[at] = []
+        start[i] = at
+        cells[at].append(i)
+    return start, cells
 
 
-def _refine(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
-    """Dense-rank (rank, sorted (bond order, neighbour rank) pairs) until
-    the number of classes stops growing. ``adj[i]`` holds (order value
-    times atom count, neighbour) pairs, so each pair sorts as one integer
-    in the order of the tuple. An atom alone in its class gets the key
-    (rank,): no other key shares its rank, so the dense ranks come out as
-    with the full key."""
-    n_classes = max(ranks) + 1
-    while True:
-        counts = [0] * n_classes
-        for r in ranks:
-            counts[r] += 1
-        keys = [
-            (r, tuple(sorted([code + ranks[j] for code, j in nbrs]))) if counts[r] > 1 else (r,)
-            for r, nbrs in zip(ranks, adj)
-        ]
-        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        if len(order) == n_classes:
-            return ranks
-        ranks = [order[key] for key in keys]
-        n_classes = len(order)
+def _signature(links: list[tuple[int, int]], start: list[int]) -> tuple[int, ...]:
+    """An atom's sorted (bond order, neighbour cell start) pairs, from its
+    (order value times atom count, neighbour) pairs: each pair sorts as
+    one integer in the order of the tuple."""
+    return tuple(sorted([code + start[j] for code, j in links]))
+
+
+def _refine(
+    adj: list[list[tuple[int, int]]],
+    start: list[int],
+    cells: dict[int, list[int]],
+    moved: list[int] | None,
+) -> None:
+    """Split cells in place until no cell splits.
+
+    Each pass splits every cell by its members' signatures against the
+    partition the pass began with, the parts in ascending signature
+    order: the split a dense-rank pass makes, since a cell start rises
+    with the dense rank. ``moved`` holds the members of every part but
+    the largest of each cell the last pass split; None stands for every
+    atom, before a first pass. A member next to no moved atom reads its
+    old signature with each old neighbour cell's start mapped to the
+    start of that cell's largest part, the same map for every such
+    member; the members of a cell shared their old signature, so these
+    members still share one, read from one of them. Only the members
+    next to a moved atom are read one by one, and only their cells can
+    split. Leaving the largest part out (Hopcroft's rule) keeps the
+    signatures read on a chain linear in its length.
+    """
+    while moved is None or moved:
+        # each cell that can split -> its members next to a moved atom, or
+        # None for all of them
+        near: dict[int, set[int] | None] = {}
+        if moved is None:
+            near = dict.fromkeys(at for at, members in cells.items() if len(members) > 1)
+        for j in moved or ():
+            for _, i in adj[j]:
+                at = start[i]
+                if len(cells[at]) > 1:
+                    near.setdefault(at, set()).add(i)
+        splits = []
+        for at, reached in near.items():
+            groups: dict[tuple[int, ...], list[int]] = {}
+            shared = None
+            for i in cells[at]:
+                if reached is None or i in reached:
+                    key = _signature(adj[i], start)
+                else:
+                    if shared is None:
+                        shared = _signature(adj[i], start)
+                    key = shared
+                groups.setdefault(key, []).append(i)
+            if len(groups) > 1:
+                splits.append((at, [groups[key] for key in sorted(groups)]))
+        moved = []
+        for at, parts in splits:
+            largest = max(parts, key=len)
+            for part in parts:
+                cells[at] = part
+                for i in part:
+                    start[i] = at
+                if part is not largest:
+                    moved += part
+                at += len(part)
+
+
+def _individualize(
+    start: list[int], cells: dict[int, list[int]], target: int, chosen: int
+) -> tuple[list[int], dict[int, list[int]]]:
+    """A copy of the partition with ``chosen`` put first, alone, in the
+    cell that starts at ``target``; the rest of that cell follows it."""
+    rest = [i for i in cells[target] if i != chosen]
+    start = start.copy()
+    for i in rest:
+        start[i] = target + 1
+    cells = cells.copy()
+    cells[target] = [chosen]
+    cells[target + 1] = rest
+    return start, cells
 
 
 def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
     """Exact canonical SMILES of one connected component.
 
-    Individualization-refinement: refine the atom ranks, individualize
-    each member of the first tied class in turn, and emit a string at
-    every discrete leaf; the smallest wins. There is no leaf budget. Two
-    prunings keep the tree small without changing the minimum (McKay &
-    Piperno 2014):
+    Individualization-refinement: refine the partition, individualize
+    each member of the first cell with several members in turn, and emit
+    a string at every discrete leaf; the smallest wins. There is no leaf
+    budget. A search node hands its children copies of its partition;
+    individualizing puts the chosen atom first in its cell, so only it
+    has moved. Two prunings keep the tree small without changing the
+    minimum (McKay & Piperno 2014):
 
-    - A leaf whose rank-for-rank map onto an earlier emitted leaf keeps
-      every bond and its order is that leaf under an automorphism and
-      emits the same string. It is recorded, not emitted, and the search
-      returns to the node where the two leaves' paths part, because the
-      rest of that branch is the image of one already explored.
-    - At a node with individualized path P, a tied-class member in the
-      orbit of an explored member, under the recorded automorphisms that
-      fix every atom of P, roots an image of an explored subtree and is
-      skipped.
+    - A leaf whose position-for-position map onto an earlier emitted leaf
+      keeps every bond and its order is that leaf under an automorphism
+      and emits the same string. It is recorded, not emitted, and the
+      search returns to the node where the two leaves' paths part,
+      because the rest of that branch is the image of one already
+      explored.
+    - At a node with individualized path P, a cell member in the orbit of
+      an explored member, under the recorded automorphisms that fix every
+      atom of P, roots an image of an explored subtree and is skipped.
 
-    The graph's columns, and the tokens, are read once into per-call
-    tables indexed by position in ``subset``.
+    The graph's columns are read once into per-call tables indexed by
+    position in ``subset``; each atom's token is looked up by its kind.
     """
     n = len(subset)
     position = {atom: k for k, atom in enumerate(subset)}
@@ -372,45 +460,51 @@ def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
     ends = []
     orders = []
     symbols = []
-    for a1, a2, order in zip(graph.bond_a1, graph.bond_a2, graph.bond_orders):
-        if a1 in position:
-            ends.append((position[a1], position[a2]))
-            orders.append(order)
-            symbols.append(_bond_symbol(order, aromatic[a1] and aromatic[a2]))
-    tokens = [_atom_token(graph, atom) for atom in subset]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (order * n, neighbour)
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge)
+    aromatic_bonds = [0] * n
+    other_orders = [0] * n  # the order sum of the non-aromatic bonds
     order_at: dict[int, int] = {}  # i * n + j -> order value
-    for edge, ((a, b), order) in enumerate(zip(ends, orders)):
-        adj[a].append((order * n, b))
-        adj[b].append((order * n, a))
-        links[a].append((b, edge))
-        links[b].append((a, edge))
-        order_at[a * n + b] = order_at[b * n + a] = order
-    degree = list(map(len, graph.adjacency()))
-    initial = [
-        (graph.atomic_numbers[atom], graph.charges[atom], degree[atom],
-         graph.total_hs[atom], aromatic[atom])
-        for atom in subset
+    for a1, a2, order in zip(graph.bond_a1, graph.bond_a2, graph.bond_orders):
+        if a1 in position:
+            a, b = position[a1], position[a2]
+            links[a].append((b, len(ends)))
+            links[b].append((a, len(ends)))
+            ends.append((a, b))
+            orders.append(order)
+            symbols.append(_bond_symbol(order, aromatic[a1] and aromatic[a2]))
+            adj[a].append((order * n, b))
+            adj[b].append((order * n, a))
+            order_at[a * n + b] = order_at[b * n + a] = order
+            if order == 4:  # aromatic
+                aromatic_bonds[a] += 1
+                aromatic_bonds[b] += 1
+            else:
+                other_orders[a] += order
+                other_orders[b] += order
+    numbers, charges, total_hs = graph.atomic_numbers, graph.charges, graph.total_hs
+    tokens = [
+        atom_token(numbers[atom], aromatic[atom], charges[atom], total_hs[atom],
+                   aromatic_bonds[k], other_orders[k])
+        for k, atom in enumerate(subset)
     ]
 
     best: str | None = None
-    emitted: list[tuple[list[int], list[int]]] = []  # (atom at each rank, path)
+    emitted: list[tuple[list[int], list[int]]] = []  # (each atom's position, path)
     automorphisms: list[list[int]] = []
 
-    def leaf(ranks: list[int], path: list[int]) -> int | None:
+    def leaf(positions: list[int], path: list[int]) -> int | None:
         """Emit a discrete leaf, or return the depth to resume at when it
         is the image of an emitted leaf."""
         nonlocal best
         at_rank = [0] * n
-        for i, r in enumerate(ranks):
+        for i, r in enumerate(positions):
             at_rank[r] = i
-        # equal ranks lie in the same initial class, so the map keeps atom
-        # kinds; it is an automorphism when it also keeps every bond order
+        # the atoms at one position in two leaves lie in the same initial
+        # cell, so the map keeps atom kinds; it is an automorphism when it
+        # also keeps every bond order
         for earlier, earlier_path in emitted:
-            image = [0] * n
-            for r in range(n):
-                image[earlier[r]] = at_rank[r]
+            image = [at_rank[r] for r in earlier]
             if all(
                 order_at.get(image[a] * n + image[b]) == order
                 for (a, b), order in zip(ends, orders)
@@ -420,35 +514,36 @@ def _fragment_canonical(graph: MolecularGraph, subset: list[int]) -> str:
                 while path[depth] == earlier_path[depth]:
                     depth += 1
                 return depth
-        text = _emit(ranks, links, ends, tokens, symbols)
+        text = _emit(at_rank, links, tokens, symbols)
         if best is None or text < best:
             best = text
-        emitted.append((at_rank, path))
+        emitted.append((positions, path))
         return None
 
-    def explore(ranks: list[int], path: list[int]) -> int | None:
-        counts = [0] * n
-        for r in ranks:
-            counts[r] += 1
-        target = next((r for r, c in enumerate(counts) if c > 1), None)
-        if target is None:
-            return leaf(ranks, path)
+    def explore(start: list[int], cells: dict[int, list[int]], path: list[int]) -> int | None:
+        if len(cells) == n:
+            return leaf(start, path)
+        target = min(at for at, members in cells.items() if len(members) > 1)
         depth = len(path)
-        members = [i for i, r in enumerate(ranks) if r == target]
+        members = cells[target]
         explored: list[int] = []
         for chosen in members:
             if explored and chosen in _orbit(explored, automorphisms, path):
                 continue
             explored.append(chosen)
-            individualized = [
-                r if r < target or i == chosen else r + 1 for i, r in enumerate(ranks)
-            ]
-            resume = explore(_refine(adj, individualized), path + [chosen])
+            child = _individualize(start, cells, target, chosen)
+            _refine(adj, *child, [chosen])
+            resume = explore(*child, path + [chosen])
             if resume is not None and resume < depth:
                 return resume
         return None
 
-    explore(_refine(adj, _dense_ranks(initial)), [])
+    start, cells = _cells([
+        (numbers[atom], charges[atom], len(adj[k]), total_hs[atom], aromatic[atom])
+        for k, atom in enumerate(subset)
+    ])
+    _refine(adj, start, cells, None)
+    explore(start, cells, [])
     assert best is not None
     return best
 
@@ -468,44 +563,37 @@ def _orbit(seeds: list[int], automorphisms: list[list[int]], path: list[int]) ->
     return orbit
 
 
-def _emit(ranks: list[int], links, ends, tokens: list[str], symbols: list[str]) -> str:
-    """SMILES of a discrete leaf: depth-first from rank 0, neighbours in
-    rank order, ring-closure digits reused lowest first."""
-    n = len(ranks)
-    start = ranks.index(0)
+def _emit(at_rank: list[int], links, tokens: list[str], symbols: list[str]) -> str:
+    """SMILES of a discrete leaf whose atoms, in position order, are
+    ``at_rank``: depth-first from position 0, neighbours in position
+    order, ring-closure digits reused lowest first."""
+    n = len(at_rank)
+    ordered: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # links by position
+    for i in at_rank:
+        for j, edge in links[i]:
+            ordered[j].append((i, edge))
+    start = at_rank[0]
     parent = [-1] * n
     children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    visit_order = [0] * n
-    back_edges: set[int] = set()
-    counter = 0
+    # each atom's ring bonds, in the visit order of their other ends
+    ring_at: list[list[int]] = [[] for _ in range(n)]
     stack = [start]
     claimed = [False] * n
     claimed[start] = True
     while stack:
         node = stack.pop()
-        visit_order[node] = counter
-        counter += 1
         fresh = []
-        for j, edge in sorted(links[node], key=lambda t: ranks[t[0]]):
+        for j, edge in ordered[node]:
             if j == parent[node]:
                 continue
             if claimed[j]:
-                back_edges.add(edge)
+                ring_at[j].append(edge)
             else:
                 claimed[j] = True
                 parent[j] = node
                 children[node].append((j, edge))
                 fresh.append(j)
         stack.extend(reversed(fresh))
-
-    ring_at: list[list[int]] = [[] for _ in range(n)]
-    for edge in back_edges:
-        a, b = ends[edge]
-        ring_at[a].append(edge)
-        ring_at[b].append(edge)
-    for i, edges in enumerate(ring_at):
-        # in the visit order of each ring bond's other end
-        edges.sort(key=lambda e: visit_order[ends[e][0] + ends[e][1] - i])
 
     free_digits = list(range(1, 100))
     open_digit: dict[int, int] = {}
@@ -522,12 +610,16 @@ def _emit(ranks: list[int], links, ends, tokens: list[str], symbols: list[str]) 
         for edge in ring_at[node]:
             if edge in open_digit:
                 digit = open_digit.pop(edge)
-                parts.append(_digit_token(digit))
+                parts.append(_DIGITS[digit])
                 heapq.heappush(free_digits, digit)
             else:
+                if not free_digits:
+                    raise RingClosureError(
+                        "canonical SMILES needs more than 99 ring-closure digits open at once"
+                    )
                 digit = heapq.heappop(free_digits)
                 open_digit[edge] = digit
-                parts.append(symbols[edge] + _digit_token(digit))
+                parts.append(symbols[edge] + _DIGITS[digit])
         kids = children[node]
         if kids:
             child, edge = kids[-1]
@@ -535,10 +627,6 @@ def _emit(ranks: list[int], links, ends, tokens: list[str], symbols: list[str]) 
             for child, edge in reversed(kids[:-1]):
                 todo += [")", child, "(" + symbols[edge]]
     return "".join(parts)
-
-
-def _digit_token(digit: int) -> str:
-    return str(digit) if digit <= 9 else f"%{digit:02d}"
 
 
 def _bond_symbol(order: int, aromatic_ends: bool) -> str:
@@ -553,17 +641,15 @@ def _bond_symbol(order: int, aromatic_ends: bool) -> str:
     return "" if aromatic_ends else ":"
 
 
-def _atom_token(graph: MolecularGraph, index: int) -> str:
-    element = SYMBOL[graph.atomic_numbers[index]]
-    q = graph.charges[index]
-    total_h = graph.total_hs[index]
-    bare_allowed = (
-        q == 0
-        and element in _ORGANIC_SUBSET
-        and graph.bare_implicit_h(index) == total_h
-    )
-    symbol = element.lower() if graph.aromatic[index] else element
-    if bare_allowed:
+@functools.cache
+def atom_token(number: int, aromatic: bool, charge: int, total_h: int, k: int, other: int) -> str:
+    """The written token of an atom of that atomic number, aromaticity,
+    charge and hydrogen count, with k aromatic bonds and the order sum
+    ``other`` of its other bonds: the bare symbol when a reader infers
+    the same hydrogens from it, else a bracket atom."""
+    element = SYMBOL[number]
+    symbol = element.lower() if aromatic else element
+    if charge == 0 and element in _ORGANIC_SUBSET and valence(number, 0, 0, k, other)[2] == total_h:
         return symbol
     if total_h == 0:
         h_part = ""
@@ -571,14 +657,14 @@ def _atom_token(graph: MolecularGraph, index: int) -> str:
         h_part = "H"
     else:
         h_part = f"H{total_h}"
-    if q == 0:
+    if charge == 0:
         q_part = ""
-    elif q == 1:
+    elif charge == 1:
         q_part = "+"
-    elif q == -1:
+    elif charge == -1:
         q_part = "-"
-    elif q > 1:
-        q_part = f"+{q}"
+    elif charge > 1:
+        q_part = f"+{charge}"
     else:
-        q_part = f"-{-q}"
+        q_part = f"-{-charge}"
     return f"[{symbol}{h_part}{q_part}]"

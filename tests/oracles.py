@@ -57,8 +57,8 @@ from fluorgen.scorers import (
     score_property,
 )
 from fluorgen.smiles import (
-    _atom_token,
     _bond_symbol,
+    atom_token,
     connected_components,
     write_canonical_smiles,
 )
@@ -653,6 +653,45 @@ def _refine(graph: MolecularGraph, ranks: dict[int, int]) -> dict[int, int]:
         ranks = new_ranks
 
 
+def token_of(graph: MolecularGraph, index: int) -> str:
+    """smiles.atom_token of an atom, its bond tallies read through the
+    graph's Bond objects."""
+    atom = graph.atoms[index]
+    orders = [bond.order for _, bond in graph.neighbors(index)]
+    k = orders.count(BondOrder.AROMATIC)
+    other = sum(order.value for order in orders if order is not BondOrder.AROMATIC)
+    return atom_token(
+        ATOMIC_NUMBER[atom.element], atom.aromatic, atom.formal_charge, graph.total_hs[index],
+        k, other,
+    )
+
+
+def refine_dense_ranks(adj: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Referee for smiles._refine: the dense-rank refinement it replaced,
+    one full pass over every atom at a time.
+
+    Dense-rank (rank, sorted (bond order, neighbour rank) pairs) until
+    the number of classes stops growing. ``adj[i]`` holds (order value
+    times atom count, neighbour) pairs, so each pair sorts as one integer
+    in the order of the tuple. An atom alone in its class gets the key
+    (rank,): no other key shares its rank, so the dense ranks come out as
+    with the full key."""
+    n_classes = max(ranks) + 1
+    while True:
+        counts = [0] * n_classes
+        for r in ranks:
+            counts[r] += 1
+        keys = [
+            (r, tuple(sorted([code + ranks[j] for code, j in nbrs]))) if counts[r] > 1 else (r,)
+            for r, nbrs in zip(ranks, adj)
+        ]
+        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        if len(order) == n_classes:
+            return ranks
+        ranks = [order[key] for key in keys]
+        n_classes = len(order)
+
+
 def _fragment_exhaustive(graph: MolecularGraph, subset: list[int]) -> str:
     keys = {}
     for i in subset:
@@ -745,7 +784,7 @@ def _emit_exhaustive(graph: MolecularGraph, ranks: dict[int, int]) -> str:
         return _bond_symbol(bond.order.value, aromatic_ends)
 
     def build(node: int) -> str:
-        parts = [_atom_token(graph, node), ring_tokens(node)]
+        parts = [token_of(graph, node), ring_tokens(node)]
         kids = children[node]
         for pos, child in enumerate(kids):
             bond = graph.bond_between(node, child)

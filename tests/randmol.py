@@ -10,6 +10,7 @@ tests graphs whose symmetry refinement alone cannot settle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +234,38 @@ def random_chiral_necklace(rng: np.random.Generator) -> MolecularGraph:
         tuple(Atom(index=k, element=e) for k, e in enumerate(atoms)),
         tuple(Bond(min(a, b), max(a, b), BondOrder.SINGLE) for a, b in bonds),
     )
+
+
+def carbon_grid(rows: int, cols: int) -> MolecularGraph:
+    """A rows x cols square grid of sp3 carbons, atom r * cols + c at row
+    r and column c, each bonded to its grid neighbours."""
+    atoms = tuple(Atom(index=i, element="C") for i in range(rows * cols))
+    bonds = [Bond(i, i + 1, BondOrder.SINGLE) for i in range(rows * cols) if (i + 1) % cols]
+    bonds += [Bond(i, i + cols, BondOrder.SINGLE) for i in range((rows - 1) * cols)]
+    return MolecularGraph(atoms, tuple(bonds))
+
+
+def carbon_grid_smiles(rows: int, cols: int) -> str:
+    """carbon_grid(rows, cols) written along a snake path, alternate rows
+    walked backwards, with each bond between rows that the path does not
+    take as a ring closure: at most cols ring closures are open at once."""
+    path = [r * cols + (c if r % 2 == 0 else cols - 1 - c) for r in range(rows) for c in range(cols)]
+    at = {atom: k for k, atom in enumerate(path)}
+    free = list(range(1, 100))
+    open_digit: dict[int, int] = {}  # upper atom of a ring bond -> its digit
+    parts = []
+    for k, atom in enumerate(path):
+        parts.append("C")
+        digits = []  # the bond up closes before the bond down opens
+        above = atom - cols
+        if above >= 0 and at[above] != k - 1:
+            digits.append(open_digit.pop(above))
+            heapq.heappush(free, digits[-1])
+        if atom + cols < rows * cols and at[atom + cols] != k + 1:
+            digits.append(heapq.heappop(free))
+            open_digit[atom] = digits[-1]
+        parts += [str(digit) if digit <= 9 else f"%{digit:02d}" for digit in digits]
+    return "".join(parts)
 
 
 def _recount(used: list[int], bonds: list[tuple[int, int, BondOrder]], i: int) -> None:

@@ -24,6 +24,8 @@ from fluorgen.config import (
 from fluorgen.fingerprints import FEATURE_DIM
 from fluorgen.scorers import Head, MlpModel, save_model
 
+from randmol import carbon_grid_smiles
+
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -463,6 +465,16 @@ class TestTrain:
         synthetic_csv(tmp_path / "chemfluor.csv")
         assert main(["--config", str(write_config(tmp_path)), "train"]) == 0
         assert len(parsed) == len(set(parsed)) == 10
+
+    def test_row_with_no_canonical_string_is_listed_as_rejected(self, tmp_path):
+        synthetic_csv(tmp_path / "chemfluor.csv")
+        grid = carbon_grid_smiles(120, 3)
+        with open(tmp_path / "chemfluor.csv", "a") as handle:
+            handle.write(f"{grid},0.681,0.997,1.062,0.025,0.5,300.0,350.0\n")
+        assert main(["--config", str(write_config(tmp_path)), "train"]) == 0
+        rejected = (tmp_path / "out" / "rejected_rows.txt").read_text()
+        assert "line 62: bad SMILES" in rejected
+        assert "more than 99 ring-closure digits" in rejected
 
     def test_bad_column_flag(self, tmp_path, capsys):
         synthetic_csv(tmp_path / "chemfluor.csv")

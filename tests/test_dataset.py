@@ -26,6 +26,7 @@ from fluorgen.fingerprints import (
 from fluorgen.smiles import parse_smiles, write_canonical_smiles
 
 from oracles import bits_to_array_loop
+from randmol import carbon_grid_smiles
 
 HEADER = "SMILES,SP,SdP,SA,SB,PLQY,Absorption,Emission"
 
@@ -105,6 +106,16 @@ class TestIngestion:
         assert len(result.rejected) == 1
         assert "bad SMILES" in result.rejected[0]
         assert "line 2" in result.rejected[0]
+
+    def test_row_with_no_canonical_string_rejected(self, tmp_path):
+        grid = carbon_grid_smiles(120, 3)
+        lines = [HEADER, "CCO,0.6,0.7,0.8,0.9,0.4,,", f"{grid},0.6,0.7,0.8,0.9,0.4,,"]
+        result = ingest_chemfluor(write_file(tmp_path, lines))
+        assert len(result.records) == 1
+        assert result.rejected == (
+            f"line 3: bad SMILES {grid!r}: canonical SMILES needs more than 99 "
+            "ring-closure digits open at once",
+        )
 
     def test_rejected_rows_numbered_by_file_line(self, tmp_path):
         # csv skips the blank line 3; the bad row is still line 4

@@ -7,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluorgen.molgraph import Atom, Bond, BondOrder, MolecularGraph, MoleculeError
+from fluorgen import smiles
 from fluorgen.smiles import (
+    RingClosureError,
     SmilesError,
     connected_components,
     parse_smiles,
@@ -15,8 +17,10 @@ from fluorgen.smiles import (
 )
 
 from corpus import CORPUS
-from oracles import canonical_smiles_exhaustive, graphs_isomorphic
+from oracles import canonical_smiles_exhaustive, graphs_isomorphic, refine_dense_ranks
 from randmol import (
+    carbon_grid,
+    carbon_grid_smiles,
     permute_graph,
     random_chiral_necklace,
     random_cubic_molecule,
@@ -222,6 +226,15 @@ class TestCanonicalWriting:
         text = write_canonical_smiles(graph)
         assert write_canonical_smiles(parse_smiles(text)) == text
 
+    def test_more_than_99_open_ring_closures_is_a_named_error(self):
+        # the depth-first walk of a 120 x 3 grid keeps over 99 ring bonds
+        # open; the snake-path form of the same grid needs at most 3
+        text = carbon_grid_smiles(120, 3)
+        graph = parse_smiles(text)
+        assert graphs_isomorphic(graph, carbon_grid(120, 3))
+        with pytest.raises(RingClosureError, match="more than 99 ring-closure digits"):
+            write_canonical_smiles(graph)
+
     def test_empty_graph_rejected(self):
         from fluorgen.molgraph import MolecularGraph
 
@@ -336,6 +349,81 @@ class TestCanonicalSearchIsExact:
         assert write_canonical_smiles(parse_smiles(want)) == want
 
 
+def dense(values: list) -> list[int]:
+    order = {value: rank for rank, value in enumerate(sorted(set(values)))}
+    return [order[value] for value in values]
+
+
+class TestPartitionRefinement:
+    """smiles._refine, read as dense ranks, splits as the dense-rank
+    passes it replaced (the referee, oracles.refine_dense_ranks) at the
+    root and after individualizing each member of the first tied cell;
+    and it reads O(n) signatures on a chain."""
+
+    @staticmethod
+    def assert_matches_referee(graph):
+        for subset in connected_components(graph):
+            n = len(subset)
+            position = {atom: k for k, atom in enumerate(subset)}
+            adj = [[] for _ in range(n)]
+            for a1, a2, order in zip(graph.bond_a1, graph.bond_a2, graph.bond_orders):
+                if a1 in position:
+                    a, b = position[a1], position[a2]
+                    adj[a].append((order * n, b))
+                    adj[b].append((order * n, a))
+            keys = [
+                (graph.atomic_numbers[atom], graph.charges[atom], len(adj[k]),
+                 graph.total_hs[atom], graph.aromatic[atom])
+                for k, atom in enumerate(subset)
+            ]
+            start, cells = smiles._cells(keys)
+            smiles._refine(adj, start, cells, None)
+            want = refine_dense_ranks(adj, dense(keys))
+            assert dense(start) == want
+            tied = [at for at, members in cells.items() if len(members) > 1]
+            if not tied:
+                continue
+            target = min(tied)
+            rank = want[cells[target][0]]
+            for chosen in cells[target]:
+                child = smiles._individualize(start, cells, target, chosen)
+                smiles._refine(adj, *child, [chosen])
+                referee = refine_dense_ranks(adj, [
+                    r if r < rank or i == chosen else r + 1 for i, r in enumerate(want)
+                ])
+                assert dense(child[0]) == referee
+                assert sorted(child[1]) == sorted(set(child[0]))
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(range(3)))
+    def test_random_graphs_match_referee(self, seed, kind):
+        make = (random_molecule, random_cubic_molecule, random_kekule_framework)[kind]
+        self.assert_matches_referee(make(np.random.default_rng(seed)))
+
+    def test_corpus_matches_referee(self):
+        for smi in CORPUS:
+            self.assert_matches_referee(parse_smiles(smi))
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (3, 5), (4, 4), (5, 6)])
+    def test_grids_match_referee(self, rows, cols):
+        self.assert_matches_referee(carbon_grid(rows, cols))
+
+    def test_chain_signatures_grow_linearly(self, monkeypatch):
+        calls = [0]
+
+        def counting(links, start, _original=smiles._signature):
+            calls[0] += 1
+            return _original(links, start)
+
+        monkeypatch.setattr(smiles, "_signature", counting)
+        counts = []
+        for n in (1000, 2000):
+            calls[0] = 0
+            assert write_canonical_smiles(parse_smiles("C" * n)) == "C" * n
+            counts.append(calls[0])
+        assert 0 < counts[0] and counts[1] < 3 * counts[0]
+
+
 class TestPinnedParserOutput:
     """parse_smiles and MolecularGraph construction over the corpus, a
     fixed randmol sample and seeded one-character mutants of both, held
@@ -410,5 +498,37 @@ class TestPinnedParserOutput:
             lines.append(f"{atoms!r} {bonds!r} ! {err.value} @{err.value.atom_index}")
         assert len(lines) == 1459
         assert 300 < failures < 1000
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+class TestPinnedCanonicalOutput:
+    """write_canonical_smiles over the corpus, 500 seeded randmol graphs
+    (random molecules, cubic frameworks and Kekule frameworks), each in
+    two seeded atom orders, and every rows x cols carbon grid with
+    3 <= rows <= cols <= 12, held to a digest taken before the partition
+    refinement replaced dense-rank passes."""
+
+    DIGEST = "efc8410c5046338391157f42a5b4e2e12d2d44d5045b1a323cc22c069a23809f"
+
+    @staticmethod
+    def graphs():
+        for smi in CORPUS:
+            yield parse_smiles(smi)
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            make = {3: random_cubic_molecule, 4: random_kekule_framework}.get(
+                seed % 5, random_molecule
+            )
+            graph = make(rng)
+            for _ in range(2):
+                yield permute_graph(graph, list(rng.permutation(len(graph))))
+        for rows in range(3, 13):
+            for cols in range(rows, 13):
+                yield carbon_grid(rows, cols)
+
+    def test_canonical_output_digest(self):
+        lines = [write_canonical_smiles(graph) for graph in self.graphs()]
+        assert len(lines) == 1155
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
